@@ -21,7 +21,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .graph import DensityCertificate, Graph, VertexSet
+from .graph import (
+    DENSITY_POLICIES,
+    DensityCertificate,
+    Graph,
+    VertexSet,
+    masked_components,
+    sparsity_guard,
+)
 
 
 @dataclass
@@ -142,8 +149,6 @@ def verify_minor_witness(g: Graph, wtn: MinorWitness, h: Optional[int] = None) -
         if not g.has_edge(a, b):
             v.append(("minor.pair-edge", f"recorded edge ({a},{b}) for pair ({i},{j}) not in G"))
             continue
-        ends = {a in wtn.branch_sets[i], b in wtn.branch_sets[i],
-                a in wtn.branch_sets[j], b in wtn.branch_sets[j]}
         if not ((a in wtn.branch_sets[i] and b in wtn.branch_sets[j])
                 or (b in wtn.branch_sets[i] and a in wtn.branch_sets[j])):
             v.append(("minor.pair-edge", f"edge ({a},{b}) does not join branch sets {i} and {j}"))
@@ -220,6 +225,72 @@ def find_connecting_edge(g: Graph, a: VertexSet, b: VertexSet) -> Optional[tuple
     return None
 
 
+# -- minor-side results -------------------------------------------------------
+
+
+def density_result(g: Graph, h: int, params: dict) -> Optional[SepOrMinor]:
+    """Run the density guard and report: None when g passes every policy.
+
+    The first policy that fires decides the result: real branch sets when the
+    exact small-instance oracle applies (n <= 10, h <= 4) and finds them,
+    else a MinorReport carrying the certificate.
+    """
+    for policy in DENSITY_POLICIES:
+        cert = sparsity_guard(g, h, policy)
+        if cert is None:
+            continue
+        if g.n <= 10 and h <= 4:
+            wtn = brute_force_minor_detect(g, h)
+            if wtn is not None:
+                wtn.params = dict(params)
+                return wtn
+        return MinorReport(certificate=cert, params=params)
+    return None
+
+
+def witness_from_slots(g: Graph, branch_slots: list[Optional[np.ndarray]],
+                       pair_edges: dict[tuple[int, int], tuple[int, int]],
+                       params: dict) -> MinorWitness:
+    """The clique-minor witness held by a separator loop's branch-set slots.
+
+    Retired slots (None) are skipped and the rest renumbered in slot order.
+    Each pair keeps its recorded edge (pair_edges is keyed by slot pair) or
+    gets the first connecting edge found; depth_bound is the largest
+    branch-set diameter.
+    """
+    slots = [si for si, bs in enumerate(branch_slots) if bs is not None]
+    sets = [VertexSet(branch_slots[si].tolist()) for si in slots]
+    remap = {si: i for i, si in enumerate(slots)}
+    edges = {}
+    for (a, b), e in pair_edges.items():
+        if a in remap and b in remap:
+            edges[tuple(sorted((remap[a], remap[b])))] = e
+    for i, j in combinations(range(len(sets)), 2):
+        if (i, j) not in edges:
+            e = find_connecting_edge(g, sets[i], sets[j])
+            if e is not None:
+                edges[(i, j)] = e
+    depth = max((_bfs_diameter_within(g, s) or 0 for s in sets), default=0)
+    return MinorWitness(branch_sets=sets, depth_bound=depth, connecting_edges=edges,
+                        params=params)
+
+
+def lift_minor(result: SepOrMinor, verts: np.ndarray) -> SepOrMinor:
+    """A result on G[verts] (local id i is host id verts[i]) in host ids.
+
+    Witnesses are translated; reports carry no vertex ids and pass through.
+    """
+    if isinstance(result, MinorWitness):
+        return MinorWitness(
+            branch_sets=[VertexSet(verts[np.asarray(bs.ids(), dtype=np.int64)].tolist())
+                         for bs in result.branch_sets],
+            depth_bound=result.depth_bound,
+            connecting_edges={k: (int(verts[a]), int(verts[b]))
+                              for k, (a, b) in result.connecting_edges.items()},
+            params=result.params)
+    return result
+
+
 # -- A/B packing -------------------------------------------------------------
 
 
@@ -231,22 +302,9 @@ def pack_components(g: Graph, cmask: np.ndarray,
     most balance_c * w(V), which the calling algorithms guarantee.
     """
     n = g.n
-    rest = ~cmask
-    sub_ids = np.flatnonzero(rest)
+    sub_ids, ncomp, labels = masked_components(g, ~cmask)
     if len(sub_ids) == 0:
         return VertexSet(), VertexSet()
-    keep = rest[g.edge_u] & rest[g.edge_v]
-    from scipy.sparse import csr_matrix
-    from scipy.sparse import csgraph as _cs
-
-    local = np.full(n, -1, dtype=np.int64)
-    local[sub_ids] = np.arange(len(sub_ids))
-    eu = local[g.edge_u[keep]]
-    ev = local[g.edge_v[keep]]
-    nn = len(sub_ids)
-    mat = csr_matrix((np.ones(len(eu) * 2, dtype=np.int8),
-                      (np.concatenate([eu, ev]), np.concatenate([ev, eu]))), shape=(nn, nn))
-    ncomp, labels = _cs.connected_components(mat, directed=False)
     wloc = g.vertex_weight[sub_ids]
     comp_w = np.zeros(ncomp, dtype=np.int64)
     np.add.at(comp_w, labels, wloc)

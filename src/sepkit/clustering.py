@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from . import debugcheck
-from .certificates import MinorWitness, SepOrMinor, Separator
+from .certificates import SepOrMinor, Separator, density_result, lift_minor
 from .graph import Graph, VertexSet
 from .shallow import ln_ceil, separator_coeff, shallow_separator, shallow_separator_balanced
 
@@ -107,6 +107,26 @@ def _verts_of_edges(g: Graph, eids: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([g.edge_u[eids], g.edge_v[eids]]))
 
 
+def _union_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over 0..n-1 joining each pair (a, b).
+
+    Returns every element's root, which is the smallest id in its class.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
+
+
 def _split_pieces_from_cut(g: Graph, verts: np.ndarray, eids: np.ndarray,
                            cut_local: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Partition the cluster's edges around a local vertex cut.
@@ -122,27 +142,16 @@ def _split_pieces_from_cut(g: Graph, verts: np.ndarray, eids: np.ndarray,
     lu = local[g.edge_u[eids]]
     lv = local[g.edge_v[eids]]
     # components of C - cut via union-find over non-cut edges
-    parent = np.arange(len(verts), dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     both_out = ~incut[lu] & ~incut[lv]
-    for a, b in zip(lu[both_out].tolist(), lv[both_out].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    root = _union_roots(len(verts), zip(lu[both_out].tolist(), lv[both_out].tolist()))
     piece_of_edge = np.full(len(eids), -1, dtype=np.int64)
     comp_key = {}
     for i, (a, b) in enumerate(zip(lu.tolist(), lv.tolist())):
         anchor = None
         if not incut[a]:
-            anchor = find(a)
+            anchor = root[a]
         elif not incut[b]:
-            anchor = find(b)
+            anchor = root[b]
         if anchor is not None:
             piece_of_edge[i] = comp_key.setdefault(anchor, len(comp_key))
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
@@ -152,26 +161,7 @@ def _split_pieces_from_cut(g: Graph, verts: np.ndarray, eids: np.ndarray,
     # cut-internal edges: connected groups become their own pieces
     leftover = eids[piece_of_edge == -1]
     if len(leftover):
-        parent2 = np.arange(len(verts), dtype=np.int64)
-
-        def find2(x: int) -> int:
-            while parent2[x] != x:
-                parent2[x] = parent2[parent2[x]]
-                x = parent2[x]
-            return x
-
-        llu = local[g.edge_u[leftover]]
-        llv = local[g.edge_v[leftover]]
-        for a, b in zip(llu.tolist(), llv.tolist()):
-            ra, rb = find2(a), find2(b)
-            if ra != rb:
-                parent2[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for i, a in enumerate(llu.tolist()):
-            groups.setdefault(find2(a), []).append(i)
-        for key in sorted(groups):
-            pe = leftover[np.asarray(groups[key], dtype=np.int64)]
-            pieces.append((_verts_of_edges(g, pe), pe))
+        pieces.extend(_connected_edge_groups(g, leftover))
     return [p for p in pieces if len(p[1])]
 
 
@@ -248,30 +238,15 @@ def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
 
 
 def _connected_edge_groups(g: Graph, eids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a nonempty edge set into connected groups, ordered by smallest vertex."""
     verts = _verts_of_edges(g, eids)
     local = np.full(g.n, -1, dtype=np.int64)
     local[verts] = np.arange(len(verts))
-    parent = np.arange(len(verts), dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     lu, lv = local[g.edge_u[eids]], local[g.edge_v[eids]]
-    for a, b in zip(lu.tolist(), lv.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for i, a in enumerate(lu.tolist()):
-        groups.setdefault(find(a), []).append(i)
-    out = []
-    for key in sorted(groups):
-        pe = eids[np.asarray(groups[key], dtype=np.int64)]
-        out.append((_verts_of_edges(g, pe), pe))
-    return out
+    root = np.asarray(_union_roots(len(verts), zip(lu.tolist(), lv.tolist())))[lu]
+    order = np.argsort(root, kind="stable")
+    groups = np.split(eids[order], np.flatnonzero(np.diff(root[order])) + 1)
+    return [(_verts_of_edges(g, pe), pe) for pe in groups]
 
 
 class MinorFound(Exception):
@@ -279,20 +254,6 @@ class MinorFound(Exception):
 
     def __init__(self, result: SepOrMinor):
         self.result = result
-
-
-def _lift_minor(result: SepOrMinor, verts: np.ndarray) -> SepOrMinor:
-    """Translate a sub-run's minor-side result into host-graph vertex ids."""
-    if isinstance(result, MinorWitness):
-        back = verts
-        return MinorWitness(
-            branch_sets=[VertexSet(back[np.asarray(bs.ids(), dtype=np.int64)].tolist())
-                         for bs in result.branch_sets],
-            depth_bound=result.depth_bound,
-            connecting_edges={k: (int(back[a]), int(back[b]))
-                              for k, (a, b) in result.connecting_edges.items()},
-            params=result.params)
-    return result
 
 
 def _separator_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
@@ -313,7 +274,7 @@ def _separator_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
     else:
         out = shallow_separator(sub, h, ell, eps, seed, complete_witness=False)
     if not isinstance(out, Separator):
-        raise MinorFound(_lift_minor(out, verts))
+        raise MinorFound(lift_minor(out, verts))
     cut_local = np.asarray(out.C.ids(), dtype=np.int64)
     pieces = _split_pieces_from_cut(g, verts, eids, cut_local)
     if any(len(pv) >= len(verts) for pv, _ in pieces) or len(pieces) <= 1:
@@ -340,14 +301,9 @@ def weak_r_clustering(g: Graph, r: int, h: int, eps: float, seed: int = 0,
     n = g.n
     if r <= c_r * h * h * ln_ceil(n):
         raise ClusteringError(f"r={r} not above C_r h^2 ln n = {c_r * h * h * ln_ceil(n):.1f}")
-    from .graph import sparsity_guard
-
-    for policy in ("mader-proven", "thomason-soft"):
-        cert = sparsity_guard(g, h, policy)
-        if cert is not None:
-            from .shallow import _density_result
-
-            return _density_result(g, h, cert, {"h": h, "r": r, "eps": eps})
+    dense = density_result(g, h, {"h": h, "r": r, "eps": eps})
+    if dense is not None:
+        return dense
     eps3 = eps / 3.0
     all_eids = np.arange(g.m, dtype=np.int64)
     stack: list[tuple[np.ndarray, np.ndarray]] = []
@@ -841,26 +797,15 @@ def decompose_active_complement(st: ActiveState, nc: Optional[NestedClustering] 
             if len(xc.passive_boundary):
                 node_ids[(cid, xc.index)] = len(nodes)
                 nodes.append(xc)
-    parent = list(range(len(nodes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     incident: dict[int, list[int]] = {}
     for key, nid in node_ids.items():
         for b in nodes[nid].passive_boundary.tolist():
             incident.setdefault(b, []).append(nid)
-    for b, nids in incident.items():
-        for other in nids[1:]:
-            ra, rb = find(nids[0]), find(other)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    root = _union_roots(len(nodes), ((nids[0], other) for nids in incident.values()
+                                     for other in nids[1:]))
     comp_nodes: dict[int, list[int]] = {}
     for nid in range(len(nodes)):
-        comp_nodes.setdefault(find(nid), []).append(nid)
+        comp_nodes.setdefault(root[nid], []).append(nid)
     out = []
     keys = sorted(node_ids)
     id_to_key = {v: k for k, v in node_ids.items()}

@@ -403,6 +403,80 @@ def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray)
     return indices[offsets + within]
 
 
+def grow_within(g: Graph, allowed: np.ndarray, seed_vertices: np.ndarray, target: int,
+                radius_cap: int) -> np.ndarray:
+    """Grow a connected superset of the seed vertices by BFS through `allowed`.
+
+    Adds whole layers until the target size is met, trimming the final layer
+    (lowest ids first) so the result has exactly min(target, reachable) size,
+    and stops after radius_cap layers.  Returns the sorted vertex ids.
+    """
+    mask = np.zeros(g.n, dtype=bool)
+    mask[seed_vertices] = True
+    count = len(seed_vertices)
+    frontier = seed_vertices
+    layers = 0
+    while count < target and len(frontier) and layers < radius_cap:
+        nbrs = gather_neighbors(g.indptr, g.indices, frontier)
+        nbrs = nbrs[allowed[nbrs] & ~mask[nbrs]]
+        if len(nbrs) == 0:
+            break
+        new = np.unique(nbrs)
+        if count + len(new) > target:
+            new = new[: target - count]
+        mask[new] = True
+        count += len(new)
+        frontier = new
+        layers += 1
+    return np.flatnonzero(mask)
+
+
+def _masked_csr(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, csr_matrix]:
+    """G[mask] as a 0/1 CSR matrix over local ids, with the global id of each.
+
+    Local ids follow global id order, so csgraph's tie-breaking (component
+    numbering, BFS predecessors) is by global id as well.
+    """
+    ids = np.flatnonzero(mask)
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[ids] = np.arange(len(ids))
+    keep = mask[g.edge_u] & mask[g.edge_v]
+    lu, lv = local[g.edge_u[keep]], local[g.edge_v[keep]]
+    nn = len(ids)
+    mat = csr_matrix((np.ones(2 * len(lu), dtype=np.int8),
+                      (np.concatenate([lu, lv]), np.concatenate([lv, lu]))), shape=(nn, nn))
+    return ids, mat
+
+
+def masked_components(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Components of G[mask]: (ids of mask, component count, label per id).
+
+    Components are numbered in order of their smallest vertex id.
+    """
+    ids, mat = _masked_csr(g, mask)
+    ncomp, labels = csgraph.connected_components(mat, directed=False)
+    return ids, ncomp, labels
+
+
+def masked_bfs(g: Graph, mask: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances and BFS-tree predecessors from `start` inside G[mask].
+
+    Both arrays are indexed by global vertex id; vertices off start's
+    component of G[mask] get distance inf, and those and `start` get
+    predecessor -1.
+    """
+    ids, mat = _masked_csr(g, mask)
+    dist_l, pred_l = csgraph.dijkstra(mat, directed=False, unweighted=True,
+                                      indices=int(np.searchsorted(ids, start)),
+                                      return_predecessors=True)
+    dist = np.full(g.n, np.inf)
+    dist[ids] = dist_l
+    pred = np.full(g.n, -1, dtype=np.int64)
+    has = pred_l >= 0
+    pred[ids[has]] = ids[pred_l[has]]
+    return dist, pred
+
+
 def induced_subgraph(g: Graph, xs: VertexSet) -> tuple[Graph, dict[int, int]]:
     """G[X] with weights carried over, plus the old-id -> new-id bijection."""
     old_ids = np.asarray(xs.ids(), dtype=np.int64)
@@ -450,6 +524,9 @@ def total_weight(g: Graph, xs: VertexSet) -> int:
     if np.any(ids >= g.n):
         raise ValueError("X contains ids outside the host graph")
     return int(g.vertex_weight[ids].sum())
+
+
+DENSITY_POLICIES = ("mader-proven", "thomason-soft")   # guard order: the sound proof first
 
 
 def sparsity_guard(g: Graph, h: int, policy: str = "mader-proven") -> Optional[DensityCertificate]:

@@ -24,8 +24,9 @@ from .certificates import (
     MinorWitness,
     SepOrMinor,
     Separator,
-    find_connecting_edge,
+    density_result,
     separator_from_cut_mask,
+    witness_from_slots,
 )
 from .clustering import (
     DEFAULT_C_R,
@@ -35,7 +36,7 @@ from .clustering import (
     nested_r_clustering,
 )
 from .ddg import DdgLayer
-from .graph import Graph, VertexSet, gather_neighbors
+from .graph import Graph, VertexSet, gather_neighbors, grow_within
 from .shallow import ITER_COEFF, ln_ceil, shallow_separator_balanced
 
 WORK_CHUNK = 256  # vertices per alternation step of the bidirectional search
@@ -222,14 +223,9 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     wtotal = g.total_vertex_weight
     k = max(1, math.ceil(1.0 / eps))  # DDG spanner parameter
 
-    from .graph import sparsity_guard
-
-    for policy in ("mader-proven", "thomason-soft"):
-        cert = sparsity_guard(g, h, policy)
-        if cert is not None:
-            from .shallow import _density_result
-
-            return _density_result(g, h, cert, params)
+    dense = density_result(g, h, params)
+    if dense is not None:
+        return dense
 
     # a single overweight vertex can never be balanced away: it must sit in C
     heavy_v = int(np.argmax(g.vertex_weight)) if n else 0
@@ -291,7 +287,7 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         if p_now() == h:
             if stats is not None:
                 stats.update(iterations=iters, **counts)
-            return _emit_witness_mf(g, branch_slots, pair_edges, params, ell, lnn)
+            return witness_from_slots(g, branch_slots, pair_edges, params)
 
         comps = decompose_active_complement(st)
         heavy = None
@@ -370,8 +366,8 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         tree_ids = outcome.tree_vertices
         room = max(1, cnt_gp // (2 * (h - p_now())))
         target = min(ext_target, max(room, len(tree_ids)))
-        new_set = _extend_passive(g, st.active, tree_ids, target,
-                                  max(1, math.ceil(c_tree * ell * lnn)))
+        new_set = grow_within(g, ~st.active, tree_ids, target,
+                              max(1, math.ceil(c_tree * ell * lnn)))
         slot = len(branch_slots)
         for other_slot, (tv, bv) in (outcome.rep_edges or {}).items():
             pair_edges[(other_slot, slot)] = (int(tv), int(bv))
@@ -407,29 +403,6 @@ def _component_minus(g: Graph, active: np.ndarray, members, st: ActiveState,
     return mask
 
 
-def _extend_passive(g: Graph, active: np.ndarray, seed_vertices: np.ndarray,
-                    target: int, radius_cap: int) -> np.ndarray:
-    """BFS extension of a tree through passive vertices, trimmed to target."""
-    mask = np.zeros(g.n, dtype=bool)
-    mask[seed_vertices] = True
-    count = len(seed_vertices)
-    frontier = seed_vertices
-    layers = 0
-    while count < target and len(frontier) and layers < radius_cap:
-        nbrs = gather_neighbors(g.indptr, g.indices, frontier)
-        nbrs = nbrs[~active[nbrs] & ~mask[nbrs]]
-        if len(nbrs) == 0:
-            break
-        new = np.unique(nbrs)
-        if count + len(new) > target:
-            new = new[: target - count]
-        mask[new] = True
-        count += len(new)
-        frontier = new
-        layers += 1
-    return np.flatnonzero(mask)
-
-
 def _assert_mf_invariants(g, branch_slots, in_vr, in_b, ell, h, wtotal) -> None:
     if not debugcheck.enabled():
         return
@@ -447,37 +420,6 @@ def _assert_mf_invariants(g, branch_slots, in_vr, in_b, ell, h, wtotal) -> None:
                      f"boundary {int(in_b.sum())} exceeds processed/ell = {int(in_vr.sum())}/{ell}")
     wvr = int(g.vertex_weight[in_vr].sum())
     debugcheck.check("mf.processed-weight", 3 * wvr <= 2 * wtotal, f"processed weight {wvr} exceeds 2/3 of total")
-
-
-def _emit_witness_mf(g, branch_slots, pair_edges, params, ell, lnn) -> MinorWitness:
-    sets = []
-    slots = []
-    for si, bs in enumerate(branch_slots):
-        if bs is not None:
-            slots.append(si)
-            sets.append(VertexSet(bs.tolist()))
-    remap = {si: i for i, si in enumerate(slots)}
-    edges = {}
-    for (a, b), e in pair_edges.items():
-        if a in remap and b in remap:
-            i, j = remap[a], remap[b]
-            if i > j:
-                i, j = j, i
-            edges[(i, j)] = e
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if (i, j) not in edges:
-                e = find_connecting_edge(g, sets[i], sets[j])
-                if e is not None:
-                    edges[(i, j)] = e
-    from .certificates import _bfs_diameter_within
-
-    depth = 0
-    for s in sets:
-        d = _bfs_diameter_within(g, s)
-        depth = max(depth, d if d is not None else 0)
-    return MinorWitness(branch_sets=sets, depth_bound=depth, connecting_edges=edges,
-                        params=params)
 
 
 def balanced_separator(g: Graph, h: int, eps: float, seed: int = 0,

@@ -5,9 +5,15 @@ M is spanned by p <= h branch sets forming a K_p minor of bounded depth; each
 iteration either grows p (a shallow tree is adopted), retires a branch set
 whose neighborhood left the working component, or moves a low-expansion chunk
 S' from V' to V_r with its boundary B' into B.  The working component G' is
-mirrored by a decremental spanner H; ball growth happens in H and the "thick"
-boundary argument (an H-ball of radius delta contains all G'-neighbors of S')
-keeps B' small.
+the heaviest component of G[live].  Component labelling and ball growth run
+on G[live] itself, so a cut's boundary B' = N(S') - S' lies at distance 1
+from S'.
+
+The source analysis grows balls in a decremental (2k-1)-spanner of G' so
+that they cost n^(1+1/k) rather than m.  Here the loop runs only after the
+density guard, which leaves m <= 4 h sqrt(ln h) n, and the spanner's size
+target 4 k n^(1+1/k) then admits every edge unless h sqrt(ln h) > k n^(1/k);
+so the loop skips the spanner (Baswana-Sen, JACM 2007, for that regime).
 
 Ball growth is implemented as one exact BFS from the start vertex plus
 arithmetic over the distance histogram: for exact-BFS balls,
@@ -22,26 +28,29 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse import csgraph
+# perfbench's trace-uninstall test reads this module attribute
+from scipy.sparse import csr_matrix  # noqa: F401
 
 from . import debugcheck
 from .certificates import (
-    MinorReport,
-    MinorWitness,
     SepOrMinor,
     Separator,
+    density_result,
+    lift_minor,
     separator_from_cut_mask,
+    witness_from_slots,
 )
 from .graph import (
-    DensityCertificate,
+    DENSITY_POLICIES,
     Graph,
     VertexSet,
     density_threshold,
     gather_neighbors,
-    sparsity_guard,
+    grow_within,
+    induced_subgraph,
+    masked_bfs,
+    masked_components,
 )
-from .spanner import DecrementalSpanner
 
 # Invariant constants, all functions of delta = 2*ceil(2/eps) - 1.  A raw
 # tree-or-cut tree has depth <= 4*delta*ell*ln n and at most p paths of that
@@ -97,18 +106,14 @@ def tree_or_cut(h_graph: Graph, a_sets: Sequence[VertexSet], ell: int, delta: in
         if len(a) == 0:
             raise ValueError(f"A_{i + 1} is empty; caller must filter empty sets")
     n = h_graph.n
-    dist, pred = _bfs_with_preds(h_graph.csr(), start)
+    dist, pred = masked_bfs(h_graph, np.ones(n, dtype=bool), start)
     return _tree_or_cut_from_bfs(dist, pred, a_sets, ell, delta, start, n)
-
-
-def _bfs_with_preds(mat: csr_matrix, start: int):
-    dist, pred = csgraph.dijkstra(mat, directed=False, unweighted=True,
-                                  indices=start, return_predecessors=True)
-    return dist, pred
 
 
 def _tree_or_cut_from_bfs(dist: np.ndarray, pred: np.ndarray, a_sets, ell: int,
                           delta: int, start: int, n: int) -> TreeOrCutResult:
+    """tree_or_cut from one BFS (dist/pred indexed by host id); n is the
+    number of vertices the BFS searched, which sets the logarithmic bounds."""
     finite = np.isfinite(dist)
     comp_size = int(finite.sum())
     idist = dist[finite].astype(np.int64)
@@ -249,49 +254,6 @@ class PartitionState:
         debugcheck.check(f"{rule_prefix}.partition", not overlap.any(), "partition classes overlap")
 
 
-def _live_components(n: int, eu: np.ndarray, ev: np.ndarray, live: np.ndarray):
-    """Component labels over the live vertex set, using the given edges."""
-    ids = np.flatnonzero(live)
-    local = np.full(n, -1, dtype=np.int64)
-    local[ids] = np.arange(len(ids))
-    keep = live[eu] & live[ev]
-    lu, lv = local[eu[keep]], local[ev[keep]]
-    nn = len(ids)
-    if nn == 0:
-        return ids, np.empty(0, np.int64), 0
-    mat = csr_matrix((np.ones(2 * len(lu), dtype=np.int8),
-                      (np.concatenate([lu, lv]), np.concatenate([lv, lu]))), shape=(nn, nn))
-    ncomp, labels = csgraph.connected_components(mat, directed=False)
-    return ids, labels, ncomp
-
-
-def _extend_tree(g: Graph, live: np.ndarray, seed_vertices: np.ndarray, target: int,
-                 radius_cap: int) -> np.ndarray:
-    """Grow a connected superset of the seed tree by BFS inside the live set.
-
-    Adds whole layers until the target size is met, trimming the final layer
-    (lowest ids first) so the result has exactly min(target, reachable) size.
-    """
-    mask = np.zeros(g.n, dtype=bool)
-    mask[seed_vertices] = True
-    count = len(seed_vertices)
-    frontier = seed_vertices
-    layers = 0
-    while count < target and len(frontier) and layers < radius_cap:
-        nbrs = gather_neighbors(g.indptr, g.indices, frontier)
-        nbrs = nbrs[live[nbrs] & ~mask[nbrs]]
-        if len(nbrs) == 0:
-            break
-        new = np.unique(nbrs)
-        if count + len(new) > target:
-            new = new[: target - count]
-        mask[new] = True
-        count += len(new)
-        frontier = new
-        layers += 1
-    return np.flatnonzero(mask)
-
-
 def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                       stats: Optional[dict] = None, complete_witness: bool = True) -> SepOrMinor:
     """Depth-bounded K_h-minor witness or a separator of size O(n/ell + ell h^2 ln n).
@@ -317,17 +279,15 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     params = {"h": h, "ell": ell, "eps": eps, "k": k, "delta": delta, "seed": seed,
               "algorithm": "shallow"}
 
-    for policy in ("mader-proven", "thomason-soft"):
-        cert = sparsity_guard(g, h, policy)
-        if cert is not None:
-            return _density_result(g, h, cert, params)
+    dense = density_result(g, h, params)
+    if dense is not None:
+        return dense
 
     st = PartitionState(
         n=n, h=h, ell=ell, eps=eps, delta=delta,
         in_vr=np.zeros(n, dtype=bool), in_b=np.zeros(n, dtype=bool),
         branch_slots=[], live=np.ones(n, dtype=bool), parked=np.zeros(n, dtype=bool),
     )
-    span = DecrementalSpanner(g, k, seed)
     pair_edges: dict[tuple[int, int], tuple[int, int]] = {}
     ext_target = max(1, math.ceil(h * ell * lnn))
     ext_radius = max(1, math.ceil(4 * delta * ell * lnn))
@@ -341,39 +301,24 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
 
         # per-iteration density recheck on the live subgraph
         live_n = int(st.live.sum())
-        live_m = span.host_m
-        if live_n:
-            for policy in ("mader-proven", "thomason-soft"):
-                thr = density_threshold(policy, h, live_n)
-                if live_m > thr:
-                    if stats is not None:
-                        stats["iterations"] = iters
-                    cert = DensityCertificate(n=live_n, m=live_m, h=h,
-                                              threshold=thr, policy=policy)
-                    if live_n <= 10 and h <= 4:
-                        from .certificates import brute_force_minor_detect
-                        from .graph import induced_subgraph
-
-                        sub, mapping = induced_subgraph(g, VertexSet.from_mask(st.live))
-                        wtn = brute_force_minor_detect(sub, h)
-                        if wtn is not None:
-                            back = {loc: glo for glo, loc in mapping.items()}
-                            wtn.branch_sets = [VertexSet([back[v] for v in bs])
-                                               for bs in wtn.branch_sets]
-                            wtn.connecting_edges = {k: (back[a], back[b])
-                                                    for k, (a, b) in wtn.connecting_edges.items()}
-                            wtn.params = dict(params)
-                            return wtn
-                    return MinorReport(certificate=cert, params=params)
+        live_m = int(np.count_nonzero(st.live[g.edge_u] & st.live[g.edge_v]))
+        if live_n and any(live_m > density_threshold(p, h, live_n) for p in DENSITY_POLICIES):
+            if stats is not None:
+                stats["iterations"] = iters
+            sub, _ = induced_subgraph(g, VertexSet.from_mask(st.live))
+            return lift_minor(density_result(sub, h, params), np.flatnonzero(st.live))
 
         if st.p == h:
             if stats is not None:
                 stats["iterations"] = iters
-            return _emit_witness(g, st, pair_edges, params)
+            wtn = witness_from_slots(g, st.branch_slots, pair_edges, params)
+            debugcheck.check("shallow.witness-depth",
+                             wtn.depth_bound <= branch_diam_cap(delta, ell, lnn),
+                             f"witness depth {wtn.depth_bound} exceeds bound")
+            return wtn
 
         # identify G' (heaviest live component); park the others
-        su, sv, _ = span.spanner_arrays()
-        ids, labels, ncomp = _live_components(n, su, sv, st.live)
+        ids, ncomp, labels = masked_components(g, st.live)
         gprime_w = 0
         if ncomp > 0:
             compw = np.zeros(ncomp, dtype=np.int64)
@@ -384,7 +329,6 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                 parked_ids = ids[labels != best]
                 st.live[parked_ids] = False
                 st.parked[parked_ids] = True
-                span.delete(vertices=parked_ids.tolist())
         live_n = int(st.live.sum())
 
         # Once no live component is heavy, M u B is already a valid separator.
@@ -424,7 +368,8 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         else:
             start = int(np.flatnonzero(st.live)[0])
 
-        result = _tree_or_cut_on_live(n, su, sv, st.live, a_sets, ell, delta, start)
+        dist, pred = masked_bfs(g, st.live, start)
+        result = _tree_or_cut_from_bfs(dist, pred, a_sets, ell, delta, start, live_n)
 
         if result.kind == "cut" and terminal:
             break
@@ -433,7 +378,7 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             tree_ids = np.asarray(result.tree_vertices.ids(), dtype=np.int64)
             room = max(1, live_n // (2 * (h - st.p)))
             target = min(ext_target, max(room, len(tree_ids)))
-            new_set = _extend_tree(g, st.live, tree_ids, target, ext_radius)
+            new_set = grow_within(g, st.live, tree_ids, target, ext_radius)
             slot = len(st.branch_slots)
             for ai, si in enumerate(slot_of_aset):
                 rep = result.reps[ai]
@@ -445,7 +390,6 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                 pair_edges[(si, slot)] = (int(rep), int(cand[0]))
             st.branch_slots.append(new_set)
             st.live[new_set] = False
-            span.delete(vertices=new_set.tolist())
         else:
             s_ids = np.asarray(result.cut_S.ids(), dtype=np.int64)
             w_s = int(g.vertex_weight[s_ids].sum())
@@ -468,13 +412,10 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             debugcheck.check("shallow.cut-boundary",
                              ell * len(bprime) < max(1, min(cnt_s, cnt_rest)),
                              f"|B'|={len(bprime)} !< min(|S|,|rest|)/ell")
-            if debugcheck.enabled():
-                _check_thick_boundary(n, su, sv, st.live, sprime, bprime, delta)
             st.in_vr[sprime] = True
             st.in_b[bprime] = True
             st.live[sprime] = False
             st.live[bprime] = False
-            span.delete(vertices=np.concatenate([sprime, bprime]).tolist())
 
     st.check_invariants(g)
     if stats is not None:
@@ -485,105 +426,11 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     return sep
 
 
-def _density_result(g: Graph, h: int, cert, params) -> SepOrMinor:
-    """Density guard fired: materialize real branch sets when the exact
-    small-instance oracle applies, else report the certificate."""
-    if g.n <= 10 and h <= 4:
-        from .certificates import brute_force_minor_detect
-
-        wtn = brute_force_minor_detect(g, h)
-        if wtn is not None:
-            wtn.params = dict(params)
-            return wtn
-    return MinorReport(certificate=cert, params=params)
-
-
 def _lowest_outside(live: np.ndarray, s_ids: np.ndarray) -> int:
     mask = live.copy()
     mask[s_ids] = False
     out = np.flatnonzero(mask)
     return int(out[0]) if len(out) else -1
-
-
-def _tree_or_cut_on_live(n, su, sv, live, a_sets, ell, delta, start) -> TreeOrCutResult:
-    """tree_or_cut over the live-restriction of the spanner edge arrays."""
-    ids = np.flatnonzero(live)
-    local = np.full(n, -1, dtype=np.int64)
-    local[ids] = np.arange(len(ids))
-    keep = live[su] & live[sv]
-    lu, lv = local[su[keep]], local[sv[keep]]
-    nn = len(ids)
-    mat = csr_matrix((np.ones(2 * len(lu), dtype=np.int8),
-                      (np.concatenate([lu, lv]), np.concatenate([lv, lu]))), shape=(nn, nn))
-    local_asets = [VertexSet(local[np.asarray(a.ids(), dtype=np.int64)].tolist()) for a in a_sets]
-    dist, pred = csgraph.dijkstra(mat, directed=False, unweighted=True,
-                                  indices=int(local[start]), return_predecessors=True)
-    res = _tree_or_cut_from_bfs(dist, pred, local_asets, ell, delta, int(local[start]), nn)
-    # translate back to global ids
-    if res.kind == "tree":
-        glob = ids[np.asarray(res.tree_vertices.ids(), dtype=np.int64)]
-        parent = {int(ids[a]): int(ids[b]) for a, b in (res.parent or {}).items()}
-        reps = [int(ids[r]) for r in (res.reps or [])]
-        return TreeOrCutResult(kind="tree", tree_vertices=VertexSet(glob.tolist()),
-                               root=int(ids[res.root]), parent=parent, reps=reps,
-                               rounds=res.rounds)
-    glob = ids[np.asarray(res.cut_S.ids(), dtype=np.int64)]
-    return TreeOrCutResult(kind="cut", cut_S=VertexSet(glob.tolist()), rounds=res.rounds)
-
-
-def _check_thick_boundary(n, su, sv, live, sprime, bprime, delta):
-    """Debug: B' = N_G(S')\\S' is contained in the H-ball N_H^delta(S')."""
-    ids = np.flatnonzero(live)
-    local = np.full(n, -1, dtype=np.int64)
-    local[ids] = np.arange(len(ids))
-    keep = live[su] & live[sv]
-    lu, lv = local[su[keep]], local[sv[keep]]
-    nn = len(ids)
-    mat = csr_matrix((np.ones(2 * len(lu), dtype=np.int8),
-                      (np.concatenate([lu, lv]), np.concatenate([lv, lu]))), shape=(nn, nn))
-    src = local[sprime]
-    dist = csgraph.dijkstra(mat, directed=False, unweighted=True, indices=src,
-                            min_only=True)
-    db = dist[local[bprime]]
-    debugcheck.check("shallow.thick-boundary", bool(np.all(db <= delta)),
-                     "a G'-neighbor of S' escapes N_H^delta(S')")
-
-
-def _emit_witness(g: Graph, st: PartitionState, pair_edges, params) -> MinorWitness:
-    sets = []
-    slots = []
-    for si, bs in enumerate(st.branch_slots):
-        if bs is not None:
-            slots.append(si)
-            sets.append(VertexSet(bs.tolist()))
-    remap = {si: i for i, si in enumerate(slots)}
-    edges = {}
-    for (a, b), e in pair_edges.items():
-        if a in remap and b in remap:
-            i, j = remap[a], remap[b]
-            if i > j:
-                i, j = j, i
-            edges[(i, j)] = e
-    from .certificates import find_connecting_edge
-
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if (i, j) not in edges:
-                e = find_connecting_edge(g, sets[i], sets[j])
-                if e is not None:
-                    edges[(i, j)] = e
-    depth = 0
-    from .certificates import _bfs_diameter_within
-
-    for s in sets:
-        d = _bfs_diameter_within(g, s)
-        depth = max(depth, d if d is not None else 0)
-    lnn = ln_ceil(g.n)
-    debugcheck.check("shallow.witness-depth",
-                     depth <= branch_diam_cap(st.delta, st.ell, lnn),
-                     f"witness depth {depth} exceeds bound")
-    return MinorWitness(branch_sets=sets, depth_bound=depth, connecting_edges=edges,
-                        params=params)
 
 
 def shallow_separator_balanced(g: Graph, h: int, eps: float, seed: int = 0,

@@ -25,9 +25,10 @@ from .certificates import (
     MinorWitness,
     SepOrMinor,
     Separator,
+    density_result,
     find_connecting_edge,
 )
-from .graph import Graph, VertexSet, gather_neighbors, sparsity_guard
+from .graph import Graph, VertexSet, gather_neighbors, masked_components
 from .minorfree import balanced_separator
 from .shallow import ln_ceil
 
@@ -168,12 +169,9 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
     params = {"h": h, "delta": dval, "eps": eps, "seed": seed, "algorithm": "tradeoff"}
     if n == 0:
         return Separator(VertexSet(), VertexSet(), VertexSet(), claimed_bound=0, params=params)
-    for policy in ("mader-proven", "thomason-soft"):
-        cert = sparsity_guard(g, h, policy)
-        if cert is not None:
-            from .shallow import _density_result
-
-            return _density_result(g, h, cert, params)
+    dense = density_result(g, h, params)
+    if dense is not None:
+        return dense
     wtotal = g.total_vertex_weight
     lnn = ln_ceil(n)
     cap = max(1, math.ceil(h * n ** (1.0 - dval)))
@@ -184,10 +182,11 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
 
     # is S alone already a separator?
     rest = ~smask
-    ncomp, labels = _masked_components(g, rest)
+    rest_ids, ncomp, rest_labels = masked_components(g, rest)
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[rest_ids] = rest_labels
     comp_w = np.zeros(max(ncomp, 1), dtype=np.int64)
-    if ncomp:
-        np.add.at(comp_w, labels[rest], g.vertex_weight[rest])
+    np.add.at(comp_w, rest_labels, g.vertex_weight[rest_ids])
     heavy = int(np.argmax(comp_w)) if ncomp else -1
     if ncomp == 0 or 3 * int(comp_w[heavy]) <= 2 * wtotal:
         from .certificates import separator_from_cut_mask
@@ -254,26 +253,6 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
 def _tradeoff_claimed(n: int, dval: float, lnn: float, s_count: int) -> int:
     # lifted separator <= quotient bound * contraction class size + |S|
     return min(n, math.ceil(600 * n ** dval * lnn) + s_count + 2)
-
-
-def _masked_components(g: Graph, mask: np.ndarray):
-    ids = np.flatnonzero(mask)
-    if len(ids) == 0:
-        return 0, np.full(g.n, -1, dtype=np.int64)
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[ids] = np.arange(len(ids))
-    keep = mask[g.edge_u] & mask[g.edge_v]
-    lu, lv = local[g.edge_u[keep]], local[g.edge_v[keep]]
-    from scipy.sparse import csr_matrix
-    from scipy.sparse import csgraph as _cs
-
-    mat = csr_matrix((np.ones(2 * len(lu), dtype=np.int8),
-                      (np.concatenate([lu, lv]), np.concatenate([lv, lu]))),
-                     shape=(len(ids), len(ids)))
-    ncomp, loc_labels = _cs.connected_components(mat, directed=False)
-    labels = np.full(g.n, -1, dtype=np.int64)
-    labels[ids] = loc_labels
-    return ncomp, labels
 
 
 def _lift_witness(g: Graph, quo: QuotientGraph, wtn: MinorWitness) -> MinorWitness:

@@ -14,6 +14,8 @@ from sepkit.graph import (
     dump_graph,
     induced_subgraph,
     load_graph,
+    masked_bfs,
+    masked_components,
     neighborhood,
     sparsity_guard,
     total_weight,
@@ -152,6 +154,46 @@ class TestComponents:
     def test_grid_connected(self):
         comps = connected_components(grid_graph(3))
         assert len(comps) == 1 and len(comps[0]) == 9
+
+
+class TestMaskedSubgraph:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_agrees_with_induced_subgraph(self, data):
+        n = data.draw(st.integers(1, 12))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            max_size=24))
+        g = Graph(n, list(edges))
+        ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        mask = VertexSet(ids).to_mask(n)
+        sub, _ = induced_subgraph(g, VertexSet(ids))
+        # components: same partition, numbered by smallest vertex id
+        got_ids, ncomp, labels = masked_components(g, mask)
+        assert got_ids.tolist() == ids
+        comps = [[ids[i] for i in c] for c in connected_components(sub)]
+        assert ncomp == len(comps)
+        assert [[int(v) for v in got_ids[labels == c]] for c in range(ncomp)] == comps
+        # BFS from one masked vertex: hop distances equal those in G[mask],
+        # and every predecessor is a masked neighbor one hop closer
+        start = data.draw(st.sampled_from(ids))
+        dist, pred = masked_bfs(g, mask, start)
+        reach = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in g.neighbors(u).tolist():
+                    if mask[w] and w not in reach:
+                        reach[w] = reach[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        assert {v: int(dist[v]) for v in range(n) if np.isfinite(dist[v])} == reach
+        assert pred[start] == -1
+        for v, d in reach.items():
+            if v != start:
+                assert g.has_edge(v, pred[v]) and dist[pred[v]] == d - 1
+        assert all(pred[v] == -1 for v in range(n) if v not in reach)
 
 
 class TestTotalWeight:
