@@ -14,6 +14,7 @@ guarded: exceeding the size guard is a hard error, never a silent truncation.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +27,9 @@ from .graph import (
     DensityCertificate,
     Graph,
     VertexSet,
+    any_edge_between,
     masked_components,
+    masked_diameter,
     sparsity_guard,
 )
 
@@ -121,20 +124,34 @@ def verify_minor_witness(g: Graph, wtn: MinorWitness, h: Optional[int] = None) -
     v: list[tuple[str, str]] = []
     if h is not None and wtn.h != h:
         v.append(("minor.count", f"witness has {wtn.h} branch sets, expected {h}"))
-    seen: set[int] = set()
-    for i, bs in enumerate(wtn.branch_sets):
-        if len(bs) == 0:
+    # range first, on the sorted ids, before any of them indexes an array
+    for bs in wtn.branch_sets:
+        ids = bs.ids()
+        if ids and (ids[0] < 0 or ids[-1] >= g.n):
+            x = ids[0] if ids[0] < 0 else ids[bisect_left(ids, g.n)]
+            v.append(("minor.range", f"vertex {x} outside graph"))
+            return VerifyReport.from_violations(v)
+    sets = [np.asarray(bs.ids(), dtype=np.int64) for bs in wtn.branch_sets]
+    # a vertex is reused where it sits in a later set than its first one
+    cat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+    owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    first = np.full(g.n, -1, dtype=np.int64)
+    uniq, at = np.unique(cat, return_index=True)
+    first[uniq] = owner[at]
+    reused = first[cat] != owner
+    for i in np.unique(owner[reused]).tolist():
+        dup = np.sort(cat[reused & (owner == i)])[:5].tolist()
+        v.append(("minor.disjoint", f"branch set {i} reuses vertices {dup}"))
+    for i, ids in enumerate(sets):
+        if len(ids) == 0:
             v.append(("minor.empty", f"branch set {i} is empty"))
             continue
-        overlap = seen.intersection(bs.ids())
-        if overlap:
-            v.append(("minor.disjoint", f"branch set {i} reuses vertices {sorted(overlap)[:5]}"))
-        seen.update(bs.ids())
-        for x in bs:
-            if x < 0 or x >= g.n:
-                v.append(("minor.range", f"vertex {x} outside graph"))
-                return VerifyReport.from_violations(v)
-        diam = _bfs_diameter_within(g, bs)
+        if wtn.depth_bound is None:  # no bound to check: connectivity only
+            mask = np.zeros(g.n, dtype=bool)
+            mask[ids] = True
+            diam = 0 if masked_components(g, mask)[1] == 1 else None
+        else:
+            diam = masked_diameter(g, ids)
         if diam is None:
             v.append(("minor.connected", f"branch set {i} is not connected"))
         elif wtn.depth_bound is not None and diam > wtn.depth_bound:
@@ -142,11 +159,11 @@ def verify_minor_witness(g: Graph, wtn: MinorWitness, h: Optional[int] = None) -
     for i, j in combinations(range(wtn.h), 2):
         edge = wtn.connecting_edges.get((i, j)) or wtn.connecting_edges.get((j, i))
         if edge is None:
-            if not _some_edge_between(g, wtn.branch_sets[i], wtn.branch_sets[j]):
+            if not any_edge_between(g, sets[i], sets[j]):
                 v.append(("minor.pair", f"no edge joins branch sets {i} and {j}"))
             continue
         a, b = edge
-        if not g.has_edge(a, b):
+        if not (0 <= a < g.n and 0 <= b < g.n and g.has_edge(a, b)):
             v.append(("minor.pair-edge", f"recorded edge ({a},{b}) for pair ({i},{j}) not in G"))
             continue
         if not ((a in wtn.branch_sets[i] and b in wtn.branch_sets[j])
@@ -180,40 +197,6 @@ def verify_output(g: Graph, result: SepOrMinor) -> VerifyReport:
         ok = result.recheck()
         return VerifyReport(ok, [] if ok else [("density.threshold", "threshold mismatch")])
     raise TypeError(f"not a SepOrMinor: {result!r}")
-
-
-def _bfs_diameter_within(g: Graph, bs: VertexSet) -> Optional[int]:
-    """Hop diameter of G[bs]; None if disconnected.  Plain BFS per source."""
-    ids = list(bs.ids())
-    if len(ids) == 1:
-        return 0
-    inside = set(ids)
-    best = 0
-    for src in ids:
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors(u).tolist():
-                    if w in inside and w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) != len(ids):
-            return None
-        best = max(best, max(dist.values()))
-    return best
-
-
-def _some_edge_between(g: Graph, a: VertexSet, b: VertexSet) -> bool:
-    small, other = (a, b) if len(a) <= len(b) else (b, a)
-    for u in small:
-        nb = g.neighbors(u)
-        for w in nb.tolist():
-            if w in other:
-                return True
-    return False
 
 
 def find_connecting_edge(g: Graph, a: VertexSet, b: VertexSet) -> Optional[tuple[int, int]]:
@@ -270,7 +253,7 @@ def witness_from_slots(g: Graph, branch_slots: list[Optional[np.ndarray]],
             e = find_connecting_edge(g, sets[i], sets[j])
             if e is not None:
                 edges[(i, j)] = e
-    depth = max((_bfs_diameter_within(g, s) or 0 for s in sets), default=0)
+    depth = max((masked_diameter(g, branch_slots[si]) or 0 for si in slots), default=0)
     return MinorWitness(branch_sets=sets, depth_bound=depth, connecting_edges=edges,
                         params=params)
 

@@ -367,10 +367,8 @@ class DdgLayer:
         self._dirty: set[int] = set()
         self.slot_of_vertex = np.full(self.g.n, -1, dtype=np.int64)
         self.nslots = 0
-        st.listeners.append(self._on_flip)
-
-    def _on_flip(self, cids) -> None:
-        self._dirty.update(cids)
+        # the set's bound method, not one of self: st must not point back here
+        st.listeners.append(self._dirty.update)
 
     def set_branch_vertices(self, slot: int, vertices: np.ndarray) -> None:
         self.slot_of_vertex[vertices] = slot

@@ -431,50 +431,104 @@ def grow_within(g: Graph, allowed: np.ndarray, seed_vertices: np.ndarray, target
     return np.flatnonzero(mask)
 
 
-def _masked_csr(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, csr_matrix]:
-    """G[mask] as a 0/1 CSR matrix over local ids, with the global id of each.
+# Most distance entries one shortest_path call in `MaskedSubgraph.diameter`
+# may hold: 2^20 float64 entries, 8 MiB.
+DIAMETER_BLOCK_ENTRIES = 1 << 20
 
-    Local ids follow global id order, so csgraph's tie-breaking (component
-    numbering, BFS predecessors) is by global id as well.
+
+class MaskedSubgraph:
+    """G[mask] as a 0/1 CSR matrix over local ids, built once for csgraph queries.
+
+    `ids` holds the global id of each local id.  Local ids follow global id
+    order, so csgraph's tie-breaking (component numbering, BFS predecessors)
+    is by global id as well.
     """
-    ids = np.flatnonzero(mask)
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[ids] = np.arange(len(ids))
-    keep = mask[g.edge_u] & mask[g.edge_v]
-    lu, lv = local[g.edge_u[keep]], local[g.edge_v[keep]]
-    nn = len(ids)
-    mat = csr_matrix((np.ones(2 * len(lu), dtype=np.int8),
-                      (np.concatenate([lu, lv]), np.concatenate([lv, lu]))), shape=(nn, nn))
-    return ids, mat
+
+    __slots__ = ("n", "ids", "mat")
+
+    def __init__(self, g: Graph, mask: np.ndarray):
+        ids = np.flatnonzero(mask)
+        local = np.full(g.n, -1, dtype=np.int64)
+        local[ids] = np.arange(len(ids))
+        keep = mask[g.edge_u] & mask[g.edge_v]
+        lu, lv = local[g.edge_u[keep]], local[g.edge_v[keep]]
+        nn = len(ids)
+        self.n = g.n
+        self.ids = ids
+        self.mat = csr_matrix((np.ones(2 * len(lu), dtype=np.int8),
+                               (np.concatenate([lu, lv]), np.concatenate([lv, lu]))),
+                              shape=(nn, nn))
+
+    def components(self) -> tuple[int, np.ndarray]:
+        """Component count and the label per local id, numbered in order of
+        each component's smallest vertex id."""
+        return csgraph.connected_components(self.mat, directed=False)
+
+    def bfs(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Hop distances and BFS-tree predecessors from global id `start`.
+
+        Both arrays are indexed by global vertex id; vertices off start's
+        component get distance inf, and those and `start` get predecessor -1.
+        """
+        ids = self.ids
+        dist_l, pred_l = csgraph.dijkstra(self.mat, directed=False, unweighted=True,
+                                          indices=int(np.searchsorted(ids, start)),
+                                          return_predecessors=True)
+        dist = np.full(self.n, np.inf)
+        dist[ids] = dist_l
+        pred = np.full(self.n, -1, dtype=np.int64)
+        has = pred_l >= 0
+        pred[ids[has]] = ids[pred_l[has]]
+        return dist, pred
+
+    def diameter(self) -> Optional[int]:
+        """Hop diameter; None when disconnected, 0 for at most one vertex.
+
+        All-pairs BFS in blocks of sources, each holding at most
+        DIAMETER_BLOCK_ENTRIES distances.
+        """
+        nn = len(self.ids)
+        if nn <= 1:
+            return 0
+        if self.components()[0] > 1:
+            return None
+        rows = max(1, DIAMETER_BLOCK_ENTRIES // nn)
+        best = 0
+        for lo in range(0, nn, rows):
+            dist = csgraph.shortest_path(self.mat, method="D", directed=False, unweighted=True,
+                                         indices=np.arange(lo, min(nn, lo + rows)))
+            best = max(best, int(dist.max()))
+        return best
 
 
 def masked_components(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Components of G[mask]: (ids of mask, component count, label per id).
-
-    Components are numbered in order of their smallest vertex id.
-    """
-    ids, mat = _masked_csr(g, mask)
-    ncomp, labels = csgraph.connected_components(mat, directed=False)
-    return ids, ncomp, labels
+    """Components of G[mask]: (ids of mask, component count, label per id)."""
+    sub = MaskedSubgraph(g, mask)
+    ncomp, labels = sub.components()
+    return sub.ids, ncomp, labels
 
 
 def masked_bfs(g: Graph, mask: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hop distances and BFS-tree predecessors from `start` inside G[mask].
+    """`MaskedSubgraph.bfs` from `start` inside G[mask]."""
+    return MaskedSubgraph(g, mask).bfs(start)
 
-    Both arrays are indexed by global vertex id; vertices off start's
-    component of G[mask] get distance inf, and those and `start` get
-    predecessor -1.
+
+def masked_diameter(g: Graph, ids: np.ndarray) -> Optional[int]:
+    """Hop diameter of G[ids]; None when G[ids] is disconnected.
+
+    `ids` must lie in 0..n-1: callers that take ids from outside check the
+    range first, since a negative id would index from the end.
     """
-    ids, mat = _masked_csr(g, mask)
-    dist_l, pred_l = csgraph.dijkstra(mat, directed=False, unweighted=True,
-                                      indices=int(np.searchsorted(ids, start)),
-                                      return_predecessors=True)
-    dist = np.full(g.n, np.inf)
-    dist[ids] = dist_l
-    pred = np.full(g.n, -1, dtype=np.int64)
-    has = pred_l >= 0
-    pred[ids[has]] = ids[pred_l[has]]
-    return dist, pred
+    mask = np.zeros(g.n, dtype=bool)
+    mask[ids] = True
+    return MaskedSubgraph(g, mask).diameter()
+
+
+def any_edge_between(g: Graph, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether some edge of g joins a vertex of `a` to a vertex of `b`."""
+    if len(a) > len(b):
+        a, b = b, a
+    return bool(np.isin(gather_neighbors(g.indptr, g.indices, a), b).any())
 
 
 def induced_subgraph(g: Graph, xs: VertexSet) -> tuple[Graph, dict[int, int]]:

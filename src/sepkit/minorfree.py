@@ -36,7 +36,14 @@ from .clustering import (
     nested_r_clustering,
 )
 from .ddg import DdgLayer
-from .graph import Graph, VertexSet, gather_neighbors, grow_within
+from .graph import (
+    Graph,
+    VertexSet,
+    any_edge_between,
+    gather_neighbors,
+    grow_within,
+    masked_diameter,
+)
 from .shallow import ITER_COEFF, ln_ceil, shallow_separator_balanced
 
 WORK_CHUNK = 256  # vertices per alternation step of the bidirectional search
@@ -406,15 +413,13 @@ def _component_minus(g: Graph, active: np.ndarray, members, st: ActiveState,
 def _assert_mf_invariants(g, branch_slots, in_vr, in_b, ell, h, wtotal) -> None:
     if not debugcheck.enabled():
         return
-    from .certificates import _bfs_diameter_within, _some_edge_between
-
-    sets = [VertexSet(s.tolist()) for s in branch_slots if s is not None]
+    sets = [s for s in branch_slots if s is not None]
     debugcheck.check("mf.branch-count", len(sets) <= h, "p exceeds h")
     for i in range(len(sets)):
-        diam = _bfs_diameter_within(g, sets[i])
+        diam = masked_diameter(g, sets[i])
         debugcheck.check("mf.branch-connected", diam is not None, f"branch set {i} disconnected")
         for j in range(i + 1, len(sets)):
-            debugcheck.check("mf.branch-pair", _some_edge_between(g, sets[i], sets[j]),
+            debugcheck.check("mf.branch-pair", any_edge_between(g, sets[i], sets[j]),
                              f"no edge between branch sets {i},{j}")
     debugcheck.check("mf.boundary-ratio", ell * int(in_b.sum()) <= int(in_vr.sum()),
                      f"boundary {int(in_b.sum())} exceeds processed/ell = {int(in_vr.sum())}/{ell}")

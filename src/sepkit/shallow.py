@@ -43,13 +43,15 @@ from .certificates import (
 from .graph import (
     DENSITY_POLICIES,
     Graph,
+    MaskedSubgraph,
     VertexSet,
+    any_edge_between,
     density_threshold,
     gather_neighbors,
     grow_within,
     induced_subgraph,
     masked_bfs,
-    masked_components,
+    masked_diameter,
 )
 
 # Invariant constants, all functions of delta = 2*ceil(2/eps) - 1.  A raw
@@ -228,12 +230,10 @@ class PartitionState:
         diam_cap = branch_diam_cap(self.delta, ell, lnn)
         sets = [s for s in self.branch_slots if s is not None]
         debugcheck.check(f"{rule_prefix}.branch-count", len(sets) <= h, f"p={len(sets)} > h={h}")
-        from .certificates import _bfs_diameter_within, _some_edge_between
-
         for i, s in enumerate(sets):
             debugcheck.check(f"{rule_prefix}.branch-size", len(s) <= size_cap,
                              f"branch set {i}: {len(s)} > {size_cap}")
-            diam = _bfs_diameter_within(g, VertexSet(s.tolist()))
+            diam = masked_diameter(g, s)
             debugcheck.check(f"{rule_prefix}.branch-connected", diam is not None,
                              f"branch set {i} disconnected")
             if diam is not None:
@@ -243,7 +243,7 @@ class PartitionState:
             for j in range(i + 1, len(sets)):
                 debugcheck.check(
                     f"{rule_prefix}.branch-pair",
-                    _some_edge_between(g, VertexSet(sets[i].tolist()), VertexSet(sets[j].tolist())),
+                    any_edge_between(g, sets[i], sets[j]),
                     f"no edge between branch sets {i} and {j}")
         debugcheck.check(f"{rule_prefix}.boundary-ratio", ell * int(self.in_b.sum()) <= int(self.in_vr.sum()),
                          f"boundary {int(self.in_b.sum())} exceeds processed/ell = {int(self.in_vr.sum())}/{ell}")
@@ -317,8 +317,12 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                              f"witness depth {wtn.depth_bound} exceeds bound")
             return wtn
 
-        # identify G' (heaviest live component); park the others
-        ids, ncomp, labels = masked_components(g, st.live)
+        # identify G' (heaviest live component); park the others.  The BFS
+        # below reuses this G[live]: start lies in G', a whole component of it,
+        # so parked vertices stay unreached either way.
+        live_sub = MaskedSubgraph(g, st.live)
+        ids = live_sub.ids
+        ncomp, labels = live_sub.components()
         gprime_w = 0
         if ncomp > 0:
             compw = np.zeros(ncomp, dtype=np.int64)
@@ -368,7 +372,7 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         else:
             start = int(np.flatnonzero(st.live)[0])
 
-        dist, pred = masked_bfs(g, st.live, start)
+        dist, pred = live_sub.bfs(start)
         result = _tree_or_cut_from_bfs(dist, pred, a_sets, ell, delta, start, live_n)
 
         if result.kind == "cut" and terminal:

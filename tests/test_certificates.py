@@ -105,6 +105,53 @@ class TestVerifyMinorWitness:
         assert not rep.ok and any(r == "minor.depth" for r, _ in rep.violations)
 
 
+class TestForgedWitness:
+    """Forged witnesses get a rule id from verify_output; none raises."""
+
+    @staticmethod
+    def rules(g, w):
+        rep = verify_output(g, w)
+        assert not rep.ok
+        return [r for r, _ in rep.violations]
+
+    def test_negative_id(self):
+        w = MinorWitness(branch_sets=[VertexSet([-1, 0]), VertexSet([1])], depth_bound=1)
+        assert self.rules(c4(), w) == ["minor.range"]
+
+    def test_id_equal_to_n(self):
+        w = MinorWitness(branch_sets=[VertexSet([0]), VertexSet([1, 4, 9])], depth_bound=1)
+        rep = verify_output(c4(), w)
+        assert [r for r, _ in rep.violations] == ["minor.range"]
+        assert "vertex 4 " in rep.violations[0][1]
+
+    def test_disconnected(self):
+        w = MinorWitness(branch_sets=[VertexSet([0, 2]), VertexSet([1])], depth_bound=3)
+        assert "minor.connected" in self.rules(c4(), w)
+
+    def test_diameter_over_bound(self):
+        p6 = Graph(6, [(i, i + 1) for i in range(5)])
+        w = MinorWitness(branch_sets=[VertexSet([0, 1, 2, 3, 4]), VertexSet([5])],
+                         depth_bound=3, connecting_edges={(0, 1): (4, 5)})
+        rep = verify_output(p6, w)
+        assert [r for r, _ in rep.violations] == ["minor.depth"]
+        assert "diameter 4 > bound 3" in rep.violations[0][1]
+
+    def test_overlap_reported_per_set(self):
+        w = MinorWitness(branch_sets=[VertexSet([0, 1]), VertexSet([1, 2]), VertexSet([0, 3])])
+        rep = verify_output(c4(), w)
+        dis = [msg for r, msg in rep.violations if r == "minor.disjoint"]
+        assert dis == ["branch set 1 reuses vertices [1]", "branch set 2 reuses vertices [0]"]
+
+    def test_empty_set(self):
+        w = MinorWitness(branch_sets=[VertexSet([0]), VertexSet()])
+        assert "minor.empty" in self.rules(c4(), w)
+
+    def test_recorded_edge_out_of_range(self):
+        w = MinorWitness(branch_sets=[VertexSet([0]), VertexSet([1])],
+                         connecting_edges={(0, 1): (4, 0)})
+        assert self.rules(c4(), w) == ["minor.pair-edge"]
+
+
 class TestBruteForceMinSeparator:
     def test_p4(self):
         sep = brute_force_min_separator(Graph(4, [(0, 1), (1, 2), (2, 3)]))

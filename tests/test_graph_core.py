@@ -1,11 +1,14 @@
 import io
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from sepkit.graph import (
+    DIAMETER_BLOCK_ENTRIES,
     Graph,
     GraphFormatError,
     VertexSet,
@@ -16,6 +19,7 @@ from sepkit.graph import (
     load_graph,
     masked_bfs,
     masked_components,
+    masked_diameter,
     neighborhood,
     sparsity_guard,
     total_weight,
@@ -194,6 +198,45 @@ class TestMaskedSubgraph:
             if v != start:
                 assert g.has_edge(v, pred[v]) and dist[pred[v]] == d - 1
         assert all(pred[v] == -1 for v in range(n) if v not in reach)
+
+
+class TestMaskedDiameter:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_agrees_with_networkx(self, data):
+        n = data.draw(st.integers(1, 14))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            max_size=30))
+        g = Graph(n, list(edges))
+        ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        sub = nx.Graph()
+        sub.add_nodes_from(ids)
+        sub.add_edges_from((u, v) for u, v in g.edge_list() if u in ids and v in ids)
+        want = nx.diameter(sub) if nx.is_connected(sub) else None
+        assert masked_diameter(g, np.asarray(ids)) == want
+
+    def test_singleton(self):
+        g = grid_graph(3)
+        assert masked_diameter(g, np.array([4])) == 0
+
+    def test_path_over_three_source_blocks(self, monkeypatch):
+        n = 1500
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        calls = []
+        real = csgraph.shortest_path
+
+        def counting(*args, **kwargs):
+            calls.append(len(kwargs["indices"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "shortest_path", counting)
+        assert masked_diameter(g, np.arange(n)) == n - 1
+        assert len(calls) == 3 and sum(calls) == n
+        assert max(calls) * n <= DIAMETER_BLOCK_ENTRIES
+        # a sub-path, and two runs with a gap between them
+        assert masked_diameter(g, np.arange(500, 1000)) == 499
+        assert masked_diameter(g, np.r_[0:10, 20:30]) is None
 
 
 class TestTotalWeight:

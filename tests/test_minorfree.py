@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -214,3 +217,28 @@ class TestMinorFreeSeparator:
                     assert len(out.C) >= len(opt.C)
                 else:
                     assert brute_force_minor_detect(g, h) is not None
+
+
+class TestStateRelease:
+    def test_bootstrapped_state_freed_without_cyclic_gc(self, monkeypatch):
+        # reference counting alone must free the clustering and DDG state
+        refs = []
+        for cls in (ActiveState, DdgLayer):
+            init = cls.__init__
+
+            def track(self, *args, _init=init, **kwargs):
+                _init(self, *args, **kwargs)
+                refs.append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", track)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = balanced_separator(grid_graph(40), 5, 0.5, seed=0, c_r=0.05)
+            kinds = sorted(type(r()).__name__ for r in refs if r() is not None)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert isinstance(out, Separator)
+        assert len(refs) >= 2
+        assert kinds == []
