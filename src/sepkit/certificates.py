@@ -26,6 +26,7 @@ from .graph import (
     DENSITY_POLICIES,
     DensityCertificate,
     Graph,
+    MaskedSubgraph,
     VertexSet,
     any_edge_between,
     masked_components,
@@ -92,26 +93,32 @@ def verify_separator(g: Graph, s: Separator) -> VerifyReport:
     """Check the Separator invariants plus |C| <= claimed_bound.  Pure."""
     v: list[tuple[str, str]] = []
     n = g.n
-    counts = np.zeros(n, dtype=np.int64)
+    # range first, on each side's sorted ids: out-of-range ids are reported
+    # and then left out of the partition count, the masks and the weights
+    sides = []
     for part in (s.A, s.B, s.C):
-        for x in part:
-            if x < 0 or x >= n:
-                v.append(("sep.range", f"vertex {x} outside 0..{n - 1}"))
-            else:
-                counts[x] += 1
+        ids = part.ids()
+        lo, hi = bisect_left(ids, 0), bisect_left(ids, n)
+        for x in ids[:lo] + ids[hi:]:
+            v.append(("sep.range", f"vertex {x} outside 0..{n - 1}"))
+        sides.append(np.array(ids[lo:hi], dtype=np.int64))
+    a_ids, b_ids, _ = sides
+    counts = np.bincount(np.concatenate(sides), minlength=n)
     if np.any(counts != 1):
         bad = np.flatnonzero(counts != 1)[:5].tolist()
         v.append(("sep.partition", f"A,B,C do not partition V (e.g. vertices {bad})"))
-    amask = s.A.to_mask(n)
-    bmask = s.B.to_mask(n)
+    amask = np.zeros(n, dtype=bool)
+    amask[a_ids] = True
+    bmask = np.zeros(n, dtype=bool)
+    bmask[b_ids] = True
     cross = amask[g.edge_u] & bmask[g.edge_v] | bmask[g.edge_u] & amask[g.edge_v]
     if np.any(cross):
         i = int(np.flatnonzero(cross)[0])
         v.append(("sep.crossing-edge", f"edge ({int(g.edge_u[i])},{int(g.edge_v[i])}) joins A and B"))
     wv = int(g.total_vertex_weight)
     num, den = s.balance_c.numerator, s.balance_c.denominator
-    for name, part in (("A", s.A), ("B", s.B)):
-        wpart = int(g.vertex_weight[list(part)].sum()) if len(part) else 0
+    for name, ids in (("A", a_ids), ("B", b_ids)):
+        wpart = int(g.vertex_weight[ids].sum())
         if wpart * den > num * wv:
             v.append(("sep.balance", f"w({name})={wpart} exceeds {s.balance_c} of w(V)={wv}"))
     if s.claimed_bound is not None and len(s.C) > s.claimed_bound:
@@ -147,9 +154,7 @@ def verify_minor_witness(g: Graph, wtn: MinorWitness, h: Optional[int] = None) -
             v.append(("minor.empty", f"branch set {i} is empty"))
             continue
         if wtn.depth_bound is None:  # no bound to check: connectivity only
-            mask = np.zeros(g.n, dtype=bool)
-            mask[ids] = True
-            diam = 0 if masked_components(g, mask)[1] == 1 else None
+            diam = 0 if MaskedSubgraph(g, ids).components()[0] == 1 else None
         else:
             diam = masked_diameter(g, ids)
         if diam is None:

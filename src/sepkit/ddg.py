@@ -306,7 +306,8 @@ def sssp_SX(sx: UnionGraph, s: int) -> SXTree:
     mat = csr_matrix((np.concatenate([kw, kw]).astype(np.float64),
                       (np.concatenate([ka, kb]), np.concatenate([kb, ka]))),
                      shape=(nv, nv))
-    dist, pred = _cs.dijkstra(mat, directed=False, indices=i, return_predecessors=True)
+    # mat holds both directions of every edge, so a directed search needs no transpose
+    dist, pred = _cs.dijkstra(mat, directed=True, indices=i, return_predecessors=True)
     darr = np.where(np.isfinite(dist), dist, -1).astype(np.int64)
     parr = np.where(pred >= 0, pred, -1).astype(np.int64)
     return SXTree(source=s, vertices=sx.vertices, dist_arr=darr, pred_arr=parr,

@@ -72,7 +72,11 @@ class VertexSet:
 
     @staticmethod
     def from_mask(mask: np.ndarray) -> "VertexSet":
-        return VertexSet(np.flatnonzero(mask).tolist())
+        ids = np.flatnonzero(mask).tolist()  # Python ints, already ascending
+        vs = VertexSet.__new__(VertexSet)
+        vs._members = frozenset(ids)
+        vs._sorted = tuple(ids)
+        return vs
 
     def union(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self._members | other._members)
@@ -437,27 +441,35 @@ DIAMETER_BLOCK_ENTRIES = 1 << 20
 
 
 class MaskedSubgraph:
-    """G[mask] as a 0/1 CSR matrix over local ids, built once for csgraph queries.
+    """G[ids] as a symmetric 0/1 CSR matrix over local ids, built once for csgraph queries.
 
-    `ids` holds the global id of each local id.  Local ids follow global id
-    order, so csgraph's tie-breaking (component numbering, BFS predecessors)
-    is by global id as well.
+    `ids` must be sorted, distinct and within 0..n-1; local id i is global id
+    ids[i], so csgraph's tie-breaking (component numbering, BFS predecessors)
+    is by global id as well.  Each row is the host's sorted neighbor list with
+    vertices outside ids dropped, so the matrix is canonical (float64 data,
+    int32 indices, sorted rows) at O(|ids| + vol(ids)) cost beyond filling one
+    n-entry id map, and csgraph neither converts it nor, for directed queries,
+    transposes it.
     """
 
     __slots__ = ("n", "ids", "mat")
 
-    def __init__(self, g: Graph, mask: np.ndarray):
-        ids = np.flatnonzero(mask)
-        local = np.full(g.n, -1, dtype=np.int64)
-        local[ids] = np.arange(len(ids))
-        keep = mask[g.edge_u] & mask[g.edge_v]
-        lu, lv = local[g.edge_u[keep]], local[g.edge_v[keep]]
-        nn = len(ids)
+    def __init__(self, g: Graph, ids: np.ndarray):
+        k = len(ids)
+        local = np.full(g.n, -1, dtype=np.int32)
+        local[ids] = np.arange(k, dtype=np.int32)
+        nbrs = local[gather_neighbors(g.indptr, g.indices, ids)]
+        keep = nbrs >= 0
+        # row i's slots end at ends[i + 1] in the gathered rows; its indptr
+        # entry is the number of kept slots before that
+        ends = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(g.indptr[ids + 1] - g.indptr[ids], out=ends[1:])
+        kept = np.zeros(len(keep) + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        indices = nbrs[keep]
         self.n = g.n
         self.ids = ids
-        self.mat = csr_matrix((np.ones(2 * len(lu), dtype=np.int8),
-                               (np.concatenate([lu, lv]), np.concatenate([lv, lu]))),
-                              shape=(nn, nn))
+        self.mat = csr_matrix((np.ones(len(indices)), indices, kept[ends]), shape=(k, k))
 
     def components(self) -> tuple[int, np.ndarray]:
         """Component count and the label per local id, numbered in order of
@@ -471,7 +483,7 @@ class MaskedSubgraph:
         component get distance inf, and those and `start` get predecessor -1.
         """
         ids = self.ids
-        dist_l, pred_l = csgraph.dijkstra(self.mat, directed=False, unweighted=True,
+        dist_l, pred_l = csgraph.dijkstra(self.mat, directed=True, unweighted=True,
                                           indices=int(np.searchsorted(ids, start)),
                                           return_predecessors=True)
         dist = np.full(self.n, np.inf)
@@ -495,7 +507,7 @@ class MaskedSubgraph:
         rows = max(1, DIAMETER_BLOCK_ENTRIES // nn)
         best = 0
         for lo in range(0, nn, rows):
-            dist = csgraph.shortest_path(self.mat, method="D", directed=False, unweighted=True,
+            dist = csgraph.shortest_path(self.mat, method="D", directed=True, unweighted=True,
                                          indices=np.arange(lo, min(nn, lo + rows)))
             best = max(best, int(dist.max()))
         return best
@@ -503,14 +515,14 @@ class MaskedSubgraph:
 
 def masked_components(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """Components of G[mask]: (ids of mask, component count, label per id)."""
-    sub = MaskedSubgraph(g, mask)
+    sub = MaskedSubgraph(g, np.flatnonzero(mask))
     ncomp, labels = sub.components()
     return sub.ids, ncomp, labels
 
 
 def masked_bfs(g: Graph, mask: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
     """`MaskedSubgraph.bfs` from `start` inside G[mask]."""
-    return MaskedSubgraph(g, mask).bfs(start)
+    return MaskedSubgraph(g, np.flatnonzero(mask)).bfs(start)
 
 
 def masked_diameter(g: Graph, ids: np.ndarray) -> Optional[int]:
@@ -519,9 +531,7 @@ def masked_diameter(g: Graph, ids: np.ndarray) -> Optional[int]:
     `ids` must lie in 0..n-1: callers that take ids from outside check the
     range first, since a negative id would index from the end.
     """
-    mask = np.zeros(g.n, dtype=bool)
-    mask[ids] = True
-    return MaskedSubgraph(g, mask).diameter()
+    return MaskedSubgraph(g, np.unique(ids)).diameter()
 
 
 def any_edge_between(g: Graph, a: np.ndarray, b: np.ndarray) -> bool:

@@ -299,14 +299,17 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         if iters > iter_cap:
             raise RuntimeError(f"shallow loop exceeded {iter_cap} iterations; this is a bug")
 
-        # per-iteration density recheck on the live subgraph
-        live_n = int(st.live.sum())
-        live_m = int(np.count_nonzero(st.live[g.edge_u] & st.live[g.edge_v]))
+        # G[live], built once per iteration: the density recheck counts its
+        # edges, component labelling and tree-or-cut's BFS query it
+        live_sub = MaskedSubgraph(g, np.flatnonzero(st.live))
+        ids = live_sub.ids
+        live_n = len(ids)
+        live_m = live_sub.mat.nnz // 2
         if live_n and any(live_m > density_threshold(p, h, live_n) for p in DENSITY_POLICIES):
             if stats is not None:
                 stats["iterations"] = iters
             sub, _ = induced_subgraph(g, VertexSet.from_mask(st.live))
-            return lift_minor(density_result(sub, h, params), np.flatnonzero(st.live))
+            return lift_minor(density_result(sub, h, params), ids)
 
         if st.p == h:
             if stats is not None:
@@ -318,10 +321,8 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             return wtn
 
         # identify G' (heaviest live component); park the others.  The BFS
-        # below reuses this G[live]: start lies in G', a whole component of it,
-        # so parked vertices stay unreached either way.
-        live_sub = MaskedSubgraph(g, st.live)
-        ids = live_sub.ids
+        # below still searches this G[live]: start lies in G', a whole
+        # component of it, so parked vertices stay unreached either way.
         ncomp, labels = live_sub.components()
         gprime_w = 0
         if ncomp > 0:

@@ -67,26 +67,29 @@ def partition_spanning_tree(parent: np.ndarray, order: np.ndarray, target: int,
     if degree_cap < 1:
         raise ValueError("degree_cap must be >= 1")
     z = max(1, math.ceil(target / degree_cap))
-    residual = np.ones(n, dtype=np.int64)
-    carve = np.zeros(n, dtype=bool)
-    for v in order[::-1].tolist():
+    # both passes walk Python lists: numpy scalar indexing costs more per vertex
+    par = parent.tolist()
+    visit = order.tolist()
+    residual = [1] * n
+    carve = [False] * n
+    for v in reversed(visit):
         if residual[v] >= z:
             carve[v] = True
             residual[v] = 0
-        p = parent[v]
+        p = par[v]
         if p >= 0:
             residual[p] += residual[v]
     # top-down labeling: each vertex joins its parent's class unless carved
-    sub = np.full(n, -1, dtype=np.int64)
+    sub = [-1] * n
     next_id = 0
-    for v in order.tolist():
-        p = parent[v]
+    for v in visit:
+        p = par[v]
         if carve[v] or p < 0 or sub[p] < 0:
             sub[v] = next_id
             next_id += 1
         else:
             sub[v] = sub[p]
-    return TreePartition(parent=parent, subtree_of=sub, count=next_id)
+    return TreePartition(parent=parent, subtree_of=np.array(sub, dtype=np.int64), count=next_id)
 
 
 def tree_partition(g: Graph, live_ids: np.ndarray, target: int,

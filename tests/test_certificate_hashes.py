@@ -57,6 +57,8 @@ CASES = {
                                 lambda g: shallow_separator(g, 5, 2, 0.5, SEED)),
     "shallow-balanced grid 24": (_gen("grid 24"),
                                  lambda g: shallow_separator_balanced(g, 5, 0.5, SEED)),
+    "shallow-balanced grid 64": (_gen("grid 64"),
+                                 lambda g: shallow_separator_balanced(g, 5, 0.5, SEED)),
     "shallow-balanced torus 12": (_gen("torus 12"),
                                   lambda g: shallow_separator_balanced(g, 5, 0.5, SEED)),
     "shallow-balanced path 300": (_gen("path 300"),
@@ -71,6 +73,7 @@ CASES = {
                                 lambda g: tradeoff_separator(g, 5, 0.8, 0.5, SEED)),
     "linear-time pareto grid 24": (_pareto_grid(24),
                                    lambda g: linear_time_separator(g, 5, 0.5, SEED)),
+    "linear-time grid 64": (_gen("grid 64"), lambda g: linear_time_separator(g, 5, 0.5, SEED)),
     "tradeoff dense report": (_gen("random-regular 100 30"),
                               lambda g: tradeoff_separator(g, 5, 0.8, 0.5, SEED)),
     "minorfree grid 16 ell=1 c_r=0.05": (_gen("grid 16"),
@@ -96,6 +99,8 @@ HASHES = {
         "98217173b3dd9a8f7ea3c6ddeb5ed21c1e65b3e04a747b19f9cb2871db4270bc",
     "shallow-balanced grid 24":
         "eff9935f55faea7a5aedaad7542f96fe1871fe44b8cb33cbadd9b6ff53b90741",
+    "shallow-balanced grid 64":
+        "ed1a1daa7bed817b11e7d422a7c33ed16fdfef2244700c4735e600142ec49f80",
     "shallow-balanced torus 12":
         "a444a35a3e430170d4aecd60bb030ca28325bebdbced0301d56ecfb69fdebe9e",
     "shallow-balanced path 300":
@@ -110,6 +115,8 @@ HASHES = {
         "4275fbf9963d9ac0e4a39232409cfa2fe8c652968f346c7f7b781d9313a2e117",
     "linear-time pareto grid 24":
         "f82685ec4adfcbfba307d059dbb9b92c20c01c33ddd01228a9874744577c8fcd",
+    "linear-time grid 64":
+        "4044dc82a38fbe36f37c30003887c3c1c429dc2865ae3de8c53ca5c88bd16ed0",
     "tradeoff dense report":
         "3e8c7bd47b7c5ce9c47c14b6fed57d76537d8fdb7f4196f545db7f8e3e5862e3",
     "minorfree grid 16 ell=1 c_r=0.05":

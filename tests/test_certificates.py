@@ -73,6 +73,20 @@ class TestVerifySeparator:
         rep = verify_separator(c4(), s)
         assert not rep.ok and any(r == "sep.bound" for r, _ in rep.violations)
 
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_out_of_range_id_is_reported_and_left_out(self, bad):
+        # an id past n used to raise IndexError, and -1 used to wrap to vertex
+        # 3 and report a crossing edge (2,3); both are only out of range
+        s = Separator(C=VertexSet([1, 3]), A=VertexSet([0, bad]), B=VertexSet([2]), claimed_bound=2)
+        rep = verify_separator(c4(), s)
+        assert rep.violations == [("sep.range", f"vertex {bad} outside 0..3")]
+
+    def test_out_of_range_ids_on_every_side(self):
+        s = Separator(C=VertexSet([1, 3, 9]), A=VertexSet([-2, 0]), B=VertexSet([2, 4, -5]))
+        rep = verify_separator(c4(), s)
+        assert [r for r, _ in rep.violations] == ["sep.range"] * 4
+        assert [m.split()[1] for _, m in rep.violations] == ["-2", "-5", "4", "9"]
+
 
 class TestVerifyMinorWitness:
     def test_k5_singletons_depth0(self):

@@ -11,6 +11,7 @@ from sepkit.graph import (
     DIAMETER_BLOCK_ENTRIES,
     Graph,
     GraphFormatError,
+    MaskedSubgraph,
     VertexSet,
     connected_components,
     density_threshold,
@@ -161,17 +162,38 @@ class TestComponents:
 
 
 class TestMaskedSubgraph:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_agrees_with_induced_subgraph(self, data):
-        n = data.draw(st.integers(1, 12))
+        # edges only within blocks v % blocks, so masks span several components
+        n = data.draw(st.integers(1, 14))
+        blocks = data.draw(st.integers(1, 3))
         edges = data.draw(st.sets(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
-            max_size=24))
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda t: t[0] != t[1] and t[0] % blocks == t[1] % blocks),
+            max_size=28))
         g = Graph(n, list(edges))
         ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
         mask = VertexSet(ids).to_mask(n)
         sub, _ = induced_subgraph(g, VertexSet(ids))
+        # the kernel's matrix: canonical, symmetric, float64, and its csgraph
+        # queries equal the undirected ones on a reference CSR of G[ids]
+        ms = MaskedSubgraph(g, np.asarray(ids))
+        assert ms.mat.dtype == np.float64 and ms.mat.has_canonical_format
+        assert (ms.mat != ms.mat.T).nnz == 0
+        ref = sub.csr()
+        ref_ncomp, ref_labels = csgraph.connected_components(ref, directed=False)
+        ncomp, labels = ms.components()
+        assert ncomp == ref_ncomp and labels.tolist() == ref_labels.tolist()
+        ida = np.asarray(ids)
+        for i, v in enumerate(ids):
+            ref_dist, ref_pred = csgraph.dijkstra(ref, directed=False, unweighted=True, indices=i,
+                                                  return_predecessors=True)
+            dist, pred = ms.bfs(v)
+            assert dist[ida].tolist() == ref_dist.tolist()
+            has = ref_pred >= 0  # scipy marks "no predecessor" with -9999
+            assert pred[ida].tolist() == np.where(has, ida[np.where(has, ref_pred, 0)], -1).tolist()
+            assert np.isinf(np.delete(dist, ida)).all() and (np.delete(pred, ida) == -1).all()
         # components: same partition, numbered by smallest vertex id
         got_ids, ncomp, labels = masked_components(g, mask)
         assert got_ids.tolist() == ids
@@ -296,3 +318,12 @@ class TestVertexSet:
     def test_mask_roundtrip(self):
         s = VertexSet([0, 5, 9])
         assert VertexSet.from_mask(s.to_mask(12)) == s
+
+    @pytest.mark.parametrize("n", [0, 1, 40, 1000])
+    def test_from_mask_equals_list_constructor(self, n):
+        mask = np.random.default_rng(n).random(n) < 0.3
+        got = VertexSet.from_mask(mask)
+        want = VertexSet(np.flatnonzero(mask).tolist())
+        assert got == want and hash(got) == hash(want)
+        assert got.ids() == want.ids() and list(got) == list(want)
+        assert all(type(v) is int for v in got.ids())
