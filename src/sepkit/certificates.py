@@ -177,17 +177,28 @@ def verify_minor_witness(g: Graph, wtn: MinorWitness, h: Optional[int] = None) -
     return VerifyReport.from_violations(v)
 
 
-def verify_minor_report(g: Graph, rep: MinorReport) -> VerifyReport:
-    """Re-check the density certificate arithmetic against the graph it names."""
+def _density_violations(g: Graph, cert: DensityCertificate, rule: str) -> list[tuple[str, str]]:
+    """Re-check a density certificate's arithmetic and its size against g.
+
+    The certificate may describe a derived graph (a subgraph or contraction
+    of g), which can be neither larger nor denser than g; a certificate with
+    g's own n must carry g's own m.
+    """
     v: list[tuple[str, str]] = []
-    cert = rep.certificate
     if not cert.recheck():
-        v.append(("report.threshold", "certificate threshold does not recompute"))
-    # The certificate may describe a derived graph (e.g. a contraction), so n/m
-    # are checked for internal consistency rather than against g directly.
-    if cert.n == g.n and cert.m != g.m:
-        v.append(("report.m", f"certificate m={cert.m} but graph has m={g.m}"))
-    return VerifyReport.from_violations(v)
+        v.append((f"{rule}.threshold", "certificate threshold does not recompute"))
+    if cert.n > g.n:
+        v.append((f"{rule}.n", f"certificate n={cert.n} but graph has n={g.n}"))
+    if cert.m > g.m or (cert.n == g.n and cert.m != g.m):
+        v.append((f"{rule}.m", f"certificate m={cert.m} but graph has m={g.m}"))
+    elif cert.m > cert.n * (cert.n - 1) // 2:
+        v.append((f"{rule}.m", f"certificate m={cert.m} exceeds n(n-1)/2 for n={cert.n}"))
+    return v
+
+
+def verify_minor_report(g: Graph, rep: MinorReport) -> VerifyReport:
+    """Re-check the density certificate against the graph it names."""
+    return VerifyReport.from_violations(_density_violations(g, rep.certificate, "report"))
 
 
 def verify_output(g: Graph, result: SepOrMinor) -> VerifyReport:
@@ -199,8 +210,7 @@ def verify_output(g: Graph, result: SepOrMinor) -> VerifyReport:
     if isinstance(result, MinorReport):
         return verify_minor_report(g, result)
     if isinstance(result, DensityCertificate):
-        ok = result.recheck()
-        return VerifyReport(ok, [] if ok else [("density.threshold", "threshold mismatch")])
+        return VerifyReport.from_violations(_density_violations(g, result, "density"))
     raise TypeError(f"not a SepOrMinor: {result!r}")
 
 

@@ -497,19 +497,21 @@ class MaskedSubgraph:
         """Hop diameter; None when disconnected, 0 for at most one vertex.
 
         All-pairs BFS in blocks of sources, each holding at most
-        DIAMETER_BLOCK_ENTRIES distances.
+        DIAMETER_BLOCK_ENTRIES distances.  A disconnected G[ids] leaves an
+        unreachable vertex in every source's row, so the first block decides.
         """
         nn = len(self.ids)
         if nn <= 1:
             return 0
-        if self.components()[0] > 1:
-            return None
         rows = max(1, DIAMETER_BLOCK_ENTRIES // nn)
         best = 0
         for lo in range(0, nn, rows):
             dist = csgraph.shortest_path(self.mat, method="D", directed=True, unweighted=True,
                                          indices=np.arange(lo, min(nn, lo + rows)))
-            best = max(best, int(dist.max()))
+            top = dist.max()
+            if np.isinf(top):
+                return None
+            best = max(best, int(top))
         return best
 
 

@@ -2,11 +2,16 @@
 
 K3: any cycle, split into three arcs.  K4: a graph has a K4 minor iff the
 series-parallel reduction (delete degree <= 1, suppress degree 2, drop loops
-and parallel duplicates) leaves a nonempty graph.  To extract branch sets,
-the surviving graph is shrunk one edge at a time, preferring contractions and
-falling back to deletions, re-reducing after each step; since the only
-minor-minimal graph containing a K4 minor is K4 itself, the process always
-reaches an exact K4.  Contractions and suppressions carry their underlying
+and parallel duplicates) leaves a nonempty graph, whatever order it runs in.
+To extract branch sets, the reduced core is shrunk one edge at a time in edge
+id order, preferring contractions and falling back to deletions; since the
+only minor-minimal graph containing a K4 minor is K4 itself, the process
+always reaches an exact K4.  Each candidate edit is tested locally: it is
+applied to a copy-on-write overlay of the core, and the reduction runs only
+from the vertices whose degree the edit lowered, since every other vertex of
+a reduced core has degree >= 3.  The chosen edit is then reduced in place,
+seeded with the same vertices in ascending id order, which is the queue a
+full scan would build.  Contractions and suppressions carry their underlying
 paths so the final branch sets and connecting edges refer to original
 vertices.
 """
@@ -14,7 +19,7 @@ vertices.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Iterable, Optional
 
 from .certificates import MinorWitness
 from .graph import Graph, VertexSet
@@ -120,9 +125,16 @@ class _SPGraph:
                     dq.append(w)
         raise RuntimeError("payload set lost connectivity")
 
-    def reduce(self) -> None:
-        """Exhaustively delete degree <= 1 and suppress degree-2 vertices."""
-        queue = deque(v for v in self.adj if len(self.adj[v]) <= 2)
+    def reduce(self, seeds: Optional[Iterable[int]] = None) -> None:
+        """Exhaustively delete degree <= 1 and suppress degree-2 vertices.
+
+        Without seeds every vertex is scanned.  After an edit of a reduced
+        core only the seeds, the vertices whose degree the edit lowered, can
+        have degree <= 2; taken in ascending id order, which is the key order
+        of adj, they form the queue the full scan would.
+        """
+        start = self.adj if seeds is None else sorted(seeds)
+        queue = deque(v for v in start if len(self.adj[v]) <= 2)
         while queue:
             v = queue.popleft()
             if v not in self.adj:
@@ -174,58 +186,64 @@ class _SPGraph:
         self.adj.pop(v)
         self.sets.pop(v, None)
 
-    def snapshot_adj(self) -> dict[int, set[int]]:
-        return {v: set(nb) for v, nb in self.adj.items()}
 
+def _edit_keeps_core(adj: dict[int, dict[int, int]], u: int, v: int, contract: bool) -> bool:
+    """Whether the reduced core adj keeps a K4 minor after contracting
+    (``contract``) or deleting its edge uv.
 
-def _reduces_to_empty(adj: dict[int, set[int]]) -> bool:
-    adj = {v: set(nb) for v, nb in adj.items()}
-    queue = deque(v for v in adj if len(adj[v]) <= 2)
+    The edit is applied to a copy-on-write overlay: a vertex gets its own
+    neighbour set only when the edit or the cascade touches it.  Every vertex
+    of a reduced core has degree >= 3, so only the vertices whose degree the
+    edit lowers can start a reduction: the merged vertex u and the common
+    neighbours of u and v for a contraction, u and v for a deletion.  The
+    reduction decides emptiness in any order, so the cascade from them
+    decides it for the edited graph, at the cascade's cost, not O(V + E).
+    """
+    over: dict[int, set[int]] = {}
+
+    def nbrs(x: int) -> set[int]:
+        s = over.get(x)
+        if s is None:
+            s = over[x] = set(adj[x])
+        return s
+
+    if contract:
+        gone = {v}
+        nu = nbrs(u)
+        nu.discard(v)
+        seeds = [u]
+        for w in adj[v]:
+            if w == u:
+                continue
+            nw = nbrs(w)
+            nw.discard(v)
+            if w in nu:
+                seeds.append(w)
+            else:
+                nu.add(w)
+                nw.add(u)
+    else:
+        gone = set()
+        nbrs(u).discard(v)
+        nbrs(v).discard(u)
+        seeds = [u, v]
+    queue = deque(seeds)
     while queue:
-        v = queue.popleft()
-        if v not in adj:
+        x = queue.popleft()
+        if x in gone:
             continue
-        deg = len(adj[v])
-        if deg > 2:
+        nx = nbrs(x)
+        if len(nx) > 2:
             continue
-        nbrs = sorted(adj[v])
-        for w in nbrs:
-            adj[w].discard(v)
-        adj.pop(v)
-        if deg == 2:
-            a, b = nbrs
-            if b not in adj[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for w in nbrs:
-            if w in adj and len(adj[w]) <= 2:
-                queue.append(w)
-    return not adj
-
-
-def _contracted(adj: dict[int, set[int]], u: int, v: int) -> dict[int, set[int]]:
-    out = {x: set(nb) for x, nb in adj.items() if x != v}
-    for w in adj[v]:
-        if w == v:
-            continue
-        if w != u:
-            out[u].add(w)
-            out[w].discard(v)
-            out[w].add(u)
-        else:
-            out[u].discard(v)
-    out[u].discard(v)
-    out[u].discard(u)
-    for w in list(out):
-        out[w].discard(v)
-    return out
-
-
-def _deleted(adj: dict[int, set[int]], u: int, v: int) -> dict[int, set[int]]:
-    out = {x: set(nb) for x, nb in adj.items()}
-    out[u].discard(v)
-    out[v].discard(u)
-    return out
+        gone.add(x)
+        for w in nx:
+            nbrs(w).discard(x)
+        if len(nx) == 2:
+            a, b = nx
+            nbrs(a).add(b)
+            nbrs(b).add(a)
+        queue.extend(w for w in nx if len(nbrs(w)) <= 2)
+    return len(gone) < len(adj)
 
 
 def find_k4_witness(g: Graph) -> Optional[MinorWitness]:
@@ -235,34 +253,30 @@ def find_k4_witness(g: Graph) -> Optional[MinorWitness]:
     if not sp.adj:
         return None
     guard = 0
-    while len(sp.adj) > 4 or any(len(nb) != 3 for nb in sp.adj.values()):
+    # a reduced core has minimum degree 3, so on 4 vertices it is K4
+    while len(sp.adj) > 4:
         guard += 1
         if guard > 4 * g.n + 4 * g.m + 64:
             raise RuntimeError("K4 extraction failed to converge; this is a bug")
-        snap = sp.snapshot_adj()
-        progressed = False
-        for eid in sorted(sp.edges):
-            u, v, _ = sp.edges[eid]
-            if not _reduces_to_empty(_contracted(snap, u, v)):
+        for eid, (u, v, _) in sp.edges.items():
+            if _edit_keeps_core(sp.adj, u, v, contract=True):
+                seeds = [u, *(w for w in sp.adj[v] if w in sp.adj[u])]
                 sp.contract(eid)
-                sp.reduce()
-                progressed = True
                 break
-            if not _reduces_to_empty(_deleted(snap, u, v)):
+            if _edit_keeps_core(sp.adj, u, v, contract=False):
+                seeds = [u, v]
                 sp._remove_edge(eid)
-                sp.reduce()
-                progressed = True
                 break
-        if not progressed:
+        else:
             # every edge critical: the survivor is exactly K4
             break
+        sp.reduce(seeds)
     verts = sorted(sp.adj)
     if len(verts) != 4:
         raise RuntimeError("series-parallel extraction did not end at K4")
     sets = {v: list(sp.sets[v]) for v in verts}
     conn: dict[tuple[int, int], tuple[int, int]] = {}
-    for eid in sorted(sp.edges):
-        u, v, path = sp.edges[eid]
+    for u, v, path in sp.edges.values():
         i, j = verts.index(u), verts.index(v)
         if i > j:
             i, j = j, i

@@ -409,7 +409,8 @@ class TestCriterion9TimeExponent:
                 "per-iteration work is a handful of vectorized whole-graph "
                 "operations with near-zero constants. The separation is expected "
                 "to emerge only at n >> 10^6, outside the desk-scale protocol.")
-            _report(9, True, detail + " - " + justification)
+            # informational: the log says NOT MET, the test does not fail on timing
+            print(f"\nACCEPTANCE 9: NOT MET - {detail} - {justification}")
         print(f"\n  criterion-9 timings: " + ", ".join(
             f"k={k}: shallow {grid_runs['shallow'][k][1]:.2f}s / "
             f"bootstrapped {grid_runs['minorfree'][k][1]:.2f}s"

@@ -19,6 +19,7 @@ from sepkit.generators import generate_graph
 from sepkit.graph import Graph
 from sepkit.minorfree import balanced_separator, minor_free_separator
 from sepkit.shallow import shallow_separator, shallow_separator_balanced
+from sepkit.small_minors import find_k4_witness
 from sepkit.tradeoff import linear_time_separator, tradeoff_separator
 
 SEED = 1
@@ -140,6 +141,25 @@ def test_certificate_hash_is_pinned(name):
     assert verify_output(g, out).ok
     digest = hashlib.sha256(certificate_to_json(out).encode()).hexdigest()
     assert digest == HASHES[name]
+
+
+# approx-minor returns its largest witness, not the exact K4 one it starts
+# from, so the K4 extraction is pinned on its own.
+K4_HASHES = {
+    "grid 20": "3945b98e52e70163a5e01e283dc4dcf7cd69b0dc030964d15f511fc671c32b27",
+    "torus 30": "8bf4416c1f500149e8934c1e158718f63dfac0c4c6e23e9996e4e1ef93acc461",
+    "random-regular 500 3": "898145f6c436af49f55a27eb2c91c9c6b43a0db2933083fce637814dee90d9bd",
+    "kh-blowup 6 120": "15a305744a952b088005c7bd9e7c6b24f07e9ee4a75797f1c082f1c2ba71a961",
+}
+
+
+@pytest.mark.parametrize("spec", list(K4_HASHES))
+def test_k4_witness_hash_is_pinned(spec):
+    g = generate_graph(spec, SEED)
+    out = find_k4_witness(g)
+    assert out is not None and verify_output(g, out).ok
+    digest = hashlib.sha256(certificate_to_json(out).encode()).hexdigest()
+    assert digest == K4_HASHES[spec]
 
 
 @pytest.mark.parametrize("spec", ["random-regular 400 150", "random-regular 300 140"])

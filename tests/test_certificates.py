@@ -16,7 +16,9 @@ from sepkit.certificates import (
     verify_output,
     verify_separator,
 )
+from sepkit.generators import path_graph
 from sepkit.graph import DensityCertificate, Graph, VertexSet, sparsity_guard
+from sepkit.shallow import shallow_separator
 
 
 def c4():
@@ -164,6 +166,49 @@ class TestForgedWitness:
         w = MinorWitness(branch_sets=[VertexSet([0]), VertexSet([1])],
                          connecting_edges={(0, 1): (4, 0)})
         assert self.rules(c4(), w) == ["minor.pair-edge"]
+
+
+class TestForgedReport:
+    """A density report describes g or a subgraph or contraction of it, which
+    can be neither larger nor denser than g."""
+
+    @staticmethod
+    def rules(g, out):
+        rep = verify_output(g, out)
+        assert not rep.ok
+        return [r for r, _ in rep.violations]
+
+    def test_denser_than_any_simple_graph(self):
+        # 29 edges on 7 vertices: the arithmetic rechecks (threshold 28) and
+        # both sizes are below path_graph(50)'s, but K7 has only 21 edges
+        cert = DensityCertificate(n=7, m=29, h=5, threshold=28, policy="mader-proven")
+        assert cert.recheck()
+        assert self.rules(path_graph(50), MinorReport(certificate=cert)) == ["report.m"]
+        assert self.rules(path_graph(50), cert) == ["density.m"]
+
+    def test_more_vertices_than_g(self):
+        cert = DensityCertificate(n=12, m=50, h=4, threshold=24, policy="mader-proven")
+        assert self.rules(k(10), MinorReport(certificate=cert)) == ["report.n", "report.m"]
+
+    def test_more_edges_than_g(self):
+        cert = DensityCertificate(n=30, m=61, h=4, threshold=60, policy="mader-proven")
+        assert self.rules(path_graph(50), MinorReport(certificate=cert)) == ["report.m"]
+        assert self.rules(path_graph(50), cert) == ["density.m"]
+
+    def test_bare_certificate_threshold(self):
+        cert = DensityCertificate(n=5, m=10, h=3, threshold=4, policy="mader-proven")
+        assert self.rules(k(5), cert) == ["density.threshold"]
+
+    def test_live_recheck_report_still_verifies(self):
+        # K12 plus 30 light isolated vertices: the shallow loop's live recheck
+        # reports on the 11-vertex clique left after one iteration
+        g = Graph(42, [(i, j) for i in range(12) for j in range(i + 1, 12)],
+                  vertex_weight=[100] * 12 + [1] * 30)
+        out = shallow_separator(g, 5, 2, 0.5, 1)
+        assert isinstance(out, MinorReport)
+        assert (out.certificate.n, out.certificate.m) == (11, 55)
+        assert verify_output(g, out).ok
+        assert verify_output(g, out.certificate).ok
 
 
 class TestBruteForceMinSeparator:
