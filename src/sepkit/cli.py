@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 separator, 10 minor witness, 11 minor report (density evidence),
-2 usage error, 3 verification failure.
+2 usage error, 3 verification failure, 4 internal error (a failed invariant
+check, printed with its rule id, or an algorithm's consistency check).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_WITNESS = 10
 EXIT_REPORT = 11
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
@@ -129,6 +131,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
 
+    debug_was = debugcheck.enabled()
     try:
         if args.cmd == "gen":
             gobj = generate_graph(args.spec, args.seed)
@@ -230,6 +233,14 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
+    except debugcheck.InvariantViolation as e:
+        sys.stderr.write(f"internal error: invariant {e.rule} violated: {e.detail}\n")
+        return EXIT_INTERNAL
+    except RuntimeError as e:
+        sys.stderr.write(f"internal error: {e}\n")
+        return EXIT_INTERNAL
+    finally:
+        debugcheck.enable(debug_was)
     return EXIT_USAGE
 
 

@@ -585,15 +585,14 @@ class XCluster:
 class _ClusterDyn:
     """Per-cluster dynamic state: local csr and the current X-cluster partition."""
 
-    __slots__ = ("cid", "verts", "local", "indptr", "indices", "bnd_local",
-                 "xcl_of", "xclusters")
+    __slots__ = ("cid", "verts", "indptr", "indices", "bnd_local", "xcl_of", "xclusters")
 
     def __init__(self, g: Graph, c: Cluster):
         self.cid = c.id
         self.verts = c.vertices
-        self.local = {int(v): i for i, v in enumerate(c.vertices)}
-        lu = np.asarray([self.local[int(u)] for u in g.edge_u[c.edges]], dtype=np.int64)
-        lv = np.asarray([self.local[int(v)] for v in g.edge_v[c.edges]], dtype=np.int64)
+        # local id = position in the sorted c.vertices
+        lu = np.searchsorted(c.vertices, g.edge_u[c.edges])
+        lv = np.searchsorted(c.vertices, g.edge_v[c.edges])
         nn = len(c.vertices)
         order = np.argsort(np.concatenate([lu, lv]) * nn + np.concatenate([lv, lu]))
         allu = np.concatenate([lu, lv])[order]
@@ -602,7 +601,7 @@ class _ClusterDyn:
         np.add.at(self.indptr, allu + 1, 1)
         np.cumsum(self.indptr, out=self.indptr)
         self.indices = allv
-        self.bnd_local = np.asarray([self.local[int(b)] for b in c.boundary], dtype=np.int64)
+        self.bnd_local = np.searchsorted(c.vertices, c.boundary)
         self.xcl_of: Optional[np.ndarray] = None
         self.xclusters: list[XCluster] = []
 
@@ -645,8 +644,8 @@ class _ClusterDyn:
         self.xclusters = parts
 
     def xcluster_of_vertex(self, v: int) -> Optional[int]:
-        li = self.local.get(int(v))
-        if li is None or self.xcl_of is None:
+        li = int(np.searchsorted(self.verts, v))
+        if li >= len(self.verts) or self.verts[li] != v or self.xcl_of is None:
             return None
         x = int(self.xcl_of[li])
         return x if x >= 0 else None

@@ -4,12 +4,17 @@ For a cluster C and boundary subset B, the dense distance graph D_B(C) is the
 complete graph on B whose edge (u,v) weighs the shortest u-v path in C that
 avoids every other boundary vertex; decomposing shortest paths at boundary
 vertices makes distances in the union of these graphs equal distances in the
-underlying graph minus the active set.  Each cluster keeps a (2k-1)-spanner of
-its restriction to passive boundary vertices; S_X, the union of those spanners
-over the current antichain, is the search arena for the shallow-tree hunt:
-a Dijkstra tree in S_X either yields an empty-index certificate, a shallow
-tree (edges expanded back to stored underlying paths), or a pair of far-apart
-vertices for the bidirectional cut search.
+underlying graph minus the active set.  Each DDG is built once, on the local
+CSR its cluster's `_ClusterDyn` already holds, and records its finite
+boundary pairs.  `DdgLayer` keeps one entry per cluster of C_X: the DDG, the
+cluster's S_X edges (its finite pairs between passive boundary vertices,
+thinned to a (2k-1)-spanner only above the spanner's size target) and its
+label sets; an entry is dropped when its cluster leaves C_X, and clusters
+never re-enter it.  S_X, the union of those edges over the current
+antichain, is the search arena for the shallow-tree hunt: a Dijkstra tree in
+S_X either yields an empty-index certificate, a shallow tree (edges expanded
+back to stored underlying paths), or a pair of far-apart vertices for the
+bidirectional cut search.
 """
 
 from __future__ import annotations
@@ -17,17 +22,19 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import debugcheck
-from .clustering import ActiveState, Cluster, _ClusterDyn
-from .graph import Graph
+from .clustering import ActiveState, _ClusterDyn
+from .graph import Graph, MaskedSubgraph, masked_bfs
 from .shallow import ln_ceil
-from .spanner import build_spanner
+from .spanner import SIZE_COEFF, build_spanner
 
 INF = -1  # distance encoding inside integer matrices
+
+SXEdges = tuple[np.ndarray, np.ndarray, np.ndarray]   # (u, v, w), global vertex ids
 
 
 @dataclass
@@ -39,40 +46,15 @@ class DenseDistanceGraph:
     dist: np.ndarray              # |B| x |B| int64; -1 encodes infinity
     parents: np.ndarray           # per-source local parent arrays over the cluster
     verts: np.ndarray             # cluster vertex ids (global, sorted)
+    pair_i: np.ndarray            # finite pairs i < j, row-major, as boundary positions
+    pair_j: np.ndarray
+    pair_w: np.ndarray            # dist[pair_i, pair_j]
 
     def index_of(self, v: int) -> int:
         i = int(np.searchsorted(self.boundary, v))
         if i >= len(self.boundary) or self.boundary[i] != v:
             raise KeyError(f"{v} is not a boundary vertex of cluster {self.cid}")
         return i
-
-
-@dataclass
-class RestrictedDDG:
-    """Induced sub-matrix of a DDG on a boundary subset (path trees shared)."""
-
-    base: DenseDistanceGraph
-    subset: np.ndarray            # global ids, sorted
-    sub_index: np.ndarray         # positions of subset inside base.boundary
-
-    @property
-    def cid(self) -> int:
-        return self.base.cid
-
-    def dist_matrix(self) -> np.ndarray:
-        return self.base.dist[np.ix_(self.sub_index, self.sub_index)]
-
-
-@dataclass
-class ClusterSpanner:
-    """Spanner over the current restricted DDG of one cluster."""
-
-    cid: int
-    k: int
-    edge_u: np.ndarray            # global vertex ids
-    edge_v: np.ndarray
-    edge_w: np.ndarray
-    version: int
 
 
 @dataclass
@@ -84,36 +66,19 @@ class UnionGraph:
     edge_v: np.ndarray
     edge_w: np.ndarray
     edge_cluster: np.ndarray      # cluster of origin per edge
-    versions: dict[int, int]
 
 
-def _cluster_csr(g: Graph, c: Cluster):
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[c.vertices] = np.arange(len(c.vertices))
-    lu = local[g.edge_u[c.edges]]
-    lv = local[g.edge_v[c.edges]]
-    nn = len(c.vertices)
-    allu = np.concatenate([lu, lv])
-    allv = np.concatenate([lv, lu])
-    order = np.argsort(allu * nn + allv)
-    allu, allv = allu[order], allv[order]
-    indptr = np.zeros(nn + 1, dtype=np.int64)
-    np.add.at(indptr, allu + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, allv, local
-
-
-def build_ddg(g: Graph, c: Cluster) -> DenseDistanceGraph:
+def build_ddg(dyn: _ClusterDyn) -> DenseDistanceGraph:
     """Per-source BFS in C minus the other boundary vertices (hop metric).
 
-    Other boundary vertices are removed during the search and relaxed once as
-    final targets, so recorded paths contain no interior boundary vertices.
+    Runs on the cluster's local CSR in `dyn`.  Other boundary vertices are
+    removed during the search and relaxed once as final targets, so recorded
+    paths contain no interior boundary vertices.
     """
-    indptr, indices, local = _cluster_csr(g, c)
-    nn = len(c.vertices)
-    bnd = np.sort(c.boundary)
-    bl = local[bnd]
-    nb = len(bnd)
+    indptr, indices = dyn.indptr, dyn.indices
+    nn = len(dyn.verts)
+    bl = dyn.bnd_local
+    nb = len(bl)
     dist = np.full((nb, nb), INF, dtype=np.int64)
     parents = np.full((nb, nn), -1, dtype=np.int64)
     is_bnd = np.zeros(nn, dtype=bool)
@@ -149,20 +114,21 @@ def build_ddg(g: Graph, c: Cluster) -> DenseDistanceGraph:
             if best != INF:
                 dist[si, ti] = best
                 par[t] = bestx
-    return DenseDistanceGraph(cid=c.id, boundary=bnd, dist=dist, parents=parents,
-                              verts=c.vertices)
+    # finite pairs of distinct vertices are at distance >= 1; nonzero is row-major
+    iu, iv = np.nonzero(dist > 0)
+    up = iu < iv
+    iu, iv = iu[up], iv[up]
+    return DenseDistanceGraph(cid=dyn.cid, boundary=dyn.verts[bl], dist=dist, parents=parents,
+                              verts=dyn.verts, pair_i=iu, pair_j=iv, pair_w=dist[iu, iv])
 
 
 def ddg_path(ddg: DenseDistanceGraph, u: int, v: int) -> list[int]:
     """Underlying u-v path (global ids) recorded for the DDG edge (u, v)."""
     si = ddg.index_of(u)
-    ti_local = int(np.searchsorted(ddg.verts, v))
-    if ti_local >= len(ddg.verts) or ddg.verts[ti_local] != v:
+    src, cur = np.searchsorted(ddg.verts, [u, v]).tolist()
+    if cur >= len(ddg.verts) or ddg.verts[cur] != v:
         raise KeyError(f"{v} not in cluster {ddg.cid}")
-    local_of = {int(x): i for i, x in enumerate(ddg.verts)}
     path = [v]
-    cur = local_of[v]
-    src = local_of[u]
     par = ddg.parents[si]
     while cur != src:
         cur = int(par[cur])
@@ -173,77 +139,42 @@ def ddg_path(ddg: DenseDistanceGraph, u: int, v: int) -> list[int]:
     return path
 
 
-def restrict_ddg(ddg: DenseDistanceGraph, subset: Sequence[int] | np.ndarray) -> RestrictedDDG:
-    """D_B(C) for B a subset of the boundary: the induced sub-matrix."""
-    sub = np.sort(np.asarray(list(subset), dtype=np.int64))
-    pos = np.searchsorted(ddg.boundary, sub)
-    if np.any(pos >= len(ddg.boundary)) or np.any(ddg.boundary[np.minimum(pos, len(ddg.boundary) - 1)] != sub):
-        raise KeyError("subset is not contained in the cluster boundary")
-    return RestrictedDDG(base=ddg, subset=sub, sub_index=pos)
+def build_cluster_spanner(ddg: DenseDistanceGraph, active: np.ndarray, k: int,
+                          seed: int = 0) -> SXEdges:
+    """(2k-1)-spanner of the DDG restricted to its passive boundary vertices.
 
-
-def build_cluster_spanner(rddg: RestrictedDDG, eps: float, seed: int = 0,
-                          version: int = 0) -> ClusterSpanner:
-    """(2k-1)-spanner of the restricted DDG with k = ceil(1/eps).
-
-    Small restrictions (under the spanner size target) keep all finite DDG
-    edges, which is trivially a spanner of itself; larger ones run the real
-    construction.
+    Restrictions under the spanner size target keep all their finite pairs,
+    which is trivially a spanner of itself; larger ones run the real
+    construction on the pairs renumbered by passive rank.
     """
-    k = max(1, math.ceil(1.0 / eps))
-    nb = len(rddg.subset)
-    if nb <= 1:
-        return ClusterSpanner(cid=rddg.cid, k=k, edge_u=np.empty(0, np.int64),
-                              edge_v=np.empty(0, np.int64), edge_w=np.empty(0, np.int64),
-                              version=version)
-    mat = rddg.dist_matrix()
-    iu, iv = np.triu_indices(nb, k=1)
-    w = mat[iu, iv]
-    keep = w != INF
-    iu, iv, w = iu[keep], iv[keep], w[keep]
-    from .spanner import SIZE_COEFF
-
+    passive = ~active[ddg.boundary]
+    keep = passive[ddg.pair_i] & passive[ddg.pair_j]
+    iu, iv, w = ddg.pair_i[keep], ddg.pair_j[keep], ddg.pair_w[keep]
+    nb = int(passive.sum())
     if len(iu) > SIZE_COEFF * k * nb ** (1.0 + 1.0 / k):
-        sub = Graph(nb, np.stack([iu, iv], axis=1), edge_weight=w.tolist())
+        rank = np.cumsum(passive) - 1
+        sub = Graph(nb, np.stack([rank[iu], rank[iv]], axis=1), edge_weight=w.tolist())
         sp = build_spanner(sub, k, seed=seed)
-        iu, iv, w = sp.edge_u, sp.edge_v, sp.edge_w.astype(np.int64)
-    return ClusterSpanner(cid=rddg.cid, k=k,
-                          edge_u=rddg.subset[iu], edge_v=rddg.subset[iv],
-                          edge_w=np.asarray(w, dtype=np.int64), version=version)
+        sel = ddg.boundary[passive]
+        return sel[sp.edge_u], sel[sp.edge_v], sp.edge_w.astype(np.int64)
+    return ddg.boundary[iu], ddg.boundary[iv], w
 
 
-def assemble_SX(st: ActiveState, spanners: dict[int, ClusterSpanner],
-                versions: Optional[dict[int, int]] = None) -> UnionGraph:
+def assemble_SX(st: ActiveState, edges: dict[int, SXEdges]) -> UnionGraph:
     """Union of the cluster spanners over the current antichain."""
-    us, vs, ws, cs = [], [], [], []
-    vers: dict[int, int] = {}
-    for cid in sorted(st.cx):
-        sp = spanners.get(cid)
-        if sp is None:
-            raise KeyError(f"no spanner for cluster {cid}")
-        if versions is not None and versions.get(cid) != sp.version:
-            raise RuntimeError(f"stale spanner for cluster {cid}")
-        vers[cid] = sp.version
-        if len(sp.edge_u):
-            us.append(sp.edge_u)
-            vs.append(sp.edge_v)
-            ws.append(sp.edge_w)
-            cs.append(np.full(len(sp.edge_u), cid, dtype=np.int64))
+    cx = sorted(st.cx)
+    parts = [edges[cid] for cid in cx]
+    if parts:
+        eu, ev, ew = (np.concatenate(col) for col in zip(*parts))
+    else:
+        eu = ev = ew = np.empty(0, np.int64)
+    ec = np.repeat(np.asarray(cx, dtype=np.int64), [len(p[0]) for p in parts])
     verts = []
-    for cid in st.cx:
-        c = st.nc.cluster(cid)
-        b = c.boundary
+    for cid in cx:
+        b = st.nc.cluster(cid).boundary
         verts.append(b[~st.active[b]])
     vset = np.unique(np.concatenate(verts)) if verts else np.empty(0, np.int64)
-    if us:
-        eu = np.concatenate(us)
-        ev = np.concatenate(vs)
-        ew = np.concatenate(ws)
-        ec = np.concatenate(cs)
-    else:
-        eu = ev = ew = ec = np.empty(0, np.int64)
-    return UnionGraph(vertices=vset, edge_u=eu, edge_v=ev, edge_w=ew,
-                      edge_cluster=ec, versions=vers)
+    return UnionGraph(vertices=vset, edge_u=eu, edge_v=ev, edge_w=ew, edge_cluster=ec)
 
 
 @dataclass
@@ -315,7 +246,7 @@ def sssp_SX(sx: UnionGraph, s: int) -> SXTree:
 
 
 def compute_Ai_boundary_sets(dyn: _ClusterDyn, st: ActiveState,
-                             slot_of_vertex: np.ndarray, nslots: int) -> dict[int, list[int]]:
+                             slot_of_vertex: np.ndarray) -> dict[int, list[int]]:
     """Per-slot passive boundary vertices whose X-cluster touches the slot's
     active boundary vertices of this cluster (the marked-DFS of the search
     layer, realized through the cached X-cluster partition)."""
@@ -347,71 +278,66 @@ class FindResult:
     empty_slot: Optional[int] = None
     tree_vertices: Optional[np.ndarray] = None
     tree_root: Optional[int] = None
-    reps: Optional[dict[int, int]] = None          # slot -> tree vertex in A_slot
     rep_edges: Optional[dict[int, tuple[int, int]]] = None  # slot -> (tree v, branch v)
     far_pair: Optional[tuple[int, int]] = None
-    sx_size: int = 0
+
+
+@dataclass
+class ClusterEntry:
+    """What the DDG layer keeps for one cluster of C_X."""
+
+    ddg: DenseDistanceGraph
+    edges: SXEdges                      # the cluster's S_X edges
+    ai_sets: dict[int, list[int]]       # slot -> passive boundary label set
 
 
 class DdgLayer:
-    """Owns DDGs, restrictions, spanners, and label sets over an ActiveState."""
+    """Keeps one `ClusterEntry` per cluster of C_X over an ActiveState."""
 
     def __init__(self, st: ActiveState, eps: float, seed: int = 0):
         self.st = st
         self.g = st.nc.g
-        self.eps = eps
         self.k = max(1, math.ceil(1.0 / eps))
         self.seed = seed
-        self.ddgs: dict[int, DenseDistanceGraph] = {}
-        self.spanners: dict[int, ClusterSpanner] = {}
-        self.ai_sets: dict[int, dict[int, list[int]]] = {}
+        self.store: dict[int, ClusterEntry] = {}
         self._dirty: set[int] = set()
         self.slot_of_vertex = np.full(self.g.n, -1, dtype=np.int64)
-        self.nslots = 0
         # the set's bound method, not one of self: st must not point back here
         st.listeners.append(self._dirty.update)
 
     def set_branch_vertices(self, slot: int, vertices: np.ndarray) -> None:
         self.slot_of_vertex[vertices] = slot
-        self.nslots = max(self.nslots, slot + 1)
 
-    def clear_branch(self, slot: int, vertices: np.ndarray) -> None:
+    def clear_branch(self, vertices: np.ndarray) -> None:
         self.slot_of_vertex[vertices] = -1
 
     def _refresh(self, cid: int) -> None:
         st = self.st
         dyn = st.dyn[cid]
-        ddg = self.ddgs.get(cid)
-        if ddg is None:
-            ddg = build_ddg(self.g, st.nc.cluster(cid))
-            self.ddgs[cid] = ddg
-        passive = ddg.boundary[~st.active[ddg.boundary]]
-        rddg = restrict_ddg(ddg, passive)
-        old = self.spanners.get(cid)
-        version = (old.version + 1) if old is not None else 1
-        self.spanners[cid] = build_cluster_spanner(rddg, self.eps,
-                                                   seed=self.seed + cid, version=version)
-        self.ai_sets[cid] = compute_Ai_boundary_sets(dyn, st, self.slot_of_vertex,
-                                                     self.nslots)
+        entry = self.store.get(cid)
+        ddg = build_ddg(dyn) if entry is None else entry.ddg
+        self.store[cid] = ClusterEntry(
+            ddg=ddg, edges=build_cluster_spanner(ddg, st.active, self.k, seed=self.seed + cid),
+            ai_sets=compute_Ai_boundary_sets(dyn, st, self.slot_of_vertex))
         self._dirty.discard(cid)
 
     def refresh_all(self) -> None:
-        for cid in sorted(self.st.cx):
-            if cid in self._dirty or cid not in self.spanners:
+        cx = self.st.cx
+        for cid in sorted(cx):
+            if cid in self._dirty or cid not in self.store:
                 self._refresh(cid)
-        for cid in list(self.spanners):
-            if cid not in self.st.cx:
-                self.spanners.pop(cid, None)
-                self.ai_sets.pop(cid, None)
+        # a cluster leaves C_X only by expanding, and never comes back
+        for cid in [c for c in self.store if c not in cx]:
+            del self.store[cid]
 
     def assemble(self) -> UnionGraph:
         self.refresh_all()
-        return assemble_SX(self.st, self.spanners)
+        return assemble_SX(self.st, {cid: e.edges for cid, e in self.store.items()})
 
     def slot_candidates(self, slot: int) -> list[int]:
         out: set[int] = set()
         for cid in self.st.cx:
-            vals = self.ai_sets.get(cid, {}).get(slot)
+            vals = self.store[cid].ai_sets.get(slot)
             if vals:
                 out.update(vals)
         return sorted(out)
@@ -441,18 +367,17 @@ class DdgLayer:
                     j = int(np.lexsort((cs, ds))[0])
                     best = (int(ds[j]), int(cs[j]))
             if best is None:
-                return FindResult(kind="empty", empty_slot=slot, sx_size=len(sx.edge_u))
+                return FindResult(kind="empty", empty_slot=slot)
             nearest[slot] = best
         for slot in slots:
             d, b = nearest[slot]
             if d >= threshold:
                 if debugcheck.enabled():
                     self._check_far(s, b, ell)
-                return FindResult(kind="far", far_pair=(s, b), sx_size=len(sx.edge_u))
+                return FindResult(kind="far", far_pair=(s, b))
         # build the tree: expand S_X predecessor paths to underlying G paths
         verts: set[int] = {s}
         chain_done: set[int] = {s}
-        reps: dict[int, int] = {}
         rep_edges: dict[int, tuple[int, int]] = {}
         for slot in slots:
             _, b = nearest[slot]
@@ -461,7 +386,7 @@ class DdgLayer:
             while cur not in chain_done:
                 walked.append(cur)
                 p, cid = tree.pred_of(cur)
-                verts.update(ddg_path(self.ddgs[cid], p, cur))
+                verts.update(ddg_path(self.store[cid].ddg, p, cur))
                 cur = p
             chain_done.update(walked)
         # extend into the X-cluster of the lowest-id cluster holding each rep
@@ -469,17 +394,15 @@ class DdgLayer:
             _, b = nearest[slot]
             host = None
             for cid in sorted(self.st.cx):
-                if b in self.ai_sets.get(cid, {}).get(slot, ()):  # list lookup
+                if b in self.store[cid].ai_sets.get(slot, ()):  # list lookup
                     host = cid
                     break
             assert host is not None
             p_ext, edge = self._extend_into_xcluster(host, b, slot)
             verts.update(p_ext)
-            reps[slot] = edge[0]
             rep_edges[slot] = edge
         out = FindResult(kind="tree", tree_vertices=np.asarray(sorted(verts), dtype=np.int64),
-                         tree_root=s, reps=reps, rep_edges=rep_edges,
-                         sx_size=len(sx.edge_u))
+                         tree_root=s, rep_edges=rep_edges)
         if debugcheck.enabled():
             self._check_tree(out, ell, h, threshold)
         return out
@@ -514,49 +437,18 @@ class DdgLayer:
                            f"in cluster {cid} slot {slot}")
 
     def _check_far(self, s: int, t: int, ell: int) -> None:
-        d = _bfs_dist_avoiding(self.g, self.st.active, s, t)
+        # s and t are S_X vertices, so passive; inf when t is off s's component
+        d = masked_bfs(self.g, ~self.st.active, s)[0][t]
         need = math.ceil(8 * ell * ln_ceil(self.g.n))
-        debugcheck.check("ddg.far-pair", d is None or d >= need,
-                         f"far pair at true distance {d} < {need}")
+        debugcheck.check("ddg.far-pair", d >= need,
+                         f"far pair at true distance {d:.0f} < {need}")
 
     def _check_tree(self, res: FindResult, ell: int, h: int, threshold: int) -> None:
         cap_depth = threshold + self.st.nc.r + 2
         cap_size = h * (threshold + self.st.nc.r) + 2
         debugcheck.check("ddg.tree-size", len(res.tree_vertices) <= cap_size,
                          f"tree size {len(res.tree_vertices)} exceeds {cap_size}")
-        dmax = _tree_depth(self.g, self.st.active, res.tree_vertices, res.tree_root)
+        depth = MaskedSubgraph(self.g, res.tree_vertices).bfs(res.tree_root)[0][res.tree_vertices]
+        dmax = int(depth.max()) if np.isfinite(depth).all() else None
         debugcheck.check("ddg.tree-depth", dmax is not None and dmax <= cap_depth,
                          f"tree depth {dmax} exceeds {cap_depth}")
-
-
-def _bfs_dist_avoiding(g: Graph, blocked: np.ndarray, s: int, t: int) -> Optional[int]:
-    if blocked[s] or blocked[t]:
-        return None
-    dist = {s: 0}
-    dq = deque([s])
-    while dq:
-        u = dq.popleft()
-        if u == t:
-            return dist[u]
-        for w in g.neighbors(u).tolist():
-            if not blocked[w] and w not in dist:
-                dist[w] = dist[u] + 1
-                dq.append(w)
-    return None
-
-
-def _tree_depth(g: Graph, blocked: np.ndarray, verts: np.ndarray, root: int) -> Optional[int]:
-    inside = set(verts.tolist())
-    dist = {root: 0}
-    dq = deque([root])
-    best = 0
-    while dq:
-        u = dq.popleft()
-        best = max(best, dist[u])
-        for w in g.neighbors(u).tolist():
-            if w in inside and w not in dist:
-                dist[w] = dist[u] + 1
-                dq.append(w)
-    if len(dist) != len(inside):
-        return None
-    return best

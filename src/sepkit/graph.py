@@ -440,6 +440,16 @@ def grow_within(g: Graph, allowed: np.ndarray, seed_vertices: np.ndarray, target
 DIAMETER_BLOCK_ENTRIES = 1 << 20
 
 
+def symmetric_components(mat: csr_matrix) -> tuple[int, np.ndarray]:
+    """Components of a symmetric sparse matrix, numbered in order of each
+    component's smallest index.
+
+    On a symmetric matrix the strong components are the components, and
+    csgraph finds them without the transpose its undirected mode builds.
+    """
+    return csgraph.connected_components(mat, directed=True, connection="strong")
+
+
 class MaskedSubgraph:
     """G[ids] as a symmetric 0/1 CSR matrix over local ids, built once for csgraph queries.
 
@@ -474,7 +484,7 @@ class MaskedSubgraph:
     def components(self) -> tuple[int, np.ndarray]:
         """Component count and the label per local id, numbered in order of
         each component's smallest vertex id."""
-        return csgraph.connected_components(self.mat, directed=False)
+        return symmetric_components(self.mat)
 
     def bfs(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Hop distances and BFS-tree predecessors from global id `start`.
@@ -567,19 +577,12 @@ def connected_components(g: Graph) -> list[VertexSet]:
     """Maximal connected vertex sets, ordered by smallest contained id."""
     if g.n == 0:
         return []
-    ncomp, labels = csgraph.connected_components(g.csr(), directed=False)
+    ncomp, labels = symmetric_components(g.csr())
     out: list[list[int]] = [[] for _ in range(ncomp)]
     for v, lab in enumerate(labels.tolist()):
         out[lab].append(v)
     out.sort(key=lambda vs: vs[0])
     return [VertexSet(vs) for vs in out]
-
-
-def component_labels(g: Graph) -> tuple[int, np.ndarray]:
-    if g.n == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    ncomp, labels = csgraph.connected_components(g.csr(), directed=False)
-    return ncomp, labels
 
 
 def total_weight(g: Graph, xs: VertexSet) -> int:

@@ -56,7 +56,6 @@ class TSOutcome:
     kind: str                                   # "empty" | "tree" | "cut"
     empty_slot: Optional[int] = None
     tree_vertices: Optional[np.ndarray] = None
-    tree_root: Optional[int] = None
     rep_edges: Optional[dict[int, tuple[int, int]]] = None
     cut_S: Optional[np.ndarray] = None
     cut_side_counts: Optional[tuple[int, int]] = None
@@ -199,8 +198,7 @@ def lemma_ts_step(layer: DdgLayer, s: int, slots: list[int], ell: int, h: int,
     if res.kind == "empty":
         return TSOutcome(kind="empty", empty_slot=res.empty_slot)
     if res.kind == "tree":
-        return TSOutcome(kind="tree", tree_vertices=res.tree_vertices,
-                         tree_root=res.tree_root, rep_edges=res.rep_edges)
+        return TSOutcome(kind="tree", tree_vertices=res.tree_vertices, rep_edges=res.rep_edges)
     fs, ft = res.far_pair
     s_ids, counts = bidirectional_cut(layer.g, layer.st.active, fs, ft, ell, comp_size)
     return TSOutcome(kind="cut", cut_S=s_ids, cut_side_counts=counts)
@@ -331,7 +329,7 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             slot = outcome.empty_slot
             vs = branch_slots[slot]
             in_vr[vs] = True
-            layer.clear_branch(slot, vs)
+            layer.clear_branch(vs)
             branch_slots[slot] = None
             st.set_many(vs.tolist(), "passive")
             continue

@@ -22,7 +22,7 @@ from sepkit.certificates import (
     brute_force_minor_detect,
     verify_output,
 )
-from sepkit.clustering import ActiveState, NestedClustering, nested_r_clustering
+from sepkit.clustering import ActiveState, NestedClustering, _ClusterDyn, nested_r_clustering
 from sepkit.ddg import build_ddg, ddg_path
 from sepkit.generators import (
     binary_tree_graph,
@@ -291,7 +291,7 @@ class TestCriterion8ExactSubalgorithms:
             for c in nc.clusters:
                 if c.n > 100 or len(c.boundary) < 2:
                     continue
-                ddg = build_ddg(g, c)
+                ddg = build_ddg(_ClusterDyn(g, c))
                 bnd = ddg.boundary.tolist()
                 for i, u in enumerate(bnd):
                     for j, v in enumerate(bnd):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sepkit import cli, debugcheck
 from sepkit.bench import rows_deterministic_view, run_bench
 from sepkit.cli import main
 from sepkit.generators import generate_graph
@@ -100,6 +101,35 @@ class TestRunCommands:
 
     def test_usage_error(self):
         assert main(["shallow", "/nonexistent/file", "--h", "4"]) == 2
+
+
+class TestInternalErrors:
+    @pytest.fixture()
+    def grid_file(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        main(["gen", "grid 4", "--out", str(p)])
+        return p
+
+    def _raise_with(self, monkeypatch, exc):
+        def boom(*args, **kwargs):
+            assert debugcheck.enabled()
+            raise exc
+
+        monkeypatch.setattr(cli, "shallow_separator_balanced", boom)
+
+    def test_invariant_violation_exit_code(self, grid_file, monkeypatch, capsys):
+        self._raise_with(monkeypatch, debugcheck.InvariantViolation("shallow.cut-boundary", "x"))
+        code = main(["shallow", str(grid_file), "--h", "5", "--debug-assert"])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "shallow.cut-boundary" in capsys.readouterr().err
+        assert not debugcheck.enabled()
+
+    def test_runtime_error_exit_code(self, grid_file, monkeypatch, capsys):
+        self._raise_with(monkeypatch, RuntimeError("bidirectional search balls met"))
+        code = main(["shallow", str(grid_file), "--h", "5", "--debug-assert"])
+        assert code == cli.EXIT_INTERNAL
+        assert "balls met" in capsys.readouterr().err
+        assert not debugcheck.enabled()
 
 
 class TestBench:

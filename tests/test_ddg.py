@@ -1,19 +1,24 @@
+import hashlib
 import heapq
 import random
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_matrix
 
 from sepkit import debugcheck
-from sepkit.clustering import ActiveState, Cluster, NestedClustering, nested_r_clustering
+from sepkit.clustering import (
+    ActiveState,
+    Cluster,
+    NestedClustering,
+    _ClusterDyn,
+    nested_r_clustering,
+)
 from sepkit.ddg import (
     DdgLayer,
-    assemble_SX,
     build_cluster_spanner,
     build_ddg,
     ddg_path,
-    restrict_ddg,
     sssp_SX,
 )
 from sepkit.generators import grid_graph, path_graph
@@ -33,6 +38,11 @@ def make_cluster(g, boundary):
                    edges=np.arange(g.m), seed=0)
 
 
+def ddg_of(g, boundary):
+    """DDG of the whole of g as one cluster with the given boundary."""
+    return build_ddg(_ClusterDyn(g, make_cluster(g, boundary)))
+
+
 def fw_avoiding(g, keep_out, u, v):
     """Oracle: distance u-v in G minus (keep_out minus {u, v})."""
     keep = [x for x in range(g.n) if x not in set(keep_out) - {u, v}]
@@ -45,13 +55,13 @@ def fw_avoiding(g, keep_out, u, v):
 class TestBuildDdg:
     def test_path_cluster(self):
         g = path_graph(6)
-        ddg = build_ddg(g, make_cluster(g, [0, 5]))
+        ddg = ddg_of(g, [0, 5])
         assert ddg.dist[0, 1] == 5
         assert ddg_path(ddg, 0, 5) == [0, 1, 2, 3, 4, 5]
 
     def test_star_cluster(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        ddg = build_ddg(g, make_cluster(g, [1, 2, 3]))
+        ddg = ddg_of(g, [1, 2, 3])
         for i in range(3):
             for j in range(3):
                 assert ddg.dist[i, j] == (0 if i == j else 2)
@@ -67,7 +77,7 @@ class TestBuildDdg:
                 extra.add((min(a, b), max(a, b)))
         g = Graph(n, edges + sorted(extra))
         bnd = sorted(rnd.sample(range(n), 8))
-        ddg = build_ddg(g, make_cluster(g, bnd))
+        ddg = ddg_of(g, bnd)
         for i, u in enumerate(bnd):
             for j, v in enumerate(bnd):
                 if i == j:
@@ -81,48 +91,26 @@ class TestBuildDdg:
     def test_blocked_pairs_infinite(self):
         # boundary vertex in the middle blocks the only route
         g = path_graph(5)
-        ddg = build_ddg(g, make_cluster(g, [0, 2, 4]))
+        ddg = ddg_of(g, [0, 2, 4])
         assert ddg.dist[ddg.index_of(0), ddg.index_of(4)] == -1
-
-
-class TestRestrict:
-    def test_identity_and_empty(self):
-        g = path_graph(6)
-        ddg = build_ddg(g, make_cluster(g, [0, 3, 5]))
-        full = restrict_ddg(ddg, [0, 3, 5])
-        assert (full.dist_matrix() == ddg.dist).all()
-        empty = restrict_ddg(ddg, [])
-        assert empty.dist_matrix().shape == (0, 0)
-
-    def test_single_vertex(self):
-        g = path_graph(6)
-        ddg = build_ddg(g, make_cluster(g, [0, 3, 5]))
-        one = restrict_ddg(ddg, [3])
-        assert one.dist_matrix().shape == (1, 1)
-
-    def test_not_subset_raises(self):
-        g = path_graph(6)
-        ddg = build_ddg(g, make_cluster(g, [0, 5]))
-        with pytest.raises(KeyError):
-            restrict_ddg(ddg, [1])
 
 
 class TestClusterSpanner:
     def test_two_vertex_single_edge(self):
         g = path_graph(4)
-        ddg = build_ddg(g, make_cluster(g, [0, 3]))
-        sp = build_cluster_spanner(restrict_ddg(ddg, [0, 3]), 0.5, seed=0)
-        assert len(sp.edge_u) == 1 and sp.edge_w[0] == 3
+        ddg = ddg_of(g, [0, 3])
+        edge_u, _, edge_w = build_cluster_spanner(ddg, np.zeros(g.n, dtype=bool), 2, seed=0)
+        assert len(edge_u) == 1 and edge_w[0] == 3
 
     def test_complete_ddg_stretch(self):
         # complete 10-vertex metric with unit distances, k = 2: stretch <= 3
         n = 11
         star = Graph(n, [(0, i) for i in range(1, n)])
-        ddg = build_ddg(star, make_cluster(star, list(range(1, n))))
-        sp = build_cluster_spanner(restrict_ddg(ddg, list(range(1, n))), 0.5, seed=3)
+        ddg = ddg_of(star, list(range(1, n)))
+        sp = build_cluster_spanner(ddg, np.zeros(n, dtype=bool), 2, seed=3)
         # check d_spanner <= 3 * d for all boundary pairs (all pairwise = 2)
         adj = {}
-        for u, v, w in zip(sp.edge_u.tolist(), sp.edge_v.tolist(), sp.edge_w.tolist()):
+        for u, v, w in zip(*(col.tolist() for col in sp)):
             adj.setdefault(u, []).append((v, w))
             adj.setdefault(v, []).append((u, w))
 
@@ -147,9 +135,9 @@ class TestClusterSpanner:
 
     def test_empty_restriction(self):
         g = path_graph(4)
-        ddg = build_ddg(g, make_cluster(g, [0, 3]))
-        sp = build_cluster_spanner(restrict_ddg(ddg, []), 0.5, seed=0)
-        assert len(sp.edge_u) == 0
+        ddg = ddg_of(g, [0, 3])
+        edge_u, _, _ = build_cluster_spanner(ddg, np.ones(g.n, dtype=bool), 2, seed=0)
+        assert len(edge_u) == 0
 
 
 class TestUnionGraphSearch:
@@ -273,3 +261,81 @@ class TestUnionGraphSearch:
         assert res.kind in ("empty", "tree")
         if res.kind == "empty":
             assert res.empty_slot == 0
+
+
+def _star_ddg(leaves):
+    """DDG of the star K_{1,leaves} whose leaves are all boundary vertices:
+    every pair of leaves is at distance 2."""
+    g = Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return g, ddg_of(g, list(range(1, leaves + 1)))
+
+
+class TestSparsifyBranch:
+    """Clusters above the spanner size target 4 k nb^(1+1/k) run Baswana-Sen.
+
+    The digests pin the kept (u, v, w) arrays, as computed before the DDG
+    layer was folded into one per-cluster store.
+    """
+
+    @pytest.mark.parametrize("leaves,k,seed,every,pairs,kept,digest", [
+        (300, 2, 0, 0, 44850, 4095,
+         "0d4a57b6bb1ce8fc40dfceb9a6584fb00d851ba9037519a0800e971daa962095"),
+        (300, 2, 7, 0, 44850, 5510,
+         "d3ade7743d673a6dccac9fc554173f68db0b89868f391f5299580246efd366b2"),
+        (199, 4, 3, 0, 19701, 1125,
+         "c5592a2b58b78b20c27509741b19a32b74092f6b2927d62dbb63f382b898e19c"),
+        # every 11th leaf active: 300 passive leaves, renumbered by passive rank
+        (330, 2, 5, 11, 54285, 6069,
+         "4c8c8225654819fdd2a4ce70b376de10fb04ac50e61b3d9a2476857ae521343a"),
+    ])
+    def test_star_spanner_is_pinned(self, leaves, k, seed, every, pairs, kept, digest):
+        g, ddg = _star_ddg(leaves)
+        assert len(ddg.pair_i) == leaves * (leaves - 1) // 2 == pairs
+        active = np.zeros(g.n, dtype=bool)
+        if every:
+            active[np.arange(every, g.n, every)] = True
+        u, v, w = build_cluster_spanner(ddg, active, k, seed=seed)
+        assert len(u) == kept
+        arr = np.stack([u, v, w]).astype("<i8")
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == digest
+        # stretch at most 2k-1 against the DDG over the passive leaves
+        passive = np.flatnonzero(~active[ddg.boundary])
+        assert not active[u].any() and not active[v].any()
+        mat = csr_matrix((w.astype(float), (u, v)), shape=(g.n, g.n))
+        d_sp = csgraph.dijkstra(mat, directed=False, indices=ddg.boundary[passive])
+        d_sp = d_sp[:, ddg.boundary[passive]]
+        d = ddg.dist[np.ix_(passive, passive)]
+        assert (d >= 0).all()
+        assert (d_sp <= (2 * k - 1) * d).all()
+
+
+class TestLayerStore:
+    @pytest.mark.parametrize("k,seed", [(8, 1), (10, 2), (12, 3)])
+    def test_sx_is_union_of_passive_pairs(self, k, seed):
+        g = grid_graph(k)
+        nc = nested_r_clustering(g, 2 * k, 4, 0.5, seed=seed, c_r=0.05)
+        assert isinstance(nc, NestedClustering)
+        st = ActiveState(nc)
+        layer = DdgLayer(st, 0.5, seed=seed)
+        rnd = random.Random(seed)
+        for step in range(6):
+            if step % 3 == 2:
+                pool = [v for v in range(g.n) if st.active[v] and not st.down_used[v]]
+                to = "passive"
+            else:
+                pool = [v for v in range(g.n) if not st.up_used[v]]
+                to = "active"
+            st.set_many(rnd.sample(pool, min(len(pool), rnd.randint(1, 6))), to)
+            sx = layer.assemble()
+            assert set(layer.store) == st.cx
+            expected = []
+            for cid in sorted(st.cx):
+                ddg = layer.store[cid].ddg
+                b = ddg.boundary
+                for i in range(len(b)):
+                    for j in range(i + 1, len(b)):
+                        if ddg.dist[i, j] >= 0 and not st.active[b[i]] and not st.active[b[j]]:
+                            expected.append((cid, int(b[i]), int(b[j]), int(ddg.dist[i, j])))
+            got = list(zip(sx.edge_cluster.tolist(), sx.edge_u.tolist(), sx.edge_v.tolist(),
+                           sx.edge_w.tolist()))
+            assert sorted(got) == sorted(expected)

@@ -23,6 +23,7 @@ from sepkit.graph import (
     masked_diameter,
     neighborhood,
     sparsity_guard,
+    symmetric_components,
     total_weight,
 )
 
@@ -159,6 +160,24 @@ class TestComponents:
     def test_grid_connected(self):
         comps = connected_components(grid_graph(3))
         assert len(comps) == 1 and len(comps[0]) == 9
+
+
+class TestSymmetricComponents:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_labels_equal_undirected(self, data):
+        # strong components of a symmetric matrix: same count and labels as
+        # the undirected search, numbered by each component's smallest id
+        n = data.draw(st.integers(1, 40))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda t: t[0] != t[1]), max_size=2 * n))
+        mat = Graph(n, list(edges)).csr()
+        ncomp, labels = symmetric_components(mat)
+        ref_ncomp, ref_labels = csgraph.connected_components(mat, directed=False)
+        assert ncomp == ref_ncomp and labels.tolist() == ref_labels.tolist()
+        firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(ncomp)]
+        assert firsts == sorted(firsts)
 
 
 class TestMaskedSubgraph:
