@@ -13,11 +13,17 @@ Children of a cluster are materialized lazily: each cluster carries its own
 split seed, so the hierarchy is identical no matter in which order children
 are demanded.  materialize_all() forces the whole tree (tests, CLI dumps).
 
+Every split applies one boundary rule (_piece_boundaries): a piece's
+boundary is its vertices shared with another piece or inherited from the
+split cluster's boundary.
+
 The dynamic layer (ActiveState) maintains, under passive<->active vertex
 flips, the antichain C_X in which every active vertex is a boundary vertex,
 the per-cluster partitions into X-clusters (components of C minus its active
-boundary, retaining a passive boundary vertex), their exact weights, and the
-compact decomposition of G minus X into unions of X-clusters.
+boundary, retaining a passive boundary vertex) and their exact weights.
+decompose_active_complement reads the decomposition of G minus X into unions
+of X-clusters from one component search on the bipartite graph of X-clusters
+and their passive boundary vertices.
 """
 
 from __future__ import annotations
@@ -27,10 +33,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import debugcheck
 from .certificates import SepOrMinor, Separator, density_result, lift_minor
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, symmetric_components
 from .shallow import ln_ceil, separator_coeff, shallow_separator, shallow_separator_balanced
 
 DEFAULT_C_R = 4.0          # lower end of the admissible r range: C_r * h^2 * ln n
@@ -79,32 +86,38 @@ class Clustering:
     h: int
     eps: float
 
-    def total_boundary(self) -> int:
-        return sum(len(c.boundary) for c in self.clusters)
-
 
 def _child_seed(seed: int, index: int) -> int:
     return (seed * 1000003 + index * 7919 + 1) % (2**63)
 
 
+def _local_ends(g: Graph, verts: np.ndarray, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of the edges `eids` as positions in the sorted `verts`."""
+    return np.searchsorted(verts, g.edge_u[eids]), np.searchsorted(verts, g.edge_v[eids])
+
+
 def _subgraph_from_edges(g: Graph, verts: np.ndarray, eids: np.ndarray,
-                         weights: Optional[np.ndarray] = None) -> tuple[Graph, np.ndarray]:
-    """Graph on `verts` with exactly the edges `eids`; returns (graph, verts)."""
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[verts] = np.arange(len(verts))
-    eu = local[g.edge_u[eids]]
-    ev = local[g.edge_v[eids]]
-    if weights is None:
-        w = np.ones(len(verts), dtype=np.int64)
-    else:
-        w = weights
-    sub = Graph(len(verts), np.stack([eu, ev], axis=1) if len(eids) else [],
-                vertex_weight=w.tolist())
-    return sub, verts
+                         weights: np.ndarray) -> Graph:
+    """Graph on `verts` (local ids) with exactly the edges `eids`."""
+    lu, lv = _local_ends(g, verts, eids)
+    return Graph(len(verts), np.stack([lu, lv], axis=1) if len(eids) else [],
+                 vertex_weight=weights.tolist())
 
 
 def _verts_of_edges(g: Graph, eids: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([g.edge_u[eids], g.edge_v[eids]]))
+
+
+def _piece_boundaries(n: int, pieces: list[tuple[np.ndarray, np.ndarray]],
+                      inherited: Iterable[int] = ()) -> list[np.ndarray]:
+    """Each piece's boundary: its vertices that another piece shares or that
+    the split cluster's boundary `inherited` already held."""
+    mult = np.zeros(n, dtype=np.int64)
+    for pv, _ in pieces:
+        mult[pv] += 1
+    # an inherited vertex counts as shared even when one piece holds it
+    mult[np.asarray(inherited, dtype=np.int64)] += 1
+    return [pv[mult[pv] > 1] for pv, _ in pieces]
 
 
 def _union_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -133,36 +146,29 @@ def _split_pieces_from_cut(g: Graph, verts: np.ndarray, eids: np.ndarray,
 
     Every edge with an endpoint in some component of C - cut goes to that
     component's piece; cut-internal edges form their own connected pieces.
-    Piece vertex sets are the endpoints of their edges.
+    Piece vertex sets are the endpoints of their edges, and pieces come in
+    the order of their first edge.
     """
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[verts] = np.arange(len(verts))
     incut = np.zeros(len(verts), dtype=bool)
     incut[cut_local] = True
-    lu = local[g.edge_u[eids]]
-    lv = local[g.edge_v[eids]]
+    lu, lv = _local_ends(g, verts, eids)
     # components of C - cut via union-find over non-cut edges
     both_out = ~incut[lu] & ~incut[lv]
-    root = _union_roots(len(verts), zip(lu[both_out].tolist(), lv[both_out].tolist()))
-    piece_of_edge = np.full(len(eids), -1, dtype=np.int64)
-    comp_key = {}
-    for i, (a, b) in enumerate(zip(lu.tolist(), lv.tolist())):
-        anchor = None
-        if not incut[a]:
-            anchor = root[a]
-        elif not incut[b]:
-            anchor = root[b]
-        if anchor is not None:
-            piece_of_edge[i] = comp_key.setdefault(anchor, len(comp_key))
+    root = np.asarray(_union_roots(len(verts), zip(lu[both_out].tolist(),
+                                                   lv[both_out].tolist())))
+    # an edge's anchor is the component of its first endpoint outside the cut
+    anchor = np.where(~incut[lu], root[lu], np.where(~incut[lv], root[lv], -1))
+    roots, first = np.unique(anchor, return_index=True)
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for key in range(len(comp_key)):
-        pe = eids[piece_of_edge == key]
-        pieces.append((_verts_of_edges(g, pe), pe))
+    for key in roots[np.argsort(first)]:
+        if key >= 0:
+            pe = eids[anchor == key]
+            pieces.append((_verts_of_edges(g, pe), pe))
     # cut-internal edges: connected groups become their own pieces
-    leftover = eids[piece_of_edge == -1]
+    leftover = eids[anchor == -1]
     if len(leftover):
         pieces.extend(_connected_edge_groups(g, leftover))
-    return [p for p in pieces if len(p[1])]
+    return pieces
 
 
 def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
@@ -174,11 +180,9 @@ def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
     star if it touches everything.
     """
     nn = len(verts)
-    local = {int(v): i for i, v in enumerate(verts)}
-    lu = [local[int(x)] for x in g.edge_u[eids]]
-    lv = [local[int(x)] for x in g.edge_v[eids]]
+    lu, lv = _local_ends(g, verts, eids)
     adj: list[list[int]] = [[] for _ in range(nn)]
-    for a, b in zip(lu, lv):
+    for a, b in zip(lu.tolist(), lv.tolist()):
         adj[a].append(b)
         adj[b].append(a)
 
@@ -218,8 +222,7 @@ def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
         cut = np.asarray([i for i, d in enumerate(dist) if d == best[1]], dtype=np.int64)
         return _split_pieces_from_cut(g, verts, eids, cut)
     # diameter <= 1: exclude the lowest-id vertex; split its star if needed
-    x = 0
-    star_mask = np.asarray([a == x or b == x for a, b in zip(lu, lv)], dtype=bool)
+    star_mask = (lu == 0) | (lv == 0)
     rest = eids[~star_mask]
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
     if len(rest):
@@ -240,9 +243,7 @@ def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
 def _connected_edge_groups(g: Graph, eids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a nonempty edge set into connected groups, ordered by smallest vertex."""
     verts = _verts_of_edges(g, eids)
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[verts] = np.arange(len(verts))
-    lu, lv = local[g.edge_u[eids]], local[g.edge_v[eids]]
+    lu, lv = _local_ends(g, verts, eids)
     root = np.asarray(_union_roots(len(verts), zip(lu.tolist(), lv.tolist())))[lu]
     order = np.argsort(root, kind="stable")
     groups = np.split(eids[order], np.flatnonzero(np.diff(root[order])) + 1)
@@ -268,7 +269,7 @@ def _separator_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
         return [(verts, eids)]
     if len(verts) <= SMALL_SPLIT_CUTOFF:
         return _direct_split(g, verts, eids, weights)
-    sub, _ = _subgraph_from_edges(g, verts, eids, weights)
+    sub = _subgraph_from_edges(g, verts, eids, weights)
     if ell is None:
         out = shallow_separator_balanced(sub, h, eps, seed, complete_witness=False)
     else:
@@ -283,6 +284,16 @@ def _separator_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
 
 
 # -- weak r-clustering -------------------------------------------------------
+
+
+def _flat_clusters(g: Graph, pieces: list[tuple[np.ndarray, np.ndarray]], seed: int,
+                   salt: int) -> list[Cluster]:
+    """Level-1 clusters from finished pieces, ordered by smallest vertex."""
+    pieces = sorted(pieces, key=lambda p: int(p[0][0]))
+    return [Cluster(id=i, level=1, vertices=verts, boundary=boundary, edges=eids,
+                    seed=_child_seed(seed, salt + i))
+            for i, ((verts, eids), boundary)
+            in enumerate(zip(pieces, _piece_boundaries(g.n, pieces)))]
 
 
 def weak_clustering_ell(nhat: int, r: int, h: int, eps3: float) -> int:
@@ -325,16 +336,7 @@ def weak_r_clustering(g: Graph, r: int, h: int, eps: float, seed: int = 0,
         except MinorFound as mf:
             return mf.result
         stack.extend(pieces)
-    done.sort(key=lambda p: int(p[0][0]))
-    clusters = []
-    mult = np.zeros(n, dtype=np.int64)
-    for verts, _ in done:
-        mult[verts] += 1
-    for i, (verts, eids) in enumerate(done):
-        boundary = verts[mult[verts] > 1]
-        clusters.append(Cluster(id=i, level=1, vertices=verts, boundary=boundary,
-                                edges=eids, seed=_child_seed(seed, 10_000_019 + i)))
-    return Clustering(g=g, clusters=clusters, r=r, h=h, eps=eps)
+    return Clustering(g=g, clusters=_flat_clusters(g, done, seed, 10_000_019), r=r, h=h, eps=eps)
 
 
 def refine_to_r_clustering(weak: Clustering, h: int, eps: float, seed: int = 0,
@@ -342,9 +344,8 @@ def refine_to_r_clustering(weak: Clustering, h: int, eps: float, seed: int = 0,
     """Re-split boundary-heavy clusters under boundary-uniform weights until
     every cluster has at most c_b * h * sqrt(r ln n) boundary vertices."""
     g = weak.g
-    n = g.n
     if boundary_bound is None:
-        boundary_bound = math.ceil(REFINE_COEFF * h * math.sqrt(weak.r * ln_ceil(n)))
+        boundary_bound = math.ceil(REFINE_COEFF * h * math.sqrt(weak.r * ln_ceil(g.n)))
     work = [(c.vertices, c.edges, c.boundary) for c in weak.clusters]
     out: list[tuple[np.ndarray, np.ndarray]] = []
     step = 0
@@ -354,33 +355,16 @@ def refine_to_r_clustering(weak: Clustering, h: int, eps: float, seed: int = 0,
             out.append((verts, eids))
             continue
         step += 1
-        w2 = np.zeros(len(verts), dtype=np.int64)
-        local = np.full(g.n, -1, dtype=np.int64)
-        local[verts] = np.arange(len(verts))
-        w2[local[bnd]] = 1
-        try:
-            pieces = _separator_split(g, verts, eids, w2, h, eps / 2.0,
-                                      _child_seed(seed, 20_000_003 + step))
-        except MinorFound as mf:
-            return mf.result
         bmask = np.zeros(g.n, dtype=bool)
         bmask[bnd] = True
-        pieceverts = [pv for pv, _ in pieces]
-        mult = np.zeros(g.n, dtype=np.int64)
-        for pv in pieceverts:
-            mult[pv] += 1
-        for pv, pe in pieces:
-            newb = pv[bmask[pv] | (mult[pv] > 1)]
+        try:
+            pieces = _separator_split(g, verts, eids, bmask[verts].astype(np.int64), h,
+                                      eps / 2.0, _child_seed(seed, 20_000_003 + step))
+        except MinorFound as mf:
+            return mf.result
+        for (pv, pe), newb in zip(pieces, _piece_boundaries(g.n, pieces, bnd)):
             work.append((pv, pe, newb))
-    out.sort(key=lambda p: int(p[0][0]))
-    mult = np.zeros(n, dtype=np.int64)
-    for verts, _ in out:
-        mult[verts] += 1
-    clusters = []
-    for i, (verts, eids) in enumerate(out):
-        boundary = verts[mult[verts] > 1]
-        clusters.append(Cluster(id=i, level=1, vertices=verts, boundary=boundary,
-                                edges=eids, seed=_child_seed(seed, 30_000_001 + i)))
+    clusters = _flat_clusters(g, out, seed, 30_000_001)
     refined = Clustering(g=g, clusters=clusters, r=weak.r, h=h, eps=eps)
     debugcheck.check("clustering.refined-bound",
                      all(len(c.boundary) <= boundary_bound for c in clusters),
@@ -414,14 +398,9 @@ class NestedClustering:
             c.children = []
             return c.children
         pieces = split_cluster_two_weights(self.g, c, self.h, self.eps, c.seed)
+        boundaries = _piece_boundaries(self.g.n, pieces, c.boundary)
         kids = []
-        mult = np.zeros(self.g.n, dtype=np.int64)
-        for pv, _ in pieces:
-            mult[pv] += 1
-        bmask = np.zeros(self.g.n, dtype=bool)
-        bmask[c.boundary] = True
-        for j, (pv, pe) in enumerate(pieces):
-            newb = pv[bmask[pv] | (mult[pv] > 1)]
+        for j, ((pv, pe), newb) in enumerate(zip(pieces, boundaries)):
             kid = Cluster(id=len(self.clusters), level=c.level + 1, vertices=pv,
                           boundary=newb, edges=pe, parent=cid,
                           seed=_child_seed(c.seed, j))
@@ -489,13 +468,9 @@ def split_cluster_two_weights(g: Graph, c: Cluster, h: int, eps: float,
     limit = (num * len(c.boundary)) // den + 1
     final: list[tuple[np.ndarray, np.ndarray]] = []
     for j, (pv, pe) in enumerate(pieces):
-        inherited = pv[bmask[pv]]
-        if len(inherited) > limit and len(pe) > 1:
-            local = np.full(g.n, -1, dtype=np.int64)
-            local[pv] = np.arange(len(pv))
-            w2 = np.zeros(len(pv), dtype=np.int64)
-            w2[local[inherited]] = 1
-            final.extend(_separator_split(g, pv, pe, w2, h, eps / 2.0,
+        inherited = bmask[pv]
+        if int(inherited.sum()) > limit and len(pe) > 1:
+            final.extend(_separator_split(g, pv, pe, inherited.astype(np.int64), h, eps / 2.0,
                                           _child_seed(seed, 100 + j)))
         else:
             final.append((pv, pe))
@@ -763,64 +738,46 @@ class ActiveState:
     def activate_many(self, vs: Iterable[int]) -> None:
         self.set_many(vs, "active")
 
-    # -- queries ----------------------------------------------------------------
 
-    def x_set(self) -> VertexSet:
-        return VertexSet.from_mask(self.active)
-
-    def passive_boundary_multiplicity(self) -> dict[int, int]:
-        mult: dict[int, int] = {}
-        for cid in self.cx:
-            c = self.nc.cluster(cid)
-            for b in c.boundary.tolist():
-                if not self.active[b]:
-                    mult[b] = mult.get(b, 0) + 1
-        return mult
-
-
-def decompose_active_complement(st: ActiveState, nc: Optional[NestedClustering] = None
-                                ) -> list[tuple[list[tuple[int, int]], int, int]]:
+def decompose_active_complement(st: ActiveState) -> list[tuple[list[tuple[int, int]], int, int]]:
     """Components of G - X that contain a passive boundary vertex of C_X.
 
-    Returns one entry per component: (X-cluster ids as (cluster, index) pairs,
-    exact weight, exact vertex count), deterministically ordered.  Weights
+    Returns one entry per component: (X-cluster ids as sorted (cluster, index)
+    pairs, exact weight, exact vertex count), ordered by first member.  Weights
     correct for vertices shared by several X-clusters.
+
+    One component search runs on the bipartite graph of X-clusters and their
+    passive boundary vertices.  The X-clusters take the ids 0..k-1 in member
+    order, so the components come out numbered by their first member.
     """
-    nc = nc or st.nc
-    g = nc.g
-    node_ids: dict[tuple[int, int], int] = {}
+    keys: list[tuple[int, int]] = []
     nodes: list[XCluster] = []
     for cid in sorted(st.cx):
-        dyn = st.dyn[cid]
-        for xc in dyn.xclusters:
+        for xc in st.dyn[cid].xclusters:
             if len(xc.passive_boundary):
-                node_ids[(cid, xc.index)] = len(nodes)
+                keys.append((cid, xc.index))
                 nodes.append(xc)
-    incident: dict[int, list[int]] = {}
-    for key, nid in node_ids.items():
-        for b in nodes[nid].passive_boundary.tolist():
-            incident.setdefault(b, []).append(nid)
-    root = _union_roots(len(nodes), ((nids[0], other) for nids in incident.values()
-                                     for other in nids[1:]))
-    comp_nodes: dict[int, list[int]] = {}
-    for nid in range(len(nodes)):
-        comp_nodes.setdefault(root[nid], []).append(nid)
-    out = []
-    keys = sorted(node_ids)
-    id_to_key = {v: k for k, v in node_ids.items()}
-    for root in sorted(comp_nodes):
-        nids = comp_nodes[root]
-        weight = sum(nodes[i].weight for i in nids)
-        count = sum(nodes[i].count for i in nids)
-        seen: dict[int, int] = {}
-        for i in nids:
-            for b in nodes[i].passive_boundary.tolist():
-                seen[b] = seen.get(b, 0) + 1
-        for b, c in seen.items():
-            if c > 1:
-                weight -= (c - 1) * int(g.vertex_weight[b])
-                count -= (c - 1)
-        members = sorted(id_to_key[i] for i in nids)
-        out.append((members, weight, count))
-    out.sort(key=lambda t: t[0][0])
-    return out
+    k = len(nodes)
+    if k == 0:
+        return []
+    sizes = [len(xc.passive_boundary) for xc in nodes]
+    bverts, slot, incidence = np.unique(np.concatenate([xc.passive_boundary for xc in nodes]),
+                                        return_inverse=True, return_counts=True)
+    rows = np.repeat(np.arange(k), sizes)
+    cols = k + slot
+    size = k + len(bverts)
+    ncomp, label = symmetric_components(csr_matrix(
+        (np.ones(2 * len(rows)), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(size, size)))
+    # int64 sums may wrap before the correction; the corrected totals fit
+    weight = np.zeros(ncomp, dtype=np.int64)
+    count = np.zeros(ncomp, dtype=np.int64)
+    np.add.at(weight, label[:k], [xc.weight for xc in nodes])
+    np.add.at(count, label[:k], [xc.count for xc in nodes])
+    # a boundary vertex in c X-clusters was summed c times
+    np.subtract.at(weight, label[k:], (incidence - 1) * st.nc.g.vertex_weight[bverts])
+    np.subtract.at(count, label[k:], incidence - 1)
+    members: list[list[tuple[int, int]]] = [[] for _ in range(ncomp)]
+    for key, comp in zip(keys, label[:k].tolist()):
+        members[comp].append(key)
+    return [(members[i], int(weight[i]), int(count[i])) for i in range(ncomp)]

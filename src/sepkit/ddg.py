@@ -250,10 +250,9 @@ def compute_Ai_boundary_sets(dyn: _ClusterDyn, st: ActiveState,
     """Per-slot passive boundary vertices whose X-cluster touches the slot's
     active boundary vertices of this cluster (the marked-DFS of the search
     layer, realized through the cached X-cluster partition)."""
-    g = st.nc.g
     out: dict[int, set[int]] = {}
     xcl = dyn.xcl_of
-    marked: dict[tuple[int, int], bool] = {}
+    marked: set[tuple[int, int]] = set()
     for bl in range(len(dyn.verts)):
         v = int(dyn.verts[bl])
         if not st.active[v]:
@@ -264,8 +263,8 @@ def compute_Ai_boundary_sets(dyn: _ClusterDyn, st: ActiveState,
         for w in dyn.indices[dyn.indptr[bl]:dyn.indptr[bl + 1]].tolist():
             k = int(xcl[w])
             if k >= 0:
-                marked[(slot, k)] = True
-    for (slot, k), _ in marked.items():
+                marked.add((slot, k))
+    for slot, k in marked:
         pb = dyn.xclusters[k].passive_boundary
         if len(pb):
             out.setdefault(slot, set()).update(pb.tolist())

@@ -13,7 +13,6 @@ X-cluster decomposition rather than graph scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,18 +46,6 @@ from .graph import (
 from .shallow import ITER_COEFF, ln_ceil, shallow_separator_balanced
 
 WORK_CHUNK = 256  # vertices per alternation step of the bidirectional search
-
-
-@dataclass
-class TSOutcome:
-    """Dispatch outcome: retire-index, shallow tree, or low-expansion cut."""
-
-    kind: str                                   # "empty" | "tree" | "cut"
-    empty_slot: Optional[int] = None
-    tree_vertices: Optional[np.ndarray] = None
-    rep_edges: Optional[dict[int, tuple[int, int]]] = None
-    cut_S: Optional[np.ndarray] = None
-    cut_side_counts: Optional[tuple[int, int]] = None
 
 
 class _BallSearch:
@@ -191,19 +178,6 @@ def _check_cut_conditions(g: Graph, blocked: np.ndarray, s_ids: np.ndarray,
                      f"|N(V'\\S) ^ S| = {in_shell} exceeds min/ell = {mn}/{ell}")
 
 
-def lemma_ts_step(layer: DdgLayer, s: int, slots: list[int], ell: int, h: int,
-                  comp_size: int) -> TSOutcome:
-    """One dispatch: tree-or-far search in S_X, then the bidirectional cut."""
-    res = layer.find_tree_or_far_pair(s, slots, ell, h)
-    if res.kind == "empty":
-        return TSOutcome(kind="empty", empty_slot=res.empty_slot)
-    if res.kind == "tree":
-        return TSOutcome(kind="tree", tree_vertices=res.tree_vertices, rep_edges=res.rep_edges)
-    fs, ft = res.far_pair
-    s_ids, counts = bidirectional_cut(layer.g, layer.st.active, fs, ft, ell, comp_size)
-    return TSOutcome(kind="cut", cut_S=s_ids, cut_side_counts=counts)
-
-
 def _tree_size_coeff(k: int) -> int:
     # S_X tree threshold is 8*ell*ln(n)*(2k-1); extension adds one cluster
     return 8 * (2 * k - 1) + 2
@@ -320,13 +294,14 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             break
 
         slots = [i for i, s_ in enumerate(branch_slots) if s_ is not None]
-        outcome = lemma_ts_step(layer, s_vertex, slots, ell, h, cnt_gp)
+        # one dispatch: tree-or-far search in S_X, then the bidirectional cut
+        found = layer.find_tree_or_far_pair(s_vertex, slots, ell, h)
 
-        if outcome.kind == "empty":
+        if found.kind == "empty":
             counts["empty"] += 1
             if terminal:
                 break
-            slot = outcome.empty_slot
+            slot = found.empty_slot
             vs = branch_slots[slot]
             in_vr[vs] = True
             layer.clear_branch(vs)
@@ -334,12 +309,12 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             st.set_many(vs.tolist(), "passive")
             continue
 
-        if outcome.kind == "cut":
+        if found.kind == "far":
+            s_ids, (cnt_s, cnt_rest) = bidirectional_cut(g, st.active, *found.far_pair, ell,
+                                                         cnt_gp)
             counts["cut"] += 1
             if terminal:
                 break
-            s_ids = outcome.cut_S
-            cnt_s, cnt_rest = outcome.cut_side_counts
             w_s = int(g.vertex_weight[s_ids].sum())
             w_rest = w_gp - w_s
             smask = np.zeros(n, dtype=bool)
@@ -352,7 +327,7 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                 sprime = s_ids
                 bprime = out_shell
             else:
-                sp_mask = _component_minus(g, st.active, members, st, smask)
+                sp_mask = _component_minus(g, members, st, smask)
                 sprime = np.flatnonzero(sp_mask)
                 if len(out_shell):
                     back = gather_neighbors(g.indptr, g.indices, out_shell)
@@ -368,13 +343,13 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             continue
 
         counts["tree"] += 1
-        tree_ids = outcome.tree_vertices
+        tree_ids = found.tree_vertices
         room = max(1, cnt_gp // (2 * (h - p_now())))
         target = min(ext_target, max(room, len(tree_ids)))
         new_set = grow_within(g, ~st.active, tree_ids, target,
                               max(1, math.ceil(c_tree * ell * lnn)))
         slot = len(branch_slots)
-        for other_slot, (tv, bv) in (outcome.rep_edges or {}).items():
+        for other_slot, (tv, bv) in (found.rep_edges or {}).items():
             pair_edges[(other_slot, slot)] = (int(tv), int(bv))
         branch_slots.append(new_set)
         layer.set_branch_vertices(slot, new_set)
@@ -396,8 +371,7 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     return separator_from_cut_mask(g, cmask, claimed_bound=claimed, params=params)
 
 
-def _component_minus(g: Graph, active: np.ndarray, members, st: ActiveState,
-                     smask: np.ndarray) -> np.ndarray:
+def _component_minus(g: Graph, members, st: ActiveState, smask: np.ndarray) -> np.ndarray:
     """Heavy-component vertices outside S: its X-cluster union minus S."""
     mask = np.zeros(g.n, dtype=bool)
     for cid, idx in members:

@@ -282,6 +282,25 @@ class TestActiveState:
             st.set_vertex_state(v, "passive")
         self._compare(g, nc, st)
 
+    def test_decompose_weighted_under_flips(self):
+        # heavy-tailed weights make any lost shared-vertex correction visible
+        base = grid_graph(14)
+        rng = np.random.Generator(np.random.PCG64(7))
+        w = np.minimum(np.floor(10 * (1 + rng.pareto(1.5, base.n))), 10**6).astype(np.int64)
+        g = Graph(base.n, np.stack([base.edge_u, base.edge_v], axis=1), vertex_weight=w.tolist())
+        nc = nested_r_clustering(g, 24, 4, 0.5, seed=4, c_r=0.05)
+        assert isinstance(nc, NestedClustering)
+        st = ActiveState(nc)
+        rnd = random.Random(11)
+        seq: list[int] = []
+        while len(seq) < 40:  # neighbours of random centres cut G - X apart
+            seq.extend(u for u in g.neighbors(rnd.randrange(g.n)).tolist() if u not in seq)
+        for i, v in enumerate(seq[:40]):
+            st.set_vertex_state(v, "active")
+            if i % 5 == 4:
+                st.set_vertex_state(seq[i - 2], "passive")
+            self._compare(g, nc, st)
+
     @staticmethod
     def _compare(g, nc, st):
         comps = decompose_active_complement(st)
@@ -297,13 +316,18 @@ class TestActiveState:
         for comp in connected_components(sub):
             glob = sorted(back[v] for v in comp)
             if any(v in pb for v in glob):
-                expected.append((glob[0], sum(int(g.vertex_weight[v]) for v in glob), len(glob)))
+                expected.append((glob, sum(int(g.vertex_weight[v]) for v in glob), len(glob)))
         expected.sort()
         got = []
         for members, w, cnt in comps:
+            assert members == sorted(members)
+            assert type(w) is int and type(cnt) is int
             vs = set()
             for cid, idx in members:
                 vs.update(st.dyn[cid].xclusters[idx].vertices.tolist())
-            got.append((min(vs), w, cnt))
+            got.append((sorted(vs), w, cnt))
         got.sort()
         assert got == expected
+        # the loop's tie-break reads the first member: components come in its order
+        firsts = [members[0] for members, _, _ in comps]
+        assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)

@@ -20,7 +20,6 @@ from sepkit.graph import Graph, VertexSet
 from sepkit.minorfree import (
     balanced_separator,
     bidirectional_cut,
-    lemma_ts_step,
     minor_free_separator,
 )
 
@@ -97,9 +96,14 @@ class TestLemmaTsStep:
         heavy = max(comps, key=lambda t: t[1])
         s = min(min(st.dyn[cid].xclusters[i].passive_boundary.tolist())
                 for cid, i in heavy[0] if len(st.dyn[cid].xclusters[i].passive_boundary))
-        out = lemma_ts_step(layer, s, [0], 2, 4, heavy[2])
-        assert out.kind in ("tree", "cut", "empty")
-        if out.kind == "tree":
+        # one dispatch of the minorfree loop: tree-or-far search, then the cut
+        out = layer.find_tree_or_far_pair(s, [0], 2, 4)
+        kind = out.kind
+        if kind == "far":
+            bidirectional_cut(g, st.active, *out.far_pair, 2, heavy[2])
+            kind = "cut"
+        assert kind in ("tree", "cut", "empty")
+        if kind == "tree":
             tv, bv = out.rep_edges[0]
             assert g.has_edge(tv, bv) and bv in branch.tolist()
 
