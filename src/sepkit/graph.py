@@ -8,6 +8,7 @@ exact (cross-multiplied integers), never floating point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -158,7 +159,7 @@ class Graph:
         if vertex_weight is None:
             self.vertex_weight = np.ones(self.n, dtype=np.int64)
         else:
-            w = np.asarray(list(vertex_weight), dtype=np.int64)
+            w = _int64_array(vertex_weight)
             if w.shape != (self.n,):
                 raise ValueError("vertex_weight length must equal n")
             if np.any(w < 0):
@@ -213,10 +214,9 @@ class Graph:
 
 
 def _canonical_edges(n, edges, edge_weight):
-    if isinstance(edges, np.ndarray) and edges.size:
-        arr = edges.astype(np.int64).reshape(-1, 2)
-    else:
-        arr = np.asarray([(int(u), int(v)) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = [(int(u), int(v)) for u, v in edges]
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if arr.size == 0:
         return (np.empty(0, np.int64), np.empty(0, np.int64),
                 None if edge_weight is None else np.empty(0, np.int64))
@@ -227,7 +227,7 @@ def _canonical_edges(n, edges, edge_weight):
     u = np.minimum(arr[:, 0], arr[:, 1])
     v = np.maximum(arr[:, 0], arr[:, 1])
     if edge_weight is not None:
-        w = np.asarray(list(edge_weight), dtype=np.int64)
+        w = _int64_array(edge_weight)
         if len(w) != len(u):
             raise ValueError("edge_weight length mismatch")
         if np.any(w < 0):
@@ -252,6 +252,14 @@ def _canonical_edges(n, edges, edge_weight):
     return u, v, w
 
 
+def _int64_array(values) -> np.ndarray:
+    """A fresh int64 array of `values`: an ndarray is copied, anything else
+    listed first (a Python int beyond 64 bits raises OverflowError)."""
+    if isinstance(values, np.ndarray):
+        return values.astype(np.int64)
+    return np.asarray(list(values), dtype=np.int64)
+
+
 def _build_csr(n, eu, ev):
     both_u = np.concatenate([eu, ev])
     both_v = np.concatenate([ev, eu])
@@ -267,89 +275,283 @@ def _build_csr(n, eu, ev):
 # -- spec operations -------------------------------------------------------
 
 
+# Vertex ids must stay below this, the int32 index range that csgraph and
+# MaskedSubgraph use; a DIMACS file may declare at most this many vertices.
+ID_LIMIT = 2**31 - 1
+
+# Longest digit run the whole-text scan converts itself: 18 digits always fit
+# in an int64.  Longer fields take the per-line rules.
+_SCAN_DIGITS = 18
+
+# Inclusive byte ranges of the scan.  Line breaks are those of str.splitlines
+# on ASCII ("\r\n" is one break); the gaps between fields add the other ASCII
+# whitespace of str.split: tab, "\x1f" and space.
+_BREAK_BYTES = ((0x0A, 0x0D), (0x1C, 0x1E))
+_GAP_BYTES = ((0x09, 0x0D), (0x1C, 0x20))
+# UTF-8 forms of the non-ASCII breaks of str.splitlines: U+0085, U+2028, U+2029.
+_UTF8_BREAK = re.compile(rb"\xc2\x85|\xe2\x80[\xa8\xa9]")
+
+
 def load_graph(source, fmt: str = "edge-list") -> Graph:
     """Parse a graph from a byte or text stream.
 
     Edge-list format: UTF-8 lines, ``u v`` declares an edge, ``w u c`` sets the
     weight of vertex u to c, ``#`` starts a comment.  DIMACS format accepts
     ``c`` comments, ``p edge n m`` and ``e u v`` lines (1-based ids).
-    Vertices never assigned a weight get weight 1; duplicate edges collapse.
+    Vertices never assigned a weight get weight 1, the last ``w`` line of a
+    vertex (and the last ``p`` line) wins, and duplicate edges collapse.
+    Vertex ids must be below ID_LIMIT and weights below 2^63.  The README's
+    "File formats" section gives the grammar in full.
     """
-    if hasattr(source, "read"):
-        data = source.read()
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, str):
+        buf = data.encode("utf-8", "surrogatepass")
     else:
-        data = source
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    edges: list[tuple[int, int]] = []
-    weights: dict[int, int] = {}
-    max_id = -1
-    declared_n = None
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if fmt == "edge-list":
-            if line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "w":
-                if len(parts) != 3:
-                    raise GraphFormatError("weight line must be 'w u c'", lineno)
-                try:
-                    u, c = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise GraphFormatError("weight line has non-integer field", lineno)
-                if c < 0:
-                    raise GraphFormatError("negative vertex weight", lineno)
-                if u < 0:
-                    raise GraphFormatError("negative vertex id", lineno)
-                weights[u] = c
-                max_id = max(max_id, u)
-            else:
-                if len(parts) != 2:
-                    raise GraphFormatError("edge line must be 'u v'", lineno)
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise GraphFormatError("edge line has non-integer field", lineno)
-                if u < 0 or v < 0:
-                    raise GraphFormatError("negative vertex id", lineno)
-                if u == v:
-                    raise GraphFormatError("self-loop rejected", lineno)
-                edges.append((u, v))
-                max_id = max(max_id, u, v)
-        elif fmt == "dimacs":
-            tag = line.split(maxsplit=1)[0]
-            if tag == "c":
-                continue
-            if tag == "p":
-                parts = line.split()
-                if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
-                    raise GraphFormatError("bad problem line", lineno)
-                declared_n = int(parts[2])
-            elif tag == "e":
-                parts = line.split()
-                if len(parts) != 3:
-                    raise GraphFormatError("edge line must be 'e u v'", lineno)
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-                if u < 0 or v < 0:
-                    raise GraphFormatError("vertex id below 1", lineno)
-                if u == v:
-                    raise GraphFormatError("self-loop rejected", lineno)
-                edges.append((u, v))
-                max_id = max(max_id, u, v)
-            else:
-                raise GraphFormatError(f"unknown line tag {tag!r}", lineno)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        buf = data
+        if not buf.isascii():
+            buf.decode("utf-8")  # raises on invalid UTF-8, as a full decode would
+    eu, ev, w_id, w_val, declared_n = _scan_text(buf, fmt)
+    max_id = max([int(a.max()) for a in (eu, ev, w_id) if a.size], default=-1)
     n = max_id + 1
     if declared_n is not None:
         if max_id >= declared_n:
             raise GraphFormatError(f"edge mentions vertex {max_id + 1} > declared n={declared_n}")
         n = declared_n
-    wvec = [weights.get(v, 1) for v in range(n)]
-    return Graph(n, edges, vertex_weight=wvec)
+    weights = np.ones(n, dtype=np.int64)
+    weights[w_id] = w_val
+    return Graph(n, np.stack([eu, ev], axis=1), vertex_weight=weights)
+
+
+def _scan_text(buf: bytes, fmt: str):
+    """Edges, vertex weights and the declared n of a UTF-8 text.
+
+    `_scan_lines` converts the canonical lines in bulk; every other line goes
+    through `_parse_line` here, in line order, so the first error raised is
+    the first bad line's.  Returns (eu, ev, w_id, w_val, declared_n): 0-based
+    int64 edge endpoints, the distinct weighted ids with their last weight,
+    and the last ``p`` line's n (None without one).
+    """
+    brk_at, slow, eu, ev, w_line, w_id, w_val = _scan_lines(buf, fmt)
+    slow_e: list[tuple[int, int]] = []
+    slow_w: list[tuple[int, int, int]] = []
+    declared_n = None
+    for li in slow.tolist():
+        lo = 0 if li == 0 else _after_break(buf, int(brk_at[li - 1]))
+        hi = int(brk_at[li]) if li < len(brk_at) else len(buf)
+        parsed = _parse_line(buf[lo:hi].decode("utf-8", "surrogatepass"), li + 1, fmt)
+        if parsed is None:
+            continue
+        if parsed[0] == "e":
+            slow_e.append(parsed[1:])
+        elif parsed[0] == "w":
+            slow_w.append((li, *parsed[1:]))
+        else:
+            declared_n = parsed[1]
+    if slow_e:
+        se = np.array(slow_e, dtype=np.int64)
+        eu, ev = np.concatenate([eu, se[:, 0]]), np.concatenate([ev, se[:, 1]])
+    if slow_w:
+        sw = np.array(slow_w, dtype=np.int64)
+        w_line = np.concatenate([w_line, sw[:, 0]])
+        w_id, w_val = np.concatenate([w_id, sw[:, 1]]), np.concatenate([w_val, sw[:, 2]])
+    # the last line naming a vertex sets its weight
+    order = np.lexsort((w_line, w_id))
+    w_id, w_val = w_id[order], w_val[order]
+    last = np.ones(len(w_id), dtype=bool)
+    last[:-1] = w_id[1:] != w_id[:-1]
+    return eu, ev, w_id[last], w_val[last], declared_n
+
+
+def _scan_lines(buf: bytes, fmt: str):
+    """The whole-text numpy pass over a UTF-8 text.
+
+    Finds the tokens, the first token of each line and the value of each
+    short all-digit token, then converts every canonical line: a blank or
+    comment line, an edge-list ``u v`` or ``w u c`` line, or a DIMACS
+    ``e u v`` line, all of ASCII digits with in-range ids and u != v.
+    Per-byte arrays are uint8 or bool, and no Python object is made per line.
+
+    Returns (brk_at, slow, eu, ev, w_line, w_id, w_val): the offset of each
+    line break; the lines, 0-based and ascending, left to `_parse_line` (the
+    other lines with a field, and every line holding a non-ASCII character);
+    and the canonical edges (0-based) and weight lines.
+    """
+    a = np.frombuffer(buf, dtype=np.uint8)
+    off = np.int32 if a.size < 2**31 else np.int64
+    brk = _byte_mask(a, _BREAK_BYTES)
+    tok = ~_byte_mask(a, _GAP_BYTES)
+    # the "\n" of "\r\n" continues the "\r"'s break
+    cr = np.flatnonzero(a[:-1] == 0x0D)
+    brk[cr[a[cr + 1] == 0x0A] + 1] = False
+    ascii_text = buf.isascii()
+    if not ascii_text:
+        for m in _UTF8_BREAK.finditer(buf):
+            brk[m.start()] = True
+            tok[m.start():m.end()] = False
+        high_pos = np.flatnonzero(tok & (a >= 0x80))
+    brk_at = np.flatnonzero(brk).astype(off)
+    del brk
+    bounds = np.flatnonzero(np.diff(tok, prepend=False, append=False)).astype(off)
+    del tok
+    starts, lens = bounds[0::2], bounds[1::2] - bounds[0::2]
+    # first[i] is line i's first token; the last entry counts all tokens
+    first = np.zeros(len(brk_at) + 2, dtype=np.int64)
+    first[1:-1] = np.searchsorted(starts, brk_at)
+    first[-1] = len(starts)
+    num, val = _digit_tokens(a, starts, lens)
+    count = np.diff(first)
+    has = np.flatnonzero(count)
+    first, count = first[has], count[has]
+    lead = a[starts[first]]
+    single = lens[first] == 1
+    del bounds, starts, lens
+    plain = np.ones(len(has), dtype=bool)
+    if not ascii_text:
+        plain[np.isin(has, np.searchsorted(brk_at, high_pos))] = False
+
+    def ids(t, base):
+        """Values of tokens t made 0-based, and whether each is a canonical id."""
+        v = val[t] - base
+        return v, num[t] & (v >= 0) & (v < ID_LIMIT)
+
+    eu = ev = w_line = w_id = w_val = np.empty(0, dtype=np.int64)
+    if fmt == "edge-list":
+        done = plain & (lead == ord("#"))
+        e = np.flatnonzero(plain & (count == 2))
+        (u, ok_u), (v, ok_v) = ids(first[e], 0), ids(first[e] + 1, 0)
+        ok = ok_u & ok_v & (u != v)
+        eu, ev = u[ok], v[ok]
+        done[e[ok]] = True
+        w = np.flatnonzero(plain & (count == 3) & single & (lead == ord("w")))
+        wt = first[w]
+        vid, ok = ids(wt + 1, 0)
+        ok &= num[wt + 2]
+        w_line, w_id, w_val = has[w[ok]], vid[ok], val[wt[ok] + 2]
+        done[w[ok]] = True
+    elif fmt == "dimacs":
+        done = plain & single & (lead == ord("c"))
+        e = np.flatnonzero(plain & (count == 3) & single & (lead == ord("e")))
+        (u, ok_u), (v, ok_v) = ids(first[e] + 1, 1), ids(first[e] + 2, 1)
+        ok = ok_u & ok_v & (u != v)
+        eu, ev = u[ok], v[ok]
+        done[e[ok]] = True
+    else:  # _parse_line rejects the format on the first line with a field
+        done = np.zeros(len(has), dtype=bool)
+    return brk_at, has[~done], eu, ev, w_line, w_id, w_val
+
+
+def _byte_mask(a: np.ndarray, ranges) -> np.ndarray:
+    """Whether each byte of `a` lies in one of the inclusive (lo, hi) ranges."""
+    mask = np.zeros(a.shape, dtype=bool)
+    for lo, hi in ranges:
+        mask |= (a - lo) <= hi - lo  # uint8 arithmetic: bytes below lo wrap high
+    return mask
+
+
+def _digit_tokens(a: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """For each token (byte offset and length in `a`), whether it is all ASCII
+    digits and at most _SCAN_DIGITS long, and then its int64 value."""
+    num = np.zeros(len(starts), dtype=bool)
+    val = np.zeros(len(starts), dtype=np.int64)
+    widths = np.bincount(np.minimum(lens, _SCAN_DIGITS + 1))[:_SCAN_DIGITS + 1]
+    for width in np.flatnonzero(widths).tolist():
+        sel = np.flatnonzero(lens == width)
+        digits = np.lib.stride_tricks.sliding_window_view(a, width)[starts[sel]]
+        digits -= 0x30  # non-digits wrap above 9
+        ok = np.ones(len(sel), dtype=bool)
+        v = np.zeros(len(sel), dtype=np.int64)
+        for col in digits.T:
+            ok &= col <= 9
+            v *= 10
+            v += col
+        num[sel] = ok
+        val[sel] = v
+    return num, val
+
+
+def _after_break(buf: bytes, pos: int) -> int:
+    """Offset just past the line break that starts at `pos`."""
+    lead = buf[pos]
+    if lead == 0x0D:
+        return pos + 2 if buf[pos + 1:pos + 2] == b"\n" else pos + 1
+    if lead < 0x80:
+        return pos + 1
+    return pos + (2 if lead == 0xC2 else 3)
+
+
+def _parse_line(line: str, lineno: int, fmt: str):
+    """One line by the full rules of the format.
+
+    Returns None for a blank or comment line, else ("e", u, v), ("w", u, c)
+    or ("p", n) with 0-based ids; raises GraphFormatError on a bad line.
+    """
+    line = line.strip()
+    if not line:
+        return None
+    if fmt == "edge-list":
+        if line.startswith("#"):
+            return None
+        parts = line.split()
+        if parts[0] == "w":
+            if len(parts) != 3:
+                raise GraphFormatError("weight line must be 'w u c'", lineno)
+            try:
+                u, c = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError("weight line has non-integer field", lineno)
+            if c < 0:
+                raise GraphFormatError("negative vertex weight", lineno)
+            if u < 0:
+                raise GraphFormatError("negative vertex id", lineno)
+            if u >= ID_LIMIT:
+                raise GraphFormatError("vertex id out of int32 range", lineno)
+            if c >= 2**63:
+                raise GraphFormatError("vertex weight exceeds 64-bit range", lineno)
+            return ("w", u, c)
+        if len(parts) != 2:
+            raise GraphFormatError("edge line must be 'u v'", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError("edge line has non-integer field", lineno)
+        if u < 0 or v < 0:
+            raise GraphFormatError("negative vertex id", lineno)
+        if u >= ID_LIMIT or v >= ID_LIMIT:
+            raise GraphFormatError("vertex id out of int32 range", lineno)
+        if u == v:
+            raise GraphFormatError("self-loop rejected", lineno)
+        return ("e", u, v)
+    if fmt == "dimacs":
+        parts = line.split()
+        tag = parts[0]
+        if tag == "c":
+            return None
+        if tag == "p":
+            if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
+                raise GraphFormatError("bad problem line", lineno)
+            try:
+                n = int(parts[2])
+            except ValueError:
+                raise GraphFormatError("problem line has non-integer field", lineno)
+            if n > ID_LIMIT:
+                raise GraphFormatError("declared n out of int32 range", lineno)
+            return ("p", n)
+        if tag == "e":
+            if len(parts) != 3:
+                raise GraphFormatError("edge line must be 'e u v'", lineno)
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                raise GraphFormatError("edge line has non-integer field", lineno)
+            if u < 0 or v < 0:
+                raise GraphFormatError("vertex id below 1", lineno)
+            if u >= ID_LIMIT or v >= ID_LIMIT:
+                raise GraphFormatError("vertex id out of int32 range", lineno)
+            if u == v:
+                raise GraphFormatError("self-loop rejected", lineno)
+            return ("e", u, v)
+        raise GraphFormatError(f"unknown line tag {tag!r}", lineno)
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def dump_graph(g: Graph, fmt: str = "edge-list") -> str:

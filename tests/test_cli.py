@@ -102,6 +102,18 @@ class TestRunCommands:
     def test_usage_error(self):
         assert main(["shallow", "/nonexistent/file", "--h", "4"]) == 2
 
+    @pytest.mark.parametrize("text, fmt, message", [
+        ("0 99999999999\n", "edge-list", "vertex id out of int32 range"),
+        ("w 0 99999999999999999999\n", "edge-list", "vertex weight exceeds 64-bit range"),
+        ("p edge x 1\n", "dimacs", "problem line has non-integer field"),
+        ("e a b\n", "dimacs", "edge line has non-integer field"),
+    ])
+    def test_input_error_names_the_line(self, tmp_path, capsys, text, fmt, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["shallow", str(bad), "--h", "5", "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"input error: line 1: {message}\n"
+
 
 class TestInternalErrors:
     @pytest.fixture()

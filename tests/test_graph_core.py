@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.sparse import csgraph
 
 from sepkit.graph import (
     DIAMETER_BLOCK_ENTRIES,
+    ID_LIMIT,
     Graph,
     GraphFormatError,
     MaskedSubgraph,
@@ -83,6 +85,349 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError) as ei:
             load_graph("0 1\nnot an edge line at all\n")
         assert ei.value.line == 2
+
+
+# -- loader reference and differential tests -------------------------------
+
+
+def reference_load_graph(source, fmt="edge-list"):
+    """The per-line loader that `load_graph` replaced, kept as the reference.
+
+    Three fixes are applied: ids of ID_LIMIT or more (and a larger declared
+    DIMACS n) and weights of 2^63 or more raise GraphFormatError with the
+    line, and so do non-integer DIMACS fields.  It builds O(n) Python objects,
+    so feed it small ids only.
+    """
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        data = source
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    edges = []
+    weights = {}
+    max_id = -1
+    declared_n = None
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if fmt == "edge-list":
+            if line.startswith("#"):
+                continue
+            parts = line.split()
+            if parts[0] == "w":
+                if len(parts) != 3:
+                    raise GraphFormatError("weight line must be 'w u c'", lineno)
+                try:
+                    u, c = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise GraphFormatError("weight line has non-integer field", lineno)
+                if c < 0:
+                    raise GraphFormatError("negative vertex weight", lineno)
+                if u < 0:
+                    raise GraphFormatError("negative vertex id", lineno)
+                if u >= ID_LIMIT:
+                    raise GraphFormatError("vertex id out of int32 range", lineno)
+                if c >= 2**63:
+                    raise GraphFormatError("vertex weight exceeds 64-bit range", lineno)
+                weights[u] = c
+                max_id = max(max_id, u)
+            else:
+                if len(parts) != 2:
+                    raise GraphFormatError("edge line must be 'u v'", lineno)
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise GraphFormatError("edge line has non-integer field", lineno)
+                if u < 0 or v < 0:
+                    raise GraphFormatError("negative vertex id", lineno)
+                if u >= ID_LIMIT or v >= ID_LIMIT:
+                    raise GraphFormatError("vertex id out of int32 range", lineno)
+                if u == v:
+                    raise GraphFormatError("self-loop rejected", lineno)
+                edges.append((u, v))
+                max_id = max(max_id, u, v)
+        elif fmt == "dimacs":
+            tag = line.split(maxsplit=1)[0]
+            if tag == "c":
+                continue
+            if tag == "p":
+                parts = line.split()
+                if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
+                    raise GraphFormatError("bad problem line", lineno)
+                try:
+                    declared_n = int(parts[2])
+                except ValueError:
+                    raise GraphFormatError("problem line has non-integer field", lineno)
+                if declared_n > ID_LIMIT:
+                    raise GraphFormatError("declared n out of int32 range", lineno)
+            elif tag == "e":
+                parts = line.split()
+                if len(parts) != 3:
+                    raise GraphFormatError("edge line must be 'e u v'", lineno)
+                try:
+                    u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                except ValueError:
+                    raise GraphFormatError("edge line has non-integer field", lineno)
+                if u < 0 or v < 0:
+                    raise GraphFormatError("vertex id below 1", lineno)
+                if u >= ID_LIMIT or v >= ID_LIMIT:
+                    raise GraphFormatError("vertex id out of int32 range", lineno)
+                if u == v:
+                    raise GraphFormatError("self-loop rejected", lineno)
+                edges.append((u, v))
+                max_id = max(max_id, u, v)
+            else:
+                raise GraphFormatError(f"unknown line tag {tag!r}", lineno)
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
+    n = max_id + 1
+    if declared_n is not None:
+        if max_id >= declared_n:
+            raise GraphFormatError(f"edge mentions vertex {max_id + 1} > declared n={declared_n}")
+        n = declared_n
+    wvec = [weights.get(v, 1) for v in range(n)]
+    return Graph(n, edges, vertex_weight=wvec)
+
+
+def load_outcome(loader, source, fmt):
+    """What a loader makes of a text: the graph's arrays, or the error."""
+    try:
+        g = loader(source, fmt)
+    except Exception as e:  # the outcome under test
+        return ("error", type(e), str(e), getattr(e, "line", None))
+    arrays = [g.edge_u, g.edge_v, g.vertex_weight, g.indptr, g.indices]
+    return ("graph", g.n, [(a.dtype.str, a.tolist()) for a in arrays])
+
+
+# Ids the differential test may accept stay this small, since the reference
+# makes one Python object per vertex.
+SMALL_ID = 10**4
+# Values the loaders must reject wherever they appear as an id or a declared n
+# (never 2^31 - 1 itself: in DIMACS that is an accepted id, and n that large
+# allocates gigabytes).
+HUGE = [2**31, 10**11, 2**63, 10**20]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+FIELD_GAPS = [" ", "  ", "\t", "\x1f", " \t ", "\xa0", "\u3000"]
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def render_int(x, style):
+    """x written the way `style` names; every style but "junk" reads back as x."""
+    if style == "plain":
+        return str(x)
+    if style == "zeros":
+        return "00" + str(x)
+    if style == "long":  # more digits than the scan converts itself
+        return str(x).rjust(22, "0") if x >= 0 else "-" + str(-x).rjust(22, "0")
+    if style == "plus":
+        return "+" + str(x) if x >= 0 else str(x)
+    if style == "underscore":
+        s = str(x)
+        return s[0] + "_" + s[1:] if len(s) > 1 and s[0] != "-" else s
+    if style == "arabic":
+        return str(x).translate(ARABIC_INDIC)
+    return str(x) + "x"
+
+
+small_int = st.one_of(st.integers(0, 12), st.integers(0, SMALL_ID), st.integers(-3, -1),
+                      st.sampled_from(HUGE))
+weight_int = st.one_of(st.integers(0, 9), st.integers(0, 10**18),
+                       st.integers(2**63 - 3, 2**63 + 2), st.sampled_from([10**20, -2]))
+styles = st.sampled_from(["plain"] * 6 + ["zeros", "long", "plus", "underscore",
+                                          "arabic", "junk"])
+good_styles = st.sampled_from(["plain"] * 12 + ["zeros", "long", "plus", "underscore",
+                                                "arabic"])
+gaps = st.sampled_from(FIELD_GAPS)
+
+
+@st.composite
+def field(draw, ints=small_int, style=styles):
+    return render_int(draw(ints), draw(style))
+
+
+@st.composite
+def good_line(draw, fmt):
+    """A line both loaders accept: an edge of two distinct small ids, a
+    weight below 10^15, a comment or a blank, in any accepted spelling."""
+    gap = draw(gaps)
+    kind = draw(st.sampled_from(["edge"] * 6 + ["weight"] * 3 + ["comment", "blank"]))
+    base = 1 if fmt == "dimacs" else 0
+    u = draw(st.one_of(st.integers(base, base + 12), st.integers(base, SMALL_ID)))
+    v = draw(st.integers(base, SMALL_ID).filter(lambda x: x != u))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if fmt == "dimacs":
+        if kind == "comment":
+            return draw(st.sampled_from(["c", "c 1 2", "c\tp edge 1 1"]))
+        if kind == "weight":  # a problem line, which must cover every id
+            return f"p{gap}edge{gap}{SMALL_ID}{gap}{draw(field(style=good_styles))}"
+        return f"e{gap}{render_int(u, draw(good_styles))}{gap}{render_int(v, draw(good_styles))}"
+    if kind == "comment":
+        return draw(st.sampled_from(["#", "# c", "#0 0", " #\x85"]))
+    if kind == "weight":
+        c = draw(st.one_of(st.integers(0, 9), st.integers(0, 10**15)))
+        return f"w{gap}{render_int(u, draw(good_styles))}{gap}{render_int(c, draw(good_styles))}"
+    return f"{render_int(u, draw(good_styles))}{gap}{render_int(v, draw(good_styles))}"
+
+
+@st.composite
+def edge_list_line(draw):
+    gap = draw(gaps)
+    kind = draw(st.sampled_from(["edge"] * 5 + ["weight"] * 3 + ["loop", "other"]))
+    if kind == "edge":
+        return f"{draw(field())}{gap}{draw(field())}"
+    if kind == "weight":
+        return f"w{gap}{draw(field())}{gap}{draw(field(weight_int))}"
+    if kind == "loop":
+        x = draw(st.integers(0, 12))
+        return f"{x}{gap}{x}"
+    return draw(st.sampled_from(
+        ["", "   ", "#", "# c", "#0 1", "0 1 # c", "1 2 3", "5", "w", "w 1", "w 1 2 3",
+         "W 1 2", "ww 1 2", "a b", "1\x002", "e 1 2", "c x"]))
+
+
+@st.composite
+def dimacs_line(draw):
+    gap = draw(gaps)
+    kind = draw(st.sampled_from(["edge"] * 6 + ["problem"] * 2 + ["loop", "other"]))
+    if kind == "edge":
+        return f"e{gap}{draw(field())}{gap}{draw(field())}"
+    if kind == "problem":
+        tag = draw(st.sampled_from(["edge", "edges", "col", "foo"]))
+        n = draw(st.one_of(st.integers(0, SMALL_ID), st.integers(-2, 40),
+                           st.sampled_from(HUGE)))
+        return f"p{gap}{tag}{gap}{render_int(n, draw(styles))}{gap}{draw(field())}"
+    if kind == "loop":
+        x = draw(st.integers(1, 12))
+        return f"e{gap}{x}{gap}{x}"
+    return draw(st.sampled_from(
+        ["", "  ", "c", "c 1 2", "cc 1", "#", "e", "e 1", "e 1 2 3", "x 1 2", "p edge 3",
+         "1 2", "w 1 2"]))
+
+
+@st.composite
+def graph_text(draw):
+    """Mostly accepted lines of one format, with up to three lines of any kind
+    (of either format, often malformed) put in at random places."""
+    fmt = draw(st.sampled_from(["edge-list", "dimacs"]))
+    lines = draw(st.lists(good_line(fmt), max_size=30))
+    for _ in range(draw(st.integers(0, 3))):
+        line = draw(st.one_of(edge_list_line(), dimacs_line()))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    pad = st.sampled_from(["", "", " ", "\t", "\xa0"])
+    text = "".join(draw(pad) + line + draw(pad) + draw(st.sampled_from(LINE_BREAKS))
+                   for line in lines)
+    if draw(st.booleans()):  # a last line with no break after it
+        text += draw(good_line(fmt))
+    return text, fmt
+
+
+class TestLoadGraphScan:
+    """`load_graph` against the per-line reference loop, outcome for outcome."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(graph_text(), st.booleans())
+    def test_matches_reference(self, case, as_bytes):
+        text, fmt = case
+        source = text.encode("utf-8") if as_bytes else text
+        assert load_outcome(load_graph, source, fmt) == load_outcome(
+            reference_load_graph, source, fmt)
+
+    @pytest.mark.parametrize("source, fmt, expect", [
+        # int()-style integers and Unicode separators
+        ("+1 2\n", "edge-list", (3, [(1, 2)], None)),
+        ("1_0 3\n", "edge-list", (11, [(3, 10)], None)),
+        ("\u0661 \u0662\n", "edge-list", (3, [(1, 2)], None)),
+        ("1\xa02\n0\u30001\n", "edge-list", (3, [(0, 1), (1, 2)], None)),
+        ("0 1\x851 2\u20282 3\n", "edge-list", (4, [(0, 1), (1, 2), (2, 3)], None)),
+        ("0000000000000000000001 2\n", "edge-list", (3, [(1, 2)], None)),
+        ("0\x1f1\n1\t2\n", "edge-list", (3, [(0, 1), (1, 2)], None)),
+        ("0 1\x0b1 2\x0c2 3\x1c3 4\x1d4 5\x1e5 6\r6 7\r\n7 8", "edge-list",
+         (9, [(i, i + 1) for i in range(8)], None)),
+        # the last weight line of a vertex wins, whichever path parsed it
+        ("w 0 5\n0 1\nw 0 7\n", "edge-list", (2, [(0, 1)], [7, 1])),
+        ("w 0 +7\n0 1\nw 0 5\n", "edge-list", (2, [(0, 1)], [5, 1])),
+        ("w 0 5\n0 1\nw 0 +7\n", "edge-list", (2, [(0, 1)], [7, 1])),
+        ("w 0 9223372036854775806\n", "edge-list", (1, [], [2**63 - 2])),
+        ("", "edge-list", (0, [], None)),
+        ("\n \n", "no-such-format", (0, [], None)),
+        ("p edge 3 0\np edge 5 x\ne 1 2\n", "dimacs", (5, [(0, 1)], None)),
+        ("c\ne 1 2\ne 002 +3\n", "dimacs", (3, [(0, 1), (1, 2)], None)),
+        # errors, with their line numbers
+        ("0 1 # c\n", "edge-list", (GraphFormatError, "line 1: edge line must be 'u v'")),
+        ("0 1\r\n1 2\rbad\n", "edge-list",
+         (GraphFormatError, "line 3: edge line must be 'u v'")),
+        ("0 1\n\ud800\n", "edge-list", (GraphFormatError, "line 2: edge line must be 'u v'")),
+        ("0 1\n\u0663 x\n", "edge-list",
+         (GraphFormatError, "line 2: edge line has non-integer field")),
+        ("e 1\n", "edge-list", (GraphFormatError, "line 1: edge line has non-integer field")),
+        ("#c\n", "dimacs", (GraphFormatError, "line 1: unknown line tag '#c'")),
+        ("w 0 2\nw 1 9223372036854775806\n", "edge-list",
+         (ValueError, "sum of vertex weights exceeds 64-bit range")),
+        ("p edge 2 1\ne 1 3\n", "dimacs",
+         (GraphFormatError, "edge mentions vertex 3 > declared n=2")),
+        ("0 1\n", "no-such-format", (ValueError, "unknown format 'no-such-format'")),
+        (b"0 1\n\xff\n", "edge-list",
+         (UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in position 4: "
+                              "invalid start byte")),
+        # ids past the int32 range are rejected before anything of size n exists
+        ("0 99999999999\n", "edge-list", (GraphFormatError, "line 1: vertex id out of int32 range")),
+        ("0 2147483647\n", "edge-list", (GraphFormatError, "line 1: vertex id out of int32 range")),
+        ("w 2147483647 1\n", "edge-list",
+         (GraphFormatError, "line 1: vertex id out of int32 range")),
+        ("0 1\n" + "9" * 20 + " 0\n", "edge-list",
+         (GraphFormatError, "line 2: vertex id out of int32 range")),
+        ("e 1 2147483648\n", "dimacs", (GraphFormatError, "line 1: vertex id out of int32 range")),
+        ("p edge 2147483648 0\n", "dimacs",
+         (GraphFormatError, "line 1: declared n out of int32 range")),
+        # weights past 64 bits
+        ("w 0 99999999999999999999\n", "edge-list",
+         (GraphFormatError, "line 1: vertex weight exceeds 64-bit range")),
+        ("w 0 9223372036854775808\nw 0 1\n", "edge-list",
+         (GraphFormatError, "line 1: vertex weight exceeds 64-bit range")),
+        # non-integer DIMACS fields
+        ("p edge x 1\n", "dimacs", (GraphFormatError, "line 1: problem line has non-integer field")),
+        ("e a b\n", "dimacs", (GraphFormatError, "line 1: edge line has non-integer field")),
+    ])
+    def test_quirks_and_limits(self, source, fmt, expect):
+        for loader in (load_graph, reference_load_graph):
+            if isinstance(expect[0], type):
+                with pytest.raises(expect[0]) as ei:
+                    loader(source, fmt)
+                assert type(ei.value) is expect[0] and str(ei.value) == expect[1]
+                if expect[0] is GraphFormatError and expect[1].startswith("line "):
+                    assert ei.value.line == int(expect[1].split(":")[0][5:])
+            else:
+                n, edges, weights = expect
+                g = loader(source, fmt)
+                assert g.n == n and g.edge_list() == edges
+                assert g.vertex_weight.tolist() == (weights or [1] * n)
+
+    def test_file_object_source(self):
+        g = load_graph(io.BytesIO(b"w 1 4\n0 1\n"))
+        assert g.n == 2 and g.vertex_weight.tolist() == [1, 4]
+
+    def test_peak_memory_within_reference(self):
+        """On a 256x256 grid with Pareto weights (a 2.2 MB text), load_graph's
+        traced peak is no higher than the per-line reference's."""
+        from sepkit.generators import grid_graph as gen_grid
+
+        g = gen_grid(256)
+        rng = np.random.default_rng(7)
+        w = np.minimum(np.floor(10 * (1 + rng.pareto(1.5, g.n))), 10**6).astype(np.int64)
+        text = dump_graph(Graph(g.n, np.stack([g.edge_u, g.edge_v], axis=1), vertex_weight=w))
+        peaks = []
+        for loader in (load_graph, reference_load_graph):
+            tracemalloc.start()
+            try:
+                loader(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestNeighborhood:
