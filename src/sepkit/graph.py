@@ -8,6 +8,7 @@ exact (cross-multiplied integers), never floating point.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -82,17 +83,11 @@ class VertexSet:
     def union(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self._members | other._members)
 
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self._members & other._members)
-
     def difference(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self._members - other._members)
 
     def isdisjoint(self, other: "VertexSet") -> bool:
         return self._members.isdisjoint(other._members)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return self._members <= other._members
 
 
 @dataclass(frozen=True)
@@ -194,9 +189,6 @@ class Graph:
             return np.ones(self.m, dtype=np.int64)
         return self.edge_w
 
-    def is_unit_weighted_edges(self) -> bool:
-        return self.edge_w is None or bool(np.all(self.edge_w == 1))
-
     def csr(self, weights: Optional[np.ndarray] = None) -> csr_matrix:
         """Adjacency as a scipy CSR matrix (symmetric, given data or ones)."""
         if weights is None:
@@ -204,10 +196,6 @@ class Graph:
         else:
             data = weights[self._csr_edge_id]
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
-    def csr_edge_ids(self) -> np.ndarray:
-        """For each CSR slot, the id of the undirected edge it belongs to."""
-        return self._csr_edge_id
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -261,22 +249,25 @@ def _int64_array(values) -> np.ndarray:
 
 
 def _build_csr(n, eu, ev):
-    both_u = np.concatenate([eu, ev])
-    both_v = np.concatenate([ev, eu])
-    eid = np.concatenate([np.arange(len(eu)), np.arange(len(eu))]).astype(np.int64)
-    order = np.lexsort((both_v, both_u))
-    both_u, both_v, eid = both_u[order], both_v[order], eid[order]
+    """CSR rows with sorted neighbor lists, and the edge id of each slot.
+
+    The edges come sorted by (u, v) with u < v, so stacking the sources as
+    [ev, eu] puts every row's smaller neighbors first, each half already
+    ascending: one stable sort by source orders the targets too.
+    """
+    src = np.concatenate([ev, eu])
+    ids = np.arange(len(eu), dtype=np.int64)
+    order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, both_u + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, both_v.astype(np.int64), eid
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, np.concatenate([eu, ev])[order], np.concatenate([ids, ids])[order]
 
 
 # -- spec operations -------------------------------------------------------
 
 
-# Vertex ids must stay below this, the int32 index range that csgraph and
-# MaskedSubgraph use; a DIMACS file may declare at most this many vertices.
+# Vertex ids must stay below this, the int32 index range that csgraph and the
+# masked subgraphs use; a DIMACS file may declare at most this many vertices.
 ID_LIMIT = 2**31 - 1
 
 # Longest digit run the whole-text scan converts itself: 18 digits always fit
@@ -310,16 +301,39 @@ def load_graph(source, fmt: str = "edge-list") -> Graph:
         buf = data
         if not buf.isascii():
             buf.decode("utf-8")  # raises on invalid UTF-8, as a full decode would
-    eu, ev, w_id, w_val, declared_n = _scan_text(buf, fmt)
+    eu, ev, e_line, w_id, w_val, w_line, declared_n = _scan_text(buf, fmt)
     max_id = max([int(a.max()) for a in (eu, ev, w_id) if a.size], default=-1)
     n = max_id + 1
     if declared_n is not None:
         if max_id >= declared_n:
-            raise GraphFormatError(f"edge mentions vertex {max_id + 1} > declared n={declared_n}")
+            # the first edge line past the declared n is the one reported
+            over = np.flatnonzero(np.maximum(eu, ev) >= declared_n)
+            i = over[np.argmin(e_line[over])]
+            raise GraphFormatError(
+                f"edge mentions vertex {max(int(eu[i]), int(ev[i])) + 1} > declared n={declared_n}",
+                int(e_line[i]) + 1)
         n = declared_n
+    _check_weight_total(n, w_val, w_line)
     weights = np.ones(n, dtype=np.int64)
     weights[w_id] = w_val
     return Graph(n, np.stack([eu, ev], axis=1), vertex_weight=weights)
+
+
+def _check_weight_total(n: int, w_val: np.ndarray, w_line: np.ndarray) -> None:
+    """Raise GraphFormatError when the vertex weights reach 2^63 in total.
+
+    The weights set by lines take effect in line order, on top of weight 1
+    for every other vertex; the line reported is the first at which the sum
+    reaches 2^63.  A float sum clears every ordinary input at once.
+    """
+    if float(w_val.sum(dtype=np.float64)) + n < 2.0**62:
+        return
+    order = np.argsort(w_line, kind="stable")
+    run = (n - len(w_val)) + np.cumsum(w_val[order].astype(object))
+    over = np.flatnonzero(run >= 2**63)
+    if len(over):
+        raise GraphFormatError("sum of vertex weights exceeds 64-bit range",
+                               int(w_line[order[over[0]]]) + 1)
 
 
 def _scan_text(buf: bytes, fmt: str):
@@ -327,12 +341,13 @@ def _scan_text(buf: bytes, fmt: str):
 
     `_scan_lines` converts the canonical lines in bulk; every other line goes
     through `_parse_line` here, in line order, so the first error raised is
-    the first bad line's.  Returns (eu, ev, w_id, w_val, declared_n): 0-based
-    int64 edge endpoints, the distinct weighted ids with their last weight,
-    and the last ``p`` line's n (None without one).
+    the first bad line's.  Returns (eu, ev, e_line, w_id, w_val, w_line,
+    declared_n): 0-based int64 edge endpoints with the 0-based line of each
+    edge, the distinct weighted ids with their last weight and its line, and
+    the last ``p`` line's n (None without one).
     """
-    brk_at, slow, eu, ev, w_line, w_id, w_val = _scan_lines(buf, fmt)
-    slow_e: list[tuple[int, int]] = []
+    brk_at, slow, eu, ev, e_line, w_line, w_id, w_val = _scan_lines(buf, fmt)
+    slow_e: list[tuple[int, int, int]] = []
     slow_w: list[tuple[int, int, int]] = []
     declared_n = None
     for li in slow.tolist():
@@ -342,14 +357,15 @@ def _scan_text(buf: bytes, fmt: str):
         if parsed is None:
             continue
         if parsed[0] == "e":
-            slow_e.append(parsed[1:])
+            slow_e.append((li, *parsed[1:]))
         elif parsed[0] == "w":
             slow_w.append((li, *parsed[1:]))
         else:
             declared_n = parsed[1]
     if slow_e:
         se = np.array(slow_e, dtype=np.int64)
-        eu, ev = np.concatenate([eu, se[:, 0]]), np.concatenate([ev, se[:, 1]])
+        e_line = np.concatenate([e_line, se[:, 0]])
+        eu, ev = np.concatenate([eu, se[:, 1]]), np.concatenate([ev, se[:, 2]])
     if slow_w:
         sw = np.array(slow_w, dtype=np.int64)
         w_line = np.concatenate([w_line, sw[:, 0]])
@@ -359,7 +375,7 @@ def _scan_text(buf: bytes, fmt: str):
     w_id, w_val = w_id[order], w_val[order]
     last = np.ones(len(w_id), dtype=bool)
     last[:-1] = w_id[1:] != w_id[:-1]
-    return eu, ev, w_id[last], w_val[last], declared_n
+    return eu, ev, e_line, w_id[last], w_val[last], w_line[order][last], declared_n
 
 
 def _scan_lines(buf: bytes, fmt: str):
@@ -371,10 +387,11 @@ def _scan_lines(buf: bytes, fmt: str):
     ``e u v`` line, all of ASCII digits with in-range ids and u != v.
     Per-byte arrays are uint8 or bool, and no Python object is made per line.
 
-    Returns (brk_at, slow, eu, ev, w_line, w_id, w_val): the offset of each
-    line break; the lines, 0-based and ascending, left to `_parse_line` (the
-    other lines with a field, and every line holding a non-ASCII character);
-    and the canonical edges (0-based) and weight lines.
+    Returns (brk_at, slow, eu, ev, e_line, w_line, w_id, w_val): the offset
+    of each line break; the lines, 0-based and ascending, left to
+    `_parse_line` (the other lines with a field, and every line holding a
+    non-ASCII character); and the canonical edges (0-based) and weight lines,
+    each with its line.
     """
     a = np.frombuffer(buf, dtype=np.uint8)
     off = np.int32 if a.size < 2**31 else np.int64
@@ -414,13 +431,13 @@ def _scan_lines(buf: bytes, fmt: str):
         v = val[t] - base
         return v, num[t] & (v >= 0) & (v < ID_LIMIT)
 
-    eu = ev = w_line = w_id = w_val = np.empty(0, dtype=np.int64)
+    eu = ev = e_line = w_line = w_id = w_val = np.empty(0, dtype=np.int64)
     if fmt == "edge-list":
         done = plain & (lead == ord("#"))
         e = np.flatnonzero(plain & (count == 2))
         (u, ok_u), (v, ok_v) = ids(first[e], 0), ids(first[e] + 1, 0)
         ok = ok_u & ok_v & (u != v)
-        eu, ev = u[ok], v[ok]
+        eu, ev, e_line = u[ok], v[ok], has[e[ok]]
         done[e[ok]] = True
         w = np.flatnonzero(plain & (count == 3) & single & (lead == ord("w")))
         wt = first[w]
@@ -433,11 +450,11 @@ def _scan_lines(buf: bytes, fmt: str):
         e = np.flatnonzero(plain & (count == 3) & single & (lead == ord("e")))
         (u, ok_u), (v, ok_v) = ids(first[e] + 1, 1), ids(first[e] + 2, 1)
         ok = ok_u & ok_v & (u != v)
-        eu, ev = u[ok], v[ok]
+        eu, ev, e_line = u[ok], v[ok], has[e[ok]]
         done[e[ok]] = True
     else:  # _parse_line rejects the format on the first line with a field
         done = np.zeros(len(has), dtype=bool)
-    return brk_at, has[~done], eu, ev, w_line, w_id, w_val
+    return brk_at, has[~done], eu, ev, e_line, w_line, w_id, w_val
 
 
 def _byte_mask(a: np.ndarray, ranges) -> np.ndarray:
@@ -652,6 +669,115 @@ def symmetric_components(mat: csr_matrix) -> tuple[int, np.ndarray]:
     return csgraph.connected_components(mat, directed=True, connection="strong")
 
 
+class LevelBFS:
+    """Breadth-first levels from one start vertex of a symmetric CSR matrix.
+
+    `order` lists the vertices that `start` reaches, in the FIFO order of
+    `csgraph.breadth_first_order`, so level j (the vertices at distance j) is
+    order[starts[j]:starts[j + 1]].  In FIFO order the positions of the
+    search-tree parents never decrease, so level j + 1 starts at
+    1 + #(parent positions < starts[j]): one binary search per level.  The
+    level starts are found on demand, only as far as `ball` asks; `levels`,
+    `parent` and the full arrays find them all.
+
+    The predecessor of a vertex is its largest-id neighbor one level closer
+    to start, the one `csgraph.dijkstra(unweighted=True)` returns.  The
+    matrix must be symmetric with int32 indices (csgraph's canonical form).
+    """
+
+    __slots__ = ("mat", "start", "order", "pos", "_ppos", "_starts")
+
+    def __init__(self, mat: csr_matrix, start: int):
+        order, tree_pred = csgraph.breadth_first_order(mat, start, directed=True,
+                                                       return_predecessors=True)
+        pos = np.full(mat.shape[0], -1, dtype=np.int32)
+        pos[order] = np.arange(len(order), dtype=np.int32)
+        self.mat = mat
+        self.start = start
+        self.order = order
+        self.pos = pos                       # position in order; -1 when unreached
+        self._ppos = pos[tree_pred[order[1:]]]
+        self._starts = [0, 1]
+
+    def _grow(self, d: int) -> list[int]:
+        """The level starts, found through level d or the last level."""
+        starts, ppos, k = self._starts, self._ppos, len(self.order)
+        while len(starts) <= d + 1 and starts[-1] < k:
+            # an int32 key: an int64 one would cast all of ppos on every call
+            starts.append(1 + int(ppos.searchsorted(np.int32(starts[-1]))))
+        return starts
+
+    def ball(self, d: int) -> int:
+        """The number of vertices within distance d of start."""
+        if d < 0:
+            return 0
+        starts = self._grow(d)
+        return starts[d + 1] if d + 1 < len(starts) else len(self.order)
+
+    def levels(self, vs: np.ndarray) -> np.ndarray:
+        """The distance from start of each vertex of vs; -1 where unreached."""
+        p = self.pos[vs]
+        lv = np.searchsorted(self._grow(len(self.order)), p, side="right") - 1
+        lv[p < 0] = -1
+        return lv
+
+    def parent(self, v: int) -> int:
+        """The largest-id neighbor of v one level closer to start (v reached, not start)."""
+        starts = self._grow(len(self.order))
+        j = bisect.bisect_right(starts, int(self.pos[v])) - 1
+        nbrs = self.mat.indices[self.mat.indptr[v]:self.mat.indptr[v + 1]]
+        q = self.pos[nbrs]
+        return int(nbrs[(q >= starts[j - 1]) & (q < starts[j])].max())
+
+    def dist_and_pred(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hop distance per row (inf where unreached) and `parent` per row
+        (-1 at start and where unreached)."""
+        n = self.mat.shape[0]
+        lv = self.levels(np.arange(n))
+        rows = np.repeat(np.arange(n), np.diff(self.mat.indptr))
+        cols = self.mat.indices
+        closer = (lv[rows] > 0) & (lv[cols] == lv[rows] - 1)
+        pred = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(pred, rows[closer], cols[closer])
+        return np.where(lv < 0, np.inf, lv), pred
+
+
+class HostSubgraph:
+    """G[mask] as an n x n 0/1 CSR matrix over host ids, for searches of the
+    large live part of a graph.
+
+    One boolean filter of the host CSR keeps the slots with both ends in
+    mask, so rows stay sorted and the vertices outside mask are isolated;
+    nothing is relabelled, so BFS results need no scatter back to host ids.
+    The build costs O(n + m) whatever the mask (`MaskedSubgraph` costs
+    O(|ids| + vol(ids)) for small sets).  The BFS from the last start asked
+    for is kept.
+    """
+
+    __slots__ = ("mask", "mat", "_bfs")
+
+    def __init__(self, g: Graph, mask: np.ndarray):
+        keep = mask[g.indices]
+        keep &= np.repeat(mask, g.degrees())
+        kept = np.zeros(len(keep) + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        indices = g.indices[keep].astype(np.int32)
+        self.mask = mask.copy()
+        self.mat = csr_matrix((np.ones(len(indices)), indices, kept[g.indptr]),
+                              shape=(g.n, g.n))
+        self._bfs: Optional[LevelBFS] = None
+
+    def bfs(self, start: int) -> LevelBFS:
+        if self._bfs is None or self._bfs.start != start:
+            self._bfs = LevelBFS(self.mat, start)
+        return self._bfs
+
+    def components(self) -> tuple[int, np.ndarray]:
+        """Component count and label per host id (each vertex outside mask
+        alone), numbered in order of each component's smallest id."""
+        return symmetric_components(self.mat)
+
+
 class MaskedSubgraph:
     """G[ids] as a symmetric 0/1 CSR matrix over local ids, built once for csgraph queries.
 
@@ -689,15 +815,15 @@ class MaskedSubgraph:
         return symmetric_components(self.mat)
 
     def bfs(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """Hop distances and BFS-tree predecessors from global id `start`.
+        """Hop distances and BFS predecessors (`LevelBFS.dist_and_pred`) from
+        global id `start`.
 
         Both arrays are indexed by global vertex id; vertices off start's
         component get distance inf, and those and `start` get predecessor -1.
+        Local ids keep the order of global ids, so the largest-id rule holds.
         """
         ids = self.ids
-        dist_l, pred_l = csgraph.dijkstra(self.mat, directed=True, unweighted=True,
-                                          indices=int(np.searchsorted(ids, start)),
-                                          return_predecessors=True)
+        dist_l, pred_l = LevelBFS(self.mat, int(np.searchsorted(ids, start))).dist_and_pred()
         dist = np.full(self.n, np.inf)
         dist[ids] = dist_l
         pred = np.full(self.n, -1, dtype=np.int64)
@@ -735,8 +861,8 @@ def masked_components(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, int, np.n
 
 
 def masked_bfs(g: Graph, mask: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """`MaskedSubgraph.bfs` from `start` inside G[mask]."""
-    return MaskedSubgraph(g, np.flatnonzero(mask)).bfs(start)
+    """`LevelBFS.dist_and_pred` from `start` inside G[mask], indexed by host id."""
+    return HostSubgraph(g, mask).bfs(start).dist_and_pred()
 
 
 def masked_diameter(g: Graph, ids: np.ndarray) -> Optional[int]:

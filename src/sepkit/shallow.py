@@ -5,9 +5,8 @@ M is spanned by p <= h branch sets forming a K_p minor of bounded depth; each
 iteration either grows p (a shallow tree is adopted), retires a branch set
 whose neighborhood left the working component, or moves a low-expansion chunk
 S' from V' to V_r with its boundary B' into B.  The working component G' is
-the heaviest component of G[live].  Component labelling and ball growth run
-on G[live] itself, so a cut's boundary B' = N(S') - S' lies at distance 1
-from S'.
+the heaviest component of G[live].  Ball growth runs on G[live] itself, so a
+cut's boundary B' = N(S') - S' lies at distance 1 from S'.
 
 The source analysis grows balls in a decremental (2k-1)-spanner of G' so
 that they cost n^(1+1/k) rather than m.  Here the loop runs only after the
@@ -15,10 +14,20 @@ density guard, which leaves m <= 4 h sqrt(ln h) n, and the spanner's size
 target 4 k n^(1+1/k) then admits every edge unless h sqrt(ln h) > k n^(1/k);
 so the loop skips the spanner (Baswana-Sen, JACM 2007, for that regime).
 
-Ball growth is implemented as one exact BFS from the start vertex plus
-arithmetic over the distance histogram: for exact-BFS balls,
-N^delta(ball(x)) = ball(x + delta), so the growth and stall conditions reduce
-to prefix-sum comparisons.
+Each iteration searches G[live] once.  G[live] is kept over host ids and
+rebuilt only when live changed.  One breadth-first search (`LevelBFS`) runs
+from the least live neighbor of the first branch set, or else the first live
+vertex.  When it reaches more than half the live weight, its component is G'
+and that vertex is where tree-or-cut starts, so the same search grows the
+balls.  Only otherwise are the components labelled, and a second search runs
+if that vertex was parked.  In BFS order the vertices come level by level,
+so ball(d), the number of vertices within distance d, is the start of level
+d + 1, found on demand by one binary search per level.  For exact-BFS balls
+N^delta(ball(x)) = ball(x + delta), so the growth and stall conditions are
+comparisons of level starts and the cut S is a prefix of the BFS order.  A
+tree follows predecessors from each representative back to the start; the
+predecessor of v is its largest-id live neighbor one level closer, found
+only for the vertices on those paths.
 """
 
 from __future__ import annotations
@@ -43,14 +52,14 @@ from .certificates import (
 from .graph import (
     DENSITY_POLICIES,
     Graph,
-    MaskedSubgraph,
+    HostSubgraph,
+    LevelBFS,
     VertexSet,
     any_edge_between,
     density_threshold,
     gather_neighbors,
     grow_within,
     induced_subgraph,
-    masked_bfs,
     masked_diameter,
 )
 
@@ -108,88 +117,73 @@ def tree_or_cut(h_graph: Graph, a_sets: Sequence[VertexSet], ell: int, delta: in
         if len(a) == 0:
             raise ValueError(f"A_{i + 1} is empty; caller must filter empty sets")
     n = h_graph.n
-    dist, pred = masked_bfs(h_graph, np.ones(n, dtype=bool), start)
-    return _tree_or_cut_from_bfs(dist, pred, a_sets, ell, delta, start, n)
+    bfs = HostSubgraph(h_graph, np.ones(n, dtype=bool)).bfs(start)
+    return _tree_or_cut_from_bfs(bfs, a_sets, ell, delta, start, n)
 
 
-def _tree_or_cut_from_bfs(dist: np.ndarray, pred: np.ndarray, a_sets, ell: int,
-                          delta: int, start: int, n: int) -> TreeOrCutResult:
-    """tree_or_cut from one BFS (dist/pred indexed by host id); n is the
+def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: int,
+                          n: int) -> TreeOrCutResult:
+    """tree_or_cut from the level BFS of `start` (over host ids); n is the
     number of vertices the BFS searched, which sets the logarithmic bounds."""
-    finite = np.isfinite(dist)
-    comp_size = int(finite.sum())
-    idist = dist[finite].astype(np.int64)
-    maxd = int(idist.max()) if comp_size else 0
-    hist = np.bincount(idist, minlength=maxd + 1)
-    csum = np.cumsum(hist)  # csum[d] = |ball(d)|
-
-    def ball(d: int) -> int:
-        if d < 0:
-            return 0
-        return int(csum[min(d, maxd)])
-
-    rad = 0
+    comp_size = len(bfs.order)
+    ball = bfs.ball  # ball(d) = |{v : dist(v) <= d}|
+    rad, inner = 0, ball(0)  # inner = ball(rad)
     rounds = 0
     max_rounds = int(2 * ell * ln_ceil(n)) + 2
-    while True:
-        if ball(rad) == comp_size:
-            break  # ball spans the component: tree case
+    while inner < comp_size:
         r2 = rad + 2 * delta
-        grew = ell * ball(r2) >= (ell + 1) * ball(rad)
-        rest_old = comp_size - ball(rad)
-        rest_new = comp_size - ball(r2)
-        shrunk = (ell + 1) * rest_new <= ell * rest_old
+        outer = ball(r2)
+        grew = ell * outer >= (ell + 1) * inner
+        shrunk = (ell + 1) * (comp_size - outer) <= ell * (comp_size - inner)
         if not (grew or shrunk):
             break  # stall: cut case
-        rad = r2
+        rad, inner = r2, outer
         rounds += 1
         debugcheck.check("treeorcut.rounds", rounds <= max_rounds,
                          f"{rounds} rounds exceeds 2*ell*ln(n)={max_rounds}")
 
-    if ball(rad) == comp_size:
-        # BFS tree spans the component; prune to one representative per A_i
+    if inner == comp_size:
+        # the ball spans the component: a BFS tree, pruned to one
+        # representative per A_i, the nearest with ties to the lowest id
         reps: list[int] = []
+        for a in a_sets:
+            ids = np.asarray(a.ids(), dtype=np.int64)
+            lv = bfs.levels(ids)
+            ids, lv = ids[lv >= 0], lv[lv >= 0]
+            if len(ids) == 0:
+                raise ValueError("an A_i set has no vertex in start's component")
+            reps.append(int(ids[np.argmin(lv)]))
         tree: set[int] = {start}
         parent: dict[int, int] = {}
-        for a in a_sets:
-            best = None
-            for v in a:
-                if not finite[v]:
-                    continue
-                key = (int(dist[v]), v)
-                if best is None or key < best:
-                    best = key
-            if best is None:
-                raise ValueError("an A_i set has no vertex in start's component")
-            reps.append(best[1])
         for r in reps:
             v = r
             while v != start and v not in parent:
-                parent[v] = int(pred[v])
+                parent[v] = bfs.parent(v)
                 tree.add(v)
-                v = int(pred[v])
-        tree.update(reps)
-        depth_bound = int(4 * delta * ell * ln_ceil(n)) + 1
-        debugcheck.check("treeorcut.depth",
-                         all(dist[v] <= depth_bound for v in tree),
-                         "tree deeper than 4*delta*ell*ln n")
+                v = parent[v]
+        if debugcheck.enabled():
+            depth_bound = int(4 * delta * ell * ln_ceil(n)) + 1
+            depth = int(bfs.levels(np.fromiter(tree, dtype=np.int64)).max())
+            debugcheck.check("treeorcut.depth", depth <= depth_bound,
+                             "tree deeper than 4*delta*ell*ln n")
         size_bound = int(4 * delta * ell * max(1, len(a_sets)) * ln_ceil(n)) + 1
         debugcheck.check("treeorcut.size", len(tree) <= size_bound,
                          f"tree size {len(tree)} exceeds {size_bound}")
         return TreeOrCutResult(kind="tree", tree_vertices=VertexSet(tree), root=start,
                                parent=parent, reps=reps, rounds=rounds)
 
-    s_mask = finite & (dist <= rad + delta)
+    s_count = ball(rad + delta)  # S = N^delta(ball(rad)) = ball(rad + delta)
     if debugcheck.enabled():
         # exact condition 2a: for exact-BFS balls N^d(ball(x)) = ball(x+d)
-        out_shell = int(np.sum(finite & (dist > rad + delta) & (dist <= rad + 2 * delta)))
-        s_count = int(s_mask.sum())
+        out_shell = ball(rad + 2 * delta) - s_count
         mn = min(s_count, comp_size - s_count)
         debugcheck.check("treeorcut.outer-expansion", ell * out_shell < mn,
                          f"|N^d(S) \\ S| = {out_shell} !< min/ell = {mn}/{ell}")
-        in_shell = int(np.sum(finite & (dist > rad) & (dist <= rad + delta)))
+        in_shell = s_count - inner
         debugcheck.check("treeorcut.inner-expansion", ell * in_shell < mn,
                          f"|N^d(V-S) ^ S| <= {in_shell} !< min/ell = {mn}/{ell}")
+    s_mask = np.zeros(len(bfs.pos), dtype=bool)
+    s_mask[bfs.order[:s_count]] = True
     return TreeOrCutResult(kind="cut", cut_S=VertexSet.from_mask(s_mask), rounds=rounds)
 
 
@@ -293,23 +287,24 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     ext_radius = max(1, math.ceil(4 * delta * ell * lnn))
     iters = 0
     iter_cap = ITER_COEFF * max(1, n // ell) + 8 * h + 8
+    live_g: Optional[HostSubgraph] = None
 
     while True:
         iters += 1
         if iters > iter_cap:
             raise RuntimeError(f"shallow loop exceeded {iter_cap} iterations; this is a bug")
 
-        # G[live], built once per iteration: the density recheck counts its
-        # edges, component labelling and tree-or-cut's BFS query it
-        live_sub = MaskedSubgraph(g, np.flatnonzero(st.live))
-        ids = live_sub.ids
-        live_n = len(ids)
-        live_m = live_sub.mat.nnz // 2
+        # G[live], rebuilt only when live changed: the density recheck counts
+        # its edges and every search of the iteration runs on it
+        if live_g is None or not np.array_equal(live_g.mask, st.live):
+            live_g = HostSubgraph(g, st.live)
+        live_n = int(st.live.sum())
+        live_m = live_g.mat.nnz // 2
         if live_n and any(live_m > density_threshold(p, h, live_n) for p in DENSITY_POLICIES):
             if stats is not None:
                 stats["iterations"] = iters
             sub, _ = induced_subgraph(g, VertexSet.from_mask(st.live))
-            return lift_minor(density_result(sub, h, params), ids)
+            return lift_minor(density_result(sub, h, params), np.flatnonzero(st.live))
 
         if st.p == h:
             if stats is not None:
@@ -320,20 +315,8 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                              f"witness depth {wtn.depth_bound} exceeds bound")
             return wtn
 
-        # identify G' (heaviest live component); park the others.  The BFS
-        # below still searches this G[live]: start lies in G', a whole
-        # component of it, so parked vertices stay unreached either way.
-        ncomp, labels = live_sub.components()
-        gprime_w = 0
-        if ncomp > 0:
-            compw = np.zeros(ncomp, dtype=np.int64)
-            np.add.at(compw, labels, g.vertex_weight[ids])
-            best = int(np.argmax(compw))  # ties: lowest label = lowest min-id
-            gprime_w = int(compw[best])
-            if ncomp > 1:
-                parked_ids = ids[labels != best]
-                st.live[parked_ids] = False
-                st.parked[parked_ids] = True
+        # identify G' (heaviest live component); park the others
+        gprime_w = _park_light_components(g, st, live_g)
         live_n = int(st.live.sum())
 
         # Once no live component is heavy, M u B is already a valid separator.
@@ -373,8 +356,10 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         else:
             start = int(np.flatnonzero(st.live)[0])
 
-        dist, pred = live_sub.bfs(start)
-        result = _tree_or_cut_from_bfs(dist, pred, a_sets, ell, delta, start, live_n)
+        # start lies in G', a whole component of the G[live] built before
+        # parking, so a search of it from start stays in G'; it is the search
+        # that found G' unless that one ran from a parked vertex
+        result = _tree_or_cut_from_bfs(live_g.bfs(start), a_sets, ell, delta, start, live_n)
 
         if result.kind == "cut" and terminal:
             break
@@ -429,6 +414,46 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     claimed = min(n, math.ceil(n / ell + separator_coeff(delta) * ell * h * h * lnn) + 1)
     sep = separator_from_cut_mask(g, cmask, claimed_bound=claimed, params=params)
     return sep
+
+
+def _park_light_components(g: Graph, st: PartitionState, live_g: HostSubgraph) -> int:
+    """Keep the heaviest component G' of G[live] live, park the others, and
+    return w(G') (0 when nothing is live).
+
+    G' is found by one BFS when possible: from the vertex that tree-or-cut
+    will start from if it lies in G' (the least live neighbor of the first
+    branch set, else the first live vertex).  A component holding more than
+    half the live weight is the heaviest.  Otherwise (a light component
+    there, zero live weight, or a tie) the components are labelled and the
+    heaviest wins, ties to the one with the smallest vertex id.
+    """
+    live_ids = np.flatnonzero(st.live)
+    if len(live_ids) == 0:
+        return 0
+    s0 = int(live_ids[0])
+    first = next((s for s in st.branch_slots if s is not None), None)
+    if first is not None:
+        nbrs = gather_neighbors(g.indptr, g.indices, first)
+        nbrs = nbrs[st.live[nbrs]]
+        if len(nbrs):
+            s0 = int(nbrs.min())
+    order = live_g.bfs(s0).order
+    reach_w = int(g.vertex_weight[order].sum())
+    if 2 * reach_w > int(g.vertex_weight[live_ids].sum()):
+        keep, gprime_w = order, reach_w
+    else:
+        _, labels = live_g.components()
+        _, labels = np.unique(labels[live_ids], return_inverse=True)
+        compw = np.zeros(int(labels.max()) + 1, dtype=np.int64)
+        np.add.at(compw, labels, g.vertex_weight[live_ids])
+        best = int(np.argmax(compw))  # ties: lowest label = lowest min-id
+        keep, gprime_w = live_ids[labels == best], int(compw[best])
+    if len(keep) < len(live_ids):
+        parked = st.live.copy()
+        parked[keep] = False
+        st.live[parked] = False
+        st.parked[parked] = True
+    return gprime_w
 
 
 def _lowest_outside(live: np.ndarray, s_ids: np.ndarray) -> int:

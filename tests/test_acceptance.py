@@ -38,6 +38,7 @@ from sepkit.minorfree import balanced_separator
 from sepkit.shallow import ln_ceil, shallow_separator_balanced
 from sepkit.spanner import build_spanner, stretch_check
 from sepkit.tradeoff import tradeoff_separator
+from test_certificate_hashes import CASES as HASH_CASES
 
 H_GRID = 5
 C_R = 0.05   # clustering range constant for the bootstrapped runs (see ledger)
@@ -256,6 +257,10 @@ class TestCriterion7Invariants:
                      random_regular_graph(200, 6, seed=4),
                      planted_minor_graph(150, 5, seed=2)[0],
                      kh_blowup_graph(5, 30, seed=2)]
+            # inputs on which the shallow loop labels components
+            cases += [HASH_CASES[name][0]() for name in (
+                "shallow-balanced light low component", "shallow-balanced zero-weight grid",
+                "shallow tied components ell=5")]
             runs = 0
             for g in cases:
                 for h in (3, 5):

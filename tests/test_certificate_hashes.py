@@ -49,6 +49,42 @@ def _complete(n: int, isolated: int = 0):
                          vertex_weight=weights)
 
 
+def _light_low_component(light: int = 20, heavy: int = 600):
+    """A short path at the lowest ids beside a long one: the search from
+    vertex 0 reaches a light component, so the loop labels the components of
+    G[live] and tree-or-cut starts from another vertex."""
+
+    def make():
+        n = light + heavy
+        return Graph(n, [(v, v + 1) for v in range(n - 1) if v != light - 1])
+
+    return make
+
+
+def _zero_weight_grid(k: int):
+    """A k x k grid whose vertices all weigh 0: no search reaches more than
+    half the live weight."""
+
+    def make():
+        g = generate_graph(f"grid {k}")
+        return Graph(g.n, np.stack([g.edge_u, g.edge_v], axis=1),
+                     vertex_weight=np.zeros(g.n, dtype=np.int64))
+
+    return make
+
+
+def _dumbbell(k: int):
+    """Two k-vertex paths joined through vertex 0.  Once the first branch set
+    takes the hub, the two remainders tie in weight, and the one with the
+    smaller ids stays live."""
+
+    def make():
+        arm = [(v, v + 1) for v in range(1, k)]
+        return Graph(1 + 2 * k, [(0, 1), (0, 1 + k)] + arm + [(u + k, v + k) for u, v in arm])
+
+    return make
+
+
 # name -> (input, algorithm)
 CASES = {
     "shallow grid 12 ell=3": (_gen("grid 12"), lambda g: shallow_separator(g, 5, 3, 0.5, SEED)),
@@ -87,6 +123,13 @@ CASES = {
                               lambda g: balanced_separator(g, 5, 0.5, SEED, c_r=0.05)),
     "approx-minor K6 blow-up": (_gen("kh-blowup 6 12"),
                                 lambda g: approx_largest_clique_minor(g, 0.5, SEED).witness),
+    # the shallow loop's component-labelling fallback
+    "shallow-balanced light low component": (
+        _light_low_component(), lambda g: shallow_separator_balanced(g, 5, 0.5, SEED)),
+    "shallow-balanced zero-weight grid": (
+        _zero_weight_grid(12), lambda g: shallow_separator_balanced(g, 5, 0.5, SEED)),
+    "shallow tied components ell=5": (_dumbbell(100),
+                                      lambda g: shallow_separator(g, 4, 5, 0.5, SEED)),
 }
 
 HASHES = {
@@ -130,6 +173,12 @@ HASHES = {
         "2d2e2eb5a9474fd44c78b8333d5989fc91185f654ff6278dbbe4d535c47517d3",
     "approx-minor K6 blow-up":
         "1f92de05fc8f6b521e6eaa919077b2b5d46fb5511c2a1036c7f9cdcaaab88534",
+    "shallow-balanced light low component":
+        "d3988070f3d03cf4569233bb12c71cbf74b923cec235cd4c314e0d9585e8957d",
+    "shallow-balanced zero-weight grid":
+        "474a23f6a0298b06d6895da630bcac4555eecdc90de03107aa607af2d5a27d16",
+    "shallow tied components ell=5":
+        "234ec9b5f1a082c49f0e1d89ff6e7545a98f75650d91f560949204f2683f419b",
 }
 
 

@@ -107,6 +107,9 @@ class TestRunCommands:
         ("w 0 99999999999999999999\n", "edge-list", "vertex weight exceeds 64-bit range"),
         ("p edge x 1\n", "dimacs", "problem line has non-integer field"),
         ("e a b\n", "dimacs", "edge line has non-integer field"),
+        ("e 1 3\np edge 2 1\n", "dimacs", "edge mentions vertex 3 > declared n=2"),
+        ("w 0 9223372036854775807\n0 1\n", "edge-list",
+         "sum of vertex weights exceeds 64-bit range"),
     ])
     def test_input_error_names_the_line(self, tmp_path, capsys, text, fmt, message):
         bad = tmp_path / "bad.txt"

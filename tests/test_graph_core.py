@@ -13,6 +13,7 @@ from sepkit.graph import (
     ID_LIMIT,
     Graph,
     GraphFormatError,
+    HostSubgraph,
     MaskedSubgraph,
     VertexSet,
     connected_components,
@@ -93,10 +94,11 @@ class TestLoadGraph:
 def reference_load_graph(source, fmt="edge-list"):
     """The per-line loader that `load_graph` replaced, kept as the reference.
 
-    Three fixes are applied: ids of ID_LIMIT or more (and a larger declared
+    These fixes are applied: ids of ID_LIMIT or more (and a larger declared
     DIMACS n) and weights of 2^63 or more raise GraphFormatError with the
-    line, and so do non-integer DIMACS fields.  It builds O(n) Python objects,
-    so feed it small ids only.
+    line, and so do non-integer DIMACS fields; an id above the declared n and
+    a weight total of 2^63 or more name a line too.  It builds O(n) Python
+    objects, so feed it small ids only.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -105,7 +107,9 @@ def reference_load_graph(source, fmt="edge-list"):
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     edges = []
+    edge_lines = []
     weights = {}
+    weight_lines = {}
     max_id = -1
     declared_n = None
     for lineno, raw in enumerate(data.splitlines(), start=1):
@@ -132,6 +136,7 @@ def reference_load_graph(source, fmt="edge-list"):
                 if c >= 2**63:
                     raise GraphFormatError("vertex weight exceeds 64-bit range", lineno)
                 weights[u] = c
+                weight_lines[u] = lineno
                 max_id = max(max_id, u)
             else:
                 if len(parts) != 2:
@@ -147,6 +152,7 @@ def reference_load_graph(source, fmt="edge-list"):
                 if u == v:
                     raise GraphFormatError("self-loop rejected", lineno)
                 edges.append((u, v))
+                edge_lines.append(lineno)
                 max_id = max(max_id, u, v)
         elif fmt == "dimacs":
             tag = line.split(maxsplit=1)[0]
@@ -177,6 +183,7 @@ def reference_load_graph(source, fmt="edge-list"):
                 if u == v:
                     raise GraphFormatError("self-loop rejected", lineno)
                 edges.append((u, v))
+                edge_lines.append(lineno)
                 max_id = max(max_id, u, v)
             else:
                 raise GraphFormatError(f"unknown line tag {tag!r}", lineno)
@@ -184,9 +191,16 @@ def reference_load_graph(source, fmt="edge-list"):
             raise ValueError(f"unknown format {fmt!r}")
     n = max_id + 1
     if declared_n is not None:
-        if max_id >= declared_n:
-            raise GraphFormatError(f"edge mentions vertex {max_id + 1} > declared n={declared_n}")
+        for (u, v), lineno in zip(edges, edge_lines):
+            if max(u, v) >= declared_n:
+                raise GraphFormatError(
+                    f"edge mentions vertex {max(u, v) + 1} > declared n={declared_n}", lineno)
         n = declared_n
+    total = n - len(weights)
+    for lineno, u in sorted((lineno, u) for u, lineno in weight_lines.items()):
+        total += weights[u]
+        if total >= 2**63:
+            raise GraphFormatError("sum of vertex weights exceeds 64-bit range", lineno)
     wvec = [weights.get(v, 1) for v in range(n)]
     return Graph(n, edges, vertex_weight=wvec)
 
@@ -366,9 +380,9 @@ class TestLoadGraphScan:
         ("e 1\n", "edge-list", (GraphFormatError, "line 1: edge line has non-integer field")),
         ("#c\n", "dimacs", (GraphFormatError, "line 1: unknown line tag '#c'")),
         ("w 0 2\nw 1 9223372036854775806\n", "edge-list",
-         (ValueError, "sum of vertex weights exceeds 64-bit range")),
+         (GraphFormatError, "line 2: sum of vertex weights exceeds 64-bit range")),
         ("p edge 2 1\ne 1 3\n", "dimacs",
-         (GraphFormatError, "edge mentions vertex 3 > declared n=2")),
+         (GraphFormatError, "line 2: edge mentions vertex 3 > declared n=2")),
         ("0 1\n", "no-such-format", (ValueError, "unknown format 'no-such-format'")),
         (b"0 1\n\xff\n", "edge-list",
          (UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in position 4: "
@@ -391,6 +405,14 @@ class TestLoadGraphScan:
         # non-integer DIMACS fields
         ("p edge x 1\n", "dimacs", (GraphFormatError, "line 1: problem line has non-integer field")),
         ("e a b\n", "dimacs", (GraphFormatError, "line 1: edge line has non-integer field")),
+        # the first edge line past the last p line's n; weight lines add up
+        # in line order, each vertex's last one counting
+        ("e 1 5\np edge 3 1\ne 1 2\ne 4 1\n", "dimacs",
+         (GraphFormatError, "line 1: edge mentions vertex 5 > declared n=3")),
+        ("w 0 9223372036854775807\n0 1\n1 2\n", "edge-list",
+         (GraphFormatError, "line 1: sum of vertex weights exceeds 64-bit range")),
+        ("w 0 9223372036854775000\nw 1 9223372036854775000\nw 0 1\n", "edge-list",
+         (2, [], [1, 9223372036854775000])),
     ])
     def test_quirks_and_limits(self, source, fmt, expect):
         for loader in (load_graph, reference_load_graph):
@@ -584,6 +606,51 @@ class TestMaskedSubgraph:
             if v != start:
                 assert g.has_edge(v, pred[v]) and dist[pred[v]] == d - 1
         assert all(pred[v] == -1 for v in range(n) if v not in reach)
+
+
+class TestLevelBFS:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_levels_balls_and_predecessors(self, data):
+        """On G[live] over host ids: distances equal csgraph.dijkstra's,
+        ball(d) counts the vertices within d, asked in any order, and the
+        predecessor is the largest-id live neighbor one level closer."""
+        n = data.draw(st.integers(1, 40))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            max_size=3 * n))
+        g = Graph(n, list(edges))
+        live = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if not live.any():
+            live[data.draw(st.integers(0, n - 1))] = True
+        start = data.draw(st.sampled_from(np.flatnonzero(live).tolist()))
+        sub = HostSubgraph(g, live)
+        assert sub.mat.shape == (n, n) and sub.mat.has_canonical_format
+        assert sub.mat.indices.dtype == np.int32 and (sub.mat != sub.mat.T).nnz == 0
+        bfs = sub.bfs(start)
+        assert sub.bfs(start) is bfs
+        # reference: dijkstra on G[live] relabelled to local ids
+        ids = np.flatnonzero(live)
+        ref_sub, _ = induced_subgraph(g, VertexSet(ids.tolist()))
+        ref_local = csgraph.dijkstra(ref_sub.csr(), directed=False, unweighted=True,
+                                     indices=int(np.searchsorted(ids, start)))
+        ref = np.full(n, np.inf)
+        ref[ids] = ref_local
+        finite = ref[np.isfinite(ref)].astype(int)
+        top = int(finite.max())
+        for d in data.draw(st.permutations(list(range(-1, top + 3)))):
+            assert bfs.ball(d) == int((finite <= d).sum())
+        dist, pred = bfs.dist_and_pred()
+        assert dist.tolist() == ref.tolist()
+        ref_levels = np.where(np.isinf(ref), -1, ref).astype(int)
+        assert bfs.levels(np.arange(n)).tolist() == ref_levels.tolist()
+        assert sorted(bfs.order.tolist()) == np.flatnonzero(np.isfinite(ref)).tolist()
+        for v in range(n):
+            closer = [u for u in g.neighbors(v).tolist() if live[u] and ref[u] == ref[v] - 1]
+            if v == start or not np.isfinite(ref[v]):
+                assert pred[v] == -1
+            else:
+                assert pred[v] == max(closer) == bfs.parent(v)
 
 
 class TestMaskedDiameter:

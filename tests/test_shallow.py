@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit import debugcheck
 from sepkit.certificates import (
@@ -13,8 +15,10 @@ from sepkit.certificates import (
     brute_force_minor_detect,
     verify_output,
 )
-from sepkit.graph import Graph, VertexSet
+from sepkit.graph import Graph, HostSubgraph, VertexSet, connected_components, induced_subgraph
 from sepkit.shallow import (
+    PartitionState,
+    _park_light_components,
     ln_ceil,
     shallow_separator,
     shallow_separator_balanced,
@@ -76,6 +80,56 @@ class TestTreeOrCut:
     def test_no_a_sets_gives_singleton_tree_or_cut(self):
         res = tree_or_cut(kcomplete(4), [], ell=1, delta=1, start=2)
         assert res.kind == "tree" and 2 in res.tree_vertices
+
+
+class TestParkLightComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keeps_the_heaviest_component(self, data):
+        """G' is the heaviest component of G[live], ties to the smallest id,
+        whichever vertex the first search runs from."""
+        n = data.draw(st.integers(1, 16))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            max_size=n))
+        weights = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        g = Graph(n, list(edges), vertex_weight=weights)
+        live = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        dead = np.flatnonzero(~live).tolist()
+        slots = data.draw(st.lists(st.one_of(
+            st.none(), st.sets(st.sampled_from(dead), min_size=1).map(sorted)) if dead
+            else st.none(), max_size=3))
+        state = PartitionState(
+            n=n, h=5, ell=1, eps=0.5, delta=3, in_vr=np.zeros(n, dtype=bool),
+            in_b=np.zeros(n, dtype=bool),
+            branch_slots=[None if s is None else np.asarray(s) for s in slots],
+            live=live.copy(), parked=np.zeros(n, dtype=bool))
+        # reference: every component of G[live], the heaviest first, then the
+        # one with the smallest vertex id
+        sub, _ = induced_subgraph(g, VertexSet.from_mask(live))
+        ids = np.flatnonzero(live)
+        comps = [ids[list(c.ids())] for c in connected_components(sub)]
+        best = min(comps, key=lambda c: (-int(g.vertex_weight[c].sum()), int(c[0])),
+                   default=np.empty(0, dtype=np.int64))
+        gw = _park_light_components(g, state, HostSubgraph(g, live))
+        assert gw == int(g.vertex_weight[best].sum())
+        assert np.flatnonzero(state.live).tolist() == sorted(best.tolist())
+        assert (state.parked == (live & ~state.live)).all()
+
+    @pytest.mark.parametrize("weights, kept", [([1, 1, 1, 1], [0]), ([1, 2, 1, 1], [1]),
+                                               ([0, 0, 1, 1], [0])])
+    def test_tie_goes_to_the_smallest_id(self, weights, kept):
+        # live {0, 1} as two components; the first branch set {3} touches
+        # only vertex 1, so the first search runs from 1
+        g = Graph(4, [(1, 3)], vertex_weight=weights)
+        live = np.array([True, True, False, False])
+        state = PartitionState(
+            n=4, h=5, ell=1, eps=0.5, delta=3, in_vr=np.zeros(4, dtype=bool),
+            in_b=np.zeros(4, dtype=bool), branch_slots=[None, np.array([3])],
+            live=live.copy(), parked=np.zeros(4, dtype=bool))
+        gw = _park_light_components(g, state, HostSubgraph(g, live))
+        assert gw == weights[kept[0]] and np.flatnonzero(state.live).tolist() == kept
+        assert np.flatnonzero(state.parked).tolist() == [1 - kept[0]]
 
 
 class TestShallowSeparator:
