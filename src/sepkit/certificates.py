@@ -369,8 +369,9 @@ def separator_from_cut_mask(g: Graph, cmask: np.ndarray, claimed_bound: Optional
                             trim: bool = True) -> Separator:
     a, b = pack_components(g, cmask, balance_c)
     if trim:
-        cmask, am, bm = trim_separator_mask(g, cmask, a.to_mask(g.n), b.to_mask(g.n),
-                                            balance_c)
+        am, bm = a.to_mask(g.n), b.to_mask(g.n)
+        del a, b  # freed before the trimmed sides are built: they hold every vertex
+        cmask, am, bm = trim_separator_mask(g, cmask, am, bm, balance_c)
         a, b = VertexSet.from_mask(am), VertexSet.from_mask(bm)
     return Separator(C=VertexSet.from_mask(cmask), A=a, B=b, balance_c=balance_c,
                      claimed_bound=claimed_bound, params=params or {})

@@ -150,7 +150,8 @@ class Graph:
         self.edge_v = ev
         self.edge_w = ew  # None means all edges have weight 1
         self.m = len(eu)
-        self.indptr, self.indices, self._csr_edge_id = _build_csr(self.n, eu, ev)
+        self.indptr, self.indices = _build_csr(self.n, eu, ev)
+        self._csr_edge_id: Optional[np.ndarray] = None  # edge id per slot, on first use
         if vertex_weight is None:
             self.vertex_weight = np.ones(self.n, dtype=np.int64)
         else:
@@ -160,10 +161,7 @@ class Graph:
             if np.any(w < 0):
                 raise ValueError("vertex weights must be nonnegative")
             self.vertex_weight = w
-        total = int(self.vertex_weight.sum(dtype=object)) if self.n else 0
-        if total >= 2**63:
-            raise ValueError("sum of vertex weights exceeds 64-bit range")
-        self.total_vertex_weight = total
+        self.total_vertex_weight = _weight_total(self.vertex_weight)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -194,6 +192,9 @@ class Graph:
         if weights is None:
             data = np.ones(len(self.indices), dtype=np.int64)
         else:
+            if self._csr_edge_id is None:
+                # slot k holds the edge at position order[k] of [ev, eu]
+                self._csr_edge_id = _slot_order(self.edge_u, self.edge_v) % max(self.m, 1)
             data = weights[self._csr_edge_id]
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
@@ -240,6 +241,20 @@ def _canonical_edges(n, edges, edge_weight):
     return u, v, w
 
 
+def _weight_total(w: np.ndarray) -> int:
+    """The exact sum of nonnegative int64 weights; raises at 2^63 or more.
+
+    Below 2^62 the float sum cannot hide a total of 2^63, so the int64 sum
+    is exact; only totals near 2^63 take the Python-int sum.
+    """
+    if float(w.sum(dtype=np.float64)) < 2.0**62:
+        return int(w.sum())
+    total = int(w.sum(dtype=object))
+    if total >= 2**63:
+        raise ValueError("sum of vertex weights exceeds 64-bit range")
+    return total
+
+
 def _int64_array(values) -> np.ndarray:
     """A fresh int64 array of `values`: an ndarray is copied, anything else
     listed first (a Python int beyond 64 bits raises OverflowError)."""
@@ -249,18 +264,20 @@ def _int64_array(values) -> np.ndarray:
 
 
 def _build_csr(n, eu, ev):
-    """CSR rows with sorted neighbor lists, and the edge id of each slot.
+    """CSR rows with sorted neighbor lists: (indptr, indices)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n), out=indptr[1:])
+    return indptr, np.concatenate([eu, ev])[_slot_order(eu, ev)]
+
+
+def _slot_order(eu, ev):
+    """Positions in the stacked targets [eu, ev] of the CSR slots, in order.
 
     The edges come sorted by (u, v) with u < v, so stacking the sources as
     [ev, eu] puts every row's smaller neighbors first, each half already
     ascending: one stable sort by source orders the targets too.
     """
-    src = np.concatenate([ev, eu])
-    ids = np.arange(len(eu), dtype=np.int64)
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, np.concatenate([eu, ev])[order], np.concatenate([ids, ids])[order]
+    return np.argsort(np.concatenate([ev, eu]), kind="stable")
 
 
 # -- spec operations -------------------------------------------------------
@@ -616,14 +633,16 @@ def neighborhood(g: Graph, xs: VertexSet, delta: int = 1) -> VertexSet:
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists of `verts` (with multiplicity), vectorized."""
+    return indices[_row_slots(indptr, verts)]
+
+
+def _row_slots(indptr: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """The CSR slots of the rows of `verts`, row after row."""
     starts = indptr[verts]
     counts = indptr[verts + 1] - starts
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    offsets = np.repeat(starts, counts)
     within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    return indices[offsets + within]
+    return np.repeat(starts, counts) + within
 
 
 def grow_within(g: Graph, allowed: np.ndarray, seed_vertices: np.ndarray, target: int,
@@ -751,10 +770,18 @@ class HostSubgraph:
     nothing is relabelled, so BFS results need no scatter back to host ids.
     The build costs O(n + m) whatever the mask (`MaskedSubgraph` costs
     O(|ids| + vol(ids)) for small sets).  The BFS from the last start asked
-    for is kept.
+    for is kept until the next `restrict`.
+
+    `restrict` shrinks the mask in place at O(n + vol(newly dead)): each
+    slot joining a newly dead vertex d to u is rewritten as a self-loop (the
+    entry for d in u's row becomes u, the entry for u in d's row becomes d),
+    so the matrix stays symmetric and no slot moves.  A self-loop never lies
+    one level closer to start, so BFS order, balls, levels, `parent` and the
+    components are those of a fresh build; but the matrix is canonical
+    (sorted, loop-free rows) only as built, and `m` counts the live edges.
     """
 
-    __slots__ = ("mask", "mat", "_bfs")
+    __slots__ = ("mask", "mat", "m", "_rev", "_bfs")
 
     def __init__(self, g: Graph, mask: np.ndarray):
         keep = mask[g.indices]
@@ -765,7 +792,35 @@ class HostSubgraph:
         self.mask = mask.copy()
         self.mat = csr_matrix((np.ones(len(indices)), indices, kept[g.indptr]),
                               shape=(g.n, g.n))
+        self.m = len(indices) // 2              # edges with both ends in mask
+        self._rev: Optional[np.ndarray] = None  # slot of each slot's reverse entry
         self._bfs: Optional[LevelBFS] = None
+
+    def restrict(self, mask: np.ndarray) -> None:
+        """Shrink the subgraph to G[mask]; mask must be a subset of the current one."""
+        dead = np.flatnonzero(self.mask & ~mask)
+        if len(dead) == 0:
+            return
+        mat = self.mat
+        if self._rev is None:
+            # the matrix is still as built, rows ascending and sorted
+            # within: ordering the slots by column lists the transpose, which
+            # is the matrix itself, so the k-th slot in that order is the
+            # reverse of slot k
+            self._rev = np.argsort(mat.indices, kind="stable").astype(np.int32)
+        slots = _row_slots(mat.indptr, dead)
+        rows = np.repeat(dead, mat.indptr[dead + 1] - mat.indptr[dead])
+        cols = mat.indices[slots]
+        edge = cols != rows  # the other slots are loops of earlier restricts
+        slots, rows, cols = slots[edge], rows[edge], cols[edge]
+        # every edge left joins two vertices of the old mask; one with both
+        # ends dead shows up once from each end
+        self.m -= len(slots) - int(np.count_nonzero(~mask[cols])) // 2
+        mat.indices[self._rev[slots]] = cols
+        mat.indices[slots] = rows
+        mat.has_sorted_indices = False
+        self.mask[dead] = False
+        self._bfs = None
 
     def bfs(self, start: int) -> LevelBFS:
         if self._bfs is None or self._bfs.start != start:

@@ -14,20 +14,22 @@ density guard, which leaves m <= 4 h sqrt(ln h) n, and the spanner's size
 target 4 k n^(1+1/k) then admits every edge unless h sqrt(ln h) > k n^(1/k);
 so the loop skips the spanner (Baswana-Sen, JACM 2007, for that regime).
 
-Each iteration searches G[live] once.  G[live] is kept over host ids and
-rebuilt only when live changed.  One breadth-first search (`LevelBFS`) runs
-from the least live neighbor of the first branch set, or else the first live
-vertex.  When it reaches more than half the live weight, its component is G'
-and that vertex is where tree-or-cut starts, so the same search grows the
-balls.  Only otherwise are the components labelled, and a second search runs
-if that vertex was parked.  In BFS order the vertices come level by level,
-so ball(d), the number of vertices within distance d, is the start of level
-d + 1, found on demand by one binary search per level.  For exact-BFS balls
-N^delta(ball(x)) = ball(x + delta), so the growth and stall conditions are
-comparisons of level starts and the cut S is a prefix of the BFS order.  A
-tree follows predecessors from each representative back to the start; the
-predecessor of v is its largest-id live neighbor one level closer, found
-only for the vertices on those paths.
+Each iteration searches G[live] once.  G[live] is built once per call over
+host ids, and at the top of each iteration `HostSubgraph.restrict` edits out
+the vertices that left live since the last one, at O(n) for the mask diff
+plus the degree of the removed vertices.  One breadth-first search
+(`LevelBFS`) runs from the least live neighbor of the first branch set, or
+else the first live vertex.  When it reaches more than half the live
+weight, its component is G' and that vertex is where tree-or-cut starts, so
+the same search grows the balls.  Only otherwise are the components
+labelled, and a second search runs if that vertex was parked.  In BFS order
+the vertices come level by level, so ball(d), the number of vertices within
+distance d, is the start of level d + 1, found on demand by one binary
+search per level.  For exact-BFS balls N^delta(ball(x)) = ball(x + delta),
+so the growth and stall conditions are comparisons of level starts and the
+cut S is a prefix of the BFS order.  A tree follows predecessors from each
+representative back to the start; the predecessor of v is its largest-id
+live neighbor one level closer, found only for the vertices on those paths.
 """
 
 from __future__ import annotations
@@ -287,20 +289,18 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     ext_radius = max(1, math.ceil(4 * delta * ell * lnn))
     iters = 0
     iter_cap = ITER_COEFF * max(1, n // ell) + 8 * h + 8
-    live_g: Optional[HostSubgraph] = None
+    live_g = HostSubgraph(g, st.live)
 
     while True:
         iters += 1
         if iters > iter_cap:
             raise RuntimeError(f"shallow loop exceeded {iter_cap} iterations; this is a bug")
 
-        # G[live], rebuilt only when live changed: the density recheck counts
-        # its edges and every search of the iteration runs on it
-        if live_g is None or not np.array_equal(live_g.mask, st.live):
-            live_g = HostSubgraph(g, st.live)
+        # G[live], edited down to the current live set: the density recheck
+        # counts its edges and every search of the iteration runs on it
+        live_g.restrict(st.live)
         live_n = int(st.live.sum())
-        live_m = live_g.mat.nnz // 2
-        if live_n and any(live_m > density_threshold(p, h, live_n) for p in DENSITY_POLICIES):
+        if live_n and any(live_g.m > density_threshold(p, h, live_n) for p in DENSITY_POLICIES):
             if stats is not None:
                 stats["iterations"] = iters
             sub, _ = induced_subgraph(g, VertexSet.from_mask(st.live))

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import debugcheck
 from .certificates import (
@@ -28,7 +29,13 @@ from .certificates import (
     density_result,
     find_connecting_edge,
 )
-from .graph import Graph, VertexSet, gather_neighbors, masked_components
+from .graph import (
+    Graph,
+    HostSubgraph,
+    LevelBFS,
+    VertexSet,
+    masked_components,
+)
 from .minorfree import balanced_separator
 from .shallow import ln_ceil
 
@@ -49,7 +56,22 @@ class QuotientGraph:
     """Contraction of tree-partition classes with summed vertex weights."""
 
     graph: Graph
-    members: list[np.ndarray]   # original vertex ids per quotient vertex
+    label: np.ndarray           # quotient vertex per original vertex (-1 outside live)
+
+    @property
+    def members(self) -> list[np.ndarray]:
+        """Original vertex ids per quotient vertex, ascending."""
+        ids = np.flatnonzero(self.label >= 0)
+        ids = ids[np.argsort(self.label[ids], kind="stable")]
+        ends = np.cumsum(np.bincount(self.label[ids], minlength=self.graph.n))
+        return np.split(ids, ends[:-1]) if self.graph.n else []
+
+    def lift(self, qids) -> np.ndarray:
+        """Mask of the original vertices in the classes qids."""
+        # one entry past the quotient vertices stays False: label -1 reads it
+        sel = np.zeros(self.graph.n + 1, dtype=bool)
+        sel[np.fromiter(qids, dtype=np.int64)] = True
+        return sel[self.label]
 
 
 def partition_spanning_tree(parent: np.ndarray, order: np.ndarray, target: int,
@@ -61,71 +83,86 @@ def partition_spanning_tree(parent: np.ndarray, order: np.ndarray, target: int,
     threshold z = ceil(target / degree_cap); with maximum degree at most
     degree_cap a carved class has between z and 1 + degree_cap*(z-1) <= target
     vertices, so the class count is at most n/z plus one leftover per root.
-    `order` must list parents before children (the BFS visit order).
+    `order` must list parents before children (the BFS visit order); vertices
+    not in it belong to no class (-1).
+
+    The residuals are carved level by level, deepest first, with depths from
+    `parent` by pointer doubling.  The classes are numbered in `order`: a
+    carved vertex or a root opens the next class, and every other vertex
+    joins its parent's, level by level from the top.
     """
     n = len(parent)
     if degree_cap < 1:
         raise ValueError("degree_cap must be >= 1")
     z = max(1, math.ceil(target / degree_cap))
-    # both passes walk Python lists: numpy scalar indexing costs more per vertex
-    par = parent.tolist()
-    visit = order.tolist()
-    residual = [1] * n
-    carve = [False] * n
-    for v in reversed(visit):
-        if residual[v] >= z:
-            carve[v] = True
-            residual[v] = 0
-        p = par[v]
-        if p >= 0:
-            residual[p] += residual[v]
-    # top-down labeling: each vertex joins its parent's class unless carved
-    sub = [-1] * n
-    next_id = 0
-    for v in visit:
-        p = par[v]
-        if carve[v] or p < 0 or sub[p] < 0:
-            sub[v] = next_id
-            next_id += 1
-        else:
-            sub[v] = sub[p]
-    return TreePartition(parent=parent, subtree_of=np.array(sub, dtype=np.int64), count=next_id)
+    order = np.asarray(order, dtype=np.int64)
+    depth = _tree_depths(parent)[order]
+    by_depth = order[np.argsort(depth, kind="stable")]
+    up = parent[by_depth]
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    spans = list(zip([0] + ends[:-1], ends))[1:]  # (lo, hi) in by_depth per depth >= 1
+    # residual[v] is final once the level below v is done; a carved
+    # subtree passes nothing up
+    residual = np.ones(n, dtype=np.int64)
+    for lo, hi in reversed(spans):
+        r = residual[by_depth[lo:hi]]
+        r[r >= z] = 0
+        np.add.at(residual, up[lo:hi], r)
+    opens = (residual[order] >= z) | (parent[order] < 0)
+    count = int(opens.sum())
+    sub = np.full(n, -1, dtype=np.int64)
+    sub[order[opens]] = np.arange(count)
+    for lo, hi in spans:
+        vs = by_depth[lo:hi]
+        own = sub[vs]
+        sub[vs] = np.where(own >= 0, own, sub[up[lo:hi]])
+    return TreePartition(parent=parent, subtree_of=sub, count=count)
+
+
+def _tree_depths(parent: np.ndarray) -> np.ndarray:
+    """The number of ancestors of each vertex of a forest, by pointer doubling."""
+    n = len(parent)
+    # depth[v] counts the steps from v to up[v]; a root points to itself
+    up = np.where(parent >= 0, parent, np.arange(n)).astype(np.int32)
+    depth = (parent >= 0).astype(np.int32)
+    while True:
+        depth += depth[up]
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            return depth
+        up = nxt
 
 
 def tree_partition(g: Graph, live_ids: np.ndarray, target: int,
                    degree_cap: int) -> TreePartition:
-    """Spanning-tree partition of the subgraph induced by live_ids.
+    """Spanning-tree partition of the subgraph induced by live_ids (ascending).
 
-    Raises if a live vertex exceeds the degree cap (the caller removes
-    high-degree vertices first).
+    The spanning forest is breadth-first from the smallest id of each
+    component: the parent of a vertex is its smallest-id neighbor one level
+    up, and the visit order runs component by component (by smallest id),
+    level by level, and by id within a level.  Raises if a live vertex
+    exceeds the degree cap (the caller removes high-degree vertices first).
     """
-    mask = np.zeros(g.n, dtype=bool)
-    mask[live_ids] = True
-    parent = np.full(g.n, -1, dtype=np.int64)
-    seenq: list[int] = []
-    seen = np.zeros(g.n, dtype=bool)
-    for root in live_ids.tolist():
-        if seen[root]:
-            continue
-        seen[root] = True
-        frontier = np.asarray([root], dtype=np.int64)
-        seenq.append(root)
-        while len(frontier):
-            nbrs = gather_neighbors(g.indptr, g.indices, frontier)
-            src = np.repeat(frontier, g.indptr[frontier + 1] - g.indptr[frontier])
-            keep = mask[nbrs] & ~seen[nbrs]
-            nbrs, src = nbrs[keep], src[keep]
-            if len(nbrs) == 0:
-                break
-            uniq, first = np.unique(nbrs, return_index=True)
-            parent[uniq] = src[first]
-            seen[uniq] = True
-            seenq.extend(uniq.tolist())
-            frontier = uniq
-    order = np.asarray(seenq, dtype=np.int64)
     degs = (g.indptr[live_ids + 1] - g.indptr[live_ids])
     if len(degs) and int(degs.max()) > degree_cap:
         raise ValueError("degree cap violated inside tree_partition")
+    parent = np.full(g.n, -1, dtype=np.int64)
+    order = np.empty(0, dtype=np.int64)
+    if len(live_ids):
+        mask = np.zeros(g.n, dtype=bool)
+        mask[live_ids] = True
+        lv_live, comp = _forest_levels(g, mask, live_ids)
+        order = live_ids[np.lexsort((lv_live, comp))]
+        lv = np.full(g.n, -1, dtype=np.int32)
+        lv[live_ids] = lv_live
+        # the slots of the host CSR that lead one level up; rows come in
+        # order and sorted within, so a row's first is its smallest id
+        row_lv = np.repeat(lv, g.degrees())
+        up = (lv[g.indices] == row_lv - 1) & (row_lv > 0)
+        rows = np.repeat(np.arange(g.n, dtype=np.int32), g.degrees())[up]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        parent[rows[first]] = g.indices[up][first]
     tp = partition_spanning_tree(parent, order, target, degree_cap)
     if debugcheck.enabled():
         sizes = np.bincount(tp.subtree_of[live_ids], minlength=tp.count)
@@ -133,6 +170,26 @@ def tree_partition(g: Graph, live_ids: np.ndarray, target: int,
                          int(sizes.max(initial=1)) <= target + degree_cap,
                          f"a subtree exceeds target+cap = {target}+{degree_cap}")
     return tp
+
+
+def _forest_levels(g: Graph, mask: np.ndarray,
+                   live_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The BFS level of each live id from the smallest id of its component,
+    and its component's label (numbered in order of smallest id), in one
+    search: from that id when G[mask] is connected, else from a virtual
+    vertex n joined to the smallest id of every component."""
+    sub = HostSubgraph(g, mask)
+    bfs = sub.bfs(int(live_ids[0]))
+    if len(bfs.order) == len(live_ids):
+        return bfs.levels(live_ids), np.zeros(len(live_ids), dtype=np.int64)
+    _, labels = sub.components()
+    comp = labels[live_ids]
+    roots = live_ids[np.unique(comp, return_index=True)[1]].astype(np.int32)
+    mat = sub.mat
+    indptr = np.append(mat.indptr, mat.nnz + len(roots)).astype(np.int32)
+    sup = csr_matrix((np.ones(mat.nnz + len(roots)), np.concatenate([mat.indices, roots]),
+                      indptr), shape=(g.n + 1, g.n + 1))
+    return LevelBFS(sup, g.n).levels(live_ids) - 1, comp
 
 
 def contract_by_partition(g: Graph, live_ids: np.ndarray, tp: TreePartition) -> QuotientGraph:
@@ -144,20 +201,11 @@ def contract_by_partition(g: Graph, live_ids: np.ndarray, tp: TreePartition) -> 
     qv = label[g.edge_v[keep]]
     inter = qu != qv
     qu, qv = qu[inter], qv[inter]
-    nq = tp.count
-    weights = np.zeros(nq, dtype=np.int64)
+    weights = np.zeros(tp.count, dtype=np.int64)
     np.add.at(weights, label[live_ids], g.vertex_weight[live_ids])
-    quotient = Graph(nq, np.stack([qu, qv], axis=1) if len(qu) else [],
-                     vertex_weight=weights.tolist())
-    members: list[np.ndarray] = [np.empty(0, np.int64)] * nq
-    orderv = np.argsort(label[live_ids], kind="stable")
-    sorted_ids = live_ids[orderv]
-    sorted_lab = label[sorted_ids]
-    starts = np.searchsorted(sorted_lab, np.arange(nq))
-    ends = np.searchsorted(sorted_lab, np.arange(nq), side="right")
-    for q in range(nq):
-        members[q] = sorted_ids[starts[q]:ends[q]]
-    return QuotientGraph(graph=quotient, members=members)
+    quotient = Graph(tp.count, np.stack([qu, qv], axis=1) if len(qu) else [],
+                     vertex_weight=weights)
+    return QuotientGraph(graph=quotient, label=label)
 
 
 def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
@@ -211,15 +259,9 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
     params["quotient_m"] = quo.graph.m
     inner = balanced_separator(quo.graph, h, eps, seed, stats=stats)
     if isinstance(inner, Separator):
-        cmask = smask.copy()
-        amask = np.zeros(n, dtype=bool)
-        bmask = np.zeros(n, dtype=bool)
-        for q in inner.C:
-            cmask[quo.members[q]] = True
-        for q in inner.A:
-            amask[quo.members[q]] = True
-        for q in inner.B:
-            bmask[quo.members[q]] = True
+        cmask = smask | quo.lift(inner.C)
+        amask = quo.lift(inner.A)
+        bmask = quo.lift(inner.B)
         # other components of G - S pack greedily alongside the lifted sides
         placed = cmask | amask | bmask
         leftovers = np.flatnonzero(~placed)
@@ -260,10 +302,7 @@ def _tradeoff_claimed(n: int, dval: float, lnn: float, s_count: int) -> int:
 
 def _lift_witness(g: Graph, quo: QuotientGraph, wtn: MinorWitness) -> MinorWitness:
     """Expand quotient branch sets to their original vertex sets."""
-    sets = []
-    for bs in wtn.branch_sets:
-        ids = np.concatenate([quo.members[q] for q in bs]) if len(bs) else np.empty(0, np.int64)
-        sets.append(VertexSet(np.unique(ids).tolist()))
+    sets = [VertexSet.from_mask(quo.lift(bs)) for bs in wtn.branch_sets]
     out = MinorWitness(branch_sets=sets, depth_bound=None)
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):

@@ -113,6 +113,10 @@ CASES = {
     "linear-time grid 64": (_gen("grid 64"), lambda g: linear_time_separator(g, 5, 0.5, SEED)),
     "tradeoff dense report": (_gen("random-regular 100 30"),
                               lambda g: tradeoff_separator(g, 5, 0.8, 0.5, SEED)),
+    # the quotient run finds the minor: witnesses lifted through the classes
+    "tradeoff kh-blowup 5 40": (_gen("kh-blowup 5 40"),
+                                lambda g: tradeoff_separator(g, 5, 0.8, 0.5, SEED)),
+    "tradeoff torus 12": (_gen("torus 12"), lambda g: tradeoff_separator(g, 5, 0.8, 0.5, SEED)),
     "minorfree grid 16 ell=1 c_r=0.05": (_gen("grid 16"),
                                          lambda g: minor_free_separator(g, 5, 1, 0.5, SEED, c_r=0.05)),
     "balanced grid 24 c_r=0.05": (_gen("grid 24"),
@@ -163,6 +167,10 @@ HASHES = {
         "4044dc82a38fbe36f37c30003887c3c1c429dc2865ae3de8c53ca5c88bd16ed0",
     "tradeoff dense report":
         "3e8c7bd47b7c5ce9c47c14b6fed57d76537d8fdb7f4196f545db7f8e3e5862e3",
+    "tradeoff kh-blowup 5 40":
+        "2881d9dcaed0607c1dd71d4bedec82490788eec4ace54ac443d8e5b80e2d9f32",
+    "tradeoff torus 12":
+        "c5ffbde0395478a00dc3e9f3b6f1e525e7bac209539999515ea74dca1fb68796",
     "minorfree grid 16 ell=1 c_r=0.05":
         "d877bb7b6e693e4df721bc6cfe5c94a623c7b646744c225141764ebacdcb82ce",
     "balanced grid 24 c_r=0.05":

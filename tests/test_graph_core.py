@@ -515,6 +515,22 @@ class TestInducedSubgraph:
         assert sorted(lifted, key=min) == sorted(host, key=min)
 
 
+class TestCsr:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_weights_sit_on_both_slots_of_their_edge(self, data):
+        n = data.draw(st.integers(1, 30))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            max_size=3 * n))
+        g = Graph(n, list(edges))
+        w = np.arange(g.m, dtype=np.int64) * 7 + 1
+        mat = g.csr(w)
+        assert mat.nnz == 2 * g.m and (mat != mat.T).nnz == 0
+        for i, (u, v) in enumerate(g.edge_list()):
+            assert mat[u, v] == mat[v, u] == w[i]
+
+
 class TestComponents:
     def test_empty(self):
         assert connected_components(Graph(0, [])) == []
@@ -653,6 +669,49 @@ class TestLevelBFS:
                 assert pred[v] == max(closer) == bfs.parent(v)
 
 
+class TestHostSubgraphRestrict:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_restrict_matches_fresh_build(self, data):
+        """Along a chain of shrinking masks (random subsets, whole
+        components, dead-dead edges), the edited subgraph answers every
+        query as a fresh build of G[mask] does."""
+        n = data.draw(st.integers(1, 40))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            max_size=3 * n))
+        g = Graph(n, list(edges))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        sub = HostSubgraph(g, mask)
+        for _ in range(data.draw(st.integers(1, 6))):
+            mask = mask.copy()
+            live = np.flatnonzero(mask)
+            if len(live) and data.draw(st.booleans()):
+                _, labels = symmetric_components(HostSubgraph(g, mask).mat)
+                mask[labels == labels[data.draw(st.sampled_from(live.tolist()))]] = False
+            else:
+                kill = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+                mask &= ~np.array(kill)
+            sub.restrict(mask)
+            fresh = HostSubgraph(g, mask)
+            assert sub.m == fresh.m == int((mask[g.edge_u] & mask[g.edge_v]).sum())
+            assert (sub.mat != sub.mat.T).nnz == 0
+            live = np.flatnonzero(mask)
+            _, got = sub.components()
+            _, want = fresh.components()
+            assert (np.unique(got[live], return_inverse=True)[1].tolist()
+                    == np.unique(want[live], return_inverse=True)[1].tolist())
+            for start in data.draw(st.lists(st.sampled_from(live.tolist()), max_size=3)
+                                   if len(live) else st.just([])):
+                a, b = sub.bfs(start), fresh.bfs(start)
+                assert a.order.tolist() == b.order.tolist()
+                for d in range(-1, len(b.order) + 1):
+                    assert a.ball(d) == b.ball(d)
+                assert a.levels(np.arange(n)).tolist() == b.levels(np.arange(n)).tolist()
+                for v in b.order[1:].tolist():
+                    assert a.parent(v) == b.parent(v)
+
+
 class TestMaskedDiameter:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -704,6 +763,21 @@ class TestTotalWeight:
     def test_mixed(self):
         g = Graph(3, [(0, 1)], vertex_weight=[1, 2, 4])
         assert total_weight(g, VertexSet([0, 1, 2])) == 7
+
+
+    @pytest.mark.parametrize("weights, total", [
+        ([2**62, 2**62 - 1], 2**63 - 1),
+        ([2**63 - 1, 0], 2**63 - 1),
+        ([2**61, 2**61], 2**62),
+        ([2**62, 2**62], None),
+        ([2**63 - 1, 1], None),
+    ])
+    def test_graph_weight_total_limit(self, weights, total):
+        if total is None:
+            with pytest.raises(ValueError, match="sum of vertex weights exceeds 64-bit range"):
+                Graph(len(weights), [], vertex_weight=weights)
+        else:
+            assert Graph(len(weights), [], vertex_weight=weights).total_vertex_weight == total
 
 
 class TestSparsityGuard:

@@ -211,6 +211,25 @@ class TestShallowBalanced:
         assert isinstance(out, Separator)
         assert verify_output(g, out).ok
 
+    def test_grid64_builds_one_live_subgraph(self, monkeypatch):
+        # G[live] is built once per call and edited as live shrinks
+        from sepkit import shallow
+
+        builds = []
+
+        class Counting(HostSubgraph):
+            __slots__ = ()
+
+            def __init__(self, g, mask):
+                builds.append(int(mask.sum()))
+                super().__init__(g, mask)
+
+        monkeypatch.setattr(shallow, "HostSubgraph", Counting)
+        stats = {}
+        out = shallow_separator_balanced(grid(64), 5, 0.5, seed=0, stats=stats)
+        assert isinstance(out, Separator)
+        assert builds == [64 * 64] and stats["iterations"] > 1
+
     def test_k10_minor_side(self):
         g = kcomplete(10)
         out = shallow_separator_balanced(g, 5, 0.5, seed=0)

@@ -1,12 +1,15 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit import debugcheck
 from sepkit.certificates import MinorReport, MinorWitness, Separator, verify_output
 from sepkit.generators import grid_graph, kh_blowup_graph, path_graph
-from sepkit.graph import Graph
+from sepkit.graph import Graph, gather_neighbors
 from sepkit.tradeoff import (
     contract_by_partition,
     linear_time_separator,
@@ -21,6 +24,126 @@ def _debug_asserts():
     debugcheck.enable(True)
     yield
     debugcheck.enable(False)
+
+
+def reference_partition_spanning_tree(parent, order, target, degree_cap):
+    """The per-vertex loops that partition_spanning_tree replaced."""
+    n = len(parent)
+    z = max(1, math.ceil(target / degree_cap))
+    par = parent.tolist()
+    visit = order.tolist()
+    residual = [1] * n
+    carve = [False] * n
+    for v in reversed(visit):
+        if residual[v] >= z:
+            carve[v] = True
+            residual[v] = 0
+        p = par[v]
+        if p >= 0:
+            residual[p] += residual[v]
+    sub = [-1] * n
+    next_id = 0
+    for v in visit:
+        p = par[v]
+        if carve[v] or p < 0 or sub[p] < 0:
+            sub[v] = next_id
+            next_id += 1
+        else:
+            sub[v] = sub[p]
+    return np.array(sub, dtype=np.int64), next_id
+
+
+def reference_forest(g, live_ids):
+    """The per-level frontier search that tree_partition replaced: parents
+    and visit order of its breadth-first spanning forest."""
+    mask = np.zeros(g.n, dtype=bool)
+    mask[live_ids] = True
+    parent = np.full(g.n, -1, dtype=np.int64)
+    seenq = []
+    seen = np.zeros(g.n, dtype=bool)
+    for root in live_ids.tolist():
+        if seen[root]:
+            continue
+        seen[root] = True
+        frontier = np.asarray([root], dtype=np.int64)
+        seenq.append(root)
+        while len(frontier):
+            nbrs = gather_neighbors(g.indptr, g.indices, frontier)
+            src = np.repeat(frontier, g.indptr[frontier + 1] - g.indptr[frontier])
+            keep = mask[nbrs] & ~seen[nbrs]
+            nbrs, src = nbrs[keep], src[keep]
+            if len(nbrs) == 0:
+                break
+            uniq, first = np.unique(nbrs, return_index=True)
+            parent[uniq] = src[first]
+            seen[uniq] = True
+            seenq.extend(uniq.tolist())
+            frontier = uniq
+    return parent, np.asarray(seenq, dtype=np.int64)
+
+
+def reference_members(g, live_ids, subtree_of, count):
+    """Quotient edges, weights and members as contract_by_partition built them."""
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[live_ids] = subtree_of[live_ids]
+    keep = (label[g.edge_u] >= 0) & (label[g.edge_v] >= 0)
+    qu, qv = label[g.edge_u[keep]], label[g.edge_v[keep]]
+    inter = qu != qv
+    weights = np.zeros(count, dtype=np.int64)
+    np.add.at(weights, label[live_ids], g.vertex_weight[live_ids])
+    quotient = Graph(count, np.stack([qu[inter], qv[inter]], axis=1) if inter.any() else [],
+                     vertex_weight=weights.tolist())
+    members = [live_ids[label[live_ids] == q] for q in range(count)]
+    return quotient, members
+
+
+class TestAgainstReference:
+    """The numpy pre-phase against the loops it replaced, output for output."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_forest_partition(self, data):
+        n = data.draw(st.integers(1, 60))
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        # a random parents-first order, and a forest consistent with it
+        order = list(range(n))
+        rnd.shuffle(order)
+        parent = np.full(n, -1, dtype=np.int64)
+        for i in range(1, n):
+            if rnd.random() < 0.9:
+                parent[order[i]] = order[rnd.randrange(i)]
+        cap = data.draw(st.integers(1, 6))
+        # z = 1 when target <= cap
+        target = data.draw(st.one_of(st.integers(1, cap), st.integers(cap + 1, 40)))
+        order = np.asarray(order, dtype=np.int64)
+        tp = partition_spanning_tree(parent, order, target, cap)
+        sub, count = reference_partition_spanning_tree(parent, order, target, cap)
+        assert tp.parent is parent
+        assert tp.subtree_of.tolist() == sub.tolist() and tp.count == count
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_graph_partition_and_quotient(self, data):
+        n = data.draw(st.integers(1, 40))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            max_size=2 * n))
+        weights = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        g = Graph(n, list(edges), vertex_weight=weights)
+        live_ids = np.flatnonzero(np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                                               max_size=n)), dtype=bool))
+        cap = max(1, int(g.degrees().max(initial=0)))
+        target = data.draw(st.integers(1, 12))
+        tp = tree_partition(g, live_ids, target, cap)
+        parent, order = reference_forest(g, live_ids)
+        sub, count = reference_partition_spanning_tree(parent, order, target, cap)
+        assert tp.parent.tolist() == parent.tolist()
+        assert tp.subtree_of.tolist() == sub.tolist() and tp.count == count
+        quo = contract_by_partition(g, live_ids, tp)
+        ref_graph, ref_members = reference_members(g, live_ids, sub, count)
+        assert quo.graph.edge_list() == ref_graph.edge_list()
+        assert quo.graph.vertex_weight.tolist() == ref_graph.vertex_weight.tolist()
+        assert [m.tolist() for m in quo.members] == [m.tolist() for m in ref_members]
 
 
 class TestPartitionSpanningTree:
