@@ -41,7 +41,6 @@ from .spanner import DecrementalSpanner, Spanner, build_spanner, stretch_check
 from .clustering import (
     ActiveState,
     NestedClustering,
-    compute_C_X,
     decompose_active_complement,
     nested_r_clustering,
     refine_to_r_clustering,

@@ -35,6 +35,10 @@ from .graph import (
 )
 
 
+# Each side of a separator weighs at most this share of w(V).
+BALANCE_C = Fraction(2, 3)
+
+
 @dataclass
 class Separator:
     """Balanced vertex separator certificate: C splits the rest into A and B."""
@@ -42,7 +46,7 @@ class Separator:
     C: VertexSet
     A: VertexSet
     B: VertexSet
-    balance_c: Fraction = Fraction(2, 3)
+    balance_c: Fraction = BALANCE_C
     claimed_bound: Optional[int] = None
     params: dict = field(default_factory=dict)
 
@@ -292,12 +296,11 @@ def lift_minor(result: SepOrMinor, verts: np.ndarray) -> SepOrMinor:
 # -- A/B packing -------------------------------------------------------------
 
 
-def pack_components(g: Graph, cmask: np.ndarray,
-                    balance_c: Fraction = Fraction(2, 3)) -> tuple[VertexSet, VertexSet]:
+def pack_components(g: Graph, cmask: np.ndarray) -> tuple[VertexSet, VertexSet]:
     """Partition the components of G - C into sides A, B with exact balance.
 
     Greedy largest-first packing; succeeds whenever every component weighs at
-    most balance_c * w(V), which the calling algorithms guarantee.
+    most BALANCE_C * w(V), which the calling algorithms guarantee.
     """
     n = g.n
     sub_ids, ncomp, labels = masked_components(g, ~cmask)
@@ -308,7 +311,7 @@ def pack_components(g: Graph, cmask: np.ndarray,
     np.add.at(comp_w, labels, wloc)
     order = np.argsort(-comp_w, kind="stable")
     wv = int(g.total_vertex_weight)
-    num, den = balance_c.numerator, balance_c.denominator
+    num, den = BALANCE_C.numerator, BALANCE_C.denominator
     side = np.zeros(ncomp, dtype=np.int8)
     wa = wb = 0
     for c in order.tolist():
@@ -328,15 +331,14 @@ def pack_components(g: Graph, cmask: np.ndarray,
     return VertexSet.from_mask(amask), VertexSet.from_mask(bmask)
 
 
-def trim_separator_mask(g: Graph, cmask: np.ndarray, amask: np.ndarray, bmask: np.ndarray,
-                        balance_c: Fraction = Fraction(2, 3)):
+def trim_separator_mask(g: Graph, cmask: np.ndarray, amask: np.ndarray, bmask: np.ndarray):
     """Greedily move separator vertices into a side they exclusively touch.
 
     A vertex of C with no neighbor in B may join A (and symmetrically) when
     the exact balance budget allows; repeated passes run to a fixpoint.  The
     result is a valid separator with the same or smaller C.
     """
-    num, den = balance_c.numerator, balance_c.denominator
+    num, den = BALANCE_C.numerator, BALANCE_C.denominator
     wv = int(g.total_vertex_weight)
     wa = int(g.vertex_weight[amask].sum())
     wb = int(g.vertex_weight[bmask].sum())
@@ -365,30 +367,29 @@ def trim_separator_mask(g: Graph, cmask: np.ndarray, amask: np.ndarray, bmask: n
 
 
 def separator_from_cut_mask(g: Graph, cmask: np.ndarray, claimed_bound: Optional[int] = None,
-                            balance_c: Fraction = Fraction(2, 3), params: Optional[dict] = None,
-                            trim: bool = True) -> Separator:
-    a, b = pack_components(g, cmask, balance_c)
-    if trim:
-        am, bm = a.to_mask(g.n), b.to_mask(g.n)
-        del a, b  # freed before the trimmed sides are built: they hold every vertex
-        cmask, am, bm = trim_separator_mask(g, cmask, am, bm, balance_c)
-        a, b = VertexSet.from_mask(am), VertexSet.from_mask(bm)
-    return Separator(C=VertexSet.from_mask(cmask), A=a, B=b, balance_c=balance_c,
-                     claimed_bound=claimed_bound, params=params or {})
+                            params: Optional[dict] = None) -> Separator:
+    """The separator of a cut: G - C packed into two sides, then trimmed."""
+    a, b = pack_components(g, cmask)
+    am, bm = a.to_mask(g.n), b.to_mask(g.n)
+    del a, b  # freed before the trimmed sides are built: they hold every vertex
+    cmask, am, bm = trim_separator_mask(g, cmask, am, bm)
+    return Separator(C=VertexSet.from_mask(cmask), A=VertexSet.from_mask(am),
+                     B=VertexSet.from_mask(bm), claimed_bound=claimed_bound,
+                     params=params or {})
 
 
 # -- brute-force oracles ------------------------------------------------------
 
 
-def brute_force_min_separator(g: Graph, balance_c: Fraction = Fraction(2, 3)) -> Optional[Separator]:
+def brute_force_min_separator(g: Graph) -> Optional[Separator]:
     """Exact minimum balanced separator by subset enumeration (n <= 16)."""
     n = g.n
     if n > 16:
         raise OracleGuardError(f"brute_force_min_separator guarded to n <= 16, got {n}")
     if n == 0:
-        return Separator(VertexSet(), VertexSet(), VertexSet(), balance_c, 0)
+        return Separator(VertexSet(), VertexSet(), VertexSet(), BALANCE_C, 0)
     wv = int(g.total_vertex_weight)
-    num, den = balance_c.numerator, balance_c.denominator
+    num, den = BALANCE_C.numerator, BALANCE_C.denominator
     verts = list(range(n))
     adj = [set(g.neighbors(v).tolist()) for v in verts]
     wt = g.vertex_weight.tolist()
@@ -435,7 +436,7 @@ def brute_force_min_separator(g: Graph, balance_c: Fraction = Fraction(2, 3)) ->
             return None
         a = [v for v in inc if assign[comp_of[v]] == 0]
         b = [v for v in inc if assign[comp_of[v]] == 1]
-        return Separator(VertexSet(cset), VertexSet(a), VertexSet(b), balance_c, len(cset))
+        return Separator(VertexSet(cset), VertexSet(a), VertexSet(b), BALANCE_C, len(cset))
 
     for size in range(0, n + 1):
         for cset in combinations(verts, size):

@@ -15,12 +15,18 @@ are demanded.  materialize_all() forces the whole tree (tests, CLI dumps).
 
 Every split applies one boundary rule (_piece_boundaries): a piece's
 boundary is its vertices shared with another piece or inherited from the
-split cluster's boundary.
+split cluster's boundary.  Pieces are labelled by csgraph components on a
+cluster-local CSR from graph._build_csr; a cluster's edge ids stay ascending
+through every split, so its local edges arrive sorted as that builder needs.
+The per-call loops that remain (_direct_split's BFS, _ClusterDyn.recompute)
+run on clusters of a few vertices, where a csgraph call costs more.
 
-The dynamic layer (ActiveState) maintains, under passive<->active vertex
-flips, the antichain C_X in which every active vertex is a boundary vertex,
-the per-cluster partitions into X-clusters (components of C minus its active
-boundary, retaining a passive boundary vertex) and their exact weights.
+The dynamic layer (ActiveState) is the one expansion of C_X: it maintains,
+under passive<->active vertex flips, the antichain C_X in which every active
+vertex is a boundary vertex, the per-cluster partitions into X-clusters
+(components of C minus its active boundary, retaining a passive boundary
+vertex) and their exact weights; in debug mode each batch of flips re-checks
+the antichain postconditions.
 decompose_active_complement reads the decomposition of G minus X into unions
 of X-clusters from one component search on the bipartite graph of X-clusters
 and their passive boundary vertices.
@@ -37,7 +43,7 @@ from scipy.sparse import csr_matrix
 
 from . import debugcheck
 from .certificates import SepOrMinor, Separator, density_result, lift_minor
-from .graph import Graph, VertexSet, symmetric_components
+from .graph import Graph, _build_csr, symmetric_components
 from .shallow import ln_ceil, separator_coeff, shallow_separator, shallow_separator_balanced
 
 DEFAULT_C_R = 4.0          # lower end of the admissible r range: C_r * h^2 * ln n
@@ -120,24 +126,18 @@ def _piece_boundaries(n: int, pieces: list[tuple[np.ndarray, np.ndarray]],
     return [pv[mult[pv] > 1] for pv, _ in pieces]
 
 
-def _union_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Union-find over 0..n-1 joining each pair (a, b).
+def _edge_components(nn: int, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
+    """Component label of each of nn local vertices joined by the edges
+    (lu, lv), numbered in order of each component's smallest id.
 
-    Returns every element's root, which is the smallest id in its class.
+    The edges must come sorted by (lu, lv) with lu < lv, as a cluster's
+    ascending edge ids give them.
     """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return [find(x) for x in range(n)]
+    indptr, indices = _build_csr(nn, lu, lv)
+    # int32 index arrays, csgraph's canonical form: the matrix is not converted
+    return symmetric_components(csr_matrix(
+        (np.ones(len(indices)), indices.astype(np.int32), indptr.astype(np.int32)),
+        shape=(nn, nn)))[1]
 
 
 def _split_pieces_from_cut(g: Graph, verts: np.ndarray, eids: np.ndarray,
@@ -152,10 +152,9 @@ def _split_pieces_from_cut(g: Graph, verts: np.ndarray, eids: np.ndarray,
     incut = np.zeros(len(verts), dtype=bool)
     incut[cut_local] = True
     lu, lv = _local_ends(g, verts, eids)
-    # components of C - cut via union-find over non-cut edges
+    # components of C - cut, where each cut vertex is a component of its own
     both_out = ~incut[lu] & ~incut[lv]
-    root = np.asarray(_union_roots(len(verts), zip(lu[both_out].tolist(),
-                                                   lv[both_out].tolist())))
+    root = _edge_components(len(verts), lu[both_out], lv[both_out])
     # an edge's anchor is the component of its first endpoint outside the cut
     anchor = np.where(~incut[lu], root[lu], np.where(~incut[lv], root[lv], -1))
     roots, first = np.unique(anchor, return_index=True)
@@ -244,7 +243,7 @@ def _connected_edge_groups(g: Graph, eids: np.ndarray) -> list[tuple[np.ndarray,
     """Split a nonempty edge set into connected groups, ordered by smallest vertex."""
     verts = _verts_of_edges(g, eids)
     lu, lv = _local_ends(g, verts, eids)
-    root = np.asarray(_union_roots(len(verts), zip(lu.tolist(), lv.tolist())))[lu]
+    root = _edge_components(len(verts), lu, lv)[lu]
     order = np.argsort(root, kind="stable")
     groups = np.split(eids[order], np.flatnonzero(np.diff(root[order])) + 1)
     return [(_verts_of_edges(g, pe), pe) for pe in groups]
@@ -501,31 +500,9 @@ def nested_r_clustering(g: Graph, r: int, h: int, eps: float, seed: int = 0,
 # -- dynamic layer ------------------------------------------------------------
 
 
-def compute_C_X(nc: NestedClustering, xs: VertexSet) -> set[int]:
-    """Expand the level-1 roster until every X vertex is a boundary vertex."""
-    xmask = xs.to_mask(nc.g.n)
-    roster: set[int] = set(nc.level1)
-    changed = True
-    while changed:
-        changed = False
-        for cid in sorted(roster):
-            c = nc.cluster(cid)
-            if c.is_leaf or not (len(c.vertices) and xmask[c.vertices].any()):
-                continue
-            bmask = np.zeros(nc.g.n, dtype=bool)
-            bmask[c.boundary] = True
-            interior_x = c.vertices[xmask[c.vertices] & ~bmask[c.vertices]]
-            if len(interior_x):
-                roster.discard(cid)
-                roster.update(nc.children_of(cid))
-                changed = True
-                break
-    if debugcheck.enabled():
-        _check_cx_postconditions(nc, roster, xmask)
-    return roster
-
-
 def _check_cx_postconditions(nc: NestedClustering, roster: set[int], xmask: np.ndarray) -> None:
+    """The antichain rules: clusters of `roster` share only boundary vertices,
+    and every X vertex is a boundary vertex, or interior to a leaf."""
     mult = np.zeros(nc.g.n, dtype=np.int64)
     bmult = np.zeros(nc.g.n, dtype=np.int64)
     leafint = np.zeros(nc.g.n, dtype=bool)
@@ -566,16 +543,8 @@ class _ClusterDyn:
         self.cid = c.id
         self.verts = c.vertices
         # local id = position in the sorted c.vertices
-        lu = np.searchsorted(c.vertices, g.edge_u[c.edges])
-        lv = np.searchsorted(c.vertices, g.edge_v[c.edges])
-        nn = len(c.vertices)
-        order = np.argsort(np.concatenate([lu, lv]) * nn + np.concatenate([lv, lu]))
-        allu = np.concatenate([lu, lv])[order]
-        allv = np.concatenate([lv, lu])[order]
-        self.indptr = np.zeros(nn + 1, dtype=np.int64)
-        np.add.at(self.indptr, allu + 1, 1)
-        np.cumsum(self.indptr, out=self.indptr)
-        self.indices = allv
+        lu, lv = _local_ends(g, c.vertices, c.edges)
+        self.indptr, self.indices = _build_csr(len(c.vertices), lu, lv)
         self.bnd_local = np.searchsorted(c.vertices, c.boundary)
         self.xcl_of: Optional[np.ndarray] = None
         self.xclusters: list[XCluster] = []
@@ -718,20 +687,21 @@ class ActiveState:
         return set(self.boundary_clusters.get(v, ()))
 
     def set_vertex_state(self, v: int, to: str) -> None:
-        touched = self._flip(v, to) & set(self.dyn)
-        for cid in sorted(touched):
-            self.dyn[cid].recompute(self.nc.g, self.active)
-        for fn in self.listeners:
-            fn(sorted(touched))
+        self.set_many([v], to)
 
     def set_many(self, vs: Iterable[int], to: str) -> None:
-        """Batch flips: each affected cluster is recomputed once at the end."""
+        """Batch flips: each affected cluster is recomputed once at the end.
+
+        In debug mode the C_X postconditions are checked after the batch.
+        """
         touched: set[int] = set()
         for v in vs:
             touched |= self._flip(int(v), to)
         touched &= set(self.dyn)  # expanded-away clusters no longer exist
         for cid in sorted(touched):
             self.dyn[cid].recompute(self.nc.g, self.active)
+        if debugcheck.enabled():
+            _check_cx_postconditions(self.nc, self.cx, self.active)
         for fn in self.listeners:
             fn(sorted(touched))
 

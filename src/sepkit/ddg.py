@@ -28,7 +28,7 @@ import numpy as np
 
 from . import debugcheck
 from .clustering import ActiveState, _ClusterDyn
-from .graph import Graph, MaskedSubgraph, masked_bfs
+from .graph import Graph, HostSubgraph, LevelBFS, MaskedSubgraph
 from .shallow import ln_ceil
 from .spanner import SIZE_COEFF, build_spanner
 
@@ -436,18 +436,20 @@ class DdgLayer:
                            f"in cluster {cid} slot {slot}")
 
     def _check_far(self, s: int, t: int, ell: int) -> None:
-        # s and t are S_X vertices, so passive; inf when t is off s's component
-        d = masked_bfs(self.g, ~self.st.active, s)[0][t]
+        # s and t are S_X vertices, so passive; -1 (unreached) counts as far
+        d = int(HostSubgraph(self.g, ~self.st.active).bfs(s).levels(np.array([t]))[0])
         need = math.ceil(8 * ell * ln_ceil(self.g.n))
-        debugcheck.check("ddg.far-pair", d >= need,
-                         f"far pair at true distance {d:.0f} < {need}")
+        debugcheck.check("ddg.far-pair", d < 0 or d >= need,
+                         f"far pair at true distance {d} < {need}")
 
     def _check_tree(self, res: FindResult, ell: int, h: int, threshold: int) -> None:
         cap_depth = threshold + self.st.nc.r + 2
         cap_size = h * (threshold + self.st.nc.r) + 2
         debugcheck.check("ddg.tree-size", len(res.tree_vertices) <= cap_size,
                          f"tree size {len(res.tree_vertices)} exceeds {cap_size}")
-        depth = MaskedSubgraph(self.g, res.tree_vertices).bfs(res.tree_root)[0][res.tree_vertices]
-        dmax = int(depth.max()) if np.isfinite(depth).all() else None
+        sub = MaskedSubgraph(self.g, res.tree_vertices)
+        root = int(np.searchsorted(res.tree_vertices, res.tree_root))
+        depth = LevelBFS(sub.mat, root).levels(np.arange(len(res.tree_vertices)))
+        dmax = int(depth.max()) if (depth >= 0).all() else None
         debugcheck.check("ddg.tree-depth", dmax is not None and dmax <= cap_depth,
                          f"tree depth {dmax} exceeds {cap_depth}")

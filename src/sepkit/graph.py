@@ -614,21 +614,9 @@ def neighborhood(g: Graph, xs: VertexSet, delta: int = 1) -> VertexSet:
     """N^delta(X): all vertices within distance delta of X (X included)."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    if len(xs) == 0:
-        return VertexSet()
-    mask = xs.to_mask(g.n)
-    frontier = np.flatnonzero(mask)
-    for _ in range(delta):
-        if len(frontier) == 0:
-            break
-        nbrs = gather_neighbors(g.indptr, g.indices, frontier)
-        new = nbrs[~mask[nbrs]]
-        if len(new) == 0:
-            break
-        new = np.unique(new)
-        mask[new] = True
-        frontier = new
-    return VertexSet.from_mask(mask)
+    ids = grow_within(g, np.ones(g.n, dtype=bool), np.asarray(xs.ids(), dtype=np.int64),
+                      g.n, delta)
+    return VertexSet(ids.tolist())
 
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -647,7 +635,7 @@ def _row_slots(indptr: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 def grow_within(g: Graph, allowed: np.ndarray, seed_vertices: np.ndarray, target: int,
                 radius_cap: int) -> np.ndarray:
-    """Grow a connected superset of the seed vertices by BFS through `allowed`.
+    """Grow a superset of the seed vertices by BFS through `allowed`.
 
     Adds whole layers until the target size is met, trimming the final layer
     (lowest ids first) so the result has exactly min(target, reachable) size,
@@ -696,8 +684,9 @@ class LevelBFS:
     order[starts[j]:starts[j + 1]].  In FIFO order the positions of the
     search-tree parents never decrease, so level j + 1 starts at
     1 + #(parent positions < starts[j]): one binary search per level.  The
-    level starts are found on demand, only as far as `ball` asks; `levels`,
-    `parent` and the full arrays find them all.
+    level starts are found on demand, only as far as `ball` asks; `levels`
+    and `parent` find them all.  Every BFS in the package goes through this
+    class.
 
     The predecessor of a vertex is its largest-id neighbor one level closer
     to start, the one `csgraph.dijkstra(unweighted=True)` returns.  The
@@ -747,18 +736,6 @@ class LevelBFS:
         nbrs = self.mat.indices[self.mat.indptr[v]:self.mat.indptr[v + 1]]
         q = self.pos[nbrs]
         return int(nbrs[(q >= starts[j - 1]) & (q < starts[j])].max())
-
-    def dist_and_pred(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hop distance per row (inf where unreached) and `parent` per row
-        (-1 at start and where unreached)."""
-        n = self.mat.shape[0]
-        lv = self.levels(np.arange(n))
-        rows = np.repeat(np.arange(n), np.diff(self.mat.indptr))
-        cols = self.mat.indices
-        closer = (lv[rows] > 0) & (lv[cols] == lv[rows] - 1)
-        pred = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(pred, rows[closer], cols[closer])
-        return np.where(lv < 0, np.inf, lv), pred
 
 
 class HostSubgraph:
@@ -845,7 +822,7 @@ class MaskedSubgraph:
     transposes it.
     """
 
-    __slots__ = ("n", "ids", "mat")
+    __slots__ = ("ids", "mat")
 
     def __init__(self, g: Graph, ids: np.ndarray):
         k = len(ids)
@@ -860,7 +837,6 @@ class MaskedSubgraph:
         kept = np.zeros(len(keep) + 1, dtype=np.int32)
         np.cumsum(keep, out=kept[1:])
         indices = nbrs[keep]
-        self.n = g.n
         self.ids = ids
         self.mat = csr_matrix((np.ones(len(indices)), indices, kept[ends]), shape=(k, k))
 
@@ -868,23 +844,6 @@ class MaskedSubgraph:
         """Component count and the label per local id, numbered in order of
         each component's smallest vertex id."""
         return symmetric_components(self.mat)
-
-    def bfs(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """Hop distances and BFS predecessors (`LevelBFS.dist_and_pred`) from
-        global id `start`.
-
-        Both arrays are indexed by global vertex id; vertices off start's
-        component get distance inf, and those and `start` get predecessor -1.
-        Local ids keep the order of global ids, so the largest-id rule holds.
-        """
-        ids = self.ids
-        dist_l, pred_l = LevelBFS(self.mat, int(np.searchsorted(ids, start))).dist_and_pred()
-        dist = np.full(self.n, np.inf)
-        dist[ids] = dist_l
-        pred = np.full(self.n, -1, dtype=np.int64)
-        has = pred_l >= 0
-        pred[ids[has]] = ids[pred_l[has]]
-        return dist, pred
 
     def diameter(self) -> Optional[int]:
         """Hop diameter; None when disconnected, 0 for at most one vertex.
@@ -913,11 +872,6 @@ def masked_components(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, int, np.n
     sub = MaskedSubgraph(g, np.flatnonzero(mask))
     ncomp, labels = sub.components()
     return sub.ids, ncomp, labels
-
-
-def masked_bfs(g: Graph, mask: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """`LevelBFS.dist_and_pred` from `start` inside G[mask], indexed by host id."""
-    return HostSubgraph(g, mask).bfs(start).dist_and_pred()
 
 
 def masked_diameter(g: Graph, ids: np.ndarray) -> Optional[int]:

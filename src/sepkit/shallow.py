@@ -97,11 +97,8 @@ class TreeOrCutResult:
 
     kind: str                                 # "tree" | "cut"
     tree_vertices: Optional[VertexSet] = None
-    root: Optional[int] = None
-    parent: Optional[dict[int, int]] = None   # tree edges toward the root
     reps: Optional[list[int]] = None          # chosen representative per A_i
     cut_S: Optional[VertexSet] = None
-    rounds: int = 0
 
 
 def tree_or_cut(h_graph: Graph, a_sets: Sequence[VertexSet], ell: int, delta: int,
@@ -156,13 +153,10 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
                 raise ValueError("an A_i set has no vertex in start's component")
             reps.append(int(ids[np.argmin(lv)]))
         tree: set[int] = {start}
-        parent: dict[int, int] = {}
-        for r in reps:
-            v = r
-            while v != start and v not in parent:
-                parent[v] = bfs.parent(v)
+        for v in reps:
+            while v not in tree:
                 tree.add(v)
-                v = parent[v]
+                v = bfs.parent(v)
         if debugcheck.enabled():
             depth_bound = int(4 * delta * ell * ln_ceil(n)) + 1
             depth = int(bfs.levels(np.fromiter(tree, dtype=np.int64)).max())
@@ -171,8 +165,7 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
         size_bound = int(4 * delta * ell * max(1, len(a_sets)) * ln_ceil(n)) + 1
         debugcheck.check("treeorcut.size", len(tree) <= size_bound,
                          f"tree size {len(tree)} exceeds {size_bound}")
-        return TreeOrCutResult(kind="tree", tree_vertices=VertexSet(tree), root=start,
-                               parent=parent, reps=reps, rounds=rounds)
+        return TreeOrCutResult(kind="tree", tree_vertices=VertexSet(tree), reps=reps)
 
     s_count = ball(rad + delta)  # S = N^delta(ball(rad)) = ball(rad + delta)
     if debugcheck.enabled():
@@ -186,7 +179,7 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
                          f"|N^d(V-S) ^ S| <= {in_shell} !< min/ell = {mn}/{ell}")
     s_mask = np.zeros(len(bfs.pos), dtype=bool)
     s_mask[bfs.order[:s_count]] = True
-    return TreeOrCutResult(kind="cut", cut_S=VertexSet.from_mask(s_mask), rounds=rounds)
+    return TreeOrCutResult(kind="cut", cut_S=VertexSet.from_mask(s_mask))
 
 
 @dataclass
@@ -215,7 +208,7 @@ class PartitionState:
                 mask[s] = True
         return mask
 
-    def check_invariants(self, g: Graph, rule_prefix: str = "shallow") -> None:
+    def check_invariants(self, g: Graph) -> None:
         """Assert the loop invariants: branch-set sizes, connectivity, diameters,
         pairwise edges, the boundary/processed ratio, and the weight cap."""
         if not debugcheck.enabled():
@@ -225,29 +218,29 @@ class PartitionState:
         size_cap = branch_size_cap(self.delta, ell, h, lnn)
         diam_cap = branch_diam_cap(self.delta, ell, lnn)
         sets = [s for s in self.branch_slots if s is not None]
-        debugcheck.check(f"{rule_prefix}.branch-count", len(sets) <= h, f"p={len(sets)} > h={h}")
+        debugcheck.check("shallow.branch-count", len(sets) <= h, f"p={len(sets)} > h={h}")
         for i, s in enumerate(sets):
-            debugcheck.check(f"{rule_prefix}.branch-size", len(s) <= size_cap,
+            debugcheck.check("shallow.branch-size", len(s) <= size_cap,
                              f"branch set {i}: {len(s)} > {size_cap}")
             diam = masked_diameter(g, s)
-            debugcheck.check(f"{rule_prefix}.branch-connected", diam is not None,
+            debugcheck.check("shallow.branch-connected", diam is not None,
                              f"branch set {i} disconnected")
             if diam is not None:
-                debugcheck.check(f"{rule_prefix}.branch-diameter", diam <= diam_cap,
+                debugcheck.check("shallow.branch-diameter", diam <= diam_cap,
                                  f"branch set {i}: diameter {diam} > {diam_cap}")
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 debugcheck.check(
-                    f"{rule_prefix}.branch-pair",
+                    "shallow.branch-pair",
                     any_edge_between(g, sets[i], sets[j]),
                     f"no edge between branch sets {i} and {j}")
-        debugcheck.check(f"{rule_prefix}.boundary-ratio", ell * int(self.in_b.sum()) <= int(self.in_vr.sum()),
+        debugcheck.check("shallow.boundary-ratio", ell * int(self.in_b.sum()) <= int(self.in_vr.sum()),
                          f"boundary {int(self.in_b.sum())} exceeds processed/ell = {int(self.in_vr.sum())}/{ell}")
         wvr = int(g.vertex_weight[self.in_vr].sum())
-        debugcheck.check(f"{rule_prefix}.processed-weight", 3 * wvr <= 2 * g.total_vertex_weight,
+        debugcheck.check("shallow.processed-weight", 3 * wvr <= 2 * g.total_vertex_weight,
                          f"processed weight {wvr} exceeds 2/3 of total")
         overlap = (self.in_vr & self.in_b) | (self.in_vr & self.live) | (self.in_b & self.live)
-        debugcheck.check(f"{rule_prefix}.partition", not overlap.any(), "partition classes overlap")
+        debugcheck.check("shallow.partition", not overlap.any(), "partition classes overlap")
 
 
 def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,

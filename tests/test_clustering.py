@@ -2,15 +2,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit import debugcheck
 from sepkit.certificates import MinorReport, MinorWitness, verify_output
 from sepkit.clustering import (
     ActiveState,
+    Cluster,
     Clustering,
     ClusteringError,
     NestedClustering,
-    compute_C_X,
+    _ClusterDyn,
+    _connected_edge_groups,
+    _split_pieces_from_cut,
+    _verts_of_edges,
     decompose_active_complement,
     nested_r_clustering,
     refine_to_r_clustering,
@@ -211,7 +217,33 @@ class TestNested:
         assert sig_a == sig_b
 
 
+def _reference_cx(nc, xs):
+    """Reference C_X, expanded from scratch: expand the smallest-id
+    expandable cluster holding an interior X vertex, until no cluster of the
+    roster holds one."""
+    xmask = xs.to_mask(nc.g.n)
+    roster = set(nc.level1)
+    changed = True
+    while changed:
+        changed = False
+        for cid in sorted(roster):
+            c = nc.cluster(cid)
+            interior = c.vertices[~np.isin(c.vertices, c.boundary)]
+            if not c.is_leaf and xmask[interior].any():
+                roster.discard(cid)
+                roster.update(nc.children_of(cid))
+                changed = True
+                break
+    return roster
+
+
+def _edge_sets(nc, roster):
+    return sorted(tuple(nc.cluster(cid).edges.tolist()) for cid in roster)
+
+
 class TestComputeCX:
+    """C_X as ActiveState, its one expansion, computes it under activations."""
+
     def _setup(self):
         g = grid_graph(12)
         nc = nested_r_clustering(g, 24, 4, 0.5, seed=3, c_r=0.05)
@@ -220,7 +252,9 @@ class TestComputeCX:
 
     def test_empty_x_is_level1(self):
         g, nc = self._setup()
-        assert compute_C_X(nc, VertexSet()) == set(nc.level1)
+        st = ActiveState(nc)
+        st.activate_many([])
+        assert st.cx == set(nc.level1)
 
     def test_boundary_vertex_no_change(self):
         g, nc = self._setup()
@@ -230,7 +264,9 @@ class TestComputeCX:
             if len(c.boundary):
                 b = int(c.boundary[0])
                 break
-        assert compute_C_X(nc, VertexSet([b])) == set(nc.level1)
+        st = ActiveState(nc)
+        st.activate_many([b])
+        assert st.cx == set(nc.level1)
 
     def test_interior_vertex_expands_one_path(self):
         g, nc = self._setup()
@@ -242,10 +278,106 @@ class TestComputeCX:
                 target = (cid, min(interior))
                 break
         cid, v = target
-        cx = compute_C_X(nc, VertexSet([v]))
-        assert cid not in cx
+        st = ActiveState(nc)
+        st.activate_many([v])
+        assert cid not in st.cx
         untouched = set(nc.level1) - {cid}
-        assert untouched <= cx
+        assert untouched <= st.cx
+
+    @pytest.mark.parametrize("spec", [("grid", 12, 24, 4), ("path", 200, 16, 3),
+                                      ("blowup", 30, 30, 5)])
+    def test_matches_reference_expansion(self, spec):
+        """Same clusters as the standalone expansion, compared by edge sets:
+        cluster ids depend on the order in which clusters are materialized."""
+        kind, size, r, h = spec
+        g = {"grid": lambda: grid_graph(size), "path": lambda: path_graph(size),
+             "blowup": lambda: kh_blowup_graph(5, size, seed=1)}[kind]()
+        rnd = random.Random(size)
+        for trial in range(8):
+            nc_a = nested_r_clustering(g, r, h, 0.5, seed=trial, c_r=0.05)
+            nc_b = nested_r_clustering(g, r, h, 0.5, seed=trial, c_r=0.05)
+            if not isinstance(nc_a, NestedClustering):
+                continue
+            xs = rnd.sample(range(g.n), rnd.randint(1, 12))
+            st = ActiveState(nc_a)
+            st.activate_many(xs)
+            assert _edge_sets(nc_a, st.cx) == _edge_sets(nc_b, _reference_cx(nc_b, VertexSet(xs)))
+
+
+def _reference_roots(n, pairs):
+    """Union-find over 0..n-1: each element's root, the smallest id in its class."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return np.asarray([find(x) for x in range(n)])
+
+
+def _reference_groups(g, eids):
+    verts = _verts_of_edges(g, eids)
+    lu, lv = np.searchsorted(verts, g.edge_u[eids]), np.searchsorted(verts, g.edge_v[eids])
+    root = _reference_roots(len(verts), zip(lu.tolist(), lv.tolist()))[lu]
+    order = np.argsort(root, kind="stable")
+    groups = np.split(eids[order], np.flatnonzero(np.diff(root[order])) + 1)
+    return [(_verts_of_edges(g, pe), pe) for pe in groups]
+
+
+def _reference_split(g, verts, eids, cut_local):
+    incut = np.zeros(len(verts), dtype=bool)
+    incut[cut_local] = True
+    lu, lv = np.searchsorted(verts, g.edge_u[eids]), np.searchsorted(verts, g.edge_v[eids])
+    both_out = ~incut[lu] & ~incut[lv]
+    root = _reference_roots(len(verts), zip(lu[both_out].tolist(), lv[both_out].tolist()))
+    anchor = np.where(~incut[lu], root[lu], np.where(~incut[lv], root[lv], -1))
+    roots, first = np.unique(anchor, return_index=True)
+    pieces = [(_verts_of_edges(g, eids[anchor == key]), eids[anchor == key])
+              for key in roots[np.argsort(first)] if key >= 0]
+    leftover = eids[anchor == -1]
+    if len(leftover):
+        pieces.extend(_reference_groups(g, leftover))
+    return pieces
+
+
+def _as_lists(pieces):
+    return [(pv.tolist(), pe.tolist()) for pv, pe in pieces]
+
+
+class TestLocalComponents:
+    """The cluster-local component labelling and CSR against reference builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_groups_split_and_csr_match_reference(self, data):
+        n = data.draw(st.integers(2, 24))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            min_size=1, max_size=3 * n))
+        g = Graph(n, list(edges))
+        keep = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        eids = np.flatnonzero(keep)
+        if len(eids) == 0:
+            eids = np.arange(1)
+        assert _as_lists(_connected_edge_groups(g, eids)) == _as_lists(_reference_groups(g, eids))
+        verts = _verts_of_edges(g, eids)
+        cut = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(verts) - 1)))),
+                         dtype=np.int64)
+        assert (_as_lists(_split_pieces_from_cut(g, verts, eids, cut))
+                == _as_lists(_reference_split(g, verts, eids, cut)))
+        # the X-cluster layer's CSR is the Graph CSR of the cluster's local edges
+        c = Cluster(id=0, level=1, vertices=verts, boundary=verts[cut], edges=eids)
+        dyn = _ClusterDyn(g, c)
+        lu, lv = np.searchsorted(verts, g.edge_u[eids]), np.searchsorted(verts, g.edge_v[eids])
+        ref = Graph(len(verts), np.stack([lu, lv], axis=1))
+        assert dyn.indptr.tolist() == ref.indptr.tolist()
+        assert dyn.indices.tolist() == ref.indices.tolist()
 
 
 class TestActiveState:

@@ -34,6 +34,7 @@ CASES = {
     "path 300": (12, 3, 1),
     "random-regular 300 3": (40, 4, 3),
     "kh-blowup 5 40": (30, 5, 1),
+    "kh-blowup 8 1": (8, 10, 1),   # K8: clusters of diameter 1 take the star split
 }
 
 HIERARCHY = {
@@ -47,6 +48,8 @@ HIERARCHY = {
         "ac7443ebf7dee3bbf552a0e3fd6b6aafff8f267fc940d535d9261f32bd4cf1e0",
     "kh-blowup 5 40":
         "828e5e614d10ab87b6f6e2013fb403794e1723ce7dd052f963920da885e1967b",
+    "kh-blowup 8 1":
+        "ae85569d28e91d40e3f9bb199c86dc61e980944f2589213625ae8bf2fbb3f915",
 }
 
 DECOMPOSE = {
@@ -60,6 +63,8 @@ DECOMPOSE = {
         "f44131a3c7bc823d78be92cb9de74c7e25b5857c33db10081d9690976744b8e2",
     "kh-blowup 5 40":
         "bc528a2378b6094bc6398836990a5646d99af557b89db560b7d53b4c5f28b6a8",
+    "kh-blowup 8 1":
+        "32ed90a140b650b22535ca74c0c9cc7e2d7d067bc142569f31a183368bc05500",
 }
 
 
@@ -82,16 +87,18 @@ def decompose_digest(spec: str) -> str:
 
     The sequence activates the neighbours of random centres, so G - X falls
     apart into several components; after every fifth activation the vertex
-    activated two steps earlier turns passive again.  The hierarchy is
-    demanded lazily, as the bootstrapped loop demands it.
+    activated two steps earlier turns passive again.  A graph with fewer
+    than FLIPS vertices activates each of them.  The hierarchy is demanded
+    lazily, as the bootstrapped loop demands it.
     """
     nc = _nested(spec)
     g = nc.g
+    flips = min(FLIPS, g.n)
     rnd = random.Random(CASES[spec][2])
     order: list[int] = []
-    while len(order) < FLIPS:
+    while len(order) < flips:
         for u in g.neighbors(rnd.randrange(g.n)).tolist():
-            if u not in order and len(order) < FLIPS:
+            if u not in order and len(order) < flips:
                 order.append(u)
     st = ActiveState(nc)
     digest = hashlib.sha256()

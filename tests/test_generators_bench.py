@@ -6,7 +6,7 @@ import pytest
 from sepkit import debugcheck
 from sepkit.bench import clustering_diagnostics
 from sepkit.certificates import verify_minor_witness
-from sepkit.clustering import ActiveState, NestedClustering, compute_C_X, nested_r_clustering
+from sepkit.clustering import ActiveState, NestedClustering, nested_r_clustering
 from sepkit.generators import (
     binary_tree_graph,
     generate_graph,
@@ -17,7 +17,6 @@ from sepkit.generators import (
     random_regular_graph,
     torus_graph,
 )
-from sepkit.graph import VertexSet
 from sepkit.shallow import ln_ceil
 from sepkit.spanner import build_spanner, stretch_check
 
@@ -105,13 +104,14 @@ class TestClusteringDiagnostics:
         nc = nested_r_clustering(g, r, h, eps, seed=2, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         rng = np.random.default_rng(4)
-        xs = VertexSet(rng.choice(n, size=min(n // 8, 24), replace=False).tolist())
+        xs = rng.choice(n, size=min(n // 8, 24), replace=False).tolist()
+        st = ActiveState(nc)
         debugcheck.enable(True)
         try:
-            roster = compute_C_X(nc, xs)
+            st.activate_many(xs)
         finally:
             debugcheck.enable(False)
-        total = sum(len(nc.cluster(cid).boundary) for cid in roster)
+        total = sum(len(nc.cluster(cid).boundary) for cid in st.cx)
         envelope = 20.0 * h * h * math.sqrt(ell * n) * lnn
         assert total <= envelope, (total, envelope)
 

@@ -14,6 +14,7 @@ from sepkit.graph import (
     Graph,
     GraphFormatError,
     HostSubgraph,
+    LevelBFS,
     MaskedSubgraph,
     VertexSet,
     connected_components,
@@ -21,7 +22,6 @@ from sepkit.graph import (
     dump_graph,
     induced_subgraph,
     load_graph,
-    masked_bfs,
     masked_components,
     masked_diameter,
     neighborhood,
@@ -587,25 +587,28 @@ class TestMaskedSubgraph:
         ref_ncomp, ref_labels = csgraph.connected_components(ref, directed=False)
         ncomp, labels = ms.components()
         assert ncomp == ref_ncomp and labels.tolist() == ref_labels.tolist()
-        ida = np.asarray(ids)
-        for i, v in enumerate(ids):
+        # a LevelBFS on the local matrix: levels and parents equal dijkstra's
+        # distances and predecessors, since local ids keep the global order
+        for i in range(len(ids)):
             ref_dist, ref_pred = csgraph.dijkstra(ref, directed=False, unweighted=True, indices=i,
                                                   return_predecessors=True)
-            dist, pred = ms.bfs(v)
-            assert dist[ida].tolist() == ref_dist.tolist()
-            has = ref_pred >= 0  # scipy marks "no predecessor" with -9999
-            assert pred[ida].tolist() == np.where(has, ida[np.where(has, ref_pred, 0)], -1).tolist()
-            assert np.isinf(np.delete(dist, ida)).all() and (np.delete(pred, ida) == -1).all()
+            bfs = LevelBFS(ms.mat, i)
+            assert bfs.levels(np.arange(len(ids))).tolist() == \
+                np.where(np.isinf(ref_dist), -1, ref_dist).astype(int).tolist()
+            for j in bfs.order[1:].tolist():
+                assert bfs.parent(j) == ref_pred[j]  # scipy marks "no predecessor" with -9999
         # components: same partition, numbered by smallest vertex id
         got_ids, ncomp, labels = masked_components(g, mask)
         assert got_ids.tolist() == ids
         comps = [[ids[i] for i in c] for c in connected_components(sub)]
         assert ncomp == len(comps)
         assert [[int(v) for v in got_ids[labels == c]] for c in range(ncomp)] == comps
-        # BFS from one masked vertex: hop distances equal those in G[mask],
-        # and every predecessor is a masked neighbor one hop closer
+        # BFS from one masked vertex on G[mask] over host ids: hop distances
+        # equal those in G[mask], and every parent is a masked neighbor one
+        # hop closer
         start = data.draw(st.sampled_from(ids))
-        dist, pred = masked_bfs(g, mask, start)
+        bfs = HostSubgraph(g, mask).bfs(start)
+        dist = bfs.levels(np.arange(n))
         reach = {start: 0}
         frontier = [start]
         while frontier:
@@ -616,12 +619,12 @@ class TestMaskedSubgraph:
                         reach[w] = reach[u] + 1
                         nxt.append(w)
             frontier = nxt
-        assert {v: int(dist[v]) for v in range(n) if np.isfinite(dist[v])} == reach
-        assert pred[start] == -1
+        assert {v: int(dist[v]) for v in range(n) if dist[v] >= 0} == reach
+        assert sorted(bfs.order.tolist()) == sorted(reach)
         for v, d in reach.items():
             if v != start:
-                assert g.has_edge(v, pred[v]) and dist[pred[v]] == d - 1
-        assert all(pred[v] == -1 for v in range(n) if v not in reach)
+                p = bfs.parent(v)
+                assert mask[p] and g.has_edge(v, p) and dist[p] == d - 1
 
 
 class TestLevelBFS:
@@ -656,17 +659,12 @@ class TestLevelBFS:
         top = int(finite.max())
         for d in data.draw(st.permutations(list(range(-1, top + 3)))):
             assert bfs.ball(d) == int((finite <= d).sum())
-        dist, pred = bfs.dist_and_pred()
-        assert dist.tolist() == ref.tolist()
         ref_levels = np.where(np.isinf(ref), -1, ref).astype(int)
         assert bfs.levels(np.arange(n)).tolist() == ref_levels.tolist()
         assert sorted(bfs.order.tolist()) == np.flatnonzero(np.isfinite(ref)).tolist()
-        for v in range(n):
+        for v in bfs.order[1:].tolist():
             closer = [u for u in g.neighbors(v).tolist() if live[u] and ref[u] == ref[v] - 1]
-            if v == start or not np.isfinite(ref[v]):
-                assert pred[v] == -1
-            else:
-                assert pred[v] == max(closer) == bfs.parent(v)
+            assert bfs.parent(v) == max(closer)
 
 
 class TestHostSubgraphRestrict:
