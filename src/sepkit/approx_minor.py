@@ -2,27 +2,25 @@
 
 For a candidate h the balanced shallow separator either certifies a K_h minor
 (witness recorded, candidate raised) or yields a separator, in which case the
-search recurses on the components; pieces small enough for the exact oracle
-are solved exactly.  The candidate h is driven by doubling followed by binary
-search, and the largest verified witness wins.  The approximation factor of
-the underlying reduction is inherited, not re-derived; the result records the
-factor formula instance for reporting.
+search recurses on the components of G - C; K3 and K4 are decided exactly.
+The candidate h is driven by doubling followed by binary search, and the
+largest verified witness wins.  The approximation factor of the underlying
+reduction is inherited, not re-derived; the result records the factor
+formula instance for reporting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .certificates import MinorWitness, Separator, brute_force_minor_detect
-from .graph import Graph, VertexSet, induced_subgraph
+from .certificates import MinorWitness, Separator, lift_minor, minor_witness
+from .graph import Graph, VertexSet, induced_subgraph, masked_components
 from .shallow import ln_ceil, shallow_separator_balanced
-
-ORACLE_N = 10
-ORACLE_H = 4
+from .small_minors import find_k3_witness, find_k4_witness
 
 
 @dataclass
@@ -32,66 +30,35 @@ class ApproxMinorResult:
     ratio_claim: dict = field(default_factory=dict)
 
 
-def _lift(wtn: MinorWitness, back: dict[int, int]) -> MinorWitness:
-    return MinorWitness(
-        branch_sets=[VertexSet([back[v] for v in bs]) for bs in wtn.branch_sets],
-        depth_bound=wtn.depth_bound,
-        connecting_edges={k: (back[a], back[b]) for k, (a, b) in wtn.connecting_edges.items()},
-    )
-
-
 def _attempt(g: Graph, h: int, eps: float, seed: int, depth: int = 0) -> Optional[MinorWitness]:
-    """Find a K_h witness in g or give up (None).
+    """Find a K_h witness in g (h >= 3) or give up (None).
 
-    Candidates h <= 4 are decided exactly (edge / cycle / series-parallel
-    reduction); larger candidates use the separate-and-recurse search with the
-    exact oracle at the leaves.
+    K3 and K4 are decided exactly (cycle / series-parallel reduction); larger
+    candidates run the balanced shallow separator and, on a separator, search
+    each component of G - C that can hold h branch sets.
     """
     if g.n < h or depth > 64:
         return None
-    if h <= 1:
-        return MinorWitness(branch_sets=[VertexSet([0])], depth_bound=0) if g.n else None
-    if h == 2:
-        if g.m == 0:
-            return None
-        u, v = int(g.edge_u[0]), int(g.edge_v[0])
-        return MinorWitness(branch_sets=[VertexSet([u]), VertexSet([v])], depth_bound=0,
-                            connecting_edges={(0, 1): (u, v)})
     if h == 3:
-        from .small_minors import find_k3_witness
-
         return find_k3_witness(g)
     if h == 4:
-        from .small_minors import find_k4_witness
-
         return find_k4_witness(g)
-    if g.n <= ORACLE_N and h <= ORACLE_H:
-        return brute_force_minor_detect(g, h)
     unit = Graph(g.n, np.stack([g.edge_u, g.edge_v], axis=1) if g.m else [])
     out = shallow_separator_balanced(unit, h, eps, seed)
     if isinstance(out, MinorWitness):
         return out
-    if not isinstance(out, Separator):
-        # density-only evidence: materialize via the oracle when possible
-        if g.n <= ORACLE_N and h <= ORACLE_H:
-            return brute_force_minor_detect(g, h)
+    if not isinstance(out, Separator) or len(out.C) >= g.n:
         return None
-    if len(out.C) >= g.n:
-        return None
-    cmask = out.C.to_mask(g.n)
-    rest = VertexSet.from_mask(~cmask)
-    sub, mapping = induced_subgraph(g, rest)
-    back = {v: k for k, v in mapping.items()}
-    from .graph import connected_components
-
-    for comp in connected_components(sub):
-        if len(comp) < h or len(comp) >= g.n:
+    # pieces in order of smallest id, each piece's host ids ascending
+    ids, ncomp, labels = masked_components(g, ~out.C.to_mask(g.n))
+    ends = np.cumsum(np.bincount(labels, minlength=ncomp))
+    for verts in np.split(ids[np.argsort(labels, kind="stable")], ends[:-1]):
+        if not h <= len(verts) < g.n:
             continue
-        piece, pmap = induced_subgraph(sub, comp)
-        pback = {v: back[k] for k, v in pmap.items()}
+        piece, _ = induced_subgraph(g, VertexSet(verts.tolist()))
         got = _attempt(piece, h, eps, seed + 1, depth + 1)
         if got is not None:
-            return _lift(got, pback)
+            return replace(lift_minor(got, verts), params={})
     return None
 
 
@@ -100,12 +67,10 @@ def approx_largest_clique_minor(g: Graph, eps: float = 0.5, seed: int = 0) -> Ap
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     if g.m == 0:
-        wtn = MinorWitness(branch_sets=[VertexSet([0])], depth_bound=0)
+        wtn = minor_witness(g, [[0]], depth_bound=0)
         return ApproxMinorResult(witness=wtn, h_found=1, ratio_claim=_ratio(g.n))
     # h = 2 always: any edge
-    u, v = int(g.edge_u[0]), int(g.edge_v[0])
-    best = MinorWitness(branch_sets=[VertexSet([u]), VertexSet([v])], depth_bound=0,
-                        connecting_edges={(0, 1): (u, v)})
+    best = minor_witness(g, [[int(g.edge_u[0])], [int(g.edge_v[0])]], depth_bound=0)
     best_h = 2
     h = 4
     last_fail = None

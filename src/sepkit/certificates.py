@@ -250,31 +250,39 @@ def density_result(g: Graph, h: int, params: dict) -> Optional[SepOrMinor]:
     return None
 
 
+def minor_witness(g: Graph, sets: list, edges: Optional[dict[tuple[int, int], tuple[int, int]]] = None,
+                  depth_bound: Optional[int] = None, params: Optional[dict] = None) -> MinorWitness:
+    """The K_h-minor witness on branch sets `sets` (host ids, each sorted).
+
+    Each pair (i, j), i < j, keeps its edge in `edges` or gets the first
+    connecting edge found; a pair with none is left for the verifier.
+    """
+    bsets = [VertexSet(np.asarray(ids).tolist()) for ids in sets]
+    edges = dict(edges or {})
+    for i, j in combinations(range(len(bsets)), 2):
+        if (i, j) not in edges:
+            e = find_connecting_edge(g, bsets[i], bsets[j])
+            if e is not None:
+                edges[(i, j)] = e
+    return MinorWitness(branch_sets=bsets, depth_bound=depth_bound, connecting_edges=edges,
+                        params={} if params is None else params)
+
+
 def witness_from_slots(g: Graph, branch_slots: list[Optional[np.ndarray]],
                        pair_edges: dict[tuple[int, int], tuple[int, int]],
                        params: dict) -> MinorWitness:
     """The clique-minor witness held by a separator loop's branch-set slots.
 
     Retired slots (None) are skipped and the rest renumbered in slot order.
-    Each pair keeps its recorded edge (pair_edges is keyed by slot pair) or
-    gets the first connecting edge found; depth_bound is the largest
-    branch-set diameter.
+    Each pair keeps its recorded edge (pair_edges is keyed by slot pair);
+    depth_bound is the largest branch-set diameter.
     """
     slots = [si for si, bs in enumerate(branch_slots) if bs is not None]
-    sets = [VertexSet(branch_slots[si].tolist()) for si in slots]
     remap = {si: i for i, si in enumerate(slots)}
-    edges = {}
-    for (a, b), e in pair_edges.items():
-        if a in remap and b in remap:
-            edges[tuple(sorted((remap[a], remap[b])))] = e
-    for i, j in combinations(range(len(sets)), 2):
-        if (i, j) not in edges:
-            e = find_connecting_edge(g, sets[i], sets[j])
-            if e is not None:
-                edges[(i, j)] = e
+    edges = {tuple(sorted((remap[a], remap[b]))): e
+             for (a, b), e in pair_edges.items() if a in remap and b in remap}
     depth = max((masked_diameter(g, branch_slots[si]) or 0 for si in slots), default=0)
-    return MinorWitness(branch_sets=sets, depth_bound=depth, connecting_edges=edges,
-                        params=params)
+    return minor_witness(g, [branch_slots[si] for si in slots], edges, depth, params)
 
 
 def lift_minor(result: SepOrMinor, verts: np.ndarray) -> SepOrMinor:
@@ -518,14 +526,8 @@ def brute_force_minor_detect(g: Graph, h: int) -> Optional[MinorWitness]:
 
     if not rec(0, 0):
         return None
-    sets = []
-    for m in chosen:
-        sets.append(VertexSet([i for i in range(n) if m >> i & 1]))
-    wtn = MinorWitness(branch_sets=sets)
-    for i, j in combinations(range(h), 2):
-        e = find_connecting_edge(g, sets[i], sets[j])
-        assert e is not None
-        wtn.connecting_edges[(i, j)] = e
+    wtn = minor_witness(g, [[i for i in range(n) if m >> i & 1] for m in chosen])
+    assert len(wtn.connecting_edges) == h * (h - 1) // 2
     return wtn
 
 

@@ -41,8 +41,8 @@ def _read_graph(path: str, fmt: str) -> Graph:
         return load_graph(fh.read(), fmt=fmt)
 
 
-def _emit(out, dest: str | None) -> None:
-    text = certificate_to_json(out)
+def _write(text: str, dest: str | None) -> None:
+    """Write text to the file dest, or to stdout when dest is not given."""
     if dest:
         with open(dest, "w") as fh:
             fh.write(text)
@@ -52,11 +52,10 @@ def _emit(out, dest: str | None) -> None:
 
 def _finish(g: Graph, out, args) -> int:
     rep = verify_output(g, out)
+    _write(certificate_to_json(out), args.out)
     if not rep.ok:
         sys.stderr.write(f"verification FAILED: {rep.violations}\n")
-        _emit(out, args.out)
         return EXIT_VERIFY
-    _emit(out, args.out)
     if isinstance(out, Separator):
         sys.stderr.write(f"separator |C|={len(out.C)} (bound {out.claimed_bound})\n")
         return EXIT_SEPARATOR
@@ -134,13 +133,7 @@ def main(argv=None) -> int:
     debug_was = debugcheck.enabled()
     try:
         if args.cmd == "gen":
-            gobj = generate_graph(args.spec, args.seed)
-            text = dump_graph(gobj, fmt=args.format)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _write(dump_graph(generate_graph(args.spec, args.seed), fmt=args.format), args.out)
             return 0
 
         if args.cmd == "verify":
@@ -161,9 +154,8 @@ def main(argv=None) -> int:
                 suite = json.load(fh)
             report = run_bench(suite, verify=not args.no_verify)
             if args.out:
-                with open(args.out, "w") as fh:
-                    for row in report["rows"]:
-                        fh.write(json.dumps(row, sort_keys=True) + "\n")
+                _write("".join(json.dumps(row, sort_keys=True) + "\n" for row in report["rows"]),
+                       args.out)
             sys.stdout.write(report["summary"] + "\n")
             return 0
 
@@ -197,19 +189,9 @@ def main(argv=None) -> int:
 
         if args.cmd == "approx-minor":
             res = approx_largest_clique_minor(gobj, args.eps, args.seed)
-            rep = verify_output(gobj, res.witness)
-            if not rep.ok:
-                sys.stderr.write(f"verification FAILED: {rep.violations}\n")
-                return EXIT_VERIFY
-            doc = certificate_to_json(res.witness)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(doc)
-            else:
-                sys.stdout.write(doc)
             sys.stderr.write(f"h_found={res.h_found} "
                              f"ratio_claim={res.ratio_claim['value']:.1f}\n")
-            return EXIT_WITNESS
+            return _finish(gobj, res.witness, args)
 
         if args.cmd == "cluster":
             from .clustering import NestedClustering, nested_r_clustering
@@ -219,12 +201,7 @@ def main(argv=None) -> int:
             if not isinstance(nc, NestedClustering):
                 return _finish(gobj, nc, args)
             nc.materialize_all()
-            doc = json.dumps(nc.to_doc(), sort_keys=True)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(doc + "\n")
-            else:
-                sys.stdout.write(doc + "\n")
+            _write(json.dumps(nc.to_doc(), sort_keys=True) + "\n", args.out)
             sys.stderr.write(f"clusters={len(nc.clusters)} leaves={nc.leaf_count()}\n")
             return 0
     except GraphFormatError as e:

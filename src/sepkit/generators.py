@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .certificates import MinorWitness, find_connecting_edge
-from .graph import Graph, VertexSet
+from .certificates import MinorWitness, minor_witness
+from .graph import Graph
 
 
 def grid_graph(k: int) -> Graph:
@@ -103,12 +103,7 @@ def planted_minor_graph(n: int, h: int, seed: int = 0) -> tuple[Graph, MinorWitn
     if len(rest):
         edges.append((int(blobs[0][0]), int(rest[0])))
     g = Graph(n, edges)
-    wtn = MinorWitness(branch_sets=[VertexSet(b.tolist()) for b in blobs])
-    for i in range(h):
-        for j in range(i + 1, h):
-            e = find_connecting_edge(g, wtn.branch_sets[i], wtn.branch_sets[j])
-            wtn.connecting_edges[(i, j)] = e
-    return g, wtn
+    return g, minor_witness(g, blobs)
 
 
 def kh_blowup_graph(h: int, blow: int, seed: int = 0, inter: int = 0) -> Graph:

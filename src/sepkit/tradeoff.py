@@ -27,7 +27,9 @@ from .certificates import (
     SepOrMinor,
     Separator,
     density_result,
-    find_connecting_edge,
+    minor_witness,
+    separator_from_cut_mask,
+    trim_separator_mask,
 )
 from .graph import (
     Graph,
@@ -240,8 +242,6 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
     np.add.at(comp_w, rest_labels, g.vertex_weight[rest_ids])
     heavy = int(np.argmax(comp_w)) if ncomp else -1
     if ncomp == 0 or 3 * int(comp_w[heavy]) <= 2 * wtotal:
-        from .certificates import separator_from_cut_mask
-
         claimed = _tradeoff_claimed(n, dval, lnn, len(s_ids))
         params["path"] = "high-degree-only"
         return separator_from_cut_mask(g, smask, claimed_bound=claimed, params=params)
@@ -279,16 +279,14 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
                     bmask[vids] = True
                     wb += wc
         claimed = _tradeoff_claimed(n, dval, lnn, len(s_ids))
-        from .certificates import trim_separator_mask
-
         cmask, amask, bmask = trim_separator_mask(g, cmask, amask, bmask)
         sep = Separator(C=VertexSet.from_mask(cmask), A=VertexSet.from_mask(amask),
                         B=VertexSet.from_mask(bmask), claimed_bound=claimed, params=params)
         return sep
     if isinstance(inner, MinorWitness):
-        lifted = _lift_witness(g, quo, inner)
-        lifted.params = params
-        return lifted
+        # expand each quotient branch set to its original vertex set
+        return minor_witness(g, [np.flatnonzero(quo.lift(bs)) for bs in inner.branch_sets],
+                             params=params)
     if isinstance(inner, MinorReport):
         inner.params = {**inner.params, **params, "on": "quotient"}
         return inner
@@ -298,18 +296,6 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
 def _tradeoff_claimed(n: int, dval: float, lnn: float, s_count: int) -> int:
     # lifted separator <= quotient bound * contraction class size + |S|
     return min(n, math.ceil(600 * n ** dval * lnn) + s_count + 2)
-
-
-def _lift_witness(g: Graph, quo: QuotientGraph, wtn: MinorWitness) -> MinorWitness:
-    """Expand quotient branch sets to their original vertex sets."""
-    sets = [VertexSet.from_mask(quo.lift(bs)) for bs in wtn.branch_sets]
-    out = MinorWitness(branch_sets=sets, depth_bound=None)
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            e = find_connecting_edge(g, sets[i], sets[j])
-            if e is not None:
-                out.connecting_edges[(i, j)] = e
-    return out
 
 
 def linear_time_separator(g: Graph, h: int, eps: float, seed: int = 0,

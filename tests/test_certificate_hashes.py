@@ -14,8 +14,13 @@ import numpy as np
 import pytest
 
 from sepkit.approx_minor import approx_largest_clique_minor
-from sepkit.certificates import MinorWitness, certificate_to_json, verify_output
-from sepkit.generators import generate_graph
+from sepkit.certificates import (
+    MinorWitness,
+    brute_force_minor_detect,
+    certificate_to_json,
+    verify_output,
+)
+from sepkit.generators import generate_graph, planted_minor_graph
 from sepkit.graph import Graph
 from sepkit.minorfree import balanced_separator, minor_free_separator
 from sepkit.shallow import shallow_separator, shallow_separator_balanced
@@ -85,6 +90,27 @@ def _dumbbell(k: int):
     return make
 
 
+def _grid_beside_blowup():
+    """grid 20 and a K6 blow-up (ids shifted by 400) joined by one edge: the
+    separator cuts the blow-up off, and approx-minor finds K6 in it and lifts
+    the witness back to host ids."""
+
+    def make():
+        grid, blow = generate_graph("grid 20", SEED), generate_graph("kh-blowup 6 12", SEED)
+        edges = np.concatenate([np.stack([grid.edge_u, grid.edge_v], axis=1),
+                                np.stack([blow.edge_u, blow.edge_v], axis=1) + grid.n,
+                                [[0, grid.n]]])
+        return Graph(grid.n + blow.n, edges)
+
+    return make
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
 # name -> (input, algorithm)
 CASES = {
     "shallow grid 12 ell=3": (_gen("grid 12"), lambda g: shallow_separator(g, 5, 3, 0.5, SEED)),
@@ -127,6 +153,12 @@ CASES = {
                               lambda g: balanced_separator(g, 5, 0.5, SEED, c_r=0.05)),
     "approx-minor K6 blow-up": (_gen("kh-blowup 6 12"),
                                 lambda g: approx_largest_clique_minor(g, 0.5, SEED).witness),
+    # the recursion's lift: the witness is found on a piece of G - C
+    "approx-minor grid 20 + K6 blow-up": (_grid_beside_blowup(),
+                                          lambda g: approx_largest_clique_minor(g, 0.5, SEED).witness),
+    "brute-force C4 h=3": (lambda: Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+                           lambda g: brute_force_minor_detect(g, 3)),
+    "brute-force Petersen h=4": (_petersen, lambda g: brute_force_minor_detect(g, 4)),
     # the shallow loop's component-labelling fallback
     "shallow-balanced light low component": (
         _light_low_component(), lambda g: shallow_separator_balanced(g, 5, 0.5, SEED)),
@@ -181,6 +213,12 @@ HASHES = {
         "2d2e2eb5a9474fd44c78b8333d5989fc91185f654ff6278dbbe4d535c47517d3",
     "approx-minor K6 blow-up":
         "1f92de05fc8f6b521e6eaa919077b2b5d46fb5511c2a1036c7f9cdcaaab88534",
+    "approx-minor grid 20 + K6 blow-up":
+        "6560baac7338e0c733404ee6d4a7e62022cc7e0f881d15dcef16ac19d0c434f3",
+    "brute-force C4 h=3":
+        "bd4b5781875759a13811b97590f43c86d15f6f9d14b90f4e6e3f309bd8164d49",
+    "brute-force Petersen h=4":
+        "ff3c48a3c7368eabd8de2e852e44455cfa5b2c216a7e480676c202b4456f5bd9",
     "shallow-balanced light low component":
         "d3988070f3d03cf4569233bb12c71cbf74b923cec235cd4c314e0d9585e8957d",
     "shallow-balanced zero-weight grid":
@@ -217,6 +255,21 @@ def test_k4_witness_hash_is_pinned(spec):
     assert out is not None and verify_output(g, out).ok
     digest = hashlib.sha256(certificate_to_json(out).encode()).hexdigest()
     assert digest == K4_HASHES[spec]
+
+
+# the construction's own witness: blob branch sets, first-found pair edges
+PLANTED_HASHES = {
+    60: "54d24a017a803ff1c6b45550ea9ed4fb87e25e77f0c455ed7825a693dbf69fe9",
+    150: "ba6651280319752a2eb3e740e43fb6698b64e12cef243428ffb17e71b7175794",
+}
+
+
+@pytest.mark.parametrize("n", list(PLANTED_HASHES))
+def test_planted_witness_hash_is_pinned(n):
+    g, out = planted_minor_graph(n, 5, seed=1)
+    assert verify_output(g, out).ok
+    digest = hashlib.sha256(certificate_to_json(out).encode()).hexdigest()
+    assert digest == PLANTED_HASHES[n]
 
 
 @pytest.mark.parametrize("spec", ["random-regular 400 150", "random-regular 300 140"])

@@ -82,6 +82,22 @@ class TestRunCommands:
     def test_approx_minor(self, grid_file, tmp_path):
         assert main(["approx-minor", str(grid_file), "--out", str(tmp_path / "a.json")]) == 10
 
+    def test_approx_minor_failed_verification_writes_certificate(self, grid_file, tmp_path,
+                                                                 monkeypatch):
+        from sepkit.approx_minor import ApproxMinorResult
+        from sepkit.certificates import MinorWitness
+        from sepkit.graph import VertexSet
+
+        # vertices 0 and 9 of the 8x8 grid are not adjacent: no K2
+        bad = MinorWitness(branch_sets=[VertexSet([0]), VertexSet([9])], depth_bound=0)
+        monkeypatch.setattr(cli, "approx_largest_clique_minor",
+                            lambda *args: ApproxMinorResult(witness=bad, h_found=2,
+                                                            ratio_claim={"value": 1.0}))
+        out = tmp_path / "a.json"
+        assert main(["approx-minor", str(grid_file), "--out", str(out)]) == cli.EXIT_VERIFY == 3
+        doc = json.loads(out.read_text())
+        assert doc["kind"] == "minor_witness" and doc["branch_sets"] == [[0], [9]]
+
     def test_cluster_dump(self, grid_file, tmp_path):
         out = tmp_path / "cl.json"
         code = main(["cluster", str(grid_file), "--h", "4", "--r", "16",
