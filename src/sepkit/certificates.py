@@ -94,7 +94,8 @@ class OracleGuardError(ValueError):
 
 
 def verify_separator(g: Graph, s: Separator) -> VerifyReport:
-    """Check the Separator invariants plus |C| <= claimed_bound.  Pure."""
+    """Check the Separator invariants, each side at most BALANCE_C of w(V),
+    and |C| <= claimed_bound.  Pure."""
     v: list[tuple[str, str]] = []
     n = g.n
     # range first, on each side's sorted ids: out-of-range ids are reported
@@ -119,12 +120,15 @@ def verify_separator(g: Graph, s: Separator) -> VerifyReport:
     if np.any(cross):
         i = int(np.flatnonzero(cross)[0])
         v.append(("sep.crossing-edge", f"edge ({int(g.edge_u[i])},{int(g.edge_v[i])}) joins A and B"))
+    # the balance is the fixed 2/3, not the one the certificate states
+    if s.balance_c != BALANCE_C:
+        v.append(("sep.balance-c", f"balance_c={s.balance_c}, expected {BALANCE_C}"))
     wv = int(g.total_vertex_weight)
-    num, den = s.balance_c.numerator, s.balance_c.denominator
+    num, den = BALANCE_C.numerator, BALANCE_C.denominator
     for name, ids in (("A", a_ids), ("B", b_ids)):
         wpart = int(g.vertex_weight[ids].sum())
         if wpart * den > num * wv:
-            v.append(("sep.balance", f"w({name})={wpart} exceeds {s.balance_c} of w(V)={wv}"))
+            v.append(("sep.balance", f"w({name})={wpart} exceeds {BALANCE_C} of w(V)={wv}"))
     if s.claimed_bound is not None and len(s.C) > s.claimed_bound:
         v.append(("sep.bound", f"|C|={len(s.C)} exceeds claimed bound {s.claimed_bound}"))
     return VerifyReport.from_violations(v)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -524,20 +524,20 @@ def _check_cx_postconditions(nc: NestedClustering, roster: set[int], xmask: np.n
 
 @dataclass
 class XCluster:
-    """Component of a cluster minus its active boundary, with cached totals."""
+    """Component of a cluster minus its active boundary, with its cached weight."""
 
-    host: int                 # cluster id
-    index: int                # index within the host's partition
     vertices: np.ndarray
     weight: int
-    count: int
     passive_boundary: np.ndarray
 
 
 class _ClusterDyn:
-    """Per-cluster dynamic state: local csr and the current X-cluster partition."""
+    """The one record of a C_X cluster: local csr, X-cluster partition and the
+    DDG layer's state.  `ddg` is built once; `recompute` resets `sx_edges`
+    and `ai_sets`, which depend on the partition, to None (stale)."""
 
-    __slots__ = ("cid", "verts", "indptr", "indices", "bnd_local", "xcl_of", "xclusters")
+    __slots__ = ("cid", "verts", "indptr", "indices", "bnd_local", "xcl_of", "xclusters",
+                 "ddg", "sx_edges", "ai_sets")
 
     def __init__(self, g: Graph, c: Cluster):
         self.cid = c.id
@@ -548,6 +548,9 @@ class _ClusterDyn:
         self.bnd_local = np.searchsorted(c.vertices, c.boundary)
         self.xcl_of: Optional[np.ndarray] = None
         self.xclusters: list[XCluster] = []
+        self.ddg = None         # ddg.DenseDistanceGraph, built once by the DDG layer
+        self.sx_edges = None    # the cluster's S_X edges (u, v, w); None while stale
+        self.ai_sets = None     # slot -> passive boundary label set; None while stale
 
     def recompute(self, g: Graph, active: np.ndarray) -> None:
         """Partition into components of C minus its active vertices; O(|C| + |E(C)|).
@@ -579,13 +582,13 @@ class _ClusterDyn:
             marr = np.asarray(members, dtype=np.int64)
             gverts = self.verts[marr]
             pb = marr[order_bnd[marr]]
-            parts.append(XCluster(host=self.cid, index=nxt, vertices=np.sort(gverts),
+            parts.append(XCluster(vertices=np.sort(gverts),
                                   weight=int(g.vertex_weight[gverts].sum()),
-                                  count=len(gverts),
                                   passive_boundary=np.sort(self.verts[pb])))
             nxt += 1
         self.xcl_of = xcl
         self.xclusters = parts
+        self.sx_edges = self.ai_sets = None
 
     def xcluster_of_vertex(self, v: int) -> Optional[int]:
         li = int(np.searchsorted(self.verts, v))
@@ -600,8 +603,9 @@ class ActiveState:
 
     Each vertex flips passive->active and active->passive at most once; the
     active-set size never exceeds x_cap when one is given.  Cluster-local
-    recomputation and C_X expansion run on every flip; listeners registered
-    by downstream layers are notified with the affected cluster ids.
+    recomputation and C_X expansion run on every flip.  `dyn` holds one
+    `_ClusterDyn` record per cluster of C_X; a record leaves with its
+    cluster, and clusters never re-enter C_X.
     """
 
     def __init__(self, nc: NestedClustering, x_cap: Optional[int] = None):
@@ -615,7 +619,6 @@ class ActiveState:
         self.dyn: dict[int, _ClusterDyn] = {}
         self.interior_of = np.full(g.n, -1, dtype=np.int64)
         self.boundary_clusters: dict[int, set[int]] = {}
-        self.listeners: list[Callable[[Iterable[int]], None]] = []
         for cid in nc.level1:
             self._enter(cid)
 
@@ -702,8 +705,6 @@ class ActiveState:
             self.dyn[cid].recompute(self.nc.g, self.active)
         if debugcheck.enabled():
             _check_cx_postconditions(self.nc, self.cx, self.active)
-        for fn in self.listeners:
-            fn(sorted(touched))
 
     def activate_many(self, vs: Iterable[int]) -> None:
         self.set_many(vs, "active")
@@ -723,9 +724,9 @@ def decompose_active_complement(st: ActiveState) -> list[tuple[list[tuple[int, i
     keys: list[tuple[int, int]] = []
     nodes: list[XCluster] = []
     for cid in sorted(st.cx):
-        for xc in st.dyn[cid].xclusters:
+        for i, xc in enumerate(st.dyn[cid].xclusters):
             if len(xc.passive_boundary):
-                keys.append((cid, xc.index))
+                keys.append((cid, i))
                 nodes.append(xc)
     k = len(nodes)
     if k == 0:
@@ -743,7 +744,7 @@ def decompose_active_complement(st: ActiveState) -> list[tuple[list[tuple[int, i
     weight = np.zeros(ncomp, dtype=np.int64)
     count = np.zeros(ncomp, dtype=np.int64)
     np.add.at(weight, label[:k], [xc.weight for xc in nodes])
-    np.add.at(count, label[:k], [xc.count for xc in nodes])
+    np.add.at(count, label[:k], [len(xc.vertices) for xc in nodes])
     # a boundary vertex in c X-clusters was summed c times
     np.subtract.at(weight, label[k:], (incidence - 1) * st.nc.g.vertex_weight[bverts])
     np.subtract.at(count, label[k:], incidence - 1)

@@ -6,15 +6,15 @@ avoids every other boundary vertex; decomposing shortest paths at boundary
 vertices makes distances in the union of these graphs equal distances in the
 underlying graph minus the active set.  Each DDG is built once, on the local
 CSR its cluster's `_ClusterDyn` already holds, and records its finite
-boundary pairs.  `DdgLayer` keeps one entry per cluster of C_X: the DDG, the
-cluster's S_X edges (its finite pairs between passive boundary vertices,
-thinned to a (2k-1)-spanner only above the spanner's size target) and its
-label sets; an entry is dropped when its cluster leaves C_X, and clusters
-never re-enter it.  S_X, the union of those edges over the current
-antichain, is the search arena for the shallow-tree hunt: a Dijkstra tree in
-S_X either yields an empty-index certificate, a shallow tree (edges expanded
-back to stored underlying paths), or a pair of far-apart vertices for the
-bidirectional cut search.
+boundary pairs.  `DdgLayer` keeps its per-cluster state on that same record,
+the one record of a C_X cluster: the DDG, the cluster's S_X edges (its finite
+pairs between passive boundary vertices, thinned to a (2k-1)-spanner only
+above the spanner's size target) and its label sets.  A partition recompute
+marks the last two stale, and a record leaves with its cluster.  S_X, the
+union of those edges over the current antichain, is the search arena for the
+shallow-tree hunt: a Dijkstra tree in S_X either yields an empty-index
+certificate, a shallow tree (edges expanded back to stored underlying
+paths), or a pair of far-apart vertices for the bidirectional cut search.
 """
 
 from __future__ import annotations
@@ -160,10 +160,10 @@ def build_cluster_spanner(ddg: DenseDistanceGraph, active: np.ndarray, k: int,
     return ddg.boundary[iu], ddg.boundary[iv], w
 
 
-def assemble_SX(st: ActiveState, edges: dict[int, SXEdges]) -> UnionGraph:
+def assemble_SX(st: ActiveState) -> UnionGraph:
     """Union of the cluster spanners over the current antichain."""
     cx = sorted(st.cx)
-    parts = [edges[cid] for cid in cx]
+    parts = [st.dyn[cid].sx_edges for cid in cx]
     if parts:
         eu, ev, ew = (np.concatenate(col) for col in zip(*parts))
     else:
@@ -281,28 +281,16 @@ class FindResult:
     far_pair: Optional[tuple[int, int]] = None
 
 
-@dataclass
-class ClusterEntry:
-    """What the DDG layer keeps for one cluster of C_X."""
-
-    ddg: DenseDistanceGraph
-    edges: SXEdges                      # the cluster's S_X edges
-    ai_sets: dict[int, list[int]]       # slot -> passive boundary label set
-
-
 class DdgLayer:
-    """Keeps one `ClusterEntry` per cluster of C_X over an ActiveState."""
+    """Fills in the DDG state of each C_X record of an ActiveState, and
+    searches the S_X they make up."""
 
     def __init__(self, st: ActiveState, eps: float, seed: int = 0):
         self.st = st
         self.g = st.nc.g
         self.k = max(1, math.ceil(1.0 / eps))
         self.seed = seed
-        self.store: dict[int, ClusterEntry] = {}
-        self._dirty: set[int] = set()
         self.slot_of_vertex = np.full(self.g.n, -1, dtype=np.int64)
-        # the set's bound method, not one of self: st must not point back here
-        st.listeners.append(self._dirty.update)
 
     def set_branch_vertices(self, slot: int, vertices: np.ndarray) -> None:
         self.slot_of_vertex[vertices] = slot
@@ -310,50 +298,39 @@ class DdgLayer:
     def clear_branch(self, vertices: np.ndarray) -> None:
         self.slot_of_vertex[vertices] = -1
 
-    def _refresh(self, cid: int) -> None:
-        st = self.st
-        dyn = st.dyn[cid]
-        entry = self.store.get(cid)
-        ddg = build_ddg(dyn) if entry is None else entry.ddg
-        self.store[cid] = ClusterEntry(
-            ddg=ddg, edges=build_cluster_spanner(ddg, st.active, self.k, seed=self.seed + cid),
-            ai_sets=compute_Ai_boundary_sets(dyn, st, self.slot_of_vertex))
-        self._dirty.discard(cid)
-
     def refresh_all(self) -> None:
-        cx = self.st.cx
-        for cid in sorted(cx):
-            if cid in self._dirty or cid not in self.store:
-                self._refresh(cid)
-        # a cluster leaves C_X only by expanding, and never comes back
-        for cid in [c for c in self.store if c not in cx]:
-            del self.store[cid]
+        """Rebuild the S_X edges and label sets of every stale C_X record."""
+        st = self.st
+        for cid in sorted(st.cx):
+            dyn = st.dyn[cid]
+            if dyn.sx_edges is None:
+                if dyn.ddg is None:
+                    dyn.ddg = build_ddg(dyn)
+                dyn.sx_edges = build_cluster_spanner(dyn.ddg, st.active, self.k,
+                                                     seed=self.seed + cid)
+                dyn.ai_sets = compute_Ai_boundary_sets(dyn, st, self.slot_of_vertex)
 
     def assemble(self) -> UnionGraph:
         self.refresh_all()
-        return assemble_SX(self.st, {cid: e.edges for cid, e in self.store.items()})
-
-    def slot_candidates(self, slot: int) -> list[int]:
-        out: set[int] = set()
-        for cid in self.st.cx:
-            vals = self.store[cid].ai_sets.get(slot)
-            if vals:
-                out.update(vals)
-        return sorted(out)
+        return assemble_SX(self.st)
 
     def find_tree_or_far_pair(self, s: int, slots: list[int], ell: int,
                               h: int) -> FindResult:
         """Empty index, shallow tree through all label sets, or a far pair."""
-        g = self.g
-        n = g.n
         sx = self.assemble()
         tree = sssp_SX(sx, s)
-        lnn = ln_ceil(n)
-        threshold = math.ceil(8 * ell * lnn) * (2 * self.k - 1)
+        threshold = math.ceil(8 * ell * ln_ceil(self.g.n)) * (2 * self.k - 1)
+        # per slot: label vertex -> lowest-id C_X cluster holding it
+        hosts: dict[int, dict[int, int]] = {slot: {} for slot in slots}
+        for cid in sorted(self.st.cx):
+            ai = self.st.dyn[cid].ai_sets
+            for slot, idx in hosts.items():
+                for b in ai.get(slot, ()):
+                    idx.setdefault(b, cid)
         nearest: dict[int, tuple[int, int]] = {}
         nv = len(tree.vertices)
         for slot in slots:
-            cand = np.asarray(self.slot_candidates(slot), dtype=np.int64)
+            cand = np.asarray(sorted(hosts[slot]), dtype=np.int64)
             best = None
             if len(cand):
                 locs = np.searchsorted(tree.vertices, cand)
@@ -385,19 +362,13 @@ class DdgLayer:
             while cur not in chain_done:
                 walked.append(cur)
                 p, cid = tree.pred_of(cur)
-                verts.update(ddg_path(self.store[cid].ddg, p, cur))
+                verts.update(ddg_path(self.st.dyn[cid].ddg, p, cur))
                 cur = p
             chain_done.update(walked)
         # extend into the X-cluster of the lowest-id cluster holding each rep
         for slot in slots:
             _, b = nearest[slot]
-            host = None
-            for cid in sorted(self.st.cx):
-                if b in self.store[cid].ai_sets.get(slot, ()):  # list lookup
-                    host = cid
-                    break
-            assert host is not None
-            p_ext, edge = self._extend_into_xcluster(host, b, slot)
+            p_ext, edge = self._extend_into_xcluster(hosts[slot][b], b, slot)
             verts.update(p_ext)
             rep_edges[slot] = edge
         out = FindResult(kind="tree", tree_vertices=np.asarray(sorted(verts), dtype=np.int64),

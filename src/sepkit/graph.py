@@ -80,15 +80,6 @@ class VertexSet:
         vs._sorted = tuple(ids)
         return vs
 
-    def union(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self._members | other._members)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self._members - other._members)
-
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        return self._members.isdisjoint(other._members)
-
 
 @dataclass(frozen=True)
 class DensityCertificate:

@@ -365,11 +365,10 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             slot = len(st.branch_slots)
             for ai, si in enumerate(slot_of_aset):
                 rep = result.reps[ai]
-                other = st.branch_slots[si]
-                omask = np.zeros(n, dtype=bool)
-                omask[other] = True
+                other = st.branch_slots[si]   # sorted, as grow_within returns it
                 cand = g.neighbors(rep)
-                cand = cand[omask[cand]]
+                at = np.minimum(np.searchsorted(other, cand), len(other) - 1)
+                cand = cand[other[at] == cand]
                 pair_edges[(si, slot)] = (int(rep), int(cand[0]))
             st.branch_slots.append(new_set)
             st.live[new_set] = False

@@ -70,6 +70,16 @@ class TestVerifySeparator:
         rep = verify_separator(g, s)
         assert not rep.ok and any(r == "sep.balance" for r, _ in rep.violations)
 
+    def test_forged_balance_c_is_rejected(self):
+        # C empty and A = V balances only under the certificate's own 1
+        g = grid(16)
+        s = Separator(C=VertexSet(), A=VertexSet(range(g.n)), B=VertexSet(),
+                      balance_c=Fraction(1))
+        for rep in (verify_separator(g, s),
+                    verify_output(g, certificate_from_json(certificate_to_json(s)))):
+            rules = [r for r, _ in rep.violations]
+            assert not rep.ok and "sep.balance-c" in rules and "sep.balance" in rules
+
     def test_claimed_bound(self):
         s = Separator(C=VertexSet([1, 3]), A=VertexSet([0]), B=VertexSet([2]), claimed_bound=1)
         rep = verify_separator(c4(), s)

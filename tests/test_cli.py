@@ -115,6 +115,13 @@ class TestRunCommands:
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         assert main(["verify", str(grid_file), str(tmp_path / "bad.json")]) == 3
 
+    def test_verify_rejects_forged_balance(self, grid_file, tmp_path):
+        # every vertex on side A, accepted only by the certificate's balance_c
+        doc = {"kind": "separator", "C": [], "A": list(range(64)), "B": [],
+               "balance_c": [1, 1], "claimed_bound": None, "params": {}}
+        (tmp_path / "forged.json").write_text(json.dumps(doc))
+        assert main(["verify", str(grid_file), str(tmp_path / "forged.json")]) == 3
+
     def test_usage_error(self):
         assert main(["shallow", "/nonexistent/file", "--h", "4"]) == 2
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph, csr_matrix
 
+from sepkit import ddg as ddg_mod
 from sepkit import debugcheck
 from sepkit.clustering import (
     ActiveState,
@@ -18,6 +19,7 @@ from sepkit.ddg import (
     DdgLayer,
     build_cluster_spanner,
     build_ddg,
+    compute_Ai_boundary_sets,
     ddg_path,
     sssp_SX,
 )
@@ -327,10 +329,12 @@ class TestLayerStore:
                 to = "active"
             st.set_many(rnd.sample(pool, min(len(pool), rnd.randint(1, 6))), to)
             sx = layer.assemble()
-            assert set(layer.store) == st.cx
+            # one record per C_X cluster, each refreshed by the assemble
+            assert set(st.dyn) == st.cx
+            assert all(st.dyn[cid].sx_edges is not None for cid in st.cx)
             expected = []
             for cid in sorted(st.cx):
-                ddg = layer.store[cid].ddg
+                ddg = st.dyn[cid].ddg
                 b = ddg.boundary
                 for i in range(len(b)):
                     for j in range(i + 1, len(b)):
@@ -339,3 +343,100 @@ class TestLayerStore:
             got = list(zip(sx.edge_cluster.tolist(), sx.edge_u.tolist(), sx.edge_v.tolist(),
                            sx.edge_w.tolist()))
             assert sorted(got) == sorted(expected)
+
+
+def _flip_and_find(g, st, layer, rnd):
+    """Seeded sequence: each step adds a one- or two-vertex branch set as a
+    new slot and activates it; every fourth step retires the oldest slot by
+    flipping its vertices back to passive.  Each step then runs one find from
+    a random S_X vertex and yields its result."""
+    slots = []
+    for step in range(10):
+        v = rnd.choice([x for x in range(g.n) if not st.up_used[x]])
+        nb = [w for w in g.neighbors(v).tolist() if not st.up_used[w]]
+        bs = np.asarray(sorted({v} | set(nb[:1])), dtype=np.int64)
+        slots.append(step)
+        layer.set_branch_vertices(step, bs)
+        st.activate_many(bs.tolist())
+        if step % 4 == 3:
+            vs = np.flatnonzero(layer.slot_of_vertex == slots.pop(0))
+            layer.clear_branch(vs)
+            st.set_many(vs.tolist(), "passive")
+        sx = layer.assemble()
+        s = int(sx.vertices[rnd.randrange(len(sx.vertices))])
+        ell = rnd.choice([1, 2, 3])
+        yield slots, layer.find_tree_or_far_pair(s, list(slots), ell=ell, h=len(slots) + 2)
+
+
+class TestFindIsPinned:
+    def test_find_results_are_pinned(self):
+        # pinned before C_X's per-cluster DDG state moved onto _ClusterDyn
+        g = grid_graph(10)
+        nc = nested_r_clustering(g, 20, 4, 0.5, seed=2, c_r=0.05)
+        st = ActiveState(nc)
+        layer = DdgLayer(st, 0.5, seed=2)
+        digest = hashlib.sha256()
+        shared = 0
+        for slots, res in _flip_and_find(g, st, layer, random.Random(2)):
+            tv = None if res.tree_vertices is None else res.tree_vertices.tolist()
+            reps = None if res.rep_edges is None else sorted(res.rep_edges.items())
+            digest.update(repr((res.kind, tv, reps, res.far_pair, res.empty_slot)).encode())
+            # label vertices two C_X clusters share for one slot: the
+            # extension must pick the lowest-id host among them
+            hosts: dict[tuple[int, int], int] = {}
+            for cid in sorted(st.cx):
+                ai = compute_Ai_boundary_sets(st.dyn[cid], st, layer.slot_of_vertex)
+                for slot in slots:
+                    for x in ai.get(slot, ()):
+                        hosts[slot, x] = hosts.get((slot, x), 0) + 1
+            shared += sum(1 for c in hosts.values() if c > 1)
+        assert shared > 0
+        assert digest.hexdigest() == \
+            "d1408c7179460e6c18ba238a776b6d9337f6219dd318813bc46b1d602e27a2f5"
+
+
+class TestRefreshPolicy:
+    def test_spanner_per_recompute_and_ddg_per_cluster(self, monkeypatch):
+        g = grid_graph(10)
+        nc = nested_r_clustering(g, 20, 4, 0.5, seed=1, c_r=0.05)
+        st = ActiveState(nc)
+        recomputed: set[int] = set(st.cx)
+        ddg_cids: list[int] = []
+        spanner_cids: list[int] = []
+        real_recompute = _ClusterDyn.recompute
+        real_build_ddg = ddg_mod.build_ddg
+        real_spanner = ddg_mod.build_cluster_spanner
+
+        def recompute(self, *args):
+            recomputed.add(self.cid)
+            return real_recompute(self, *args)
+
+        def build_ddg_counted(dyn):
+            ddg_cids.append(dyn.cid)
+            return real_build_ddg(dyn)
+
+        def spanner_counted(ddg, *args, **kw):
+            spanner_cids.append(ddg.cid)
+            return real_spanner(ddg, *args, **kw)
+
+        monkeypatch.setattr(_ClusterDyn, "recompute", recompute)
+        monkeypatch.setattr(ddg_mod, "build_ddg", build_ddg_counted)
+        monkeypatch.setattr(ddg_mod, "build_cluster_spanner", spanner_counted)
+        layer = DdgLayer(st, 0.5, seed=1)
+        seen: set[int] = set()
+        rnd = random.Random(1)
+        for step in range(8):
+            spanner_cids.clear()
+            layer.assemble()
+            assert sorted(spanner_cids) == sorted(recomputed & st.cx)
+            seen |= st.cx
+            assert sorted(ddg_cids) == sorted(seen)
+            recomputed.clear()
+            if step % 3 == 2:
+                pool = [v for v in range(g.n) if st.active[v] and not st.down_used[v]]
+                to = "passive"
+            else:
+                pool = [v for v in range(g.n) if not st.up_used[v]]
+                to = "active"
+            st.set_many(rnd.sample(pool, min(len(pool), rnd.randint(1, 6))), to)
+        assert len(seen) > len(nc.level1)
