@@ -18,8 +18,10 @@ boundary is its vertices shared with another piece or inherited from the
 split cluster's boundary.  Pieces are labelled by csgraph components on a
 cluster-local CSR from graph._build_csr; a cluster's edge ids stay ascending
 through every split, so its local edges arrive sorted as that builder needs.
-The per-call loops that remain (_direct_split's BFS, _ClusterDyn.recompute)
-run on clusters of a few vertices, where a csgraph call costs more.
+Pieces run from the whole graph down, so they stay on csgraph.  Searches
+inside one small cluster (_direct_split's layers, _ClusterDyn.recompute's
+X-clusters, the DDG build) run on graph.local_bfs over the sorted neighbor
+lists of _adjacency_lists, where a csgraph call would cost more.
 
 The dynamic layer (ActiveState) is the one expansion of C_X: it maintains,
 under passive<->active vertex flips, the antichain C_X in which every active
@@ -43,7 +45,7 @@ from scipy.sparse import csr_matrix
 
 from . import debugcheck
 from .certificates import SepOrMinor, Separator, density_result, lift_minor
-from .graph import Graph, _build_csr, symmetric_components
+from .graph import Graph, _build_csr, local_bfs, symmetric_components
 from .shallow import ln_ceil, separator_coeff, shallow_separator, shallow_separator_balanced
 
 DEFAULT_C_R = 4.0          # lower end of the admissible r range: C_r * h^2 * ln n
@@ -108,6 +110,19 @@ def _subgraph_from_edges(g: Graph, verts: np.ndarray, eids: np.ndarray,
     lu, lv = _local_ends(g, verts, eids)
     return Graph(len(verts), np.stack([lu, lv], axis=1) if len(eids) else [],
                  vertex_weight=weights.tolist())
+
+
+def _adjacency_lists(nn: int, lu: np.ndarray, lv: np.ndarray) -> list[list[int]]:
+    """Neighbor lists of nn local vertices joined by the edges (lu, lv).
+
+    The edges must come sorted by (lu, lv) with lu < lv, as a cluster's
+    ascending edge ids give them; every list then comes out ascending.
+    """
+    adj: list[list[int]] = [[] for _ in range(nn)]
+    for a, b in zip(lu.tolist(), lv.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
 
 
 def _verts_of_edges(g: Graph, eids: np.ndarray) -> np.ndarray:
@@ -180,25 +195,10 @@ def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
     """
     nn = len(verts)
     lu, lv = _local_ends(g, verts, eids)
-    adj: list[list[int]] = [[] for _ in range(nn)]
-    for a, b in zip(lu.tolist(), lv.tolist()):
-        adj[a].append(b)
-        adj[b].append(a)
-
-    def bfs(src: int) -> list[int]:
-        dist = [-1] * nn
-        dist[src] = 0
-        q = [src]
-        for u in q:
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return dist
-
-    d0 = bfs(0)
+    adj = _adjacency_lists(nn, lu, lv)
+    d0 = local_bfs(adj, 0)[1]
     far = max(range(nn), key=lambda i: (d0[i], -i))
-    dist = bfs(far)
+    dist = local_bfs(adj, far)[1]
     maxd = max(dist)
     if maxd >= 2:
         wl = weights.tolist()
@@ -532,20 +532,21 @@ class XCluster:
 
 
 class _ClusterDyn:
-    """The one record of a C_X cluster: local csr, X-cluster partition and the
-    DDG layer's state.  `ddg` is built once; `recompute` resets `sx_edges`
-    and `ai_sets`, which depend on the partition, to None (stale)."""
+    """The one record of a C_X cluster: local neighbor lists and boundary
+    mask, X-cluster partition and the DDG layer's state.  `ddg` is built
+    once; `recompute` resets `sx_edges` and `ai_sets`, which depend on the
+    partition, to None (stale)."""
 
-    __slots__ = ("cid", "verts", "indptr", "indices", "bnd_local", "xcl_of", "xclusters",
+    __slots__ = ("cid", "verts", "adj", "is_bnd", "xcl_of", "xclusters",
                  "ddg", "sx_edges", "ai_sets")
 
     def __init__(self, g: Graph, c: Cluster):
         self.cid = c.id
         self.verts = c.vertices
         # local id = position in the sorted c.vertices
-        lu, lv = _local_ends(g, c.vertices, c.edges)
-        self.indptr, self.indices = _build_csr(len(c.vertices), lu, lv)
-        self.bnd_local = np.searchsorted(c.vertices, c.boundary)
+        self.adj = _adjacency_lists(c.n, *_local_ends(g, c.vertices, c.edges))
+        self.is_bnd = np.zeros(c.n, dtype=bool)
+        self.is_bnd[np.searchsorted(c.vertices, c.boundary)] = True
         self.xcl_of: Optional[np.ndarray] = None
         self.xclusters: list[XCluster] = []
         self.ddg = None         # ddg.DenseDistanceGraph, built once by the DDG layer
@@ -559,33 +560,17 @@ class _ClusterDyn:
         degree-1 vertices stuck inside single-edge leaves; blocking every
         active vertex covers both cases.
         """
-        nn = len(self.verts)
-        blocked = active[self.verts]
-        xcl = np.full(nn, -1, dtype=np.int64)
-        order_bnd = np.zeros(nn, dtype=bool)
-        order_bnd[self.bnd_local] = True
-        nxt = 0
+        blocked = active[self.verts].tolist()
+        xcl = np.full(len(self.verts), -1, dtype=np.int64)
         parts: list[XCluster] = []
-        for s in range(nn):
+        for s in range(len(self.verts)):
             if blocked[s] or xcl[s] >= 0:
                 continue
-            stack = [s]
-            xcl[s] = nxt
-            members = [s]
-            while stack:
-                u = stack.pop()
-                for w in self.indices[self.indptr[u]:self.indptr[u + 1]].tolist():
-                    if not blocked[w] and xcl[w] < 0:
-                        xcl[w] = nxt
-                        members.append(w)
-                        stack.append(w)
-            marr = np.asarray(members, dtype=np.int64)
+            marr = np.sort(np.asarray(local_bfs(self.adj, s, blocked)[0], dtype=np.int64))
+            xcl[marr] = len(parts)
             gverts = self.verts[marr]
-            pb = marr[order_bnd[marr]]
-            parts.append(XCluster(vertices=np.sort(gverts),
-                                  weight=int(g.vertex_weight[gverts].sum()),
-                                  passive_boundary=np.sort(self.verts[pb])))
-            nxt += 1
+            parts.append(XCluster(vertices=gverts, weight=int(g.vertex_weight[gverts].sum()),
+                                  passive_boundary=self.verts[marr[self.is_bnd[marr]]]))
         self.xcl_of = xcl
         self.xclusters = parts
         self.sx_edges = self.ai_sets = None

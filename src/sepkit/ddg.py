@@ -4,12 +4,13 @@ For a cluster C and boundary subset B, the dense distance graph D_B(C) is the
 complete graph on B whose edge (u,v) weighs the shortest u-v path in C that
 avoids every other boundary vertex; decomposing shortest paths at boundary
 vertices makes distances in the union of these graphs equal distances in the
-underlying graph minus the active set.  Each DDG is built once, on the local
-CSR its cluster's `_ClusterDyn` already holds, and records its finite
-boundary pairs.  `DdgLayer` keeps its per-cluster state on that same record,
-the one record of a C_X cluster: the DDG, the cluster's S_X edges (its finite
-pairs between passive boundary vertices, thinned to a (2k-1)-spanner only
-above the spanner's size target) and its label sets.  A partition recompute
+underlying graph minus the active set.  Each DDG is built once, by
+`graph.local_bfs` over the neighbor lists its cluster's `_ClusterDyn`
+already holds, and records its finite boundary pairs.  `DdgLayer` keeps its
+per-cluster state on that same record, the one record of a C_X cluster: the
+DDG, the cluster's S_X edges (its finite pairs between passive boundary
+vertices, thinned to a (2k-1)-spanner only above the spanner's size target)
+and its label sets.  A partition recompute
 marks the last two stale, and a record leaves with its cluster.  S_X, the
 union of those edges over the current antichain, is the search arena for the
 shallow-tree hunt: a Dijkstra tree in S_X either yields an empty-index
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import debugcheck
 from .clustering import ActiveState, _ClusterDyn
-from .graph import Graph, HostSubgraph, LevelBFS, MaskedSubgraph
+from .graph import Graph, HostSubgraph, LevelBFS, MaskedSubgraph, local_bfs
 from .shallow import ln_ceil
 from .spanner import SIZE_COEFF, build_spanner
 
@@ -71,49 +72,33 @@ class UnionGraph:
 def build_ddg(dyn: _ClusterDyn) -> DenseDistanceGraph:
     """Per-source BFS in C minus the other boundary vertices (hop metric).
 
-    Runs on the cluster's local CSR in `dyn`.  Other boundary vertices are
-    removed during the search and relaxed once as final targets, so recorded
-    paths contain no interior boundary vertices.
+    Runs `local_bfs` on the cluster's neighbor lists in `dyn`, with every
+    boundary vertex blocked, so only the source and interior vertices are
+    reached.  Each other boundary vertex is then relaxed once, as a final
+    target, from its nearest reached neighbor (lowest id on ties), so
+    recorded paths contain no interior boundary vertices.
     """
-    indptr, indices = dyn.indptr, dyn.indices
-    nn = len(dyn.verts)
-    bl = dyn.bnd_local
+    adj = dyn.adj
+    bl = np.flatnonzero(dyn.is_bnd).tolist()
     nb = len(bl)
-    dist = np.full((nb, nb), INF, dtype=np.int64)
-    parents = np.full((nb, nn), -1, dtype=np.int64)
-    is_bnd = np.zeros(nn, dtype=bool)
-    is_bnd[bl] = True
-    for si in range(nb):
-        src = int(bl[si])
-        d = np.full(nn, INF, dtype=np.int64)
-        par = parents[si]
-        d[src] = 0
-        dq = deque([src])
-        while dq:
-            u = dq.popleft()
-            du = d[u]
-            for w in indices[indptr[u]:indptr[u + 1]].tolist():
-                if d[w] == INF and not is_bnd[w]:
-                    d[w] = du + 1
-                    par[w] = u
-                    dq.append(w)
-        # relax one edge into each boundary target
-        for ti in range(nb):
-            if ti == si:
-                dist[si, ti] = 0
+    blocked = dyn.is_bnd.tolist()
+    dist_rows: list[list[int]] = []
+    par_rows: list[list[int]] = []
+    for src in bl:
+        _, d, par = local_bfs(adj, src, blocked)
+        row = []
+        for t in bl:
+            if t == src:
+                row.append(0)
                 continue
-            t = int(bl[ti])
-            best = INF
-            bestx = -1
-            for x in indices[indptr[t]:indptr[t + 1]].tolist():
-                if (x == src or not is_bnd[x]) and d[x] != INF:
-                    cand = d[x] + 1
-                    if best == INF or cand < best or (cand == best and x < bestx):
-                        best = cand
-                        bestx = x
-            if best != INF:
-                dist[si, ti] = best
-                par[t] = bestx
+            best = min(((d[x], x) for x in adj[t] if d[x] >= 0), default=None)
+            row.append(INF if best is None else best[0] + 1)
+            if best is not None:
+                par[t] = best[1]
+        dist_rows.append(row)
+        par_rows.append(par)
+    dist = np.array(dist_rows, dtype=np.int64).reshape(nb, nb)
+    parents = np.array(par_rows, dtype=np.int64).reshape(nb, len(adj))
     # finite pairs of distinct vertices are at distance >= 1; nonzero is row-major
     iu, iv = np.nonzero(dist > 0)
     up = iu < iv
@@ -260,7 +245,7 @@ def compute_Ai_boundary_sets(dyn: _ClusterDyn, st: ActiveState,
         slot = int(slot_of_vertex[v])
         if slot < 0:
             continue
-        for w in dyn.indices[dyn.indptr[bl]:dyn.indptr[bl + 1]].tolist():
+        for w in dyn.adj[bl]:
             k = int(xcl[w])
             if k >= 0:
                 marked.add((slot, k))

@@ -102,11 +102,11 @@ class DensityCertificate:
 
 
 # Soft-guard constant: the true extremal constant for K_h-minor-free graphs is
-# unspecified in the source analysis, so it is exposed as configuration.
+# unspecified in the source analysis, so it is kept as one named constant.
 THOMASON_SOFT_COEFF = 4.0
 
 
-def density_threshold(policy: str, h: int, n: int, coeff: float = THOMASON_SOFT_COEFF) -> int:
+def density_threshold(policy: str, h: int, n: int) -> int:
     """Edge-count threshold above which the guard fires.  Deterministic."""
     if h < 2:
         raise ValueError("h must be >= 2")
@@ -116,7 +116,7 @@ def density_threshold(policy: str, h: int, n: int, coeff: float = THOMASON_SOFT_
     if policy == "thomason-soft":
         import math
 
-        return int(math.floor(coeff * h * math.sqrt(max(1.0, math.log(h))) * n))
+        return int(math.floor(THOMASON_SOFT_COEFF * h * math.sqrt(max(1.0, math.log(h))) * n))
     raise ValueError(f"unknown density policy: {policy}")
 
 
@@ -676,8 +676,9 @@ class LevelBFS:
     search-tree parents never decrease, so level j + 1 starts at
     1 + #(parent positions < starts[j]): one binary search per level.  The
     level starts are found on demand, only as far as `ball` asks; `levels`
-    and `parent` find them all.  Every BFS in the package goes through this
-    class.
+    and `parent` find them all.  This is the host-scale kernel: the shallow
+    loop, the trade-off's spanning tree and the debug checks search through
+    it; searches inside one cluster of a few vertices run on `local_bfs`.
 
     The predecessor of a vertex is its largest-id neighbor one level closer
     to start, the one `csgraph.dijkstra(unweighted=True)` returns.  The
@@ -727,6 +728,33 @@ class LevelBFS:
         nbrs = self.mat.indices[self.mat.indptr[v]:self.mat.indptr[v + 1]]
         q = self.pos[nbrs]
         return int(nbrs[(q >= starts[j - 1]) & (q < starts[j])].max())
+
+
+def local_bfs(adj: list[list[int]], src: int,
+              blocked: Optional[Sequence[bool]] = None) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search of a small graph held as sorted neighbor lists.
+
+    Returns the visit order and, per vertex, the distance from src and the
+    parent (the first vertex in visit order adjacent to it), both -1 where
+    the vertex was not reached; src has parent -1.  No blocked vertex is
+    entered; src itself may be blocked.  The cluster-scale kernel: on the
+    few vertices of a cluster one csgraph call costs more than the search.
+    """
+    n = len(adj)
+    if blocked is None:
+        blocked = [False] * n
+    dist = [-1] * n
+    parent = [-1] * n
+    dist[src] = 0
+    order = [src]
+    for u in order:
+        du = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0 and not blocked[w]:
+                dist[w] = du
+                parent[w] = u
+                order.append(w)
+    return order, dist, parent
 
 
 class HostSubgraph:

@@ -410,12 +410,11 @@ def balanced_separator(g: Graph, h: int, eps: float, seed: int = 0,
     ell = max(1, math.ceil(math.sqrt(n) / (h * math.sqrt(lnn))))
     out = minor_free_separator(g, h, ell, eps, seed, stats=stats, c_r=c_r)
     if isinstance(out, Separator):
-        out.params.setdefault("algorithm", "minorfree")
         out.params["ell"] = ell
         k = max(1, math.ceil(1.0 / eps))
         c_s = _tree_size_coeff(k) + 3
         out.claimed_bound = min(out.claimed_bound if out.claimed_bound is not None else n, n,
                                 math.ceil(4 * c_s * h * math.sqrt(n * lnn)) + 2)
-        out.params["algorithm"] = "minorfree-balanced" if "fallback" not in str(
-            out.params.get("algorithm", "")) else out.params["algorithm"]
+        if out.params["algorithm"] == "minorfree":
+            out.params["algorithm"] = "minorfree-balanced"
     return out

@@ -290,7 +290,6 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
     if isinstance(inner, MinorReport):
         inner.params = {**inner.params, **params, "on": "quotient"}
         return inner
-    return inner
 
 
 def _tradeoff_claimed(n: int, dval: float, lnn: float, s_count: int) -> int:

@@ -54,6 +54,19 @@ def _complete(n: int, isolated: int = 0):
                          vertex_weight=weights)
 
 
+def _dense_beside_light(spec: str, isolated: int):
+    """A dense core of vertex weight 100 beside light isolated vertices: the
+    whole graph passes the density guard, and the trade-off's quotient of the
+    core, its heavy component, does not."""
+
+    def make():
+        core = generate_graph(spec, SEED)
+        return Graph(core.n + isolated, np.stack([core.edge_u, core.edge_v], axis=1),
+                     vertex_weight=[100] * core.n + [1] * isolated)
+
+    return make
+
+
 def _light_low_component(light: int = 20, heavy: int = 600):
     """A short path at the lowest ids beside a long one: the search from
     vertex 0 reaches a light component, so the loop labels the components of
@@ -143,6 +156,10 @@ CASES = {
     "tradeoff kh-blowup 5 40": (_gen("kh-blowup 5 40"),
                                 lambda g: tradeoff_separator(g, 5, 0.8, 0.5, SEED)),
     "tradeoff torus 12": (_gen("torus 12"), lambda g: tradeoff_separator(g, 5, 0.8, 0.5, SEED)),
+    # the quotient run reports the density: a report on the 100-vertex
+    # quotient, params "on": "quotient"
+    "tradeoff quotient report": (_dense_beside_light("random-regular 100 10", 900),
+                                 lambda g: tradeoff_separator(g, 5, 0.8, 0.5, SEED)),
     "minorfree grid 16 ell=1 c_r=0.05": (_gen("grid 16"),
                                          lambda g: minor_free_separator(g, 5, 1, 0.5, SEED, c_r=0.05)),
     "balanced grid 24 c_r=0.05": (_gen("grid 24"),
@@ -203,6 +220,8 @@ HASHES = {
         "2881d9dcaed0607c1dd71d4bedec82490788eec4ace54ac443d8e5b80e2d9f32",
     "tradeoff torus 12":
         "c5ffbde0395478a00dc3e9f3b6f1e525e7bac209539999515ea74dca1fb68796",
+    "tradeoff quotient report":
+        "7ca82c9278a67fdf2d8e33d86febba68a7790536300f0f48a04617d70607042a",
     "minorfree grid 16 ell=1 c_r=0.05":
         "d877bb7b6e693e4df721bc6cfe5c94a623c7b646744c225141764ebacdcb82ce",
     "balanced grid 24 c_r=0.05":

@@ -371,13 +371,14 @@ class TestLocalComponents:
                          dtype=np.int64)
         assert (_as_lists(_split_pieces_from_cut(g, verts, eids, cut))
                 == _as_lists(_reference_split(g, verts, eids, cut)))
-        # the X-cluster layer's CSR is the Graph CSR of the cluster's local edges
+        # the X-cluster layer's neighbor lists are the Graph CSR rows of the
+        # cluster's local edges
         c = Cluster(id=0, level=1, vertices=verts, boundary=verts[cut], edges=eids)
         dyn = _ClusterDyn(g, c)
         lu, lv = np.searchsorted(verts, g.edge_u[eids]), np.searchsorted(verts, g.edge_v[eids])
         ref = Graph(len(verts), np.stack([lu, lv], axis=1))
-        assert dyn.indptr.tolist() == ref.indptr.tolist()
-        assert dyn.indices.tolist() == ref.indices.tolist()
+        for i in range(len(verts)):
+            assert dyn.adj[i] == ref.neighbors(i).tolist()
 
 
 class TestActiveState:

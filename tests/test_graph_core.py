@@ -22,6 +22,7 @@ from sepkit.graph import (
     dump_graph,
     induced_subgraph,
     load_graph,
+    local_bfs,
     masked_components,
     masked_diameter,
     neighborhood,
@@ -665,6 +666,38 @@ class TestLevelBFS:
         for v in bfs.order[1:].tolist():
             closer = [u for u in g.neighbors(v).tolist() if live[u] and ref[u] == ref[v] - 1]
             assert bfs.parent(v) == max(closer)
+
+
+class TestLocalBFS:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_level_bfs_on_unblocked_subgraph(self, data):
+        """On sorted neighbor lists with a random blocked set: distances equal
+        LevelBFS levels on G[unblocked + src], every parent is a neighbor one
+        level closer, and distances never decrease along the visit order."""
+        n = data.draw(st.integers(1, 24))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            max_size=3 * n))
+        g = Graph(n, list(edges))
+        adj = [g.neighbors(v).tolist() for v in range(n)]
+        blocked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        src = data.draw(st.integers(0, n - 1))
+        order, dist, parent = local_bfs(adj, src, blocked)
+        ids = np.flatnonzero(~np.array(blocked) | (np.arange(n) == src))
+        ref = LevelBFS(MaskedSubgraph(g, ids).mat, int(np.searchsorted(ids, src)))
+        want = np.full(n, -1)
+        want[ids] = ref.levels(np.arange(len(ids)))
+        assert dist == want.tolist()
+        assert sorted(order) == np.flatnonzero(want >= 0).tolist() and order[0] == src
+        assert parent[src] == -1
+        for v in range(n):
+            if v != src and dist[v] >= 0:
+                assert g.has_edge(v, parent[v]) and dist[parent[v]] == dist[v] - 1
+            elif v != src:
+                assert parent[v] == -1
+        assert all(dist[a] <= dist[b] for a, b in zip(order, order[1:]))
+        assert local_bfs(adj, src)[1] == local_bfs(adj, src, [False] * n)[1]
 
 
 class TestHostSubgraphRestrict:

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from sepkit import debugcheck
+from sepkit import debugcheck, minorfree
 from sepkit.certificates import (
     MinorReport,
     MinorWitness,
@@ -182,6 +182,35 @@ class TestMinorFreeSeparator:
         assert isinstance(out, Separator)
         assert verify_output(g, out).ok
         assert stats["cut"] > 0
+
+    def test_cut_keeps_the_lighter_side_end_to_end(self, monkeypatch):
+        # the interleaved path with its last 24 vertices heavy: the cut's S,
+        # the stalled ball around the fresh source at that end, holds 92% of
+        # the weight, so the loop processes the rest of the heavy component
+        # as S' (processing S would break mf.processed-weight) and takes B'
+        # from S's side
+        n = 2000
+
+        def vid(p):
+            return 2 * p if p < n // 2 else 2 * (n - 1 - p) + 1
+
+        w = [1] * n
+        for p in range(n - 24, n):
+            w[vid(p)] = 1000
+        g = Graph(n, [(vid(p), vid(p + 1)) for p in range(n - 1)], vertex_weight=w)
+        calls = []
+        real = minorfree._component_minus
+
+        def component_minus(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(minorfree, "_component_minus", component_minus)
+        stats = {}
+        out = minor_free_separator(g, 3, 10, 1.0, seed=1, stats=stats, c_r=0.05)
+        assert isinstance(out, Separator) and "early_exit" not in out.params
+        assert verify_output(g, out).ok
+        assert stats["cut"] > 0 and len(calls) == 1
 
     def test_weighted_bootstrapped_run(self):
         g0 = grid_graph(32)
