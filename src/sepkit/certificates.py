@@ -29,6 +29,7 @@ from .graph import (
     MaskedSubgraph,
     VertexSet,
     any_edge_between,
+    gather_neighbors,
     masked_components,
     masked_diameter,
     sparsity_guard,
@@ -308,16 +309,19 @@ def lift_minor(result: SepOrMinor, verts: np.ndarray) -> SepOrMinor:
 # -- A/B packing -------------------------------------------------------------
 
 
-def pack_components(g: Graph, cmask: np.ndarray) -> tuple[VertexSet, VertexSet]:
+def pack_components(g: Graph, cmask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Partition the components of G - C into sides A, B with exact balance.
 
     Greedy largest-first packing; succeeds whenever every component weighs at
-    most BALANCE_C * w(V), which the calling algorithms guarantee.
+    most BALANCE_C * w(V), which the calling algorithms guarantee.  Returns
+    the sides as n-entry masks (amask, bmask).
     """
     n = g.n
+    amask = np.zeros(n, dtype=bool)
+    bmask = np.zeros(n, dtype=bool)
     sub_ids, ncomp, labels = masked_components(g, ~cmask)
     if len(sub_ids) == 0:
-        return VertexSet(), VertexSet()
+        return amask, bmask
     wloc = g.vertex_weight[sub_ids]
     comp_w = np.zeros(ncomp, dtype=np.int64)
     np.add.at(comp_w, labels, wloc)
@@ -335,20 +339,20 @@ def pack_components(g: Graph, cmask: np.ndarray) -> tuple[VertexSet, VertexSet]:
             wb += int(comp_w[c])
     if wa * den > num * wv or wb * den > num * wv:
         raise ValueError("component packing failed: a residual component is too heavy")
-    amask = np.zeros(n, dtype=bool)
-    bmask = np.zeros(n, dtype=bool)
     asel = side[labels] == 0
     amask[sub_ids[asel]] = True
     bmask[sub_ids[~asel]] = True
-    return VertexSet.from_mask(amask), VertexSet.from_mask(bmask)
+    return amask, bmask
 
 
 def trim_separator_mask(g: Graph, cmask: np.ndarray, amask: np.ndarray, bmask: np.ndarray):
     """Greedily move separator vertices into a side they exclusively touch.
 
-    A vertex of C with no neighbor in B may join A (and symmetrically) when
-    the exact balance budget allows; repeated passes run to a fixpoint.  The
-    result is a valid separator with the same or smaller C.
+    Walking C once in ascending id order, a vertex with no neighbor in B
+    joins A (and symmetrically) when the exact balance budget allows.  One
+    pass reaches the fixpoint: A, B and their weights only grow, so a vertex
+    refused once would be refused again.  The result is a valid separator
+    with the same or smaller C.
     """
     num, den = BALANCE_C.numerator, BALANCE_C.denominator
     wv = int(g.total_vertex_weight)
@@ -357,33 +361,47 @@ def trim_separator_mask(g: Graph, cmask: np.ndarray, amask: np.ndarray, bmask: n
     cmask = cmask.copy()
     amask = amask.copy()
     bmask = bmask.copy()
-    changed = True
-    while changed:
-        changed = False
-        for v in np.flatnonzero(cmask).tolist():
-            nb = g.neighbors(v)
-            touches_a = bool(amask[nb].any())
-            touches_b = bool(bmask[nb].any())
-            w = int(g.vertex_weight[v])
-            if not touches_b and (wa + w) * den <= num * wv:
-                cmask[v] = False
-                amask[v] = True
-                wa += w
-                changed = True
-            elif not touches_a and (wb + w) * den <= num * wv:
-                cmask[v] = False
-                bmask[v] = True
-                wb += w
-                changed = True
+    cids = np.flatnonzero(cmask)
+    k = len(cids)
+    nbrs = gather_neighbors(g.indptr, g.indices, cids)
+    row = np.repeat(np.arange(k), g.indptr[cids + 1] - g.indptr[cids])
+    touch_a = np.zeros(k, dtype=bool)
+    touch_a[row[amask[nbrs]]] = True
+    touch_b = np.zeros(k, dtype=bool)
+    touch_b[row[bmask[nbrs]]] = True
+    # each C vertex's neighbors in C, as positions in cids
+    inc = cmask[nbrs]
+    cn = np.searchsorted(cids, nbrs[inc]).tolist()
+    ptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[inc], minlength=k), out=ptr[1:])
+    ptr = ptr.tolist()
+    ta, tb = touch_a.tolist(), touch_b.tolist()
+    to_a, to_b = [], []
+    for i, w in enumerate(g.vertex_weight[cids].tolist()):
+        if not tb[i] and (wa + w) * den <= num * wv:
+            wa += w
+            to_a.append(i)
+            touched = ta
+        elif not ta[i] and (wb + w) * den <= num * wv:
+            wb += w
+            to_b.append(i)
+            touched = tb
+        else:
+            continue
+        for j in cn[ptr[i]:ptr[i + 1]]:
+            touched[j] = True
+    moved_a, moved_b = cids[to_a], cids[to_b]
+    cmask[moved_a] = False
+    cmask[moved_b] = False
+    amask[moved_a] = True
+    bmask[moved_b] = True
     return cmask, amask, bmask
 
 
 def separator_from_cut_mask(g: Graph, cmask: np.ndarray, claimed_bound: Optional[int] = None,
                             params: Optional[dict] = None) -> Separator:
     """The separator of a cut: G - C packed into two sides, then trimmed."""
-    a, b = pack_components(g, cmask)
-    am, bm = a.to_mask(g.n), b.to_mask(g.n)
-    del a, b  # freed before the trimmed sides are built: they hold every vertex
+    am, bm = pack_components(g, cmask)
     cmask, am, bm = trim_separator_mask(g, cmask, am, bm)
     return Separator(C=VertexSet.from_mask(cmask), A=VertexSet.from_mask(am),
                      B=VertexSet.from_mask(bm), claimed_bound=claimed_bound,
@@ -580,23 +598,38 @@ def _density_doc(cert: DensityCertificate) -> dict:
     return {"n": cert.n, "m": cert.m, "h": cert.h, "threshold": cert.threshold, "policy": cert.policy}
 
 
+def _json_ids(value, where: str) -> list[int]:
+    """A certificate's list of vertex ids, each a JSON integer (not a bool)."""
+    if not isinstance(value, list):
+        raise ValueError(f"certificate field {where} is not a list of vertex ids")
+    for x in value:
+        if type(x) is not int:
+            raise ValueError(f"certificate field {where} holds {json.dumps(x)}, not an integer vertex id")
+    return value
+
+
 def certificate_from_json(text: str) -> SepOrMinor:
+    """Parse a certificate; a vertex id that is not a JSON integer raises
+    ValueError naming its field."""
     doc = json.loads(text)
     kind = doc["kind"]
     if kind == "separator":
         num, den = doc["balance_c"]
         return Separator(
-            C=VertexSet(doc["C"]), A=VertexSet(doc["A"]), B=VertexSet(doc["B"]),
+            C=VertexSet(_json_ids(doc["C"], "C")), A=VertexSet(_json_ids(doc["A"], "A")),
+            B=VertexSet(_json_ids(doc["B"], "B")),
             balance_c=Fraction(num, den), claimed_bound=doc.get("claimed_bound"),
             params=doc.get("params", {}),
         )
     if kind == "minor_witness":
         edges = {}
-        for key, (a, b) in doc.get("connecting_edges", {}).items():
+        for key, pair in doc.get("connecting_edges", {}).items():
             i, j = key.split(",")
+            a, b = _json_ids(pair, f"connecting_edges[{key!r}]")
             edges[(int(i), int(j))] = (a, b)
         return MinorWitness(
-            branch_sets=[VertexSet(bs) for bs in doc["branch_sets"]],
+            branch_sets=[VertexSet(_json_ids(bs, f"branch_sets[{i}]"))
+                         for i, bs in enumerate(doc["branch_sets"])],
             depth_bound=doc.get("depth_bound"),
             connecting_edges=edges,
             params=doc.get("params", {}),

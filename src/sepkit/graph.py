@@ -655,6 +655,9 @@ def grow_within(g: Graph, allowed: np.ndarray, seed_vertices: np.ndarray, target
 # Most distance entries one shortest_path call in `MaskedSubgraph.diameter`
 # may hold: 2^20 float64 entries, 8 MiB.
 DIAMETER_BLOCK_ENTRIES = 1 << 20
+# A source batch of `MaskedSubgraph.diameter` holds ceil(this / |S|) sources,
+# so a set of at most 64 vertices is searched in one all-pairs call.
+DIAMETER_BATCH_ENTRIES = 4096
 
 
 def symmetric_components(mat: csr_matrix) -> tuple[int, np.ndarray]:
@@ -867,23 +870,45 @@ class MaskedSubgraph:
     def diameter(self) -> Optional[int]:
         """Hop diameter; None when disconnected, 0 for at most one vertex.
 
-        All-pairs BFS in blocks of sources, each holding at most
-        DIAMETER_BLOCK_ENTRIES distances.  A disconnected G[ids] leaves an
-        unreachable vertex in every source's row, so the first block decides.
+        Exact, from eccentricity bounds (BoundingDiameters, Takes & Kosters
+        2011): a BFS from v reaching w at distance d gives
+        max(d, ecc(v) - d) <= ecc(w) <= ecc(v) + d.  The candidates are the
+        vertices whose upper bound still exceeds the largest eccentricity
+        found; each batch of ceil(DIAMETER_BATCH_ENTRIES / |S|) sources, one
+        csgraph call holding at most DIAMETER_BLOCK_ENTRIES distances, takes
+        them alternately by largest upper and by smallest lower bound (lowest
+        id on ties, so the first batch is the lowest ids).  The search stops
+        when no candidate is left: the largest lower and upper bounds meet.
+        A disconnected G[ids] leaves an unreachable vertex in every row, so
+        the first batch decides.
         """
         nn = len(self.ids)
         if nn <= 1:
             return 0
-        rows = max(1, DIAMETER_BLOCK_ENTRIES // nn)
-        best = 0
-        for lo in range(0, nn, rows):
+        rows = max(1, min(-(-DIAMETER_BATCH_ENTRIES // nn), DIAMETER_BLOCK_ENTRIES // nn))
+        lo = np.zeros(nn, dtype=np.int64)
+        hi = np.full(nn, nn, dtype=np.int64)  # above every eccentricity
+        src = np.arange(min(rows, nn))
+        while True:
             dist = csgraph.shortest_path(self.mat, method="D", directed=True, unweighted=True,
-                                         indices=np.arange(lo, min(nn, lo + rows)))
+                                         indices=src)
             top = dist.max()
             if np.isinf(top):
                 return None
-            best = max(best, int(top))
-        return best
+            if len(src) == nn:  # all pairs in one call
+                return int(top)
+            d = dist.astype(np.int64)
+            ecc = d.max(axis=1)[:, None]
+            np.maximum(lo, np.maximum(d, ecc - d).max(axis=0), out=lo)
+            np.minimum(hi, (ecc + d).min(axis=0), out=hi)
+            best = int(lo.max())  # a lower bound never exceeds its source's eccentricity
+            cand = np.flatnonzero(hi > best)
+            if len(cand) == 0:
+                return best
+            both = np.stack([cand[np.argsort(-hi[cand], kind="stable")],
+                             cand[np.argsort(lo[cand], kind="stable")]], axis=1).ravel()
+            _, first = np.unique(both, return_index=True)
+            src = both[np.sort(first)[:rows]]
 
 
 def masked_components(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:

@@ -249,7 +249,8 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
 
     branch_slots: list[Optional[np.ndarray]] = []
     pair_edges: dict[tuple[int, int], tuple[int, int]] = {}
-    in_vr = np.zeros(n, dtype=bool)
+    # the processed set V_R is read only by the debug checks
+    in_vr = np.zeros(n, dtype=bool) if debugcheck.enabled() else None
     in_b = np.zeros(n, dtype=bool)
     iters = 0
     iter_cap = ITER_COEFF * max(1, n // ell) + 8 * h + 8
@@ -303,7 +304,8 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                 break
             slot = found.empty_slot
             vs = branch_slots[slot]
-            in_vr[vs] = True
+            if in_vr is not None:
+                in_vr[vs] = True
             layer.clear_branch(vs)
             branch_slots[slot] = None
             st.set_many(vs.tolist(), "passive")
@@ -324,11 +326,12 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             nbrs = nbrs[~st.active[nbrs] & ~smask[nbrs]]
             out_shell = np.unique(nbrs) if len(nbrs) else np.empty(0, np.int64)
             if (w_s, cnt_s) <= (w_rest, cnt_rest):
-                sprime = s_ids
+                if in_vr is not None:
+                    in_vr[s_ids] = True
                 bprime = out_shell
             else:
-                sp_mask = _component_minus(g, members, st, smask)
-                sprime = np.flatnonzero(sp_mask)
+                if in_vr is not None:
+                    in_vr |= _component_minus(g, members, st, smask)
                 if len(out_shell):
                     back = gather_neighbors(g.indptr, g.indices, out_shell)
                     back = back[smask[back] & ~st.active[back]]
@@ -337,7 +340,6 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                     bprime = np.empty(0, np.int64)
             debugcheck.check("mf.cut-boundary", ell * len(bprime) <= max(1, min(cnt_s, cnt_rest)),
                              f"|B'|={len(bprime)} vs min/ell")
-            in_vr[sprime] = True
             in_b[bprime] = True
             st.set_many(bprime.tolist(), "active")
             continue
@@ -383,7 +385,7 @@ def _component_minus(g: Graph, members, st: ActiveState, smask: np.ndarray) -> n
 
 
 def _assert_mf_invariants(g, branch_slots, in_vr, in_b, ell, h, wtotal) -> None:
-    if not debugcheck.enabled():
+    if in_vr is None:  # the run started outside debug mode
         return
     sets = [s for s in branch_slots if s is not None]
     debugcheck.check("mf.branch-count", len(sets) <= h, "p exceeds h")

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit.certificates import (
+    BALANCE_C,
     MinorReport,
     MinorWitness,
     OracleGuardError,
@@ -12,6 +16,7 @@ from sepkit.certificates import (
     certificate_from_json,
     certificate_to_json,
     pack_components,
+    trim_separator_mask,
     verify_minor_witness,
     verify_output,
     verify_separator,
@@ -292,8 +297,61 @@ class TestPackComponents:
     def test_many_pieces(self):
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
         a, b = pack_components(g, VertexSet().to_mask(6))
-        assert len(a) + len(b) == 6
-        assert 3 * len(a) <= 2 * 6 and 3 * len(b) <= 2 * 6
+        assert a.sum() + b.sum() == 6 and not (a & b).any()
+        assert 3 * a.sum() <= 2 * 6 and 3 * b.sum() <= 2 * 6
+
+
+def trim_to_fixpoint(g, cmask, amask, bmask):
+    """The reference trim: passes over C in ascending id order until none moves a vertex."""
+    num, den = BALANCE_C.numerator, BALANCE_C.denominator
+    wv = int(g.total_vertex_weight)
+    wa = int(g.vertex_weight[amask].sum())
+    wb = int(g.vertex_weight[bmask].sum())
+    cmask, amask, bmask = cmask.copy(), amask.copy(), bmask.copy()
+    changed = True
+    while changed:
+        changed = False
+        for v in np.flatnonzero(cmask).tolist():
+            nb = g.neighbors(v)
+            touches_a = bool(amask[nb].any())
+            touches_b = bool(bmask[nb].any())
+            w = int(g.vertex_weight[v])
+            if not touches_b and (wa + w) * den <= num * wv:
+                cmask[v], amask[v] = False, True
+                wa += w
+                changed = True
+            elif not touches_a and (wb + w) * den <= num * wv:
+                cmask[v], bmask[v] = False, True
+                wb += w
+                changed = True
+    return cmask, amask, bmask
+
+
+class TestTrimSeparatorMask:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_pass_equals_fixpoint(self, data):
+        n = data.draw(st.integers(1, 40))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
+        edges = data.draw(st.lists(pairs, max_size=3 * n))
+        weights = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        g = Graph(n, edges, vertex_weight=weights)
+        # each vertex in C, A or B, with C often the largest part
+        side = np.array(data.draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=n,
+                                           max_size=n)))
+        masks = (side == 0, side == 1, side == 2)
+        got = trim_separator_mask(g, *masks)
+        want = trim_to_fixpoint(g, *masks)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist()
+
+    def test_moves_cascade_through_c(self):
+        # a path C = 1..4 between A = {0} and B = {5}: each vertex moved to A
+        # makes the next one touch A, up to vertex 4, which touches both
+        g = Graph(6, [(i, i + 1) for i in range(5)], vertex_weight=[2] * 6)
+        cmask = np.array([False, True, True, True, True, False])
+        got = trim_separator_mask(g, cmask, np.eye(6, dtype=bool)[0], np.eye(6, dtype=bool)[5])
+        assert [np.flatnonzero(m).tolist() for m in got] == [[4], [0, 1, 2, 3], [5]]
 
 
 class TestSerialization:

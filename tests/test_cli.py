@@ -122,6 +122,25 @@ class TestRunCommands:
         (tmp_path / "forged.json").write_text(json.dumps(doc))
         assert main(["verify", str(grid_file), str(tmp_path / "forged.json")]) == 3
 
+    # each certificate is accepted (or crashes the verifier) if its ids are
+    # cast with int(): 0.7 and 1.2 as {0},{1}, true as vertex 1
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "minor_witness", "h": 2, "branch_sets": [[0.7], [1.2]], "depth_bound": None,
+          "connecting_edges": {}, "params": {}}, "branch_sets[0] holds 0.7"),
+        ({"kind": "separator", "C": [True, 5, 9, 13], "A": [0, 4, 8, 12],
+          "B": [2, 3, 6, 7, 10, 11, 14, 15], "balance_c": [2, 3], "claimed_bound": None,
+          "params": {}}, "C holds true"),
+        ({"kind": "minor_witness", "h": 2, "branch_sets": [[0], [1]], "depth_bound": None,
+          "connecting_edges": {"0,1": [0.5, 1]}, "params": {}},
+         "connecting_edges['0,1'] holds 0.5"),
+    ], ids=["float-branch-set", "bool-in-C", "float-connecting-edge"])
+    def test_verify_rejects_non_integer_ids(self, tmp_path, capsys, doc, field):
+        grid4 = tmp_path / "grid4.txt"
+        main(["gen", "grid 4", "--out", str(grid4)])
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["verify", str(grid4), str(tmp_path / "c.json")]) == 2
+        assert f"certificate field {field}, not an integer vertex id" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert main(["shallow", "/nonexistent/file", "--h", "4"]) == 2
 

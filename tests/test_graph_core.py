@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
+from sepkit.generators import kh_blowup_graph
 from sepkit.graph import (
     DIAMETER_BLOCK_ENTRIES,
     ID_LIMIT,
@@ -763,7 +764,7 @@ class TestMaskedDiameter:
         g = grid_graph(3)
         assert masked_diameter(g, np.array([4])) == 0
 
-    def test_path_over_three_source_blocks(self, monkeypatch):
+    def test_path_calls_stay_within_block_entries(self, monkeypatch):
         n = 1500
         g = Graph(n, [(i, i + 1) for i in range(n - 1)])
         calls = []
@@ -775,11 +776,80 @@ class TestMaskedDiameter:
 
         monkeypatch.setattr(csgraph, "shortest_path", counting)
         assert masked_diameter(g, np.arange(n)) == n - 1
-        assert len(calls) == 3 and sum(calls) == n
         assert max(calls) * n <= DIAMETER_BLOCK_ENTRIES
         # a sub-path, and two runs with a gap between them
         assert masked_diameter(g, np.arange(500, 1000)) == 499
         assert masked_diameter(g, np.r_[0:10, 20:30]) is None
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_large_sets_agree_with_all_pairs(self, data):
+        # sets past the first source batch, embedded in a host graph whose
+        # other vertices and edges must be ignored
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        parts = data.draw(st.lists(st.sampled_from(DIAMETER_FAMILIES), min_size=1,
+                                   max_size=3 if data.draw(st.booleans()) else 1))
+        edges, k = [], 0
+        for fam in parts:
+            size = data.draw(st.integers(15, 300 // len(parts)))
+            for u, v in _family_edges(fam, size, rng):
+                edges.append((u + k, v + k))
+            k += size
+        extra = data.draw(st.integers(0, 40))
+        perm = rng.permutation(k + extra)
+        host = [(int(perm[u]), int(perm[v])) for u, v in edges]
+        outside = perm[k:]
+        for _ in range(2 * extra):
+            host.append((int(rng.choice(outside)), int(perm[rng.integers(0, k + extra)])))
+        g = Graph(k + extra, [(u, v) for u, v in host if u != v])
+        ids = np.sort(perm[:k])
+        assert masked_diameter(g, ids) == all_pairs_diameter(g, ids)
+
+
+# K_h blow-up blobs, sparse random graphs and the rest, as local edge lists
+DIAMETER_FAMILIES = ("path", "cycle", "grid", "tree", "blowup", "sparse")
+
+
+def _family_edges(fam: str, k: int, rng) -> list[tuple[int, int]]:
+    if fam == "path":
+        return [(i, i + 1) for i in range(k - 1)]
+    if fam == "cycle":
+        return [(i, (i + 1) % k) for i in range(k)]
+    if fam == "grid":
+        a = int(rng.integers(1, int(np.sqrt(k)) + 1))
+        b, last = divmod(k, a)
+        out = [(r * b + c, r * b + c + 1) for r in range(a) for c in range(b - 1)]
+        out += [(r * b + c, (r + 1) * b + c) for r in range(a - 1) for c in range(b)]
+        # the leftover vertices hang off the last vertex as a path
+        return out + [(a * b + i - 1, a * b + i) for i in range(last)]
+    if fam == "tree":
+        return [(int(rng.integers(0, i)), i) for i in range(1, k)]
+    if fam == "blowup":
+        h = int(rng.integers(2, 7))
+        blow = k // h
+        bg = kh_blowup_graph(h, blow, seed=int(rng.integers(0, 1 << 30)))
+        # the leftover vertices hang off vertex 0
+        return bg.edge_list() + [(0, h * blow + i) for i in range(k - h * blow)]
+    pairs = rng.integers(0, k, size=(int(k * rng.uniform(0.6, 2.0)), 2))
+    return [(int(u), int(v)) for u, v in pairs if u != v]
+
+
+def all_pairs_diameter(g: Graph, ids: np.ndarray):
+    """The reference: BFS from every vertex of G[ids], in blocks of sources."""
+    sub = MaskedSubgraph(g, np.unique(ids))
+    nn = len(sub.ids)
+    if nn <= 1:
+        return 0
+    rows = max(1, DIAMETER_BLOCK_ENTRIES // nn)
+    best = 0
+    for lo in range(0, nn, rows):
+        dist = csgraph.shortest_path(sub.mat, method="D", directed=True, unweighted=True,
+                                     indices=np.arange(lo, min(nn, lo + rows)))
+        top = dist.max()
+        if np.isinf(top):
+            return None
+        best = max(best, int(top))
+    return best
 
 
 class TestTotalWeight:
