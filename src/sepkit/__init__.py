@@ -8,7 +8,6 @@ from .graph import (
     DensityCertificate,
     Graph,
     GraphFormatError,
-    VertexSet,
     connected_components,
     density_threshold,
     dump_graph,

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import MinorWitness, Separator, lift_minor, minor_witness
-from .graph import Graph, VertexSet, induced_subgraph, masked_components
+from .graph import Graph, induced_subgraph, masked_components, split_by_label
 from .shallow import ln_ceil, shallow_separator_balanced
 from .small_minors import find_k3_witness, find_k4_witness
 
@@ -50,12 +50,13 @@ def _attempt(g: Graph, h: int, eps: float, seed: int, depth: int = 0) -> Optiona
     if not isinstance(out, Separator) or len(out.C) >= g.n:
         return None
     # pieces in order of smallest id, each piece's host ids ascending
-    ids, ncomp, labels = masked_components(g, ~out.C.to_mask(g.n))
-    ends = np.cumsum(np.bincount(labels, minlength=ncomp))
-    for verts in np.split(ids[np.argsort(labels, kind="stable")], ends[:-1]):
+    rest = np.ones(g.n, dtype=bool)
+    rest[out.C] = False
+    ids, ncomp, labels = masked_components(g, rest)
+    for verts in split_by_label(ids, labels, ncomp):
         if not h <= len(verts) < g.n:
             continue
-        piece, _ = induced_subgraph(g, VertexSet(verts.tolist()))
+        piece, _ = induced_subgraph(g, verts)
         got = _attempt(piece, h, eps, seed + 1, depth + 1)
         if got is not None:
             return replace(lift_minor(got, verts), params={})

@@ -14,7 +14,6 @@ guarded: exceeding the size guard is a hard error, never a silent truncation.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -27,8 +26,6 @@ from .graph import (
     DensityCertificate,
     Graph,
     MaskedSubgraph,
-    VertexSet,
-    any_edge_between,
     gather_neighbors,
     masked_components,
     masked_diameter,
@@ -40,23 +37,32 @@ from .graph import (
 BALANCE_C = Fraction(2, 3)
 
 
-@dataclass
-class Separator:
-    """Balanced vertex separator certificate: C splits the rest into A and B."""
+def _no_ids() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
 
-    C: VertexSet
-    A: VertexSet
-    B: VertexSet
+
+# Every vertex set below is an int64 array of ids, ascending and without
+# repeats; a parsed certificate may break that, and its verifier reports it.
+@dataclass(eq=False)
+class Separator:
+    """Balanced vertex separator certificate: C splits the rest into A and B.
+
+    The defaults give the separator of the empty graph.
+    """
+
+    C: np.ndarray = field(default_factory=_no_ids)
+    A: np.ndarray = field(default_factory=_no_ids)
+    B: np.ndarray = field(default_factory=_no_ids)
     balance_c: Fraction = BALANCE_C
     claimed_bound: Optional[int] = None
     params: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class MinorWitness:
     """K_h-minor witness: disjoint connected branch sets, pairwise joined."""
 
-    branch_sets: list[VertexSet]
+    branch_sets: list[np.ndarray]
     depth_bound: Optional[int] = None
     connecting_edges: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
     params: dict = field(default_factory=dict)
@@ -99,15 +105,15 @@ def verify_separator(g: Graph, s: Separator) -> VerifyReport:
     and |C| <= claimed_bound.  Pure."""
     v: list[tuple[str, str]] = []
     n = g.n
-    # range first, on each side's sorted ids: out-of-range ids are reported
-    # and then left out of the partition count, the masks and the weights
+    # range first: out-of-range ids are reported and then left out of the
+    # partition count (where a repeated id fails), the masks and the weights
     sides = []
     for part in (s.A, s.B, s.C):
-        ids = part.ids()
-        lo, hi = bisect_left(ids, 0), bisect_left(ids, n)
-        for x in ids[:lo] + ids[hi:]:
+        ids = np.asarray(part, dtype=np.int64)
+        out = (ids < 0) | (ids >= n)
+        for x in np.sort(ids[out]).tolist():
             v.append(("sep.range", f"vertex {x} outside 0..{n - 1}"))
-        sides.append(np.array(ids[lo:hi], dtype=np.int64))
+        sides.append(ids[~out])
     a_ids, b_ids, _ = sides
     counts = np.bincount(np.concatenate(sides), minlength=n)
     if np.any(counts != 1):
@@ -140,24 +146,24 @@ def verify_minor_witness(g: Graph, wtn: MinorWitness, h: Optional[int] = None) -
     v: list[tuple[str, str]] = []
     if h is not None and wtn.h != h:
         v.append(("minor.count", f"witness has {wtn.h} branch sets, expected {h}"))
-    # range first, on the sorted ids, before any of them indexes an array
-    for bs in wtn.branch_sets:
-        ids = bs.ids()
-        if ids and (ids[0] < 0 or ids[-1] >= g.n):
-            x = ids[0] if ids[0] < 0 else ids[bisect_left(ids, g.n)]
-            v.append(("minor.range", f"vertex {x} outside graph"))
+    sets = [np.asarray(bs, dtype=np.int64) for bs in wtn.branch_sets]
+    # range first, before any id indexes an array
+    for ids in sets:
+        bad = ids[(ids < 0) | (ids >= g.n)]
+        if len(bad):
+            v.append(("minor.range", f"vertex {int(bad.min())} outside graph"))
             return VerifyReport.from_violations(v)
-    sets = [np.asarray(bs.ids(), dtype=np.int64) for bs in wtn.branch_sets]
-    # a vertex is reused where it sits in a later set than its first one
-    cat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+    # every occurrence of a vertex past its first is a reuse, whether in a
+    # later set or repeated within one
+    cat = np.concatenate(sets) if sets else _no_ids()
     owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-    first = np.full(g.n, -1, dtype=np.int64)
-    uniq, at = np.unique(cat, return_index=True)
-    first[uniq] = owner[at]
-    reused = first[cat] != owner
+    reused = np.ones(len(cat), dtype=bool)
+    reused[np.unique(cat, return_index=True)[1]] = False
     for i in np.unique(owner[reused]).tolist():
-        dup = np.sort(cat[reused & (owner == i)])[:5].tolist()
+        dup = np.unique(cat[reused & (owner == i)])[:5].tolist()
         v.append(("minor.disjoint", f"branch set {i} reuses vertices {dup}"))
+    # the sets as sets (sorted, distinct) for connectivity and the pair edges
+    sets = [np.unique(ids) for ids in sets]
     for i, ids in enumerate(sets):
         if len(ids) == 0:
             v.append(("minor.empty", f"branch set {i} is empty"))
@@ -170,18 +176,18 @@ def verify_minor_witness(g: Graph, wtn: MinorWitness, h: Optional[int] = None) -
             v.append(("minor.connected", f"branch set {i} is not connected"))
         elif wtn.depth_bound is not None and diam > wtn.depth_bound:
             v.append(("minor.depth", f"branch set {i} has diameter {diam} > bound {wtn.depth_bound}"))
+    members = [set(ids.tolist()) for ids in sets]
     for i, j in combinations(range(wtn.h), 2):
         edge = wtn.connecting_edges.get((i, j)) or wtn.connecting_edges.get((j, i))
         if edge is None:
-            if not any_edge_between(g, sets[i], sets[j]):
+            if find_connecting_edge(g, sets[i], sets[j]) is None:
                 v.append(("minor.pair", f"no edge joins branch sets {i} and {j}"))
             continue
         a, b = edge
         if not (0 <= a < g.n and 0 <= b < g.n and g.has_edge(a, b)):
             v.append(("minor.pair-edge", f"recorded edge ({a},{b}) for pair ({i},{j}) not in G"))
             continue
-        if not ((a in wtn.branch_sets[i] and b in wtn.branch_sets[j])
-                or (b in wtn.branch_sets[i] and a in wtn.branch_sets[j])):
+        if not ((a in members[i] and b in members[j]) or (b in members[i] and a in members[j])):
             v.append(("minor.pair-edge", f"edge ({a},{b}) does not join branch sets {i} and {j}"))
     return VerifyReport.from_violations(v)
 
@@ -223,13 +229,25 @@ def verify_output(g: Graph, result: SepOrMinor) -> VerifyReport:
     raise TypeError(f"not a SepOrMinor: {result!r}")
 
 
-def find_connecting_edge(g: Graph, a: VertexSet, b: VertexSet) -> Optional[tuple[int, int]]:
+def find_connecting_edge(g: Graph, a: np.ndarray, b: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first edge (u, w) with u in `a` and w in `b`, or None.
+
+    Both sets are sorted id arrays.  The smaller set (`a` on a tie) is
+    scanned in ascending order, each vertex's neighbors in ascending order,
+    and each neighbor is looked up in the other set by binary search.
+    """
     small, other = (a, b) if len(a) <= len(b) else (b, a)
-    for u in small:
-        for w in g.neighbors(u).tolist():
-            if w in other:
-                return (u, w) if small is a else (w, u)
-    return None
+    if len(other) == 0:
+        return None
+    nbrs = gather_neighbors(g.indptr, g.indices, small)
+    at = np.minimum(np.searchsorted(other, nbrs), len(other) - 1)
+    hits = np.flatnonzero(other[at] == nbrs)
+    if len(hits) == 0:
+        return None
+    slot = int(hits[0])
+    ends = np.cumsum(g.indptr[small + 1] - g.indptr[small])
+    u, w = int(small[np.searchsorted(ends, slot, side="right")]), int(nbrs[slot])
+    return (u, w) if small is a else (w, u)
 
 
 # -- minor-side results -------------------------------------------------------
@@ -262,7 +280,7 @@ def minor_witness(g: Graph, sets: list, edges: Optional[dict[tuple[int, int], tu
     Each pair (i, j), i < j, keeps its edge in `edges` or gets the first
     connecting edge found; a pair with none is left for the verifier.
     """
-    bsets = [VertexSet(np.asarray(ids).tolist()) for ids in sets]
+    bsets = [np.asarray(ids, dtype=np.int64) for ids in sets]
     edges = dict(edges or {})
     for i, j in combinations(range(len(bsets)), 2):
         if (i, j) not in edges:
@@ -297,8 +315,7 @@ def lift_minor(result: SepOrMinor, verts: np.ndarray) -> SepOrMinor:
     """
     if isinstance(result, MinorWitness):
         return MinorWitness(
-            branch_sets=[VertexSet(verts[np.asarray(bs.ids(), dtype=np.int64)].tolist())
-                         for bs in result.branch_sets],
+            branch_sets=[verts[bs] for bs in result.branch_sets],
             depth_bound=result.depth_bound,
             connecting_edges={k: (int(verts[a]), int(verts[b]))
                               for k, (a, b) in result.connecting_edges.items()},
@@ -403,9 +420,8 @@ def separator_from_cut_mask(g: Graph, cmask: np.ndarray, claimed_bound: Optional
     """The separator of a cut: G - C packed into two sides, then trimmed."""
     am, bm = pack_components(g, cmask)
     cmask, am, bm = trim_separator_mask(g, cmask, am, bm)
-    return Separator(C=VertexSet.from_mask(cmask), A=VertexSet.from_mask(am),
-                     B=VertexSet.from_mask(bm), claimed_bound=claimed_bound,
-                     params=params or {})
+    return Separator(C=np.flatnonzero(cmask), A=np.flatnonzero(am), B=np.flatnonzero(bm),
+                     claimed_bound=claimed_bound, params=params or {})
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -417,7 +433,7 @@ def brute_force_min_separator(g: Graph) -> Optional[Separator]:
     if n > 16:
         raise OracleGuardError(f"brute_force_min_separator guarded to n <= 16, got {n}")
     if n == 0:
-        return Separator(VertexSet(), VertexSet(), VertexSet(), BALANCE_C, 0)
+        return Separator(claimed_bound=0)
     wv = int(g.total_vertex_weight)
     num, den = BALANCE_C.numerator, BALANCE_C.denominator
     verts = list(range(n))
@@ -466,7 +482,8 @@ def brute_force_min_separator(g: Graph) -> Optional[Separator]:
             return None
         a = [v for v in inc if assign[comp_of[v]] == 0]
         b = [v for v in inc if assign[comp_of[v]] == 1]
-        return Separator(VertexSet(cset), VertexSet(a), VertexSet(b), BALANCE_C, len(cset))
+        return Separator(np.array(cset, dtype=np.int64), np.array(a, dtype=np.int64),
+                         np.array(b, dtype=np.int64), BALANCE_C, len(cset))
 
     for size in range(0, n + 1):
         for cset in combinations(verts, size):
@@ -565,9 +582,9 @@ def certificate_to_json(result: SepOrMinor) -> str:
     if isinstance(result, Separator):
         doc = {
             "kind": "separator",
-            "C": list(result.C.ids()),
-            "A": list(result.A.ids()),
-            "B": list(result.B.ids()),
+            "C": result.C.tolist(),
+            "A": result.A.tolist(),
+            "B": result.B.tolist(),
             "balance_c": frac(result.balance_c),
             "claimed_bound": result.claimed_bound,
             "params": result.params,
@@ -576,7 +593,7 @@ def certificate_to_json(result: SepOrMinor) -> str:
         doc = {
             "kind": "minor_witness",
             "h": result.h,
-            "branch_sets": [list(bs.ids()) for bs in result.branch_sets],
+            "branch_sets": [bs.tolist() for bs in result.branch_sets],
             "depth_bound": result.depth_bound,
             "connecting_edges": {f"{i},{j}": [a, b] for (i, j), (a, b) in sorted(result.connecting_edges.items())},
             "params": result.params,
@@ -598,14 +615,25 @@ def _density_doc(cert: DensityCertificate) -> dict:
     return {"n": cert.n, "m": cert.m, "h": cert.h, "threshold": cert.threshold, "policy": cert.policy}
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _json_ids(value, where: str) -> list[int]:
-    """A certificate's list of vertex ids, each a JSON integer (not a bool)."""
+    """A certificate's list of vertex ids, each a JSON integer (not a bool)
+    within the int64 range."""
     if not isinstance(value, list):
         raise ValueError(f"certificate field {where} is not a list of vertex ids")
     for x in value:
         if type(x) is not int:
             raise ValueError(f"certificate field {where} holds {json.dumps(x)}, not an integer vertex id")
+        if not _INT64.min <= x <= _INT64.max:
+            raise ValueError(f"certificate field {where} holds {x}, outside the 64-bit id range")
     return value
+
+
+def _json_set(value, where: str) -> np.ndarray:
+    """A certificate's vertex set: its ids sorted, repeats kept for the verifier."""
+    return np.sort(np.array(_json_ids(value, where), dtype=np.int64))
 
 
 def certificate_from_json(text: str) -> SepOrMinor:
@@ -616,8 +644,7 @@ def certificate_from_json(text: str) -> SepOrMinor:
     if kind == "separator":
         num, den = doc["balance_c"]
         return Separator(
-            C=VertexSet(_json_ids(doc["C"], "C")), A=VertexSet(_json_ids(doc["A"], "A")),
-            B=VertexSet(_json_ids(doc["B"], "B")),
+            C=_json_set(doc["C"], "C"), A=_json_set(doc["A"], "A"), B=_json_set(doc["B"], "B"),
             balance_c=Fraction(num, den), claimed_bound=doc.get("claimed_bound"),
             params=doc.get("params", {}),
         )
@@ -628,8 +655,7 @@ def certificate_from_json(text: str) -> SepOrMinor:
             a, b = _json_ids(pair, f"connecting_edges[{key!r}]")
             edges[(int(i), int(j))] = (a, b)
         return MinorWitness(
-            branch_sets=[VertexSet(_json_ids(bs, f"branch_sets[{i}]"))
-                         for i, bs in enumerate(doc["branch_sets"])],
+            branch_sets=[_json_set(bs, f"branch_sets[{i}]") for i, bs in enumerate(doc["branch_sets"])],
             depth_bound=doc.get("depth_bound"),
             connecting_edges=edges,
             params=doc.get("params", {}),

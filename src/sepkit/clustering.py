@@ -275,8 +275,7 @@ def _separator_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
         out = shallow_separator(sub, h, ell, eps, seed, complete_witness=False)
     if not isinstance(out, Separator):
         raise MinorFound(lift_minor(out, verts))
-    cut_local = np.asarray(out.C.ids(), dtype=np.int64)
-    pieces = _split_pieces_from_cut(g, verts, eids, cut_local)
+    pieces = _split_pieces_from_cut(g, verts, eids, out.C)
     if any(len(pv) >= len(verts) for pv, _ in pieces) or len(pieces) <= 1:
         return _direct_split(g, verts, eids, weights)
     return pieces

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,59 +26,6 @@ class GraphFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class VertexSet:
-    """Immutable set of vertex ids with O(1) membership and sorted iteration."""
-
-    __slots__ = ("_members", "_sorted")
-
-    def __init__(self, ids: Iterable[int] = ()):
-        self._members = frozenset(int(v) for v in ids)
-        self._sorted: Optional[tuple[int, ...]] = None
-
-    def ids(self) -> tuple[int, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self._members))
-        return self._sorted
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ids())
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, VertexSet):
-            return self._members == other._members
-        if isinstance(other, (set, frozenset)):
-            return self._members == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._members)
-
-    def __repr__(self) -> str:
-        shown = list(self.ids()[:8])
-        more = "..." if len(self) > 8 else ""
-        return f"VertexSet({shown}{more}, size={len(self)})"
-
-    def to_mask(self, n: int) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        if self._members:
-            mask[np.fromiter(self._members, dtype=np.int64)] = True
-        return mask
-
-    @staticmethod
-    def from_mask(mask: np.ndarray) -> "VertexSet":
-        ids = np.flatnonzero(mask).tolist()  # Python ints, already ascending
-        vs = VertexSet.__new__(VertexSet)
-        vs._members = frozenset(ids)
-        vs._sorted = tuple(ids)
-        return vs
 
 
 @dataclass(frozen=True)
@@ -601,13 +548,11 @@ def dump_graph(g: Graph, fmt: str = "edge-list") -> str:
     return "\n".join(lines) + "\n"
 
 
-def neighborhood(g: Graph, xs: VertexSet, delta: int = 1) -> VertexSet:
-    """N^delta(X): all vertices within distance delta of X (X included)."""
+def neighborhood(g: Graph, xs: np.ndarray, delta: int = 1) -> np.ndarray:
+    """N^delta(X): the sorted ids within distance delta of X (X included)."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    ids = grow_within(g, np.ones(g.n, dtype=bool), np.asarray(xs.ids(), dtype=np.int64),
-                      g.n, delta)
-    return VertexSet(ids.tolist())
+    return grow_within(g, np.ones(g.n, dtype=bool), np.asarray(xs, dtype=np.int64), g.n, delta)
 
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -927,16 +872,12 @@ def masked_diameter(g: Graph, ids: np.ndarray) -> Optional[int]:
     return MaskedSubgraph(g, np.unique(ids)).diameter()
 
 
-def any_edge_between(g: Graph, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether some edge of g joins a vertex of `a` to a vertex of `b`."""
-    if len(a) > len(b):
-        a, b = b, a
-    return bool(np.isin(gather_neighbors(g.indptr, g.indices, a), b).any())
+def induced_subgraph(g: Graph, xs: np.ndarray) -> tuple[Graph, dict[int, int]]:
+    """G[X] with weights carried over, plus the old-id -> new-id bijection.
 
-
-def induced_subgraph(g: Graph, xs: VertexSet) -> tuple[Graph, dict[int, int]]:
-    """G[X] with weights carried over, plus the old-id -> new-id bijection."""
-    old_ids = np.asarray(xs.ids(), dtype=np.int64)
+    X holds sorted, distinct ids; new id i is X[i].
+    """
+    old_ids = np.asarray(xs, dtype=np.int64)
     if np.any(old_ids >= g.n) or np.any(old_ids < 0):
         raise ValueError("X contains ids outside the host graph")
     mask = np.zeros(g.n, dtype=bool)
@@ -954,23 +895,25 @@ def induced_subgraph(g: Graph, xs: VertexSet) -> tuple[Graph, dict[int, int]]:
     return sub, mapping
 
 
-def connected_components(g: Graph) -> list[VertexSet]:
-    """Maximal connected vertex sets, ordered by smallest contained id."""
+def split_by_label(ids: np.ndarray, labels: np.ndarray, count: int) -> list[np.ndarray]:
+    """`ids` grouped by their labels 0..count-1, each group in the order of `ids`."""
+    if count == 0:
+        return []
+    ends = np.cumsum(np.bincount(labels, minlength=count))
+    return np.split(ids[np.argsort(labels, kind="stable")], ends[:-1])
+
+
+def connected_components(g: Graph) -> list[np.ndarray]:
+    """Maximal connected vertex sets (sorted ids), ordered by smallest id."""
     if g.n == 0:
         return []
     ncomp, labels = symmetric_components(g.csr())
-    out: list[list[int]] = [[] for _ in range(ncomp)]
-    for v, lab in enumerate(labels.tolist()):
-        out[lab].append(v)
-    out.sort(key=lambda vs: vs[0])
-    return [VertexSet(vs) for vs in out]
+    return split_by_label(np.arange(g.n, dtype=np.int64), labels, ncomp)
 
 
-def total_weight(g: Graph, xs: VertexSet) -> int:
+def total_weight(g: Graph, xs: np.ndarray) -> int:
     """Exact integer sum of vertex weights over X."""
-    if len(xs) == 0:
-        return 0
-    ids = np.asarray(xs.ids(), dtype=np.int64)
+    ids = np.asarray(xs, dtype=np.int64)
     if np.any(ids >= g.n):
         raise ValueError("X contains ids outside the host graph")
     return int(g.vertex_weight[ids].sum())

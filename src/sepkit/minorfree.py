@@ -24,6 +24,7 @@ from .certificates import (
     SepOrMinor,
     Separator,
     density_result,
+    find_connecting_edge,
     separator_from_cut_mask,
     witness_from_slots,
 )
@@ -37,8 +38,6 @@ from .clustering import (
 from .ddg import DdgLayer
 from .graph import (
     Graph,
-    VertexSet,
-    any_edge_between,
     gather_neighbors,
     grow_within,
     masked_diameter,
@@ -197,7 +196,7 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     n = g.n
     params = {"h": h, "ell": ell, "eps": eps, "seed": seed, "algorithm": "minorfree"}
     if n == 0:
-        return Separator(VertexSet(), VertexSet(), VertexSet(), claimed_bound=0, params=params)
+        return Separator(claimed_bound=0, params=params)
     lnn = ln_ceil(n)
     wtotal = g.total_vertex_weight
     k = max(1, math.ceil(1.0 / eps))  # DDG spanner parameter
@@ -393,7 +392,7 @@ def _assert_mf_invariants(g, branch_slots, in_vr, in_b, ell, h, wtotal) -> None:
         diam = masked_diameter(g, sets[i])
         debugcheck.check("mf.branch-connected", diam is not None, f"branch set {i} disconnected")
         for j in range(i + 1, len(sets)):
-            debugcheck.check("mf.branch-pair", any_edge_between(g, sets[i], sets[j]),
+            debugcheck.check("mf.branch-pair", find_connecting_edge(g, sets[i], sets[j]) is not None,
                              f"no edge between branch sets {i},{j}")
     debugcheck.check("mf.boundary-ratio", ell * int(in_b.sum()) <= int(in_vr.sum()),
                      f"boundary {int(in_b.sum())} exceeds processed/ell = {int(in_vr.sum())}/{ell}")

@@ -47,6 +47,7 @@ from .certificates import (
     SepOrMinor,
     Separator,
     density_result,
+    find_connecting_edge,
     lift_minor,
     separator_from_cut_mask,
     witness_from_slots,
@@ -56,8 +57,6 @@ from .graph import (
     Graph,
     HostSubgraph,
     LevelBFS,
-    VertexSet,
-    any_edge_between,
     density_threshold,
     gather_neighbors,
     grow_within,
@@ -96,12 +95,12 @@ class TreeOrCutResult:
     """Tagged outcome of the ball-growing primitive."""
 
     kind: str                                 # "tree" | "cut"
-    tree_vertices: Optional[VertexSet] = None
+    tree_vertices: Optional[np.ndarray] = None
     reps: Optional[list[int]] = None          # chosen representative per A_i
-    cut_S: Optional[VertexSet] = None
+    cut_S: Optional[np.ndarray] = None
 
 
-def tree_or_cut(h_graph: Graph, a_sets: Sequence[VertexSet], ell: int, delta: int,
+def tree_or_cut(h_graph: Graph, a_sets: Sequence[np.ndarray], ell: int, delta: int,
                 start: int) -> TreeOrCutResult:
     """Grow a ball around `start` in steps of 2*delta until it stalls or spans.
 
@@ -145,8 +144,7 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
         # the ball spans the component: a BFS tree, pruned to one
         # representative per A_i, the nearest with ties to the lowest id
         reps: list[int] = []
-        for a in a_sets:
-            ids = np.asarray(a.ids(), dtype=np.int64)
+        for ids in a_sets:
             lv = bfs.levels(ids)
             ids, lv = ids[lv >= 0], lv[lv >= 0]
             if len(ids) == 0:
@@ -157,15 +155,16 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
             while v not in tree:
                 tree.add(v)
                 v = bfs.parent(v)
+        tree_ids = np.array(sorted(tree), dtype=np.int64)
         if debugcheck.enabled():
             depth_bound = int(4 * delta * ell * ln_ceil(n)) + 1
-            depth = int(bfs.levels(np.fromiter(tree, dtype=np.int64)).max())
+            depth = int(bfs.levels(tree_ids).max())
             debugcheck.check("treeorcut.depth", depth <= depth_bound,
                              "tree deeper than 4*delta*ell*ln n")
         size_bound = int(4 * delta * ell * max(1, len(a_sets)) * ln_ceil(n)) + 1
         debugcheck.check("treeorcut.size", len(tree) <= size_bound,
                          f"tree size {len(tree)} exceeds {size_bound}")
-        return TreeOrCutResult(kind="tree", tree_vertices=VertexSet(tree), reps=reps)
+        return TreeOrCutResult(kind="tree", tree_vertices=tree_ids, reps=reps)
 
     s_count = ball(rad + delta)  # S = N^delta(ball(rad)) = ball(rad + delta)
     if debugcheck.enabled():
@@ -177,9 +176,7 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
         in_shell = s_count - inner
         debugcheck.check("treeorcut.inner-expansion", ell * in_shell < mn,
                          f"|N^d(V-S) ^ S| <= {in_shell} !< min/ell = {mn}/{ell}")
-    s_mask = np.zeros(len(bfs.pos), dtype=bool)
-    s_mask[bfs.order[:s_count]] = True
-    return TreeOrCutResult(kind="cut", cut_S=VertexSet.from_mask(s_mask))
+    return TreeOrCutResult(kind="cut", cut_S=np.sort(bfs.order[:s_count]).astype(np.int64))
 
 
 @dataclass
@@ -195,11 +192,19 @@ class PartitionState:
     in_b: np.ndarray
     branch_slots: list[Optional[np.ndarray]]
     live: np.ndarray          # working component of G[V']
+    live_n: int               # |live| and w(live), kept as running totals
+    live_w: int
     parked: np.ndarray        # V' vertices set aside in non-maximal components
 
     @property
     def p(self) -> int:
         return sum(1 for s in self.branch_slots if s is not None)
+
+    def drop_live(self, g: Graph, ids: np.ndarray) -> None:
+        """Take the distinct live vertices `ids` out of live."""
+        self.live[ids] = False
+        self.live_n -= len(ids)
+        self.live_w -= int(g.vertex_weight[ids].sum())
 
     def m_mask(self) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
@@ -232,7 +237,7 @@ class PartitionState:
             for j in range(i + 1, len(sets)):
                 debugcheck.check(
                     "shallow.branch-pair",
-                    any_edge_between(g, sets[i], sets[j]),
+                    find_connecting_edge(g, sets[i], sets[j]) is not None,
                     f"no edge between branch sets {i} and {j}")
         debugcheck.check("shallow.boundary-ratio", ell * int(self.in_b.sum()) <= int(self.in_vr.sum()),
                          f"boundary {int(self.in_b.sum())} exceeds processed/ell = {int(self.in_vr.sum())}/{ell}")
@@ -241,6 +246,10 @@ class PartitionState:
                          f"processed weight {wvr} exceeds 2/3 of total")
         overlap = (self.in_vr & self.in_b) | (self.in_vr & self.live) | (self.in_b & self.live)
         debugcheck.check("shallow.partition", not overlap.any(), "partition classes overlap")
+        debugcheck.check("shallow.live-totals",
+                         (self.live_n, self.live_w)
+                         == (int(self.live.sum()), int(g.vertex_weight[self.live].sum())),
+                         "running live count or weight drifted")
 
 
 def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
@@ -259,8 +268,7 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         raise ValueError("eps must be in (0, 1]")
     n = g.n
     if n == 0:
-        return Separator(VertexSet(), VertexSet(), VertexSet(), claimed_bound=0,
-                         params={"h": h, "ell": ell, "eps": eps, "algorithm": "shallow"})
+        return Separator(claimed_bound=0, params={"h": h, "ell": ell, "eps": eps, "algorithm": "shallow"})
     k = math.ceil(2 / eps)
     delta = 2 * k - 1
     lnn = ln_ceil(n)
@@ -275,7 +283,8 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     st = PartitionState(
         n=n, h=h, ell=ell, eps=eps, delta=delta,
         in_vr=np.zeros(n, dtype=bool), in_b=np.zeros(n, dtype=bool),
-        branch_slots=[], live=np.ones(n, dtype=bool), parked=np.zeros(n, dtype=bool),
+        branch_slots=[], live=np.ones(n, dtype=bool), live_n=n, live_w=int(wtotal),
+        parked=np.zeros(n, dtype=bool),
     )
     pair_edges: dict[tuple[int, int], tuple[int, int]] = {}
     ext_target = max(1, math.ceil(h * ell * lnn))
@@ -292,12 +301,13 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         # G[live], edited down to the current live set: the density recheck
         # counts its edges and every search of the iteration runs on it
         live_g.restrict(st.live)
-        live_n = int(st.live.sum())
+        live_n = st.live_n
         if live_n and any(live_g.m > density_threshold(p, h, live_n) for p in DENSITY_POLICIES):
             if stats is not None:
                 stats["iterations"] = iters
-            sub, _ = induced_subgraph(g, VertexSet.from_mask(st.live))
-            return lift_minor(density_result(sub, h, params), np.flatnonzero(st.live))
+            live_ids = np.flatnonzero(st.live)
+            sub, _ = induced_subgraph(g, live_ids)
+            return lift_minor(density_result(sub, h, params), live_ids)
 
         if st.p == h:
             if stats is not None:
@@ -310,7 +320,7 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
 
         # identify G' (heaviest live component); park the others
         gprime_w = _park_light_components(g, st, live_g)
-        live_n = int(st.live.sum())
+        live_n = st.live_n
 
         # Once no live component is heavy, M u B is already a valid separator.
         # Branch sets may still complete to a K_h witness, so tree adoptions
@@ -325,7 +335,7 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
 
         # A_i upkeep; retire the first branch set cut off from G'
         empty_slot = None
-        a_sets: list[VertexSet] = []
+        a_sets: list[np.ndarray] = []
         slot_of_aset: list[int] = []
         for si, bs in enumerate(st.branch_slots):
             if bs is None:
@@ -335,7 +345,7 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             if len(nbrs) == 0:
                 empty_slot = si
                 break
-            a_sets.append(VertexSet(np.unique(nbrs).tolist()))
+            a_sets.append(np.unique(nbrs))
             slot_of_aset.append(si)
         if empty_slot is not None:
             if terminal:
@@ -345,9 +355,9 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             continue
 
         if a_sets:
-            start = a_sets[0].ids()[0]
+            start = int(a_sets[0][0])
         else:
-            start = int(np.flatnonzero(st.live)[0])
+            start = int(np.argmax(st.live))  # the first live vertex
 
         # start lies in G', a whole component of the G[live] built before
         # parking, so a search of it from start stays in G'; it is the search
@@ -358,22 +368,18 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             break
 
         if result.kind == "tree":
-            tree_ids = np.asarray(result.tree_vertices.ids(), dtype=np.int64)
+            tree_ids = result.tree_vertices
             room = max(1, live_n // (2 * (h - st.p)))
             target = min(ext_target, max(room, len(tree_ids)))
             new_set = grow_within(g, st.live, tree_ids, target, ext_radius)
             slot = len(st.branch_slots)
-            for ai, si in enumerate(slot_of_aset):
-                rep = result.reps[ai]
-                other = st.branch_slots[si]   # sorted, as grow_within returns it
-                cand = g.neighbors(rep)
-                at = np.minimum(np.searchsorted(other, cand), len(other) - 1)
-                cand = cand[other[at] == cand]
-                pair_edges[(si, slot)] = (int(rep), int(cand[0]))
+            for rep, si in zip(result.reps, slot_of_aset):
+                # rep neighbors branch set si: its least neighbor there
+                pair_edges[(si, slot)] = find_connecting_edge(g, np.array([rep]), st.branch_slots[si])
             st.branch_slots.append(new_set)
-            st.live[new_set] = False
+            st.drop_live(g, new_set)
         else:
-            s_ids = np.asarray(result.cut_S.ids(), dtype=np.int64)
+            s_ids = result.cut_S
             w_s = int(g.vertex_weight[s_ids].sum())
             w_rest = gprime_w - w_s
             cnt_s = len(s_ids)
@@ -396,8 +402,8 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                              f"|B'|={len(bprime)} !< min(|S|,|rest|)/ell")
             st.in_vr[sprime] = True
             st.in_b[bprime] = True
-            st.live[sprime] = False
-            st.live[bprime] = False
+            st.drop_live(g, sprime)
+            st.drop_live(g, bprime)
 
     st.check_invariants(g)
     if stats is not None:
@@ -417,12 +423,13 @@ def _park_light_components(g: Graph, st: PartitionState, live_g: HostSubgraph) -
     branch set, else the first live vertex).  A component holding more than
     half the live weight is the heaviest.  Otherwise (a light component
     there, zero live weight, or a tie) the components are labelled and the
-    heaviest wins, ties to the one with the smallest vertex id.
+    heaviest wins, ties to the one with the smallest vertex id.  With the
+    live weight kept as a running total, the search costs O(|G'|); only
+    labelling the components or parking some scans all n vertices.
     """
-    live_ids = np.flatnonzero(st.live)
-    if len(live_ids) == 0:
+    if st.live_n == 0:
         return 0
-    s0 = int(live_ids[0])
+    s0 = int(np.argmax(st.live))  # the first live vertex
     first = next((s for s in st.branch_slots if s is not None), None)
     if first is not None:
         nbrs = gather_neighbors(g.indptr, g.indices, first)
@@ -431,20 +438,22 @@ def _park_light_components(g: Graph, st: PartitionState, live_g: HostSubgraph) -
             s0 = int(nbrs.min())
     order = live_g.bfs(s0).order
     reach_w = int(g.vertex_weight[order].sum())
-    if 2 * reach_w > int(g.vertex_weight[live_ids].sum()):
+    if 2 * reach_w > st.live_w:
         keep, gprime_w = order, reach_w
     else:
+        live_ids = np.flatnonzero(st.live)
         _, labels = live_g.components()
         _, labels = np.unique(labels[live_ids], return_inverse=True)
         compw = np.zeros(int(labels.max()) + 1, dtype=np.int64)
         np.add.at(compw, labels, g.vertex_weight[live_ids])
         best = int(np.argmax(compw))  # ties: lowest label = lowest min-id
         keep, gprime_w = live_ids[labels == best], int(compw[best])
-    if len(keep) < len(live_ids):
+    if len(keep) < st.live_n:
         parked = st.live.copy()
         parked[keep] = False
         st.live[parked] = False
         st.parked[parked] = True
+        st.live_n, st.live_w = len(keep), gprime_w
     return gprime_w
 
 

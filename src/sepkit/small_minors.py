@@ -21,8 +21,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .certificates import MinorWitness
-from .graph import Graph, VertexSet
+from .graph import Graph
 
 
 def find_k3_witness(g: Graph) -> Optional[MinorWitness]:
@@ -68,8 +70,7 @@ def _cycle_through_edge(g: Graph, u: int, v: int) -> Optional[list[int]]:
 
 
 def _k3_from_cycle(g: Graph, cyc: list[int]) -> MinorWitness:
-    a, b, rest = [cyc[0]], [cyc[1]], cyc[2:]
-    sets = [VertexSet(a), VertexSet(b), VertexSet(rest)]
+    sets = [np.array([cyc[0]]), np.array([cyc[1]]), np.sort(cyc[2:])]
     edges = {(0, 1): (cyc[0], cyc[1]), (1, 2): (cyc[1], cyc[2]),
              (0, 2): (cyc[0], cyc[-1])}
     return MinorWitness(branch_sets=sets, connecting_edges=edges)
@@ -285,5 +286,5 @@ def find_k4_witness(g: Graph) -> Optional[MinorWitness]:
         # absorb the path interior into u's branch set
         sets[u].extend(path[1:-1])
         conn[(i, j)] = (path[-2], path[-1])
-    branch_sets = [VertexSet(sets[v]) for v in verts]
+    branch_sets = [np.unique(sets[v]) for v in verts]
     return MinorWitness(branch_sets=branch_sets, connecting_edges=conn)

@@ -35,8 +35,8 @@ from .graph import (
     Graph,
     HostSubgraph,
     LevelBFS,
-    VertexSet,
     masked_components,
+    split_by_label,
 )
 from .minorfree import balanced_separator
 from .shallow import ln_ceil
@@ -64,15 +64,13 @@ class QuotientGraph:
     def members(self) -> list[np.ndarray]:
         """Original vertex ids per quotient vertex, ascending."""
         ids = np.flatnonzero(self.label >= 0)
-        ids = ids[np.argsort(self.label[ids], kind="stable")]
-        ends = np.cumsum(np.bincount(self.label[ids], minlength=self.graph.n))
-        return np.split(ids, ends[:-1]) if self.graph.n else []
+        return split_by_label(ids, self.label[ids], self.graph.n)
 
-    def lift(self, qids) -> np.ndarray:
+    def lift(self, qids: np.ndarray) -> np.ndarray:
         """Mask of the original vertices in the classes qids."""
         # one entry past the quotient vertices stays False: label -1 reads it
         sel = np.zeros(self.graph.n + 1, dtype=bool)
-        sel[np.fromiter(qids, dtype=np.int64)] = True
+        sel[qids] = True
         return sel[self.label]
 
 
@@ -221,7 +219,7 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
     n = g.n
     params = {"h": h, "delta": dval, "eps": eps, "seed": seed, "algorithm": "tradeoff"}
     if n == 0:
-        return Separator(VertexSet(), VertexSet(), VertexSet(), claimed_bound=0, params=params)
+        return Separator(claimed_bound=0, params=params)
     dense = density_result(g, h, params)
     if dense is not None:
         return dense
@@ -280,9 +278,8 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
                     wb += wc
         claimed = _tradeoff_claimed(n, dval, lnn, len(s_ids))
         cmask, amask, bmask = trim_separator_mask(g, cmask, amask, bmask)
-        sep = Separator(C=VertexSet.from_mask(cmask), A=VertexSet.from_mask(amask),
-                        B=VertexSet.from_mask(bmask), claimed_bound=claimed, params=params)
-        return sep
+        return Separator(C=np.flatnonzero(cmask), A=np.flatnonzero(amask),
+                         B=np.flatnonzero(bmask), claimed_bound=claimed, params=params)
     if isinstance(inner, MinorWitness):
         # expand each quotient branch set to its original vertex set
         return minor_witness(g, [np.flatnonzero(quo.lift(bs)) for bs in inner.branch_sets],

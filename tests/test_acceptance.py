@@ -33,7 +33,7 @@ from sepkit.generators import (
     random_regular_graph,
     torus_graph,
 )
-from sepkit.graph import Graph, VertexSet, connected_components, induced_subgraph
+from sepkit.graph import Graph, connected_components, induced_subgraph
 from sepkit.minorfree import balanced_separator
 from sepkit.shallow import ln_ceil, shallow_separator_balanced
 from sepkit.spanner import build_spanner, stretch_check
@@ -367,7 +367,7 @@ class TestCriterion8ExactSubalgorithms:
                 for b in c.boundary.tolist():
                     if not st.active[b]:
                         pb.add(b)
-            sub, mapping = induced_subgraph(g, VertexSet.from_mask(~st.active))
+            sub, mapping = induced_subgraph(g, np.flatnonzero(~st.active))
             back = {v: k for k, v in mapping.items()}
             expected = []
             for comp in connected_components(sub):

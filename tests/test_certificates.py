@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepkit.approx_minor import approx_largest_clique_minor
 from sepkit.certificates import (
     BALANCE_C,
     MinorReport,
@@ -15,6 +16,7 @@ from sepkit.certificates import (
     brute_force_minor_detect,
     certificate_from_json,
     certificate_to_json,
+    find_connecting_edge,
     pack_components,
     trim_separator_mask,
     verify_minor_witness,
@@ -22,8 +24,9 @@ from sepkit.certificates import (
     verify_separator,
 )
 from sepkit.generators import path_graph
-from sepkit.graph import DensityCertificate, Graph, VertexSet, sparsity_guard
-from sepkit.shallow import shallow_separator
+from sepkit.graph import DensityCertificate, Graph, sparsity_guard
+from sepkit.shallow import shallow_separator, shallow_separator_balanced
+from sepkit.tradeoff import tradeoff_separator
 
 
 def c4():
@@ -47,12 +50,12 @@ def grid(kk):
 
 class TestVerifySeparator:
     def test_c4_ok(self):
-        s = Separator(C=VertexSet([1, 3]), A=VertexSet([0]), B=VertexSet([2]), claimed_bound=2)
+        s = Separator(C=np.array([1, 3]), A=np.array([0]), B=np.array([2]), claimed_bound=2)
         assert verify_separator(c4(), s).ok
 
     def test_crossing_edge(self):
         # v3 is adjacent to v0 in C4, so A={0}, B={2,3} has an A-B edge
-        s = Separator(C=VertexSet([1]), A=VertexSet([0]), B=VertexSet([2, 3]), claimed_bound=1)
+        s = Separator(C=np.array([1]), A=np.array([0]), B=np.array([2, 3]), claimed_bound=1)
         rep = verify_separator(c4(), s)
         assert not rep.ok
         assert any(r == "sep.crossing-edge" for r, _ in rep.violations)
@@ -62,23 +65,23 @@ class TestVerifySeparator:
         col = [0 * 3 + 1, 1 * 3 + 1, 2 * 3 + 1]
         a = [0, 3, 6]
         b = [2, 5, 8]
-        s = Separator(C=VertexSet(col), A=VertexSet(a), B=VertexSet(b), claimed_bound=3)
+        s = Separator(C=np.array(col), A=np.array(a), B=np.array(b), claimed_bound=3)
         assert verify_separator(g, s).ok
 
     def test_not_a_partition(self):
-        s = Separator(C=VertexSet([0]), A=VertexSet([1]), B=VertexSet([1, 2, 3]))
+        s = Separator(C=np.array([0]), A=np.array([1]), B=np.array([1, 2, 3]))
         assert not verify_separator(c4(), s).ok
 
     def test_balance_violation(self):
         g = Graph(3, [(0, 1), (1, 2)], vertex_weight=[10, 1, 1])
-        s = Separator(C=VertexSet([1]), A=VertexSet([0]), B=VertexSet([2]))
+        s = Separator(C=np.array([1]), A=np.array([0]), B=np.array([2]))
         rep = verify_separator(g, s)
         assert not rep.ok and any(r == "sep.balance" for r, _ in rep.violations)
 
     def test_forged_balance_c_is_rejected(self):
         # C empty and A = V balances only under the certificate's own 1
         g = grid(16)
-        s = Separator(C=VertexSet(), A=VertexSet(range(g.n)), B=VertexSet(),
+        s = Separator(C=np.empty(0, dtype=np.int64), A=np.arange(g.n), B=np.empty(0, dtype=np.int64),
                       balance_c=Fraction(1))
         for rep in (verify_separator(g, s),
                     verify_output(g, certificate_from_json(certificate_to_json(s)))):
@@ -86,7 +89,7 @@ class TestVerifySeparator:
             assert not rep.ok and "sep.balance-c" in rules and "sep.balance" in rules
 
     def test_claimed_bound(self):
-        s = Separator(C=VertexSet([1, 3]), A=VertexSet([0]), B=VertexSet([2]), claimed_bound=1)
+        s = Separator(C=np.array([1, 3]), A=np.array([0]), B=np.array([2]), claimed_bound=1)
         rep = verify_separator(c4(), s)
         assert not rep.ok and any(r == "sep.bound" for r, _ in rep.violations)
 
@@ -94,12 +97,12 @@ class TestVerifySeparator:
     def test_out_of_range_id_is_reported_and_left_out(self, bad):
         # an id past n used to raise IndexError, and -1 used to wrap to vertex
         # 3 and report a crossing edge (2,3); both are only out of range
-        s = Separator(C=VertexSet([1, 3]), A=VertexSet([0, bad]), B=VertexSet([2]), claimed_bound=2)
+        s = Separator(C=np.array([1, 3]), A=np.array([0, bad]), B=np.array([2]), claimed_bound=2)
         rep = verify_separator(c4(), s)
         assert rep.violations == [("sep.range", f"vertex {bad} outside 0..3")]
 
     def test_out_of_range_ids_on_every_side(self):
-        s = Separator(C=VertexSet([1, 3, 9]), A=VertexSet([-2, 0]), B=VertexSet([2, 4, -5]))
+        s = Separator(C=np.array([1, 3, 9]), A=np.array([-2, 0]), B=np.array([2, 4, -5]))
         rep = verify_separator(c4(), s)
         assert [r for r, _ in rep.violations] == ["sep.range"] * 4
         assert [m.split()[1] for _, m in rep.violations] == ["-2", "-5", "4", "9"]
@@ -107,7 +110,7 @@ class TestVerifySeparator:
 
 class TestVerifyMinorWitness:
     def test_k5_singletons_depth0(self):
-        w = MinorWitness(branch_sets=[VertexSet([i]) for i in range(5)], depth_bound=0)
+        w = MinorWitness(branch_sets=[np.array([i]) for i in range(5)], depth_bound=0)
         assert verify_minor_witness(k(5), w, 5).ok
 
     def test_petersen_standard_k5(self):
@@ -116,22 +119,22 @@ class TestVerifyMinorWitness:
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         spokes = [(i, i + 5) for i in range(5)]
         pet = Graph(10, outer + inner + spokes)
-        w = MinorWitness(branch_sets=[VertexSet([i, i + 5]) for i in range(5)], depth_bound=1)
+        w = MinorWitness(branch_sets=[np.array([i, i + 5]) for i in range(5)], depth_bound=1)
         assert verify_minor_witness(pet, w, 5).ok
 
     def test_c4_missing_pair_edge(self):
-        w = MinorWitness(branch_sets=[VertexSet([0]), VertexSet([2])])
+        w = MinorWitness(branch_sets=[np.array([0]), np.array([2])])
         rep = verify_minor_witness(c4(), w, 2)
         assert not rep.ok and any(r == "minor.pair" for r, _ in rep.violations)
 
     def test_disconnected_branch_set(self):
-        w = MinorWitness(branch_sets=[VertexSet([0, 2]), VertexSet([1])])
+        w = MinorWitness(branch_sets=[np.array([0, 2]), np.array([1])])
         rep = verify_minor_witness(c4(), w, 2)
         assert not rep.ok and any(r == "minor.connected" for r, _ in rep.violations)
 
     def test_depth_bound_enforced(self):
         p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        w = MinorWitness(branch_sets=[VertexSet([0, 1, 2]), VertexSet([3])], depth_bound=1)
+        w = MinorWitness(branch_sets=[np.array([0, 1, 2]), np.array([3])], depth_bound=1)
         rep = verify_minor_witness(p4, w, 2)
         assert not rep.ok and any(r == "minor.depth" for r, _ in rep.violations)
 
@@ -146,41 +149,114 @@ class TestForgedWitness:
         return [r for r, _ in rep.violations]
 
     def test_negative_id(self):
-        w = MinorWitness(branch_sets=[VertexSet([-1, 0]), VertexSet([1])], depth_bound=1)
+        w = MinorWitness(branch_sets=[np.array([-1, 0]), np.array([1])], depth_bound=1)
         assert self.rules(c4(), w) == ["minor.range"]
 
     def test_id_equal_to_n(self):
-        w = MinorWitness(branch_sets=[VertexSet([0]), VertexSet([1, 4, 9])], depth_bound=1)
+        w = MinorWitness(branch_sets=[np.array([0]), np.array([1, 4, 9])], depth_bound=1)
         rep = verify_output(c4(), w)
         assert [r for r, _ in rep.violations] == ["minor.range"]
         assert "vertex 4 " in rep.violations[0][1]
 
     def test_disconnected(self):
-        w = MinorWitness(branch_sets=[VertexSet([0, 2]), VertexSet([1])], depth_bound=3)
+        w = MinorWitness(branch_sets=[np.array([0, 2]), np.array([1])], depth_bound=3)
         assert "minor.connected" in self.rules(c4(), w)
 
     def test_diameter_over_bound(self):
         p6 = Graph(6, [(i, i + 1) for i in range(5)])
-        w = MinorWitness(branch_sets=[VertexSet([0, 1, 2, 3, 4]), VertexSet([5])],
+        w = MinorWitness(branch_sets=[np.array([0, 1, 2, 3, 4]), np.array([5])],
                          depth_bound=3, connecting_edges={(0, 1): (4, 5)})
         rep = verify_output(p6, w)
         assert [r for r, _ in rep.violations] == ["minor.depth"]
         assert "diameter 4 > bound 3" in rep.violations[0][1]
 
     def test_overlap_reported_per_set(self):
-        w = MinorWitness(branch_sets=[VertexSet([0, 1]), VertexSet([1, 2]), VertexSet([0, 3])])
+        w = MinorWitness(branch_sets=[np.array([0, 1]), np.array([1, 2]), np.array([0, 3])])
         rep = verify_output(c4(), w)
         dis = [msg for r, msg in rep.violations if r == "minor.disjoint"]
         assert dis == ["branch set 1 reuses vertices [1]", "branch set 2 reuses vertices [0]"]
 
     def test_empty_set(self):
-        w = MinorWitness(branch_sets=[VertexSet([0]), VertexSet()])
+        w = MinorWitness(branch_sets=[np.array([0]), np.empty(0, dtype=np.int64)])
         assert "minor.empty" in self.rules(c4(), w)
 
     def test_recorded_edge_out_of_range(self):
-        w = MinorWitness(branch_sets=[VertexSet([0]), VertexSet([1])],
+        w = MinorWitness(branch_sets=[np.array([0]), np.array([1])],
                          connecting_edges={(0, 1): (4, 0)})
         assert self.rules(c4(), w) == ["minor.pair-edge"]
+
+
+class TestRepeatedIds:
+    """A repeated id is not a set member twice: the verifiers reject it."""
+
+    def test_separator_file_with_repeats(self):
+        # as sets, C={1}, A={0}, B={2,3} separate the path 0-1-2-3
+        text = ('{"kind":"separator","C":[1,1],"A":[0],"B":[2,3,3],"balance_c":[2,3],'
+                '"claimed_bound":null,"params":{}}')
+        rep = verify_output(path_graph(4), certificate_from_json(text))
+        assert not rep.ok and "sep.partition" in [r for r, _ in rep.violations]
+
+    def test_witness_file_with_repeats(self):
+        text = ('{"kind":"minor_witness","h":2,"branch_sets":[[0,0],[1]],"depth_bound":null,'
+                '"connecting_edges":{},"params":{}}')
+        rep = verify_output(path_graph(4), certificate_from_json(text))
+        assert rep.violations == [("minor.disjoint", "branch set 0 reuses vertices [0]")]
+
+
+def _loop_connecting_edge(g, a, b):
+    """Reference edge search: the smaller set in ascending order, each
+    vertex's neighbors in ascending order, the first one in the other set."""
+    small, other = (a, b) if len(a) <= len(b) else (b, a)
+    members = set(other.tolist())
+    for u in small.tolist():
+        for w in g.neighbors(u).tolist():
+            if w in members:
+                return (u, w) if small is a else (w, u)
+    return None
+
+
+class TestFindConnectingEdge:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_reference_loop(self, data):
+        n = data.draw(st.integers(2, 16))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
+        g = Graph(n, data.draw(st.lists(pairs, max_size=3 * n)))
+        side = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        a, b = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+        assert find_connecting_edge(g, a, b) == _loop_connecting_edge(g, a, b)
+
+
+def _vertex_fields(out):
+    if isinstance(out, Separator):
+        return [out.C, out.A, out.B]
+    if isinstance(out, MinorWitness):
+        return list(out.branch_sets)
+    return []
+
+
+class TestIdArrayFormat:
+    """Every produced vertex set is a strictly increasing int64 array, and
+    its certificate survives a parse and a second write byte for byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_outputs(self, data):
+        n = data.draw(st.integers(1, 24))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
+        g = Graph(n, data.draw(st.lists(pairs, max_size=3 * n)),
+                  vertex_weight=data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+        h = data.draw(st.integers(2, 5))
+        seed = data.draw(st.integers(0, 3))
+        outs = [shallow_separator_balanced(g, h, 0.5, seed),
+                tradeoff_separator(g, h, 0.8, 0.5, seed),
+                approx_largest_clique_minor(g, 0.5, seed).witness]
+        for out in outs:
+            for ids in _vertex_fields(out):
+                assert isinstance(ids, np.ndarray) and ids.dtype == np.int64
+                assert bool(np.all(np.diff(ids) > 0))
+            text = certificate_to_json(out)
+            assert certificate_to_json(certificate_from_json(text)) == text
 
 
 class TestForgedReport:
@@ -290,13 +366,13 @@ class TestBruteForceMinorDetect:
 class TestPackComponents:
     def test_heavy_component_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)], vertex_weight=[1, 10, 1])
-        cmask = VertexSet([0]).to_mask(3)
+        cmask = np.array([True, False, False])
         with pytest.raises(ValueError):
             pack_components(g, cmask)
 
     def test_many_pieces(self):
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
-        a, b = pack_components(g, VertexSet().to_mask(6))
+        a, b = pack_components(g, np.zeros(6, dtype=bool))
         assert a.sum() + b.sum() == 6 and not (a & b).any()
         assert 3 * a.sum() <= 2 * 6 and 3 * b.sum() <= 2 * 6
 
@@ -356,16 +432,16 @@ class TestTrimSeparatorMask:
 
 class TestSerialization:
     def test_separator_roundtrip(self):
-        s = Separator(C=VertexSet([1, 3]), A=VertexSet([0]), B=VertexSet([2]),
+        s = Separator(C=np.array([1, 3]), A=np.array([0]), B=np.array([2]),
                       balance_c=Fraction(2, 3), claimed_bound=2, params={"h": 3})
         s2 = certificate_from_json(certificate_to_json(s))
         assert isinstance(s2, Separator)
-        assert s2.C == s.C and s2.A == s.A and s2.B == s.B
+        assert all(np.array_equal(x, y) for x, y in ((s2.C, s.C), (s2.A, s.A), (s2.B, s.B)))
         assert s2.balance_c == s.balance_c and s2.claimed_bound == 2
         assert certificate_to_json(s2) == certificate_to_json(s)
 
     def test_witness_roundtrip(self):
-        w = MinorWitness(branch_sets=[VertexSet([0]), VertexSet([1, 2])], depth_bound=1,
+        w = MinorWitness(branch_sets=[np.array([0]), np.array([1, 2])], depth_bound=1,
                          connecting_edges={(0, 1): (0, 1)})
         w2 = certificate_from_json(certificate_to_json(w))
         assert isinstance(w2, MinorWitness)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sepkit import cli, debugcheck
@@ -86,10 +87,8 @@ class TestRunCommands:
                                                                  monkeypatch):
         from sepkit.approx_minor import ApproxMinorResult
         from sepkit.certificates import MinorWitness
-        from sepkit.graph import VertexSet
-
         # vertices 0 and 9 of the 8x8 grid are not adjacent: no K2
-        bad = MinorWitness(branch_sets=[VertexSet([0]), VertexSet([9])], depth_bound=0)
+        bad = MinorWitness(branch_sets=[np.array([0]), np.array([9])], depth_bound=0)
         monkeypatch.setattr(cli, "approx_largest_clique_minor",
                             lambda *args: ApproxMinorResult(witness=bad, h_found=2,
                                                             ratio_claim={"value": 1.0}))
@@ -121,6 +120,15 @@ class TestRunCommands:
                "balance_c": [1, 1], "claimed_bound": None, "params": {}}
         (tmp_path / "forged.json").write_text(json.dumps(doc))
         assert main(["verify", str(grid_file), str(tmp_path / "forged.json")]) == 3
+
+    def test_verify_rejects_repeated_ids(self, tmp_path):
+        # the repeats of 1 and 3 leave {0}, {1}, {2, 3} a valid separator as sets
+        path4 = tmp_path / "p4.txt"
+        main(["gen", "path 4", "--out", str(path4)])
+        doc = {"kind": "separator", "C": [1, 1], "A": [0], "B": [2, 3, 3],
+               "balance_c": [2, 3], "claimed_bound": None, "params": {}}
+        (tmp_path / "rep.json").write_text(json.dumps(doc))
+        assert main(["verify", str(path4), str(tmp_path / "rep.json")]) == 3
 
     # each certificate is accepted (or crashes the verifier) if its ids are
     # cast with int(): 0.7 and 1.2 as {0},{1}, true as vertex 1

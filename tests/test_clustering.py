@@ -24,7 +24,7 @@ from sepkit.clustering import (
     weak_r_clustering,
 )
 from sepkit.generators import grid_graph, kh_blowup_graph, path_graph
-from sepkit.graph import Graph, VertexSet, connected_components, induced_subgraph
+from sepkit.graph import Graph, connected_components, induced_subgraph
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +43,7 @@ def check_clustering_shape(g, clusters, r=None):
         mult[c.vertices] += 1
         if r is not None:
             assert c.n <= r
-        sub, _ = induced_subgraph(g, VertexSet(c.vertices.tolist()))
+        sub, _ = induced_subgraph(g, c.vertices)
         # cluster subgraph connectivity (over its own edge set)
         assert len(connected_components(_edges_graph(g, c))) == 1
         assert set(c.boundary.tolist()) == {v for v in c.vertices.tolist() if mult[v] >= 0} & \
@@ -221,7 +221,8 @@ def _reference_cx(nc, xs):
     """Reference C_X, expanded from scratch: expand the smallest-id
     expandable cluster holding an interior X vertex, until no cluster of the
     roster holds one."""
-    xmask = xs.to_mask(nc.g.n)
+    xmask = np.zeros(nc.g.n, dtype=bool)
+    xmask[xs] = True
     roster = set(nc.level1)
     changed = True
     while changed:
@@ -301,7 +302,7 @@ class TestComputeCX:
             xs = rnd.sample(range(g.n), rnd.randint(1, 12))
             st = ActiveState(nc_a)
             st.activate_many(xs)
-            assert _edge_sets(nc_a, st.cx) == _edge_sets(nc_b, _reference_cx(nc_b, VertexSet(xs)))
+            assert _edge_sets(nc_a, st.cx) == _edge_sets(nc_b, _reference_cx(nc_b, xs))
 
 
 def _reference_roots(n, pairs):
@@ -443,7 +444,7 @@ class TestActiveState:
             for b in c.boundary.tolist():
                 if not st.active[b]:
                     pb.add(b)
-        sub, mapping = induced_subgraph(g, VertexSet.from_mask(~st.active))
+        sub, mapping = induced_subgraph(g, np.flatnonzero(~st.active))
         back = {v: k for k, v in mapping.items()}
         expected = []
         for comp in connected_components(sub):

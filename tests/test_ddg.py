@@ -24,7 +24,7 @@ from sepkit.ddg import (
     sssp_SX,
 )
 from sepkit.generators import grid_graph, path_graph
-from sepkit.graph import Graph, VertexSet, induced_subgraph
+from sepkit.graph import Graph, induced_subgraph
 
 
 @pytest.fixture(autouse=True)
@@ -48,7 +48,7 @@ def ddg_of(g, boundary):
 def fw_avoiding(g, keep_out, u, v):
     """Oracle: distance u-v in G minus (keep_out minus {u, v})."""
     keep = [x for x in range(g.n) if x not in set(keep_out) - {u, v}]
-    sub, mp = induced_subgraph(g, VertexSet(keep))
+    sub, mp = induced_subgraph(g, keep)
     d = csgraph.floyd_warshall(sub.csr())
     val = d[mp[u], mp[v]]
     return int(val) if np.isfinite(val) else -1

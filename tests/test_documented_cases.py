@@ -22,7 +22,7 @@ from sepkit.clustering import (
 )
 from sepkit.ddg import DdgLayer
 from sepkit.generators import grid_graph, path_graph
-from sepkit.graph import Graph, VertexSet
+from sepkit.graph import Graph
 
 
 @pytest.fixture(autouse=True)
@@ -117,8 +117,8 @@ class TestSerializationProperty:
         parts = {0: [], 1: [], 2: []}
         for v, lab in zip(ids, labels):
             parts[lab].append(v)
-        sep = Separator(C=VertexSet(parts[0]), A=VertexSet(parts[1]),
-                        B=VertexSet(parts[2]),
+        sep = Separator(C=np.array(parts[0], dtype=np.int64), A=np.array(parts[1], dtype=np.int64),
+                        B=np.array(parts[2], dtype=np.int64),
                         claimed_bound=data.draw(st.one_of(st.none(), st.integers(0, n))),
                         params={"h": data.draw(st.integers(2, 8))})
         text = certificate_to_json(sep)
@@ -136,7 +136,7 @@ class TestSerializationProperty:
             base = max(used, default=-1) + 1
             members = list(range(base, base + size))
             used.update(members)
-            sets.append(VertexSet(members))
+            sets.append(np.array(members))
         wtn = MinorWitness(branch_sets=sets,
                            depth_bound=data.draw(st.one_of(st.none(), st.integers(0, 5))))
         text = certificate_to_json(wtn)

@@ -17,7 +17,6 @@ from sepkit.graph import (
     HostSubgraph,
     LevelBFS,
     MaskedSubgraph,
-    VertexSet,
     connected_components,
     density_threshold,
     dump_graph,
@@ -457,15 +456,15 @@ class TestLoadGraphScan:
 class TestNeighborhood:
     def test_path_delta1(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert neighborhood(g, VertexSet([0]), 1) == {0, 1}
+        assert neighborhood(g, [0], 1).tolist() == [0, 1]
 
     def test_path_delta2(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert neighborhood(g, VertexSet([0]), 2) == {0, 1, 2}
+        assert neighborhood(g, [0], 2).tolist() == [0, 1, 2]
 
     def test_empty(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert len(neighborhood(g, VertexSet(), 3)) == 0
+        assert len(neighborhood(g, [], 3)) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -475,44 +474,44 @@ class TestNeighborhood:
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
             max_size=24))
         g = Graph(n, list(edges))
-        xs = VertexSet(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        xs = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))), dtype=np.int64)
         d1 = data.draw(st.integers(1, 3))
         d2 = data.draw(st.integers(1, 3))
         lhs = neighborhood(g, xs, d1 + d2)
         rhs = neighborhood(g, neighborhood(g, xs, d1), d2)
-        assert lhs == rhs
+        assert lhs.tolist() == rhs.tolist()
 
 
 class TestInducedSubgraph:
     def test_c4_adjacent_pair(self):
         c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        sub, mapping = induced_subgraph(c4, VertexSet([0, 1]))
+        sub, mapping = induced_subgraph(c4, [0, 1])
         assert sub.n == 2 and sub.m == 1
 
     def test_c4_opposite_pair(self):
         c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        sub, _ = induced_subgraph(c4, VertexSet([0, 2]))
+        sub, _ = induced_subgraph(c4, [0, 2])
         assert sub.n == 2 and sub.m == 0
 
     def test_k5_triple(self):
         k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-        sub, mapping = induced_subgraph(k5, VertexSet([1, 3, 4]))
+        sub, mapping = induced_subgraph(k5, [1, 3, 4])
         assert sub.n == 3 and sub.m == 3
         assert sorted(mapping) == [1, 3, 4]
 
     def test_weights_carried(self):
         g = Graph(3, [(0, 1), (1, 2)], vertex_weight=[7, 1, 9])
-        sub, mapping = induced_subgraph(g, VertexSet([0, 2]))
+        sub, mapping = induced_subgraph(g, [0, 2])
         assert sub.vertex_weight.tolist() == [7, 9]
 
     def test_components_commute_with_union_of_components(self):
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
-        xs = VertexSet([0, 1, 4, 5])
+        xs = [0, 1, 4, 5]
         sub, mapping = induced_subgraph(g, xs)
         comps = connected_components(sub)
         back = {v: k for k, v in mapping.items()}
-        lifted = [frozenset(back[x] for x in c) for c in comps]
-        host = [frozenset(c.ids()) & frozenset(xs.ids()) for c in connected_components(g)]
+        lifted = [frozenset(back[x] for x in c.tolist()) for c in comps]
+        host = [frozenset(c.tolist()) & frozenset(xs) for c in connected_components(g)]
         host = [c for c in host if c]
         assert sorted(lifted, key=min) == sorted(host, key=min)
 
@@ -540,7 +539,7 @@ class TestComponents:
     def test_two_disjoint_edges(self):
         comps = connected_components(Graph(4, [(0, 1), (2, 3)]))
         assert [len(c) for c in comps] == [2, 2]
-        assert comps[0] == {0, 1}
+        assert comps[0].tolist() == [0, 1]
 
     def test_grid_connected(self):
         comps = connected_components(grid_graph(3))
@@ -578,8 +577,9 @@ class TestMaskedSubgraph:
             max_size=28))
         g = Graph(n, list(edges))
         ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
-        mask = VertexSet(ids).to_mask(n)
-        sub, _ = induced_subgraph(g, VertexSet(ids))
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+        sub, _ = induced_subgraph(g, ids)
         # the kernel's matrix: canonical, symmetric, float64, and its csgraph
         # queries equal the undirected ones on a reference CSR of G[ids]
         ms = MaskedSubgraph(g, np.asarray(ids))
@@ -652,7 +652,7 @@ class TestLevelBFS:
         assert sub.bfs(start) is bfs
         # reference: dijkstra on G[live] relabelled to local ids
         ids = np.flatnonzero(live)
-        ref_sub, _ = induced_subgraph(g, VertexSet(ids.tolist()))
+        ref_sub, _ = induced_subgraph(g, ids)
         ref_local = csgraph.dijkstra(ref_sub.csr(), directed=False, unweighted=True,
                                      indices=int(np.searchsorted(ids, start)))
         ref = np.full(n, np.inf)
@@ -855,15 +855,15 @@ def all_pairs_diameter(g: Graph, ids: np.ndarray):
 class TestTotalWeight:
     def test_unit(self):
         g = Graph(6, [(0, 1)])
-        assert total_weight(g, VertexSet(range(5))) == 5
+        assert total_weight(g, np.arange(5)) == 5
 
     def test_empty(self):
         g = Graph(6, [(0, 1)])
-        assert total_weight(g, VertexSet()) == 0
+        assert total_weight(g, []) == 0
 
     def test_mixed(self):
         g = Graph(3, [(0, 1)], vertex_weight=[1, 2, 4])
-        assert total_weight(g, VertexSet([0, 1, 2])) == 7
+        assert total_weight(g, [0, 1, 2]) == 7
 
 
     @pytest.mark.parametrize("weights, total", [
@@ -914,22 +914,3 @@ class TestSparsityGuard:
     def test_threshold_deterministic(self):
         assert density_threshold("mader-proven", 4, 100) == 200
         assert density_threshold("thomason-soft", 4, 100) == density_threshold("thomason-soft", 4, 100)
-
-
-class TestVertexSet:
-    def test_basic(self):
-        s = VertexSet([3, 1, 2, 1])
-        assert len(s) == 3 and list(s) == [1, 2, 3] and 2 in s
-
-    def test_mask_roundtrip(self):
-        s = VertexSet([0, 5, 9])
-        assert VertexSet.from_mask(s.to_mask(12)) == s
-
-    @pytest.mark.parametrize("n", [0, 1, 40, 1000])
-    def test_from_mask_equals_list_constructor(self, n):
-        mask = np.random.default_rng(n).random(n) < 0.3
-        got = VertexSet.from_mask(mask)
-        want = VertexSet(np.flatnonzero(mask).tolist())
-        assert got == want and hash(got) == hash(want)
-        assert got.ids() == want.ids() and list(got) == list(want)
-        assert all(type(v) is int for v in got.ids())

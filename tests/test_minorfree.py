@@ -16,7 +16,7 @@ from sepkit.certificates import (
 from sepkit.clustering import ActiveState, NestedClustering, nested_r_clustering
 from sepkit.ddg import DdgLayer
 from sepkit.generators import grid_graph, kh_blowup_graph, path_graph
-from sepkit.graph import Graph, VertexSet
+from sepkit.graph import Graph
 from sepkit.minorfree import (
     balanced_separator,
     bidirectional_cut,
@@ -160,7 +160,7 @@ class TestMinorFreeSeparator:
         a = balanced_separator(g, 5, 0.5, seed=9, c_r=0.05)
         b = balanced_separator(g, 5, 0.5, seed=9, c_r=0.05)
         assert isinstance(a, Separator) and isinstance(b, Separator)
-        assert a.C == b.C and a.A == b.A
+        assert np.array_equal(a.C, b.C) and np.array_equal(a.A, b.A)
 
     def test_long_path_cuts_exercised(self):
         g = path_graph(3000)

@@ -15,7 +15,7 @@ from sepkit.certificates import (
     brute_force_minor_detect,
     verify_output,
 )
-from sepkit.graph import Graph, HostSubgraph, VertexSet, connected_components, induced_subgraph
+from sepkit.graph import Graph, HostSubgraph, connected_components, induced_subgraph
 from sepkit.shallow import (
     PartitionState,
     _park_light_components,
@@ -54,15 +54,15 @@ def path(n):
 
 class TestTreeOrCut:
     def test_k5_tree_immediately(self):
-        res = tree_or_cut(kcomplete(5), [VertexSet([3])], ell=2, delta=1, start=0)
+        res = tree_or_cut(kcomplete(5), [np.array([3])], ell=2, delta=1, start=0)
         assert res.kind == "tree"
         assert all(v in res.tree_vertices for v in (0, 3))
 
     def test_long_path_cut(self):
         n = 1000
-        res = tree_or_cut(path(n), [VertexSet([n - 1])], ell=2, delta=1, start=0)
+        res = tree_or_cut(path(n), [np.array([n - 1])], ell=2, delta=1, start=0)
         assert res.kind == "cut"
-        s = set(res.cut_S.ids())
+        s = set(res.cut_S.tolist())
         # exact conditions 2a/2b, checked directly on the path
         comp = set(range(n)) - s
         shell_out = {v for v in comp if any(abs(v - u) <= 1 for u in s)}
@@ -70,12 +70,12 @@ class TestTreeOrCut:
 
     def test_single_vertex_tree(self):
         g = Graph(1, [])
-        res = tree_or_cut(g, [VertexSet([0])], ell=3, delta=1, start=0)
+        res = tree_or_cut(g, [np.array([0])], ell=3, delta=1, start=0)
         assert res.kind == "tree" and list(res.tree_vertices) == [0]
 
     def test_empty_a_set_rejected(self):
         with pytest.raises(ValueError):
-            tree_or_cut(path(5), [VertexSet()], ell=1, delta=1, start=0)
+            tree_or_cut(path(5), [np.empty(0, dtype=np.int64)], ell=1, delta=1, start=0)
 
     def test_no_a_sets_gives_singleton_tree_or_cut(self):
         res = tree_or_cut(kcomplete(4), [], ell=1, delta=1, start=2)
@@ -103,12 +103,13 @@ class TestParkLightComponents:
             n=n, h=5, ell=1, eps=0.5, delta=3, in_vr=np.zeros(n, dtype=bool),
             in_b=np.zeros(n, dtype=bool),
             branch_slots=[None if s is None else np.asarray(s) for s in slots],
-            live=live.copy(), parked=np.zeros(n, dtype=bool))
+            live=live.copy(), live_n=int(live.sum()), live_w=int(g.vertex_weight[live].sum()),
+            parked=np.zeros(n, dtype=bool))
         # reference: every component of G[live], the heaviest first, then the
         # one with the smallest vertex id
-        sub, _ = induced_subgraph(g, VertexSet.from_mask(live))
+        sub, _ = induced_subgraph(g, np.flatnonzero(live))
         ids = np.flatnonzero(live)
-        comps = [ids[list(c.ids())] for c in connected_components(sub)]
+        comps = [ids[c] for c in connected_components(sub)]
         best = min(comps, key=lambda c: (-int(g.vertex_weight[c].sum()), int(c[0])),
                    default=np.empty(0, dtype=np.int64))
         gw = _park_light_components(g, state, HostSubgraph(g, live))
@@ -126,7 +127,8 @@ class TestParkLightComponents:
         state = PartitionState(
             n=4, h=5, ell=1, eps=0.5, delta=3, in_vr=np.zeros(4, dtype=bool),
             in_b=np.zeros(4, dtype=bool), branch_slots=[None, np.array([3])],
-            live=live.copy(), parked=np.zeros(4, dtype=bool))
+            live=live.copy(), live_n=2, live_w=weights[0] + weights[1],
+            parked=np.zeros(4, dtype=bool))
         gw = _park_light_components(g, state, HostSubgraph(g, live))
         assert gw == weights[kept[0]] and np.flatnonzero(state.live).tolist() == kept
         assert np.flatnonzero(state.parked).tolist() == [1 - kept[0]]
@@ -177,7 +179,7 @@ class TestShallowSeparator:
         a = shallow_separator(g, 4, 3, 0.5, seed=7)
         b = shallow_separator(g, 4, 3, 0.5, seed=7)
         assert isinstance(a, Separator) and isinstance(b, Separator)
-        assert a.C == b.C and a.A == b.A and a.B == b.B
+        assert np.array_equal(a.C, b.C) and np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
 
     def test_parameter_validation(self):
         g = path(4)
