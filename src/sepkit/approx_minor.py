@@ -57,7 +57,7 @@ def _attempt(g: Graph, h: int, eps: float, seed: int, depth: int = 0) -> Optiona
         if not h <= len(verts) < g.n:
             continue
         piece, _ = induced_subgraph(g, verts)
-        got = _attempt(piece, h, eps, seed + 1, depth + 1)
+        got = _attempt(piece, h, eps, seed, depth + 1)
         if got is not None:
             return replace(lift_minor(got, verts), params={})
     return None

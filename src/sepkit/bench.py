@@ -17,10 +17,11 @@ from .certificates import (
     certificate_to_json,
     verify_output,
 )
+from .clustering import DEFAULT_C_R, NestedClustering, nested_r_clustering
 from .generators import generate_graph
 from .graph import Graph
 from .minorfree import balanced_separator, minor_free_separator
-from .shallow import shallow_separator, shallow_separator_balanced
+from .shallow import ln_ceil, shallow_separator, shallow_separator_balanced
 from .tradeoff import linear_time_separator, tradeoff_separator
 
 
@@ -45,9 +46,9 @@ def run_algorithm(g: Graph, algo: dict):
         out = shallow_separator_balanced(g, h, eps, seed, stats=stats)
     elif name == "minorfree":
         out = minor_free_separator(g, h, algo["ell"], eps, seed, stats=stats,
-                                   c_r=algo.get("c_r", 4.0))
+                                   c_r=algo.get("c_r", DEFAULT_C_R))
     elif name == "minorfree-balanced":
-        out = balanced_separator(g, h, eps, seed, stats=stats, c_r=algo.get("c_r", 4.0))
+        out = balanced_separator(g, h, eps, seed, stats=stats, c_r=algo.get("c_r", DEFAULT_C_R))
     elif name == "tradeoff":
         out = tradeoff_separator(g, h, algo.get("delta", 0.8), eps, seed, stats=stats)
     elif name == "linear-time":
@@ -143,12 +144,9 @@ def rows_deterministic_view(rows: list[dict]) -> str:
     return json.dumps(clean, sort_keys=True)
 
 
-def clustering_diagnostics(g: Graph, r: int, h: int, eps: float, seed: int = 0) -> dict:
+def clustering_diagnostics(g: Graph, r: int, h: int, eps: float) -> dict:
     """Lemma-style sums over a fully materialized nested clustering."""
-    from .clustering import NestedClustering, nested_r_clustering
-    from .shallow import ln_ceil
-
-    nc = nested_r_clustering(g, r, h, eps, seed, c_r=0.05)
+    nc = nested_r_clustering(g, r, h, eps, c_r=0.05)
     if not isinstance(nc, NestedClustering):
         return {"minor_side": True}
     nc.materialize_all()

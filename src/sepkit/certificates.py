@@ -132,8 +132,9 @@ def verify_separator(g: Graph, s: Separator) -> VerifyReport:
         v.append(("sep.balance-c", f"balance_c={s.balance_c}, expected {BALANCE_C}"))
     wv = int(g.total_vertex_weight)
     num, den = BALANCE_C.numerator, BALANCE_C.denominator
-    for name, ids in (("A", a_ids), ("B", b_ids)):
-        wpart = int(g.vertex_weight[ids].sum())
+    # a side is weighed as a set: a repeated id is a partition fault only
+    for name, mask in (("A", amask), ("B", bmask)):
+        wpart = int(g.vertex_weight[mask].sum())
         if wpart * den > num * wv:
             v.append(("sep.balance", f"w({name})={wpart} exceeds {BALANCE_C} of w(V)={wv}"))
     if s.claimed_bound is not None and len(s.C) > s.claimed_bound:

@@ -20,6 +20,7 @@ from .certificates import (
     certificate_to_json,
     verify_output,
 )
+from .clustering import DEFAULT_C_R, NestedClustering, nested_r_clustering
 from .generators import generate_graph
 from .graph import Graph, GraphFormatError, dump_graph, load_graph
 from .minorfree import balanced_separator, minor_free_separator
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("minorfree", help="bootstrapped minor-free separator")
     _add_common(p)
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--cr", type=float, default=4.0,
+    p.add_argument("--cr", type=float, default=DEFAULT_C_R,
                    help="clustering range constant C_r")
 
     p = sub.add_parser("tradeoff", help="contraction trade-off separator")
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("cluster", help="build and dump a nested r-clustering")
     _add_common(p)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--cr", type=float, default=4.0)
+    p.add_argument("--cr", type=float, default=DEFAULT_C_R)
 
     p = sub.add_parser("approx-minor", help="largest clique minor approximation")
     _add_common(p, need_h=False)
@@ -194,10 +195,7 @@ def main(argv=None) -> int:
             return _finish(gobj, res.witness, args)
 
         if args.cmd == "cluster":
-            from .clustering import NestedClustering, nested_r_clustering
-
-            nc = nested_r_clustering(gobj, args.r, args.h, args.eps, args.seed,
-                                     c_r=args.cr)
+            nc = nested_r_clustering(gobj, args.r, args.h, args.eps, c_r=args.cr)
             if not isinstance(nc, NestedClustering):
                 return _finish(gobj, nc, args)
             nc.materialize_all()

@@ -9,9 +9,10 @@ boundary-uniform weights, and the nested hierarchy re-splits every cluster
 under two weightings (vertex-uniform, then boundary-uniform where needed)
 so that both cluster sizes and boundary counts decay geometrically.
 
-Children of a cluster are materialized lazily: each cluster carries its own
-split seed, so the hierarchy is identical no matter in which order children
-are demanded.  materialize_all() forces the whole tree (tests, CLI dumps).
+Children of a cluster are materialized lazily.  Every split is
+deterministic, a function of the cluster alone, so the hierarchy is identical
+no matter in which order children are demanded.  materialize_all() forces the
+whole tree (tests, CLI dumps).
 
 Every split applies one boundary rule (_piece_boundaries): a piece's
 boundary is its vertices shared with another piece or inherited from the
@@ -69,7 +70,6 @@ class Cluster:
     edges: np.ndarray        # indices into the host graph's canonical edge list
     parent: Optional[int] = None
     children: Optional[list[int]] = None   # None = not yet materialized
-    seed: int = 0
 
     @property
     def n(self) -> int:
@@ -91,12 +91,6 @@ class Clustering:
     g: Graph
     clusters: list[Cluster]
     r: int
-    h: int
-    eps: float
-
-
-def _child_seed(seed: int, index: int) -> int:
-    return (seed * 1000003 + index * 7919 + 1) % (2**63)
 
 
 def _local_ends(g: Graph, verts: np.ndarray, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +251,7 @@ class MinorFound(Exception):
 
 
 def _separator_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
-                     weights: np.ndarray, h: int, eps: float, seed: int,
+                     weights: np.ndarray, h: int, eps: float,
                      ell: Optional[int] = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a cluster with a separator run under the given weights.
 
@@ -270,9 +264,9 @@ def _separator_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
         return _direct_split(g, verts, eids, weights)
     sub = _subgraph_from_edges(g, verts, eids, weights)
     if ell is None:
-        out = shallow_separator_balanced(sub, h, eps, seed, complete_witness=False)
+        out = shallow_separator_balanced(sub, h, eps, complete_witness=False)
     else:
-        out = shallow_separator(sub, h, ell, eps, seed, complete_witness=False)
+        out = shallow_separator(sub, h, ell, eps, complete_witness=False)
     if not isinstance(out, Separator):
         raise MinorFound(lift_minor(out, verts))
     pieces = _split_pieces_from_cut(g, verts, eids, out.C)
@@ -284,12 +278,10 @@ def _separator_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
 # -- weak r-clustering -------------------------------------------------------
 
 
-def _flat_clusters(g: Graph, pieces: list[tuple[np.ndarray, np.ndarray]], seed: int,
-                   salt: int) -> list[Cluster]:
+def _flat_clusters(g: Graph, pieces: list[tuple[np.ndarray, np.ndarray]]) -> list[Cluster]:
     """Level-1 clusters from finished pieces, ordered by smallest vertex."""
     pieces = sorted(pieces, key=lambda p: int(p[0][0]))
-    return [Cluster(id=i, level=1, vertices=verts, boundary=boundary, edges=eids,
-                    seed=_child_seed(seed, salt + i))
+    return [Cluster(id=i, level=1, vertices=verts, boundary=boundary, edges=eids)
             for i, ((verts, eids), boundary)
             in enumerate(zip(pieces, _piece_boundaries(g.n, pieces)))]
 
@@ -300,7 +292,7 @@ def weak_clustering_ell(nhat: int, r: int, h: int, eps3: float) -> int:
     return max(1, min(int(round(val)), max(1, nhat // 2)))
 
 
-def weak_r_clustering(g: Graph, r: int, h: int, eps: float, seed: int = 0,
+def weak_r_clustering(g: Graph, r: int, h: int, eps: float,
                       c_r: float = DEFAULT_C_R) -> Union[Clustering, SepOrMinor]:
     """Clusters of at most r vertices with O~(h n / sqrt r) total boundary.
 
@@ -319,25 +311,22 @@ def weak_r_clustering(g: Graph, r: int, h: int, eps: float, seed: int = 0,
     for vs, es in _connected_edge_groups(g, all_eids) if g.m else []:
         stack.append((vs, es))
     done: list[tuple[np.ndarray, np.ndarray]] = []
-    step = 0
     while stack:
         verts, eids = stack.pop()
         if len(verts) <= r or len(eids) <= 1:
             done.append((verts, eids))
             continue
-        step += 1
         ell = weak_clustering_ell(len(verts), r, h, eps3)
         unit = np.ones(len(verts), dtype=np.int64)
         try:
-            pieces = _separator_split(g, verts, eids, unit, h, eps3, _child_seed(seed, step),
-                                      ell=ell)
+            pieces = _separator_split(g, verts, eids, unit, h, eps3, ell=ell)
         except MinorFound as mf:
             return mf.result
         stack.extend(pieces)
-    return Clustering(g=g, clusters=_flat_clusters(g, done, seed, 10_000_019), r=r, h=h, eps=eps)
+    return Clustering(g=g, clusters=_flat_clusters(g, done), r=r)
 
 
-def refine_to_r_clustering(weak: Clustering, h: int, eps: float, seed: int = 0,
+def refine_to_r_clustering(weak: Clustering, h: int, eps: float,
                            boundary_bound: Optional[int] = None) -> Union[Clustering, SepOrMinor]:
     """Re-split boundary-heavy clusters under boundary-uniform weights until
     every cluster has at most c_b * h * sqrt(r ln n) boundary vertices."""
@@ -346,24 +335,22 @@ def refine_to_r_clustering(weak: Clustering, h: int, eps: float, seed: int = 0,
         boundary_bound = math.ceil(REFINE_COEFF * h * math.sqrt(weak.r * ln_ceil(g.n)))
     work = [(c.vertices, c.edges, c.boundary) for c in weak.clusters]
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    step = 0
     while work:
         verts, eids, bnd = work.pop()
         if len(bnd) <= boundary_bound or len(eids) <= 1:
             out.append((verts, eids))
             continue
-        step += 1
         bmask = np.zeros(g.n, dtype=bool)
         bmask[bnd] = True
         try:
             pieces = _separator_split(g, verts, eids, bmask[verts].astype(np.int64), h,
-                                      eps / 2.0, _child_seed(seed, 20_000_003 + step))
+                                      eps / 2.0)
         except MinorFound as mf:
             return mf.result
         for (pv, pe), newb in zip(pieces, _piece_boundaries(g.n, pieces, bnd)):
             work.append((pv, pe, newb))
-    clusters = _flat_clusters(g, out, seed, 30_000_001)
-    refined = Clustering(g=g, clusters=clusters, r=weak.r, h=h, eps=eps)
+    clusters = _flat_clusters(g, out)
+    refined = Clustering(g=g, clusters=clusters, r=weak.r)
     debugcheck.check("clustering.refined-bound",
                      all(len(c.boundary) <= boundary_bound for c in clusters),
                      "a refined cluster still exceeds the boundary bound")
@@ -395,13 +382,12 @@ class NestedClustering:
         if c.is_leaf:
             c.children = []
             return c.children
-        pieces = split_cluster_two_weights(self.g, c, self.h, self.eps, c.seed)
+        pieces = split_cluster_two_weights(self.g, c, self.h, self.eps)
         boundaries = _piece_boundaries(self.g.n, pieces, c.boundary)
         kids = []
-        for j, ((pv, pe), newb) in enumerate(zip(pieces, boundaries)):
+        for (pv, pe), newb in zip(pieces, boundaries):
             kid = Cluster(id=len(self.clusters), level=c.level + 1, vertices=pv,
-                          boundary=newb, edges=pe, parent=cid,
-                          seed=_child_seed(c.seed, j))
+                          boundary=newb, edges=pe, parent=cid)
             self.clusters.append(kid)
             kids.append(kid.id)
         c.children = kids
@@ -447,8 +433,8 @@ class NestedClustering:
         }
 
 
-def split_cluster_two_weights(g: Graph, c: Cluster, h: int, eps: float,
-                              seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def split_cluster_two_weights(g: Graph, c: Cluster, h: int,
+                              eps: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a cluster so children shrink in size and in boundary count.
 
     First splits under vertex-uniform weights; any child inheriting more than
@@ -458,39 +444,34 @@ def split_cluster_two_weights(g: Graph, c: Cluster, h: int, eps: float,
     if c.m <= 1:
         raise ClusteringError("single-edge clusters are leaves and are never split")
     unit = np.ones(c.n, dtype=np.int64)
-    pieces = _separator_split(g, c.vertices, c.edges, unit, h, eps / 2.0,
-                              _child_seed(seed, 1))
+    pieces = _separator_split(g, c.vertices, c.edges, unit, h, eps / 2.0)
     bmask = np.zeros(g.n, dtype=bool)
     bmask[c.boundary] = True
     num, den = CHILD_BOUNDARY_FRACTION
     limit = (num * len(c.boundary)) // den + 1
     final: list[tuple[np.ndarray, np.ndarray]] = []
-    for j, (pv, pe) in enumerate(pieces):
+    for pv, pe in pieces:
         inherited = bmask[pv]
         if int(inherited.sum()) > limit and len(pe) > 1:
-            final.extend(_separator_split(g, pv, pe, inherited.astype(np.int64), h, eps / 2.0,
-                                          _child_seed(seed, 100 + j)))
+            final.extend(_separator_split(g, pv, pe, inherited.astype(np.int64), h, eps / 2.0))
         else:
             final.append((pv, pe))
     final.sort(key=lambda p: (int(p[0][0]), len(p[1])))
     return final
 
 
-def nested_r_clustering(g: Graph, r: int, h: int, eps: float, seed: int = 0,
+def nested_r_clustering(g: Graph, r: int, h: int, eps: float,
                         c_r: float = DEFAULT_C_R) -> Union[NestedClustering, SepOrMinor]:
     """Refined r-clustering plus recursive two-weight splitting to edge leaves."""
     if g.m == 0:
         return NestedClustering(g, [], r, h, eps)
     if r >= g.n:
         groups = _connected_edge_groups(g, np.arange(g.m, dtype=np.int64))
-        level1 = [Cluster(id=i, level=1, vertices=vs, boundary=np.empty(0, np.int64),
-                          edges=es, seed=_child_seed(seed, i))
-                  for i, (vs, es) in enumerate(groups)]
-        return NestedClustering(g, level1, r, h, eps)
-    weak = weak_r_clustering(g, r, h, eps, seed, c_r=c_r)
+        return NestedClustering(g, _flat_clusters(g, groups), r, h, eps)
+    weak = weak_r_clustering(g, r, h, eps, c_r=c_r)
     if not isinstance(weak, Clustering):
         return weak
-    refined = refine_to_r_clustering(weak, h, eps, _child_seed(seed, 2))
+    refined = refine_to_r_clustering(weak, h, eps)
     if not isinstance(refined, Clustering):
         return refined
     return NestedClustering(g, refined.clusters, r, h, eps)
@@ -689,9 +670,6 @@ class ActiveState:
             self.dyn[cid].recompute(self.nc.g, self.active)
         if debugcheck.enabled():
             _check_cx_postconditions(self.nc, self.cx, self.active)
-
-    def activate_many(self, vs: Iterable[int]) -> None:
-        self.set_many(vs, "active")
 
 
 def decompose_active_complement(st: ActiveState) -> list[tuple[list[tuple[int, int]], int, int]]:

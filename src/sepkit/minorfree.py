@@ -222,7 +222,7 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         return out
     params["r"] = r
 
-    nc = nested_r_clustering(g, r, h, eps, seed, c_r=c_r)
+    nc = nested_r_clustering(g, r, h, eps, c_r=c_r)
     if not isinstance(nc, NestedClustering):
         if isinstance(nc, (MinorWitness, MinorReport)):
             nc.params = {**getattr(nc, "params", {}), **params}

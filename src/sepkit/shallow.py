@@ -183,10 +183,8 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
 class PartitionState:
     """Four-way partition (V_r, M, B, V') with branch sets over M."""
 
-    n: int
     h: int
     ell: int
-    eps: float
     delta: int
     in_vr: np.ndarray
     in_b: np.ndarray
@@ -194,7 +192,6 @@ class PartitionState:
     live: np.ndarray          # working component of G[V']
     live_n: int               # |live| and w(live), kept as running totals
     live_w: int
-    parked: np.ndarray        # V' vertices set aside in non-maximal components
 
     @property
     def p(self) -> int:
@@ -207,7 +204,7 @@ class PartitionState:
         self.live_w -= int(g.vertex_weight[ids].sum())
 
     def m_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
+        mask = np.zeros(len(self.live), dtype=bool)
         for s in self.branch_slots:
             if s is not None:
                 mask[s] = True
@@ -218,8 +215,8 @@ class PartitionState:
         pairwise edges, the boundary/processed ratio, and the weight cap."""
         if not debugcheck.enabled():
             return
-        n, ell, h = self.n, self.ell, self.h
-        lnn = ln_ceil(n)
+        ell, h = self.ell, self.h
+        lnn = ln_ceil(len(self.live))
         size_cap = branch_size_cap(self.delta, ell, h, lnn)
         diam_cap = branch_diam_cap(self.delta, ell, lnn)
         sets = [s for s in self.branch_slots if s is not None]
@@ -281,10 +278,9 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         return dense
 
     st = PartitionState(
-        n=n, h=h, ell=ell, eps=eps, delta=delta,
+        h=h, ell=ell, delta=delta,
         in_vr=np.zeros(n, dtype=bool), in_b=np.zeros(n, dtype=bool),
         branch_slots=[], live=np.ones(n, dtype=bool), live_n=n, live_w=int(wtotal),
-        parked=np.zeros(n, dtype=bool),
     )
     pair_edges: dict[tuple[int, int], tuple[int, int]] = {}
     ext_target = max(1, math.ceil(h * ell * lnn))
@@ -449,10 +445,8 @@ def _park_light_components(g: Graph, st: PartitionState, live_g: HostSubgraph) -
         best = int(np.argmax(compw))  # ties: lowest label = lowest min-id
         keep, gprime_w = live_ids[labels == best], int(compw[best])
     if len(keep) < st.live_n:
-        parked = st.live.copy()
-        parked[keep] = False
-        st.live[parked] = False
-        st.parked[parked] = True
+        st.live[:] = False
+        st.live[keep] = True
         st.live_n, st.live_w = len(keep), gprime_w
     return gprime_w
 

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .certificates import MinorWitness
+from .certificates import MinorWitness, minor_witness
 from .graph import Graph
 
 
@@ -70,10 +70,10 @@ def _cycle_through_edge(g: Graph, u: int, v: int) -> Optional[list[int]]:
 
 
 def _k3_from_cycle(g: Graph, cyc: list[int]) -> MinorWitness:
-    sets = [np.array([cyc[0]]), np.array([cyc[1]]), np.sort(cyc[2:])]
+    sets = [[cyc[0]], [cyc[1]], np.sort(cyc[2:])]
     edges = {(0, 1): (cyc[0], cyc[1]), (1, 2): (cyc[1], cyc[2]),
              (0, 2): (cyc[0], cyc[-1])}
-    return MinorWitness(branch_sets=sets, connecting_edges=edges)
+    return minor_witness(g, sets, edges)
 
 
 class _SPGraph:
@@ -286,5 +286,4 @@ def find_k4_witness(g: Graph) -> Optional[MinorWitness]:
         # absorb the path interior into u's branch set
         sets[u].extend(path[1:-1])
         conn[(i, j)] = (path[-2], path[-1])
-    branch_sets = [np.unique(sets[v]) for v in verts]
-    return MinorWitness(branch_sets=branch_sets, connecting_edges=conn)
+    return minor_witness(g, [np.unique(sets[v]) for v in verts], conn)

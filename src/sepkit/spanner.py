@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -36,7 +36,6 @@ class Spanner:
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_w: np.ndarray
-    host: Optional[Graph] = None
 
     @property
     def m(self) -> int:
@@ -172,7 +171,7 @@ def build_spanner(g: Graph, k: int, seed: int = 0) -> Spanner:
         if sel is None:
             raise RuntimeError("spanner size bound missed on every retry")
     return Spanner(n=g.n, k=k, edge_u=g.edge_u[sel].copy(), edge_v=g.edge_v[sel].copy(),
-                   edge_w=ew[sel].copy(), host=g)
+                   edge_w=ew[sel].copy())
 
 
 def stretch_check(g: Graph, span: Spanner, sample: Sequence[tuple[int, int]] | str = "all"):
@@ -210,8 +209,7 @@ class DecrementalSpanner:
     the surviving host edges; see the module docstring for the rebuild policy.
     """
 
-    def __init__(self, g: Graph, k: int, seed: int = 0, rebuild_fraction: float = 0.25,
-                 size_coeff: float = SIZE_COEFF):
+    def __init__(self, g: Graph, k: int, seed: int = 0, size_coeff: float = SIZE_COEFF):
         self.k = int(k)
         self.n = g.n
         self.size_coeff = size_coeff
@@ -223,10 +221,8 @@ class DecrementalSpanner:
         self._edge_index = {(int(u), int(v)): i for i, (u, v) in
                             enumerate(zip(g.edge_u.tolist(), g.edge_v.tolist()))}
         self._seed_stream = np.random.SeedSequence(seed)
-        self.rebuild_fraction = rebuild_fraction
         self.rebuild_count = 0
         self.deletions_since_rebuild = 0
-        self.deletion_log: list[tuple[str, tuple]] = []
         self._in_spanner = np.zeros(g.m, dtype=bool)
         self._rebuild()
 
@@ -251,7 +247,6 @@ class DecrementalSpanner:
         removed = 0
         vs = np.asarray(list(vertices), dtype=np.int64)
         if len(vs):
-            self.deletion_log.append(("vertices", tuple(vs.tolist())))
             if np.any(vs < 0) or np.any(vs >= self.n):
                 raise KeyError("unknown vertex id in deletion")
             if not np.all(self._vertex_alive[vs]):
@@ -270,13 +265,12 @@ class DecrementalSpanner:
             if idx is None or not self._edge_alive[idx]:
                 raise KeyError(f"unknown or deleted edge {key}")
             self._edge_alive[idx] = False
-            self.deletion_log.append(("edge", key))
             removed += 1
             if self._in_spanner[idx]:
                 dirty = True
         self.deletions_since_rebuild += removed
         live_n = int(self._vertex_alive.sum())
-        budget = max(math.isqrt(max(live_n, 1)), int(self.rebuild_fraction * max(self.host_m, 1)))
+        budget = max(math.isqrt(max(live_n, 1)), max(self.host_m, 1) // 4)
         if dirty or self.deletions_since_rebuild > budget:
             self._rebuild()
 

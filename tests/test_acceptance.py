@@ -290,7 +290,7 @@ class TestCriterion8ExactSubalgorithms:
                 edges.add((min(a, b), max(a, b)))
         corpora.append((Graph(n, sorted(edges)), 16, 4))
         for g, r, h in corpora:
-            nc = nested_r_clustering(g, r, h, 0.5, seed=1, c_r=C_R)
+            nc = nested_r_clustering(g, r, h, 0.5, c_r=C_R)
             assert isinstance(nc, NestedClustering)
             nc.materialize_all()
             for c in nc.clusters:
@@ -345,7 +345,7 @@ class TestCriterion8ExactSubalgorithms:
 
     def test_decompose_vs_bfs_100_flip_sequences(self):
         g = grid_graph(10)
-        nc = nested_r_clustering(g, 20, 4, 0.5, seed=2, c_r=C_R)
+        nc = nested_r_clustering(g, 20, 4, 0.5, c_r=C_R)
         assert isinstance(nc, NestedClustering)
         rnd = random.Random(13)
         from sepkit.clustering import decompose_active_complement

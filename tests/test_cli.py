@@ -105,6 +105,16 @@ class TestRunCommands:
         doc = json.loads(out.read_text())
         assert doc["clusters"] and doc["level1"]
 
+    def test_cluster_dump_ignores_seed(self, grid_file, tmp_path):
+        # the nested clustering is deterministic: --seed is accepted but unread
+        dumps = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"cl{seed}.json"
+            assert main(["cluster", str(grid_file), "--h", "4", "--r", "16", "--cr", "0.05",
+                         "--seed", seed, "--out", str(out)]) == 0
+            dumps.append(out.read_bytes())
+        assert dumps[0] == dumps[1]
+
     def test_verify_detects_corruption(self, grid_file, tmp_path):
         cert = tmp_path / "c.json"
         main(["shallow", str(grid_file), "--h", "5", "--out", str(cert)])

@@ -63,14 +63,14 @@ def _edges_graph(g, c):
 class TestWeakClustering:
     def test_r_at_least_n_single_cluster(self):
         g = grid_graph(5)
-        nc = nested_r_clustering(g, g.n, 3, 0.5, seed=0)
+        nc = nested_r_clustering(g, g.n, 3, 0.5)
         assert isinstance(nc, NestedClustering)
         assert len(nc.level1) == 1
         assert len(nc.cluster(nc.level1[0]).boundary) == 0
 
     def test_path_segments(self):
         g = path_graph(100)
-        w = weak_r_clustering(g, 10, 3, 0.5, seed=0, c_r=0.2)
+        w = weak_r_clustering(g, 10, 3, 0.5, c_r=0.2)
         assert isinstance(w, Clustering)
         assert len(w.clusters) >= 10
         check_clustering_shape(g, w.clusters, r=10)
@@ -83,18 +83,18 @@ class TestWeakClustering:
 
     def test_grid_invariants(self):
         g = grid_graph(16)
-        w = weak_r_clustering(g, 32, 5, 0.5, seed=1, c_r=0.05)
+        w = weak_r_clustering(g, 32, 5, 0.5, c_r=0.05)
         assert isinstance(w, Clustering)
         check_clustering_shape(g, w.clusters, r=32)
 
     def test_r_out_of_range(self):
         g = grid_graph(8)
         with pytest.raises(ClusteringError):
-            weak_r_clustering(g, 2, 5, 0.5, seed=0)
+            weak_r_clustering(g, 2, 5, 0.5)
 
     def test_minor_side_forwarded(self):
         g = kh_blowup_graph(6, 40, seed=3)
-        out = nested_r_clustering(g, 60, 4, 0.5, seed=0, c_r=0.05)
+        out = nested_r_clustering(g, 60, 4, 0.5, c_r=0.05)
         if not isinstance(out, NestedClustering):
             assert isinstance(out, (MinorWitness, MinorReport))
             assert verify_output(g, out).ok
@@ -103,8 +103,8 @@ class TestWeakClustering:
 class TestRefine:
     def test_within_bound_unchanged(self):
         g = path_graph(60)
-        w = weak_r_clustering(g, 12, 3, 0.5, seed=0, c_r=0.2)
-        refined = refine_to_r_clustering(w, 3, 0.5, seed=1, boundary_bound=10)
+        w = weak_r_clustering(g, 12, 3, 0.5, c_r=0.2)
+        refined = refine_to_r_clustering(w, 3, 0.5, boundary_bound=10)
         assert isinstance(refined, Clustering)
         sig_before = sorted(tuple(c.edges.tolist()) for c in w.clusters)
         sig_after = sorted(tuple(c.edges.tolist()) for c in refined.clusters)
@@ -115,13 +115,13 @@ class TestRefine:
         n = 41
         star_edges = [(0, i) for i in range(1, n)]
         g = Graph(n, star_edges + [(i, i) for i in ()])
-        w = Clustering(g=g, clusters=[], r=50, h=3, eps=0.5)
+        w = Clustering(g=g, clusters=[], r=50)
         from sepkit.clustering import Cluster
 
         boundary = np.arange(1, 21)
         w.clusters = [Cluster(id=0, level=1, vertices=np.arange(n), boundary=boundary,
-                              edges=np.arange(g.m), seed=7)]
-        refined = refine_to_r_clustering(w, 3, 0.5, seed=1, boundary_bound=10)
+                              edges=np.arange(g.m))]
+        refined = refine_to_r_clustering(w, 3, 0.5, boundary_bound=10)
         assert isinstance(refined, Clustering)
         bmask = np.zeros(n, dtype=bool)
         bmask[boundary] = True
@@ -140,17 +140,17 @@ class TestSplitTwoWeights:
         from sepkit.clustering import Cluster
 
         c = Cluster(id=0, level=1, vertices=np.arange(2), boundary=np.empty(0, np.int64),
-                    edges=np.arange(1), seed=0)
+                    edges=np.arange(1))
         with pytest.raises(ClusteringError):
-            split_cluster_two_weights(g, c, 3, 0.5, seed=0)
+            split_cluster_two_weights(g, c, 3, 0.5)
 
     def test_path_split_near_middle(self):
         g = path_graph(64)
         from sepkit.clustering import Cluster
 
         c = Cluster(id=0, level=1, vertices=np.arange(64),
-                    boundary=np.asarray([0, 63]), edges=np.arange(63), seed=0)
-        pieces = split_cluster_two_weights(g, c, 3, 0.5, seed=0)
+                    boundary=np.asarray([0, 63]), edges=np.arange(63))
+        pieces = split_cluster_two_weights(g, c, 3, 0.5)
         assert len(pieces) >= 2
         assert all(len(pv) < 64 for pv, _ in pieces)
         cover = np.zeros(g.m, dtype=np.int64)
@@ -163,8 +163,8 @@ class TestSplitTwoWeights:
         from sepkit.clustering import Cluster
 
         c = Cluster(id=0, level=1, vertices=np.arange(4), boundary=np.empty(0, np.int64),
-                    edges=np.arange(6), seed=0)
-        pieces = split_cluster_two_weights(g, c, 6, 0.5, seed=0)
+                    edges=np.arange(6))
+        pieces = split_cluster_two_weights(g, c, 6, 0.5)
         assert all(len(pv) < 4 for pv, _ in pieces)
         cover = np.zeros(6, dtype=np.int64)
         for _, pe in pieces:
@@ -175,14 +175,14 @@ class TestSplitTwoWeights:
 class TestNested:
     def test_single_edge_graph(self):
         g = path_graph(2)
-        nc = nested_r_clustering(g, 2, 3, 0.5, seed=0)
+        nc = nested_r_clustering(g, 2, 3, 0.5)
         assert isinstance(nc, NestedClustering)
         assert len(nc.level1) == 1
         assert nc.cluster(nc.level1[0]).is_leaf
 
     def test_grid_hierarchy(self):
         g = grid_graph(16)
-        nc = nested_r_clustering(g, 32, 5, 0.5, seed=1, c_r=0.05)
+        nc = nested_r_clustering(g, 32, 5, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         nc.materialize_all()
         assert nc.leaf_count() == sum(1 for c in nc.clusters if c.m == 1)
@@ -204,8 +204,8 @@ class TestNested:
 
     def test_lazy_matches_demand_order(self):
         g = grid_graph(10)
-        a = nested_r_clustering(g, 20, 4, 0.5, seed=5, c_r=0.05)
-        b = nested_r_clustering(g, 20, 4, 0.5, seed=5, c_r=0.05)
+        a = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
+        b = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
         # demand a in DFS order, b fully; level-1 structures must agree
         stack = list(a.level1)
         while stack:
@@ -247,14 +247,14 @@ class TestComputeCX:
 
     def _setup(self):
         g = grid_graph(12)
-        nc = nested_r_clustering(g, 24, 4, 0.5, seed=3, c_r=0.05)
+        nc = nested_r_clustering(g, 24, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         return g, nc
 
     def test_empty_x_is_level1(self):
         g, nc = self._setup()
         st = ActiveState(nc)
-        st.activate_many([])
+        st.set_many([], "active")
         assert st.cx == set(nc.level1)
 
     def test_boundary_vertex_no_change(self):
@@ -266,7 +266,7 @@ class TestComputeCX:
                 b = int(c.boundary[0])
                 break
         st = ActiveState(nc)
-        st.activate_many([b])
+        st.set_many([b], "active")
         assert st.cx == set(nc.level1)
 
     def test_interior_vertex_expands_one_path(self):
@@ -280,7 +280,7 @@ class TestComputeCX:
                 break
         cid, v = target
         st = ActiveState(nc)
-        st.activate_many([v])
+        st.set_many([v], "active")
         assert cid not in st.cx
         untouched = set(nc.level1) - {cid}
         assert untouched <= st.cx
@@ -293,15 +293,14 @@ class TestComputeCX:
         kind, size, r, h = spec
         g = {"grid": lambda: grid_graph(size), "path": lambda: path_graph(size),
              "blowup": lambda: kh_blowup_graph(5, size, seed=1)}[kind]()
+        nc_a = nested_r_clustering(g, r, h, 0.5, c_r=0.05)
+        nc_b = nested_r_clustering(g, r, h, 0.5, c_r=0.05)
+        assert isinstance(nc_a, NestedClustering)
         rnd = random.Random(size)
-        for trial in range(8):
-            nc_a = nested_r_clustering(g, r, h, 0.5, seed=trial, c_r=0.05)
-            nc_b = nested_r_clustering(g, r, h, 0.5, seed=trial, c_r=0.05)
-            if not isinstance(nc_a, NestedClustering):
-                continue
+        for _ in range(8):
             xs = rnd.sample(range(g.n), rnd.randint(1, 12))
             st = ActiveState(nc_a)
-            st.activate_many(xs)
+            st.set_many(xs, "active")
             assert _edge_sets(nc_a, st.cx) == _edge_sets(nc_b, _reference_cx(nc_b, xs))
 
 
@@ -385,7 +384,7 @@ class TestLocalComponents:
 class TestActiveState:
     def test_flip_budget_and_recompute(self):
         g = grid_graph(10)
-        nc = nested_r_clustering(g, 20, 4, 0.5, seed=2, c_r=0.05)
+        nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
         st = ActiveState(nc)
         v = int(nc.cluster(nc.level1[0]).vertices[0])
         st.set_vertex_state(v, "active")
@@ -395,16 +394,16 @@ class TestActiveState:
 
     def test_x_cap(self):
         g = grid_graph(8)
-        nc = nested_r_clustering(g, 16, 4, 0.5, seed=2, c_r=0.05)
+        nc = nested_r_clustering(g, 16, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc, x_cap=2)
-        st.activate_many([0, 1])
+        st.set_many([0, 1], "active")
         with pytest.raises(ValueError):
             st.set_vertex_state(2, "active")
 
     def test_decompose_matches_bfs_under_flips(self):
         g = grid_graph(12)
-        nc = nested_r_clustering(g, 20, 4, 0.5, seed=3, c_r=0.05)
+        nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
         st = ActiveState(nc)
         rnd = random.Random(5)
         seq = rnd.sample(range(g.n), 36)
@@ -422,7 +421,7 @@ class TestActiveState:
         rng = np.random.Generator(np.random.PCG64(7))
         w = np.minimum(np.floor(10 * (1 + rng.pareto(1.5, base.n))), 10**6).astype(np.int64)
         g = Graph(base.n, np.stack([base.edge_u, base.edge_v], axis=1), vertex_weight=w.tolist())
-        nc = nested_r_clustering(g, 24, 4, 0.5, seed=4, c_r=0.05)
+        nc = nested_r_clustering(g, 24, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
         rnd = random.Random(11)

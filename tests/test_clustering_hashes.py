@@ -27,7 +27,7 @@ C_R = 0.05
 EPS = 0.5
 FLIPS = 40
 
-# spec -> (r, h, seed); the seed drives both the generator and the clustering
+# spec -> (r, h, seed); the seed drives the generator (the clustering has none)
 CASES = {
     "grid 24": (20, 4, 1),
     "torus 20": (30, 4, 2),
@@ -71,7 +71,7 @@ DECOMPOSE = {
 def _nested(spec: str) -> NestedClustering:
     r, h, seed = CASES[spec]
     g = generate_graph(spec, seed)
-    nc = nested_r_clustering(g, r, h, EPS, seed, c_r=C_R)
+    nc = nested_r_clustering(g, r, h, EPS, c_r=C_R)
     assert isinstance(nc, NestedClustering)
     return nc
 

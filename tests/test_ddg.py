@@ -37,7 +37,7 @@ def _debug_asserts():
 def make_cluster(g, boundary):
     return Cluster(id=0, level=1, vertices=np.arange(g.n),
                    boundary=np.asarray(sorted(boundary), dtype=np.int64),
-                   edges=np.arange(g.m), seed=0)
+                   edges=np.arange(g.m))
 
 
 def ddg_of(g, boundary):
@@ -145,7 +145,7 @@ class TestClusterSpanner:
 class TestUnionGraphSearch:
     def _layer(self, k=12, r=24, seed=3):
         g = grid_graph(k)
-        nc = nested_r_clustering(g, r, 4, 0.5, seed=seed, c_r=0.05)
+        nc = nested_r_clustering(g, r, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
         layer = DdgLayer(st, 0.5, seed=seed)
@@ -153,7 +153,7 @@ class TestUnionGraphSearch:
 
     def test_one_cluster_sx_is_its_spanner(self):
         g = path_graph(8)
-        nc = nested_r_clustering(g, g.n, 3, 0.5, seed=0)
+        nc = nested_r_clustering(g, g.n, 3, 0.5)
         st = ActiveState(nc)
         layer = DdgLayer(st, 0.5, seed=0)
         sx = layer.assemble()
@@ -187,7 +187,7 @@ class TestUnionGraphSearch:
         g, nc, st, layer = self._layer()
         branch = np.asarray([66, 67, 78], dtype=np.int64)
         layer.set_branch_vertices(0, branch)
-        st.activate_many(branch.tolist())
+        st.set_many(branch.tolist(), "active")
         sx = layer.assemble()
         s = int(sx.vertices[0])
         tree = sssp_SX(sx, s)
@@ -214,7 +214,7 @@ class TestUnionGraphSearch:
         b2 = np.asarray([100, 101], dtype=np.int64)
         layer.set_branch_vertices(0, b1)
         layer.set_branch_vertices(1, b2)
-        st.activate_many(np.concatenate([b1, b2]).tolist())
+        st.set_many(np.concatenate([b1, b2]).tolist(), "active")
         from sepkit.clustering import decompose_active_complement
 
         comps = decompose_active_complement(st)
@@ -231,13 +231,13 @@ class TestUnionGraphSearch:
 
     def test_far_pair_on_long_path(self):
         g = path_graph(2000)
-        nc = nested_r_clustering(g, 50, 3, 0.5, seed=1, c_r=0.05)
+        nc = nested_r_clustering(g, 50, 3, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
         layer = DdgLayer(st, 0.5, seed=1)
         branch = np.asarray([0], dtype=np.int64)
         layer.set_branch_vertices(0, branch)
-        st.activate_many([0])
+        st.set_many([0], "active")
         # s at the far end; with small ell the threshold is tiny
         sx = layer.assemble()
         s = int(sx.vertices[-1])
@@ -250,12 +250,12 @@ class TestUnionGraphSearch:
         g, nc, st, layer = self._layer()
         b1 = np.asarray([0], dtype=np.int64)
         layer.set_branch_vertices(0, b1)
-        st.activate_many([0])
+        st.set_many([0], "active")
         # fully enclose vertex 0's region: activate its neighbors too
         ring = [1, 12]
         layer.set_branch_vertices(1, np.asarray([66], dtype=np.int64))
-        st.activate_many([66])
-        st.activate_many(ring)
+        st.set_many([66], "active")
+        st.set_many(ring, "active")
         sx = layer.assemble()
         # choose s in the big region; slot 0's labels are unreachable
         s = int(sx.vertices[-1])
@@ -315,7 +315,7 @@ class TestLayerStore:
     @pytest.mark.parametrize("k,seed", [(8, 1), (10, 2), (12, 3)])
     def test_sx_is_union_of_passive_pairs(self, k, seed):
         g = grid_graph(k)
-        nc = nested_r_clustering(g, 2 * k, 4, 0.5, seed=seed, c_r=0.05)
+        nc = nested_r_clustering(g, 2 * k, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
         layer = DdgLayer(st, 0.5, seed=seed)
@@ -357,7 +357,7 @@ def _flip_and_find(g, st, layer, rnd):
         bs = np.asarray(sorted({v} | set(nb[:1])), dtype=np.int64)
         slots.append(step)
         layer.set_branch_vertices(step, bs)
-        st.activate_many(bs.tolist())
+        st.set_many(bs.tolist(), "active")
         if step % 4 == 3:
             vs = np.flatnonzero(layer.slot_of_vertex == slots.pop(0))
             layer.clear_branch(vs)
@@ -372,7 +372,7 @@ class TestFindIsPinned:
     def test_find_results_are_pinned(self):
         # pinned before C_X's per-cluster DDG state moved onto _ClusterDyn
         g = grid_graph(10)
-        nc = nested_r_clustering(g, 20, 4, 0.5, seed=2, c_r=0.05)
+        nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
         st = ActiveState(nc)
         layer = DdgLayer(st, 0.5, seed=2)
         digest = hashlib.sha256()
@@ -398,7 +398,7 @@ class TestFindIsPinned:
 class TestRefreshPolicy:
     def test_spanner_per_recompute_and_ddg_per_cluster(self, monkeypatch):
         g = grid_graph(10)
-        nc = nested_r_clustering(g, 20, 4, 0.5, seed=1, c_r=0.05)
+        nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
         st = ActiveState(nc)
         recomputed: set[int] = set(st.cx)
         ddg_cids: list[int] = []

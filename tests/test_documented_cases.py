@@ -35,7 +35,7 @@ def _debug_asserts():
 class TestClusteringMinorSide:
     def test_k10_h4_minor_side(self):
         k10 = Graph(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
-        out = nested_r_clustering(k10, 5, 4, 0.5, seed=0, c_r=0.05)
+        out = nested_r_clustering(k10, 5, 4, 0.5, c_r=0.05)
         assert isinstance(out, (MinorWitness, MinorReport))
         assert verify_output(k10, out).ok
 
@@ -45,7 +45,7 @@ class TestDecomposeSplitPath:
         # activating an interior path vertex forces an expansion that leaves a
         # passive boundary vertex on each side: two components, exact weights
         g = path_graph(10)
-        nc = nested_r_clustering(g, 6, 3, 0.5, seed=1, c_r=0.02)
+        nc = nested_r_clustering(g, 6, 3, 0.5, c_r=0.02)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
         mult = np.zeros(g.n, dtype=int)
@@ -62,7 +62,7 @@ class TestDecomposeSplitPath:
         # activating a vertex that is the only boundary vertex of a segment
         # leaves that segment without passive boundary: absent by contract
         g = path_graph(10)
-        nc = nested_r_clustering(g, 6, 3, 0.5, seed=1, c_r=0.02)
+        nc = nested_r_clustering(g, 6, 3, 0.5, c_r=0.02)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
         mult = np.zeros(g.n, dtype=int)
@@ -76,14 +76,14 @@ class TestDecomposeSplitPath:
 
     def test_fully_active_segment_contributes_no_xclusters(self):
         g = path_graph(9)
-        nc = nested_r_clustering(g, 5, 3, 0.5, seed=1, c_r=0.02)
+        nc = nested_r_clustering(g, 5, 3, 0.5, c_r=0.02)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
         cid = nc.level1[0]
         c = nc.cluster(cid)
         if len(c.boundary) == 0:
             pytest.skip("single-cluster layout")
-        st.activate_many(c.boundary.tolist())
+        st.set_many(c.boundary.tolist(), "active")
         dyn = st.dyn.get(cid)
         if dyn is not None:
             # a segment whose boundary is fully active keeps no qualifying
@@ -96,7 +96,7 @@ class TestDecomposeSplitPath:
 class TestDegenerateTreeSearch:
     def test_no_slots_gives_singleton_tree(self):
         g = grid_graph(10)
-        nc = nested_r_clustering(g, 20, 4, 0.5, seed=2, c_r=0.05)
+        nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
         layer = DdgLayer(st, 0.5, seed=2)

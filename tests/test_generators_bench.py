@@ -86,7 +86,7 @@ class TestClusteringDiagnostics:
         lnn = ln_ceil(n)
         r = max(10, n // 16)
         ell = max(1.0, n / (h * h * r))
-        diag = clustering_diagnostics(g, r, h, 0.5, seed=1)
+        diag = clustering_diagnostics(g, r, h, 0.5)
         assert "minor_side" not in diag
         bound1 = self.SUM1_COEFF * h * n ** 1.5 / math.sqrt(ell) * lnn
         bound3 = self.SUM3_COEFF * (h * h * n ** 1.5 / math.sqrt(ell) + h ** 4 * n) * lnn
@@ -101,14 +101,14 @@ class TestClusteringDiagnostics:
         lnn = ln_ceil(n)
         ell = max(1, math.ceil(math.sqrt(n) / (h * math.sqrt(lnn))))
         r = max(2, math.ceil(n / (h * h * ell)))
-        nc = nested_r_clustering(g, r, h, eps, seed=2, c_r=0.05)
+        nc = nested_r_clustering(g, r, h, eps, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         rng = np.random.default_rng(4)
         xs = rng.choice(n, size=min(n // 8, 24), replace=False).tolist()
         st = ActiveState(nc)
         debugcheck.enable(True)
         try:
-            st.activate_many(xs)
+            st.set_many(xs, "active")
         finally:
             debugcheck.enable(False)
         total = sum(len(nc.cluster(cid).boundary) for cid in st.cx)

@@ -83,13 +83,13 @@ def verify_boundary_small(g, s_ids, ell):
 class TestLemmaTsStep:
     def test_three_outcomes_types(self):
         g = grid_graph(12)
-        nc = nested_r_clustering(g, 24, 4, 0.5, seed=3, c_r=0.05)
+        nc = nested_r_clustering(g, 24, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
         layer = DdgLayer(st, 0.5, seed=3)
         branch = np.asarray([66, 67], dtype=np.int64)
         layer.set_branch_vertices(0, branch)
-        st.activate_many(branch.tolist())
+        st.set_many(branch.tolist(), "active")
         from sepkit.clustering import decompose_active_complement
 
         comps = decompose_active_complement(st)

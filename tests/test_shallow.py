@@ -100,11 +100,10 @@ class TestParkLightComponents:
             st.none(), st.sets(st.sampled_from(dead), min_size=1).map(sorted)) if dead
             else st.none(), max_size=3))
         state = PartitionState(
-            n=n, h=5, ell=1, eps=0.5, delta=3, in_vr=np.zeros(n, dtype=bool),
+            h=5, ell=1, delta=3, in_vr=np.zeros(n, dtype=bool),
             in_b=np.zeros(n, dtype=bool),
             branch_slots=[None if s is None else np.asarray(s) for s in slots],
-            live=live.copy(), live_n=int(live.sum()), live_w=int(g.vertex_weight[live].sum()),
-            parked=np.zeros(n, dtype=bool))
+            live=live.copy(), live_n=int(live.sum()), live_w=int(g.vertex_weight[live].sum()))
         # reference: every component of G[live], the heaviest first, then the
         # one with the smallest vertex id
         sub, _ = induced_subgraph(g, np.flatnonzero(live))
@@ -115,7 +114,7 @@ class TestParkLightComponents:
         gw = _park_light_components(g, state, HostSubgraph(g, live))
         assert gw == int(g.vertex_weight[best].sum())
         assert np.flatnonzero(state.live).tolist() == sorted(best.tolist())
-        assert (state.parked == (live & ~state.live)).all()
+        assert state.live_n == len(best)
 
     @pytest.mark.parametrize("weights, kept", [([1, 1, 1, 1], [0]), ([1, 2, 1, 1], [1]),
                                                ([0, 0, 1, 1], [0])])
@@ -125,13 +124,12 @@ class TestParkLightComponents:
         g = Graph(4, [(1, 3)], vertex_weight=weights)
         live = np.array([True, True, False, False])
         state = PartitionState(
-            n=4, h=5, ell=1, eps=0.5, delta=3, in_vr=np.zeros(4, dtype=bool),
+            h=5, ell=1, delta=3, in_vr=np.zeros(4, dtype=bool),
             in_b=np.zeros(4, dtype=bool), branch_slots=[None, np.array([3])],
-            live=live.copy(), live_n=2, live_w=weights[0] + weights[1],
-            parked=np.zeros(4, dtype=bool))
+            live=live.copy(), live_n=2, live_w=weights[0] + weights[1])
         gw = _park_light_components(g, state, HostSubgraph(g, live))
         assert gw == weights[kept[0]] and np.flatnonzero(state.live).tolist() == kept
-        assert np.flatnonzero(state.parked).tolist() == [1 - kept[0]]
+        assert state.live_n == 1
 
 
 class TestShallowSeparator:
