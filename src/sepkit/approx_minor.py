@@ -31,7 +31,7 @@ class ApproxMinorResult:
 
 
 def _attempt(g: Graph, h: int, eps: float, seed: int, depth: int = 0) -> Optional[MinorWitness]:
-    """Find a K_h witness in g (h >= 3) or give up (None).
+    """Find a K_h witness in g (h >= 3, unit weights) or give up (None).
 
     K3 and K4 are decided exactly (cycle / series-parallel reduction); larger
     candidates run the balanced shallow separator and, on a separator, search
@@ -43,8 +43,7 @@ def _attempt(g: Graph, h: int, eps: float, seed: int, depth: int = 0) -> Optiona
         return find_k3_witness(g)
     if h == 4:
         return find_k4_witness(g)
-    unit = Graph(g.n, np.stack([g.edge_u, g.edge_v], axis=1) if g.m else [])
-    out = shallow_separator_balanced(unit, h, eps, seed)
+    out = shallow_separator_balanced(g, h, eps, seed)
     if isinstance(out, MinorWitness):
         return out
     if not isinstance(out, Separator) or len(out.C) >= g.n:
@@ -73,10 +72,12 @@ def approx_largest_clique_minor(g: Graph, eps: float = 0.5, seed: int = 0) -> Ap
     # h = 2 always: any edge
     best = minor_witness(g, [[int(g.edge_u[0])], [int(g.edge_v[0])]], depth_bound=0)
     best_h = 2
+    # no attempt reads a weight: all of them run on one unit-weight copy
+    unit = Graph(g.n, np.stack([g.edge_u, g.edge_v], axis=1))
     h = 4
     last_fail = None
     while h <= g.n:
-        got = _attempt(g, h, eps, seed)
+        got = _attempt(unit, h, eps, seed)
         if got is None:
             last_fail = h
             break
@@ -87,7 +88,7 @@ def approx_largest_clique_minor(g: Graph, eps: float = 0.5, seed: int = 0) -> Ap
     lo, hi = best_h, last_fail
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        got = _attempt(g, mid, eps, seed)
+        got = _attempt(unit, mid, eps, seed)
         if got is None:
             hi = mid
         else:

@@ -14,7 +14,7 @@ guarded: exceeding the size guard is a hard error, never a silent truncation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Union
@@ -80,7 +80,7 @@ class MinorReport:
     params: dict = field(default_factory=dict)
 
 
-SepOrMinor = Union[Separator, MinorWitness, MinorReport, DensityCertificate]
+SepOrMinor = Union[Separator, MinorWitness, MinorReport]
 
 
 @dataclass
@@ -193,28 +193,24 @@ def verify_minor_witness(g: Graph, wtn: MinorWitness, h: Optional[int] = None) -
     return VerifyReport.from_violations(v)
 
 
-def _density_violations(g: Graph, cert: DensityCertificate, rule: str) -> list[tuple[str, str]]:
-    """Re-check a density certificate's arithmetic and its size against g.
+def verify_minor_report(g: Graph, rep: MinorReport) -> VerifyReport:
+    """Re-check the density certificate's arithmetic and its size against g.
 
     The certificate may describe a derived graph (a subgraph or contraction
     of g), which can be neither larger nor denser than g; a certificate with
     g's own n must carry g's own m.
     """
+    cert = rep.certificate
     v: list[tuple[str, str]] = []
     if not cert.recheck():
-        v.append((f"{rule}.threshold", "certificate threshold does not recompute"))
+        v.append(("report.threshold", "certificate threshold does not recompute"))
     if cert.n > g.n:
-        v.append((f"{rule}.n", f"certificate n={cert.n} but graph has n={g.n}"))
+        v.append(("report.n", f"certificate n={cert.n} but graph has n={g.n}"))
     if cert.m > g.m or (cert.n == g.n and cert.m != g.m):
-        v.append((f"{rule}.m", f"certificate m={cert.m} but graph has m={g.m}"))
+        v.append(("report.m", f"certificate m={cert.m} but graph has m={g.m}"))
     elif cert.m > cert.n * (cert.n - 1) // 2:
-        v.append((f"{rule}.m", f"certificate m={cert.m} exceeds n(n-1)/2 for n={cert.n}"))
-    return v
-
-
-def verify_minor_report(g: Graph, rep: MinorReport) -> VerifyReport:
-    """Re-check the density certificate against the graph it names."""
-    return VerifyReport.from_violations(_density_violations(g, rep.certificate, "report"))
+        v.append(("report.m", f"certificate m={cert.m} exceeds n(n-1)/2 for n={cert.n}"))
+    return VerifyReport.from_violations(v)
 
 
 def verify_output(g: Graph, result: SepOrMinor) -> VerifyReport:
@@ -225,8 +221,6 @@ def verify_output(g: Graph, result: SepOrMinor) -> VerifyReport:
         return verify_minor_witness(g, result)
     if isinstance(result, MinorReport):
         return verify_minor_report(g, result)
-    if isinstance(result, DensityCertificate):
-        return VerifyReport.from_violations(_density_violations(g, result, "density"))
     raise TypeError(f"not a SepOrMinor: {result!r}")
 
 
@@ -602,18 +596,12 @@ def certificate_to_json(result: SepOrMinor) -> str:
     elif isinstance(result, MinorReport):
         doc = {
             "kind": "minor_report",
-            "certificate": _density_doc(result.certificate),
+            "certificate": asdict(result.certificate),
             "params": result.params,
         }
-    elif isinstance(result, DensityCertificate):
-        doc = {"kind": "density", **_density_doc(result)}
     else:
         raise TypeError(f"not a SepOrMinor: {result!r}")
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _density_doc(cert: DensityCertificate) -> dict:
-    return {"n": cert.n, "m": cert.m, "h": cert.h, "threshold": cert.threshold, "policy": cert.policy}
 
 
 _INT64 = np.iinfo(np.int64)
@@ -666,7 +654,4 @@ def certificate_from_json(text: str) -> SepOrMinor:
         return MinorReport(certificate=DensityCertificate(
             n=c["n"], m=c["m"], h=c["h"], threshold=c["threshold"], policy=c["policy"]),
             params=doc.get("params", {}))
-    if kind == "density":
-        return DensityCertificate(n=doc["n"], m=doc["m"], h=doc["h"],
-                                  threshold=doc["threshold"], policy=doc["policy"])
     raise ValueError(f"unknown certificate kind {kind!r}")

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import debugcheck
-from .approx_minor import approx_largest_clique_minor
+from .bench import run_algorithm, run_bench
 from .certificates import (
     MinorWitness,
     Separator,
@@ -23,9 +23,6 @@ from .certificates import (
 from .clustering import DEFAULT_C_R, NestedClustering, nested_r_clustering
 from .generators import generate_graph
 from .graph import Graph, GraphFormatError, dump_graph, load_graph
-from .minorfree import balanced_separator, minor_free_separator
-from .shallow import shallow_separator, shallow_separator_balanced
-from .tradeoff import linear_time_separator, tradeoff_separator
 
 EXIT_SEPARATOR = 0
 EXIT_WITNESS = 10
@@ -33,6 +30,12 @@ EXIT_REPORT = 11
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
+
+# solving subcommand -> its `sep bench` algorithm name ("-balanced" is added
+# when --ell is omitted) and the parsed flags that reach it
+SOLVERS = {"shallow": "shallow", "minorfree": "minorfree", "tradeoff": "tradeoff",
+           "linear": "linear-time", "approx-minor": "approx-minor"}
+ALGO_KEYS = ("h", "eps", "seed", "ell", "delta", "c_r")
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
@@ -98,7 +101,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("minorfree", help="bootstrapped minor-free separator")
     _add_common(p)
     p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--cr", type=float, default=DEFAULT_C_R,
+    p.add_argument("--cr", dest="c_r", type=float, default=DEFAULT_C_R,
                    help="clustering range constant C_r")
 
     p = sub.add_parser("tradeoff", help="contraction trade-off separator")
@@ -111,7 +114,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("cluster", help="build and dump a nested r-clustering")
     _add_common(p)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--cr", type=float, default=DEFAULT_C_R)
+    p.add_argument("--cr", dest="c_r", type=float, default=DEFAULT_C_R)
 
     p = sub.add_parser("approx-minor", help="largest clique minor approximation")
     _add_common(p, need_h=False)
@@ -149,8 +152,6 @@ def main(argv=None) -> int:
             return EXIT_VERIFY
 
         if args.cmd == "bench":
-            from .bench import run_bench
-
             with open(args.suite) as fh:
                 suite = json.load(fh)
             report = run_bench(suite, verify=not args.no_verify)
@@ -165,40 +166,22 @@ def main(argv=None) -> int:
 
         gobj = _read_graph(args.graph, args.format)
 
-        if args.cmd == "shallow":
-            if args.ell is None:
-                out = shallow_separator_balanced(gobj, args.h, args.eps, args.seed)
-            else:
-                out = shallow_separator(gobj, args.h, args.ell, args.eps, args.seed)
+        if args.cmd in SOLVERS:
+            algo = {k: v for k, v in vars(args).items() if k in ALGO_KEYS}
+            algo["name"] = SOLVERS[args.cmd]
+            if "ell" in algo and algo["ell"] is None:
+                algo["name"] += "-balanced"
+            out, stats, _ = run_algorithm(gobj, algo)
+            if args.cmd == "approx-minor":
+                sys.stderr.write(f"h_found={stats['h_found']} "
+                                 f"ratio_claim={stats['ratio_claim']:.1f}\n")
             return _finish(gobj, out, args)
-
-        if args.cmd == "minorfree":
-            if args.ell is None:
-                out = balanced_separator(gobj, args.h, args.eps, args.seed, c_r=args.cr)
-            else:
-                out = minor_free_separator(gobj, args.h, args.ell, args.eps, args.seed,
-                                           c_r=args.cr)
-            return _finish(gobj, out, args)
-
-        if args.cmd == "tradeoff":
-            out = tradeoff_separator(gobj, args.h, args.delta, args.eps, args.seed)
-            return _finish(gobj, out, args)
-
-        if args.cmd == "linear":
-            out = linear_time_separator(gobj, args.h, args.eps, args.seed)
-            return _finish(gobj, out, args)
-
-        if args.cmd == "approx-minor":
-            res = approx_largest_clique_minor(gobj, args.eps, args.seed)
-            sys.stderr.write(f"h_found={res.h_found} "
-                             f"ratio_claim={res.ratio_claim['value']:.1f}\n")
-            return _finish(gobj, res.witness, args)
 
         if args.cmd == "cluster":
-            nc = nested_r_clustering(gobj, args.r, args.h, args.eps, c_r=args.cr)
-            if not isinstance(nc, NestedClustering):
-                return _finish(gobj, nc, args)
-            nc.materialize_all()
+            nc = nested_r_clustering(gobj, args.r, args.h, args.eps, c_r=args.c_r)
+            found = nc.materialize_all() if isinstance(nc, NestedClustering) else nc
+            if found is not None:
+                return _finish(gobj, found, args)
             _write(json.dumps(nc.to_doc(), sort_keys=True) + "\n", args.out)
             sys.stderr.write(f"clusters={len(nc.clusters)} leaves={nc.leaf_count()}\n")
             return 0

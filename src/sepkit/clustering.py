@@ -410,11 +410,16 @@ class NestedClustering:
                 len(kid.boundary) <= (num * len(c.boundary)) // den + 1 + additive,
                 f"child {kid_id} boundary {len(kid.boundary)} vs parent {len(c.boundary)}")
 
-    def materialize_all(self) -> None:
+    def materialize_all(self) -> Optional[SepOrMinor]:
+        """Split every cluster down to its leaves; returns the minor-side
+        result a split found (the tree is then left partial), else None."""
         queue = list(self.level1)
         while queue:
-            cid = queue.pop()
-            queue.extend(self.children_of(cid))
+            try:
+                queue.extend(self.children_of(queue.pop()))
+            except MinorFound as mf:
+                return mf.result
+        return None
 
     def leaf_count(self) -> int:
         return sum(1 for c in self.clusters if c.is_leaf)

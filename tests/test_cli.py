@@ -5,10 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from sepkit import cli, debugcheck
+from sepkit import bench, cli, debugcheck
+from sepkit.approx_minor import approx_largest_clique_minor
 from sepkit.bench import rows_deterministic_view, run_bench
+from sepkit.certificates import certificate_to_json
 from sepkit.cli import main
 from sepkit.generators import generate_graph
+from sepkit.graph import load_graph
+from sepkit.minorfree import balanced_separator, minor_free_separator
+from sepkit.shallow import shallow_separator, shallow_separator_balanced
+from sepkit.tradeoff import linear_time_separator, tradeoff_separator
 
 
 def run_cli(args, stdin=None):
@@ -89,7 +95,7 @@ class TestRunCommands:
         from sepkit.certificates import MinorWitness
         # vertices 0 and 9 of the 8x8 grid are not adjacent: no K2
         bad = MinorWitness(branch_sets=[np.array([0]), np.array([9])], depth_bound=0)
-        monkeypatch.setattr(cli, "approx_largest_clique_minor",
+        monkeypatch.setattr(bench, "approx_largest_clique_minor",
                             lambda *args: ApproxMinorResult(witness=bad, h_found=2,
                                                             ratio_claim={"value": 1.0}))
         out = tmp_path / "a.json"
@@ -114,6 +120,28 @@ class TestRunCommands:
                          "--seed", seed, "--out", str(out)]) == 0
             dumps.append(out.read_bytes())
         assert dumps[0] == dumps[1]
+
+    def test_cluster_minor_side_finishes_with_report(self, tmp_path):
+        # a K40 hung off the middle of a path: a lazy split of the nested
+        # clustering meets the clique and hands back its density report
+        from sepkit.graph import Graph, dump_graph
+
+        edges = [(i, i + 1) for i in range(299)] + [(150, 300)]
+        edges += [(300 + i, 300 + j) for i in range(40) for j in range(i + 1, 40)]
+        gfile, cert = tmp_path / "g.txt", tmp_path / "r.json"
+        gfile.write_text(dump_graph(Graph(340, edges)))
+        assert main(["cluster", str(gfile), "--h", "5", "--r", "1000",
+                     "--out", str(cert)]) == cli.EXIT_REPORT == 11
+        doc = json.loads(cert.read_text())
+        assert doc["kind"] == "minor_report"
+        assert (doc["certificate"]["n"], doc["certificate"]["m"]) == (145, 885)
+        assert main(["verify", str(gfile), str(cert)]) == 0
+
+    def test_verify_rejects_bare_density_kind(self, grid_file, tmp_path):
+        doc = {"kind": "density", "n": 64, "m": 112, "h": 3, "threshold": 63,
+               "policy": "mader-proven"}
+        (tmp_path / "d.json").write_text(json.dumps(doc))
+        assert main(["verify", str(grid_file), str(tmp_path / "d.json")]) == 2
 
     def test_verify_detects_corruption(self, grid_file, tmp_path):
         cert = tmp_path / "c.json"
@@ -178,6 +206,41 @@ class TestRunCommands:
         assert capsys.readouterr().err == f"input error: line 1: {message}\n"
 
 
+class TestLibraryParity:
+    """Each solving subcommand writes the bytes of the library call it names;
+    the flags differ from their defaults so that a dropped one shows."""
+
+    @pytest.fixture(scope="class")
+    def grid16(self, tmp_path_factory):
+        p = tmp_path_factory.mktemp("parity") / "grid16.txt"
+        main(["gen", "grid 16", "--out", str(p)])
+        return p
+
+    @pytest.mark.parametrize("args, call", [
+        (["shallow", "--h", "5", "--eps", "0.4", "--seed", "3"],
+         lambda g: shallow_separator_balanced(g, 5, 0.4, 3)),
+        (["shallow", "--h", "5", "--ell", "3", "--eps", "0.4", "--seed", "3"],
+         lambda g: shallow_separator(g, 5, 3, 0.4, 3)),
+        # at h = 4 both minorfree runs take the bootstrapped path only at this C_r
+        (["minorfree", "--h", "4", "--cr", "0.05", "--seed", "2"],
+         lambda g: balanced_separator(g, 4, 0.5, 2, c_r=0.05)),
+        (["minorfree", "--h", "4", "--ell", "2", "--cr", "0.05", "--seed", "2"],
+         lambda g: minor_free_separator(g, 4, 2, 0.5, 2, c_r=0.05)),
+        (["tradeoff", "--h", "5", "--delta", "0.85", "--seed", "1"],
+         lambda g: tradeoff_separator(g, 5, 0.85, 0.5, 1)),
+        (["linear", "--h", "5", "--eps", "0.4", "--seed", "1"],
+         lambda g: linear_time_separator(g, 5, 0.4, 1)),
+        (["approx-minor", "--eps", "0.4", "--seed", "2"],
+         lambda g: approx_largest_clique_minor(g, 0.4, 2).witness),
+    ], ids=["shallow-balanced", "shallow", "minorfree-balanced", "minorfree", "tradeoff",
+            "linear", "approx-minor"])
+    def test_same_bytes_as_library(self, grid16, tmp_path, args, call):
+        cert = tmp_path / "c.json"
+        assert main([args[0], str(grid16), *args[1:], "--out", str(cert)]) in (0, 10, 11)
+        g = load_graph(grid16.read_text())
+        assert cert.read_text() == certificate_to_json(call(g))
+
+
 class TestInternalErrors:
     @pytest.fixture()
     def grid_file(self, tmp_path):
@@ -190,7 +253,7 @@ class TestInternalErrors:
             assert debugcheck.enabled()
             raise exc
 
-        monkeypatch.setattr(cli, "shallow_separator_balanced", boom)
+        monkeypatch.setattr(bench, "shallow_separator_balanced", boom)
 
     def test_invariant_violation_exit_code(self, grid_file, monkeypatch, capsys):
         self._raise_with(monkeypatch, debugcheck.InvariantViolation("shallow.cut-boundary", "x"))
