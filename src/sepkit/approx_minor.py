@@ -35,9 +35,11 @@ def _attempt(g: Graph, h: int, eps: float, seed: int, depth: int = 0) -> Optiona
 
     K3 and K4 are decided exactly (cycle / series-parallel reduction); larger
     candidates run the balanced shallow separator and, on a separator, search
-    each component of G - C that can hold h branch sets.
+    each component of G - C that can hold h branch sets.  A graph with fewer
+    than h(h-1)/2 edges, one per pair of branch sets, has no K_h minor and
+    is skipped.
     """
-    if g.n < h or depth > 64:
+    if g.n < h or g.m < h * (h - 1) // 2 or depth > 64:
         return None
     if h == 3:
         return find_k3_witness(g)

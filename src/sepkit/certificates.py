@@ -625,16 +625,32 @@ def _json_set(value, where: str) -> np.ndarray:
     return np.sort(np.array(_json_ids(value, where), dtype=np.int64))
 
 
+def _json_field(doc, key: str, where: str = ""):
+    """doc[key] of a certificate object; ValueError naming the field when doc
+    is not an object or lacks it."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(doc, dict):
+        raise ValueError(f"certificate {where or 'document'} is not a JSON object")
+    if key not in doc:
+        raise ValueError(f"certificate field {name} is missing")
+    return doc[key]
+
+
 def certificate_from_json(text: str) -> SepOrMinor:
-    """Parse a certificate; a vertex id that is not a JSON integer raises
-    ValueError naming its field."""
+    """Parse a certificate; a document that is not an object, a missing
+    field, or a vertex id that is not a JSON integer raises ValueError
+    naming the field."""
     doc = json.loads(text)
-    kind = doc["kind"]
+    kind = _json_field(doc, "kind")
     if kind == "separator":
-        num, den = doc["balance_c"]
+        bc = _json_field(doc, "balance_c")
+        if not (isinstance(bc, list) and len(bc) == 2 and all(type(x) is int for x in bc)
+                and bc[1] != 0):
+            raise ValueError("certificate field balance_c is not a [num, den] integer pair")
         return Separator(
-            C=_json_set(doc["C"], "C"), A=_json_set(doc["A"], "A"), B=_json_set(doc["B"], "B"),
-            balance_c=Fraction(num, den), claimed_bound=doc.get("claimed_bound"),
+            C=_json_set(_json_field(doc, "C"), "C"), A=_json_set(_json_field(doc, "A"), "A"),
+            B=_json_set(_json_field(doc, "B"), "B"),
+            balance_c=Fraction(*bc), claimed_bound=doc.get("claimed_bound"),
             params=doc.get("params", {}),
         )
     if kind == "minor_witness":
@@ -644,14 +660,15 @@ def certificate_from_json(text: str) -> SepOrMinor:
             a, b = _json_ids(pair, f"connecting_edges[{key!r}]")
             edges[(int(i), int(j))] = (a, b)
         return MinorWitness(
-            branch_sets=[_json_set(bs, f"branch_sets[{i}]") for i, bs in enumerate(doc["branch_sets"])],
+            branch_sets=[_json_set(bs, f"branch_sets[{i}]")
+                         for i, bs in enumerate(_json_field(doc, "branch_sets"))],
             depth_bound=doc.get("depth_bound"),
             connecting_edges=edges,
             params=doc.get("params", {}),
         )
     if kind == "minor_report":
-        c = doc["certificate"]
+        c = _json_field(doc, "certificate")
         return MinorReport(certificate=DensityCertificate(
-            n=c["n"], m=c["m"], h=c["h"], threshold=c["threshold"], policy=c["policy"]),
+            **{f: _json_field(c, f, "certificate") for f in ("n", "m", "h", "threshold", "policy")}),
             params=doc.get("params", {}))
     raise ValueError(f"unknown certificate kind {kind!r}")

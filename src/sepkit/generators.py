@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .certificates import MinorWitness, minor_witness
-from .graph import Graph
+from .graph import ID_LIMIT, Graph
 
 
 def grid_graph(k: int) -> Graph:
@@ -27,6 +27,13 @@ def path_graph(n: int) -> Graph:
 
 
 def binary_tree_graph(depth: int) -> Graph:
+    """The complete binary tree of the given depth: 2^(depth+1) - 1 vertices."""
+    # 2^(d+1) - 1 <= ID_LIMIT = 2^31 - 1 exactly when d <= 30; the test
+    # runs before 2^(depth+1) is computed, which a huge depth makes costly
+    max_depth = ID_LIMIT.bit_length() - 1
+    if not 0 <= depth <= max_depth:
+        raise ValueError(f"binary-tree depth {depth} is outside 0..{max_depth}: a tree has "
+                         f"2^(depth+1) - 1 vertices, at most {ID_LIMIT} int32 ids")
     n = 2 ** (depth + 1) - 1
     return Graph(n, [(v, (v - 1) // 2) for v in range(1, n)])
 

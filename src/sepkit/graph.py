@@ -557,16 +557,25 @@ def neighborhood(g: Graph, xs: np.ndarray, delta: int = 1) -> np.ndarray:
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> np.ndarray:
     """Concatenated neighbor lists of `verts` (with multiplicity), vectorized."""
-    return indices[_row_slots(indptr, verts)]
+    return indices[_row_slots(indptr, verts)[0]]
 
 
-def _row_slots(indptr: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """The CSR slots of the rows of `verts`, row after row."""
+def gather_rows(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """gather_neighbors, and the degree of each vertex of `verts`: the number
+    of entries its row fills, in order."""
+    slots, counts = _row_slots(indptr, verts)
+    return indices[slots], counts
+
+
+def _row_slots(indptr: np.ndarray, verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR slots of the rows of `verts`, row after row, and each row's
+    length.  Entry k, of row r, is slot starts[r] + k - (ends[r] - counts[r])."""
     starts = indptr[verts]
     counts = indptr[verts + 1] - starts
-    total = int(counts.sum())
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(starts, counts) + within
+    ends = np.cumsum(counts, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts + counts - ends, counts) + np.arange(total, dtype=np.int64), counts
 
 
 def grow_within(g: Graph, allowed: np.ndarray, seed_vertices: np.ndarray, target: int,
@@ -752,8 +761,8 @@ class HostSubgraph:
             # is the matrix itself, so the k-th slot in that order is the
             # reverse of slot k
             self._rev = np.argsort(mat.indices, kind="stable").astype(np.int32)
-        slots = _row_slots(mat.indptr, dead)
-        rows = np.repeat(dead, mat.indptr[dead + 1] - mat.indptr[dead])
+        slots, counts = _row_slots(mat.indptr, dead)
+        rows = np.repeat(dead, counts)
         cols = mat.indices[slots]
         edge = cols != rows  # the other slots are loops of earlier restricts
         slots, rows, cols = slots[edge], rows[edge], cols[edge]

@@ -30,6 +30,20 @@ so the growth and stall conditions are comparisons of level starts and the
 cut S is a prefix of the BFS order.  A tree follows predecessors from each
 representative back to the start; the predecessor of v is its largest-id
 live neighbor one level closer, found only for the vertices on those paths.
+
+Each step that concerns the branch sets runs once over all p of them, with
+a fixed number of numpy calls whatever p is.  One n-entry `owner` array per
+call holds the slot of each vertex of M (-1 elsewhere); it makes M's mask
+for the separator.  The A_i (the live neighbors of each branch set) come
+from one gather of the rows of every held set, deduplicated as one sorted
+array of (set, vertex) keys, before parking: the least vertex of A_1 is
+where the search for G' starts, and the vertices parked are then dropped
+from the keys.  The first set left with no key is the one retired.
+The representative of each A_i, its vertex nearest to the start with ties
+to the lowest id, comes from one `levels` call on the concatenated sets.
+When a tree is adopted, each representative's pair edge is its least
+neighbor that `owner` puts in its branch set, from one gather of the
+representatives' rows.
 """
 
 from __future__ import annotations
@@ -59,6 +73,7 @@ from .graph import (
     LevelBFS,
     density_threshold,
     gather_neighbors,
+    gather_rows,
     grow_within,
     induced_subgraph,
     masked_diameter,
@@ -116,13 +131,16 @@ def tree_or_cut(h_graph: Graph, a_sets: Sequence[np.ndarray], ell: int, delta: i
             raise ValueError(f"A_{i + 1} is empty; caller must filter empty sets")
     n = h_graph.n
     bfs = HostSubgraph(h_graph, np.ones(n, dtype=bool)).bfs(start)
-    return _tree_or_cut_from_bfs(bfs, a_sets, ell, delta, start, n)
+    sizes = np.array([len(a) for a in a_sets], dtype=np.int64)
+    a_ids = np.concatenate([np.empty(0, dtype=np.int64), *a_sets])
+    return _tree_or_cut_from_bfs(bfs, a_ids, np.cumsum(sizes) - sizes, ell, delta, start, n)
 
 
-def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: int,
-                          n: int) -> TreeOrCutResult:
-    """tree_or_cut from the level BFS of `start` (over host ids); n is the
-    number of vertices the BFS searched, which sets the logarithmic bounds."""
+def _tree_or_cut_from_bfs(bfs: LevelBFS, a_ids: np.ndarray, a_starts: np.ndarray, ell: int,
+                          delta: int, start: int, n: int) -> TreeOrCutResult:
+    """tree_or_cut from the level BFS of `start` (over host ids), with the A_i
+    concatenated in a_ids, A_i starting at a_starts[i]; n is the number of
+    vertices the BFS searched, which sets the logarithmic bounds."""
     comp_size = len(bfs.order)
     ball = bfs.ball  # ball(d) = |{v : dist(v) <= d}|
     rad, inner = 0, ball(0)  # inner = ball(rad)
@@ -143,13 +161,7 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
     if inner == comp_size:
         # the ball spans the component: a BFS tree, pruned to one
         # representative per A_i, the nearest with ties to the lowest id
-        reps: list[int] = []
-        for ids in a_sets:
-            lv = bfs.levels(ids)
-            ids, lv = ids[lv >= 0], lv[lv >= 0]
-            if len(ids) == 0:
-                raise ValueError("an A_i set has no vertex in start's component")
-            reps.append(int(ids[np.argmin(lv)]))
+        reps = _representatives(bfs, a_ids, a_starts)
         tree: set[int] = {start}
         for v in reps:
             while v not in tree:
@@ -161,7 +173,7 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
             depth = int(bfs.levels(tree_ids).max())
             debugcheck.check("treeorcut.depth", depth <= depth_bound,
                              "tree deeper than 4*delta*ell*ln n")
-        size_bound = int(4 * delta * ell * max(1, len(a_sets)) * ln_ceil(n)) + 1
+        size_bound = int(4 * delta * ell * max(1, len(a_starts)) * ln_ceil(n)) + 1
         debugcheck.check("treeorcut.size", len(tree) <= size_bound,
                          f"tree size {len(tree)} exceeds {size_bound}")
         return TreeOrCutResult(kind="tree", tree_vertices=tree_ids, reps=reps)
@@ -179,9 +191,62 @@ def _tree_or_cut_from_bfs(bfs: LevelBFS, a_sets, ell: int, delta: int, start: in
     return TreeOrCutResult(kind="cut", cut_S=np.sort(bfs.order[:s_count]).astype(np.int64))
 
 
+_UNREACHED = np.iinfo(np.int64).max  # the key of a vertex the search did not reach
+
+
+def _representatives(bfs: LevelBFS, a_ids: np.ndarray, a_starts: np.ndarray) -> list[int]:
+    """The vertex of each A_i nearest to the BFS start, ties to the lowest id.
+
+    One `levels` call over all the sets; each vertex is keyed level * N + id
+    (N the host vertex count) and the least key of each set wins.  Raises
+    ValueError when some A_i has no vertex the search reached.
+    """
+    if len(a_starts) == 0:
+        return []
+    big = len(bfs.pos)
+    lv = bfs.levels(a_ids)
+    key = np.where(lv >= 0, lv * big + a_ids, _UNREACHED)
+    best = np.minimum.reduceat(key, a_starts)
+    if (best == _UNREACHED).any():
+        raise ValueError("an A_i set has no vertex in start's component")
+    return (best % big).tolist()
+
+
+def _attachments(g: Graph, sets: Sequence[np.ndarray], live: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """A_i = N(sets[i]) ^ live for every i at once, by one gather of all the
+    sets' rows: parallel arrays (i, vertex) of the distinct pairs, sorted by
+    i, then by vertex."""
+    if len(sets) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    verts = np.concatenate(sets)
+    nbrs, deg = gather_rows(g.indptr, g.indices, verts)
+    rank = np.repeat(np.repeat(np.arange(len(sets)), [len(s) for s in sets]), deg)
+    keep = live[nbrs]
+    return np.divmod(np.unique(rank[keep] * g.n + nbrs[keep]), g.n)
+
+
+def _pair_edges(g: Graph, owner: np.ndarray, reps: Sequence[int], slots: Sequence[int]
+                ) -> list[tuple[int, int]]:
+    """(rep, w) for each rep, with w its least neighbor that the matching
+    slot owns: find_connecting_edge(g, [rep], that branch set), for all reps
+    by one gather of their rows."""
+    if len(reps) == 0:
+        return []
+    nbrs, deg = gather_rows(g.indptr, g.indices, np.asarray(reps, dtype=np.int64))
+    hit = np.flatnonzero(owner[nbrs] == np.repeat(slots, deg))
+    # every rep's row holds a hit, as rep lies in A_i: its first hit is the
+    # first at or after the row's start
+    first = hit[np.searchsorted(hit, np.cumsum(deg) - deg)]
+    return list(zip(reps, nbrs[first].tolist()))
+
+
 @dataclass
 class PartitionState:
-    """Four-way partition (V_r, M, B, V') with branch sets over M."""
+    """Four-way partition (V_r, M, B, V') with branch sets over M.
+
+    owner[v] is the slot of the branch set holding v, -1 off M; it is built
+    from branch_slots when not given, and `adopt` and `retire` keep it."""
 
     h: int
     ell: int
@@ -192,23 +257,37 @@ class PartitionState:
     live: np.ndarray          # working component of G[V']
     live_n: int               # |live| and w(live), kept as running totals
     live_w: int
+    owner: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.owner is None:
+            self.owner = np.full(len(self.live), -1, dtype=np.int64)
+            for si, bs in enumerate(self.branch_slots):
+                if bs is not None:
+                    self.owner[bs] = si
 
     @property
     def p(self) -> int:
         return sum(1 for s in self.branch_slots if s is not None)
+
+    def adopt(self, g: Graph, new_set: np.ndarray) -> None:
+        """Take the live vertices new_set out of live as a new branch set."""
+        self.owner[new_set] = len(self.branch_slots)
+        self.branch_slots.append(new_set)
+        self.drop_live(g, new_set)
+
+    def retire(self, si: int) -> None:
+        """Move branch set si to V_r."""
+        bs = self.branch_slots[si]
+        self.in_vr[bs] = True
+        self.owner[bs] = -1
+        self.branch_slots[si] = None
 
     def drop_live(self, g: Graph, ids: np.ndarray) -> None:
         """Take the distinct live vertices `ids` out of live."""
         self.live[ids] = False
         self.live_n -= len(ids)
         self.live_w -= int(g.vertex_weight[ids].sum())
-
-    def m_mask(self) -> np.ndarray:
-        mask = np.zeros(len(self.live), dtype=bool)
-        for s in self.branch_slots:
-            if s is not None:
-                mask[s] = True
-        return mask
 
     def check_invariants(self, g: Graph) -> None:
         """Assert the loop invariants: branch-set sizes, connectivity, diameters,
@@ -221,6 +300,11 @@ class PartitionState:
         diam_cap = branch_diam_cap(self.delta, ell, lnn)
         sets = [s for s in self.branch_slots if s is not None]
         debugcheck.check("shallow.branch-count", len(sets) <= h, f"p={len(sets)} > h={h}")
+        debugcheck.check("shallow.owner",
+                         int(np.count_nonzero(self.owner >= 0)) == sum(map(len, sets))
+                         and all((self.owner[s] == si).all()
+                                 for si, s in enumerate(self.branch_slots) if s is not None),
+                         "owner disagrees with the branch sets")
         for i, s in enumerate(sets):
             debugcheck.check("shallow.branch-size", len(s) <= size_cap,
                              f"branch set {i}: {len(s)} > {size_cap}")
@@ -314,8 +398,17 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                              f"witness depth {wtn.depth_bound} exceeds bound")
             return wtn
 
-        # identify G' (heaviest live component); park the others
-        gprime_w = _park_light_components(g, st, live_g)
+        # A_i for every held slot at once; G' (the heaviest live component)
+        # is searched for from the least vertex of A_1, else the first live
+        # vertex, and the other components are parked
+        held = [si for si, bs in enumerate(st.branch_slots) if bs is not None]
+        a_rank, a_ids = _attachments(g, [st.branch_slots[si] for si in held], st.live)
+        s0 = int(a_ids[0]) if len(a_ids) and a_rank[0] == 0 else int(np.argmax(st.live))
+        gprime_w = _park_light_components(g, st, live_g, s0)
+        if st.live_n < live_n:
+            # parking took some A_i vertices out of live
+            keep = st.live[a_ids]
+            a_rank, a_ids = a_rank[keep], a_ids[keep]
         live_n = st.live_n
 
         # Once no live component is heavy, M u B is already a valid separator.
@@ -329,36 +422,23 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
 
         st.check_invariants(g)
 
-        # A_i upkeep; retire the first branch set cut off from G'
-        empty_slot = None
-        a_sets: list[np.ndarray] = []
-        slot_of_aset: list[int] = []
-        for si, bs in enumerate(st.branch_slots):
-            if bs is None:
-                continue
-            nbrs = gather_neighbors(g.indptr, g.indices, bs)
-            nbrs = nbrs[st.live[nbrs]]
-            if len(nbrs) == 0:
-                empty_slot = si
-                break
-            a_sets.append(np.unique(nbrs))
-            slot_of_aset.append(si)
-        if empty_slot is not None:
+        # retire the first branch set cut off from G'
+        a_sizes = np.bincount(a_rank, minlength=len(held))
+        if held and not a_sizes.all():
             if terminal:
                 break
-            st.in_vr[st.branch_slots[empty_slot]] = True
-            st.branch_slots[empty_slot] = None
+            st.retire(held[int(np.argmin(a_sizes))])
             continue
-
-        if a_sets:
-            start = int(a_sets[0][0])
+        if held:
+            start = int(a_ids[0])  # the least vertex of A_1
         else:
             start = int(np.argmax(st.live))  # the first live vertex
 
         # start lies in G', a whole component of the G[live] built before
         # parking, so a search of it from start stays in G'; it is the search
         # that found G' unless that one ran from a parked vertex
-        result = _tree_or_cut_from_bfs(live_g.bfs(start), a_sets, ell, delta, start, live_n)
+        result = _tree_or_cut_from_bfs(live_g.bfs(start), a_ids, np.cumsum(a_sizes) - a_sizes,
+                                       ell, delta, start, live_n)
 
         if result.kind == "cut" and terminal:
             break
@@ -369,11 +449,10 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             target = min(ext_target, max(room, len(tree_ids)))
             new_set = grow_within(g, st.live, tree_ids, target, ext_radius)
             slot = len(st.branch_slots)
-            for rep, si in zip(result.reps, slot_of_aset):
-                # rep neighbors branch set si: its least neighbor there
-                pair_edges[(si, slot)] = find_connecting_edge(g, np.array([rep]), st.branch_slots[si])
-            st.branch_slots.append(new_set)
-            st.drop_live(g, new_set)
+            # each rep neighbors its branch set: its least neighbor there
+            for si, edge in zip(held, _pair_edges(g, st.owner, result.reps, held)):
+                pair_edges[(si, slot)] = edge
+            st.adopt(g, new_set)
         else:
             s_ids = result.cut_S
             w_s = int(g.vertex_weight[s_ids].sum())
@@ -404,34 +483,29 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     st.check_invariants(g)
     if stats is not None:
         stats["iterations"] = iters
-    cmask = st.m_mask() | st.in_b
+    cmask = (st.owner >= 0) | st.in_b
     claimed = min(n, math.ceil(n / ell + separator_coeff(delta) * ell * h * h * lnn) + 1)
     sep = separator_from_cut_mask(g, cmask, claimed_bound=claimed, params=params)
     return sep
 
 
-def _park_light_components(g: Graph, st: PartitionState, live_g: HostSubgraph) -> int:
+def _park_light_components(g: Graph, st: PartitionState, live_g: HostSubgraph,
+                           s0: int) -> int:
     """Keep the heaviest component G' of G[live] live, park the others, and
     return w(G') (0 when nothing is live).
 
-    G' is found by one BFS when possible: from the vertex that tree-or-cut
-    will start from if it lies in G' (the least live neighbor of the first
-    branch set, else the first live vertex).  A component holding more than
-    half the live weight is the heaviest.  Otherwise (a light component
-    there, zero live weight, or a tie) the components are labelled and the
-    heaviest wins, ties to the one with the smallest vertex id.  With the
-    live weight kept as a running total, the search costs O(|G'|); only
-    labelling the components or parking some scans all n vertices.
+    G' is found by one BFS when possible: from s0, the live vertex that
+    tree-or-cut will start from if it lies in G' (the least live neighbor
+    of the first branch set, else the first live vertex).  A component
+    holding more than half the live weight is the heaviest.  Otherwise (a
+    light component there, zero live weight, or a tie) the components are
+    labelled and the heaviest wins, ties to the one with the smallest vertex
+    id.  With the live weight kept as a running total, the search costs
+    O(|G'|); only labelling the components or parking some scans all n
+    vertices.
     """
     if st.live_n == 0:
         return 0
-    s0 = int(np.argmax(st.live))  # the first live vertex
-    first = next((s for s in st.branch_slots if s is not None), None)
-    if first is not None:
-        nbrs = gather_neighbors(g.indptr, g.indices, first)
-        nbrs = nbrs[st.live[nbrs]]
-        if len(nbrs):
-            s0 = int(nbrs.min())
     order = live_g.bfs(s0).order
     reach_w = int(g.vertex_weight[order].sum())
     if 2 * reach_w > st.live_w:

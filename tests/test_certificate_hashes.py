@@ -183,6 +183,13 @@ CASES = {
         _zero_weight_grid(12), lambda g: shallow_separator_balanced(g, 5, 0.5, SEED)),
     "shallow tied components ell=5": (_dumbbell(100),
                                       lambda g: shallow_separator(g, 4, 5, 0.5, SEED)),
+    # approx-minor's recursion at h = 8 to 32, most of whose pieces are too
+    # sparse to hold K_h
+    "approx-minor K6 blow-up 6x120": (_gen("kh-blowup 6 120"),
+                                      lambda g: approx_largest_clique_minor(g, 0.5, SEED).witness),
+    # twelve branch sets held at once: reps, A_i sets and pair edges of many slots
+    "shallow-balanced K12 blow-up h=12": (_gen("kh-blowup 12 40"),
+                                          lambda g: shallow_separator_balanced(g, 12, 0.5, SEED)),
 }
 
 HASHES = {
@@ -244,6 +251,10 @@ HASHES = {
         "474a23f6a0298b06d6895da630bcac4555eecdc90de03107aa607af2d5a27d16",
     "shallow tied components ell=5":
         "234ec9b5f1a082c49f0e1d89ff6e7545a98f75650d91f560949204f2683f419b",
+    "approx-minor K6 blow-up 6x120":
+        "472b73b56bfd05495983a6dd12c48cc679e876ea403267e6ca2c5da4ad1add53",
+    "shallow-balanced K12 blow-up h=12":
+        "65007f1339bfa0cfccadca5fb4f8d9da5d2a02bc0ca12f501c05165100a10c68",
 }
 
 

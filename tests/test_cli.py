@@ -187,6 +187,21 @@ class TestRunCommands:
         assert main(["verify", str(grid4), str(tmp_path / "c.json")]) == 2
         assert f"certificate field {field}, not an integer vertex id" in capsys.readouterr().err
 
+    # a document of the wrong shape is a usage error naming what is wrong,
+    # not a traceback
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "separator"}, "certificate field balance_c is missing"),
+        ([], "certificate document is not a JSON object"),
+        ({"kind": "minor_report", "certificate": {"n": 1}, "params": {}},
+         "certificate field certificate.m is missing"),
+    ], ids=["separator-without-fields", "list", "report-without-m"])
+    def test_verify_rejects_malformed_document(self, tmp_path, capsys, doc, message):
+        grid4 = tmp_path / "grid4.txt"
+        main(["gen", "grid 4", "--out", str(grid4)])
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["verify", str(grid4), str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_usage_error(self):
         assert main(["shallow", "/nonexistent/file", "--h", "4"]) == 2
 

@@ -35,6 +35,15 @@ class TestGenerators:
         t = binary_tree_graph(4)
         assert t.n == 31 and t.m == 30
 
+    # each depth is rejected before the tree's size is computed or any list
+    # is built: 127 is the size a caller meant, not a depth
+    @pytest.mark.parametrize("depth", [-1, 31, 127])
+    def test_binary_tree_depth_guard(self, depth):
+        with pytest.raises(ValueError, match=f"binary-tree depth {depth} is outside 0..30"):
+            binary_tree_graph(depth)
+        with pytest.raises(ValueError, match=f"binary-tree depth {depth}"):
+            generate_graph(f"binary-tree {depth}")
+
     def test_regular_degrees(self):
         for n, d in ((30, 3), (40, 6), (21, 4)):
             g = random_regular_graph(n, d, seed=1)

@@ -15,10 +15,21 @@ from sepkit.certificates import (
     brute_force_minor_detect,
     verify_output,
 )
-from sepkit.graph import Graph, HostSubgraph, connected_components, induced_subgraph
+from sepkit.generators import generate_graph
+from sepkit.graph import (
+    Graph,
+    HostSubgraph,
+    connected_components,
+    gather_neighbors,
+    gather_rows,
+    induced_subgraph,
+)
 from sepkit.shallow import (
     PartitionState,
+    _attachments,
+    _pair_edges,
     _park_light_components,
+    _representatives,
     ln_ceil,
     shallow_separator,
     shallow_separator_balanced,
@@ -111,7 +122,8 @@ class TestParkLightComponents:
         comps = [ids[c] for c in connected_components(sub)]
         best = min(comps, key=lambda c: (-int(g.vertex_weight[c].sum()), int(c[0])),
                    default=np.empty(0, dtype=np.int64))
-        gw = _park_light_components(g, state, HostSubgraph(g, live))
+        s0 = data.draw(st.sampled_from(ids.tolist())) if len(ids) else 0
+        gw = _park_light_components(g, state, HostSubgraph(g, live), s0)
         assert gw == int(g.vertex_weight[best].sum())
         assert np.flatnonzero(state.live).tolist() == sorted(best.tolist())
         assert state.live_n == len(best)
@@ -119,17 +131,105 @@ class TestParkLightComponents:
     @pytest.mark.parametrize("weights, kept", [([1, 1, 1, 1], [0]), ([1, 2, 1, 1], [1]),
                                                ([0, 0, 1, 1], [0])])
     def test_tie_goes_to_the_smallest_id(self, weights, kept):
-        # live {0, 1} as two components; the first branch set {3} touches
-        # only vertex 1, so the first search runs from 1
+        # live {0, 1} as two components; the first search runs from 1, the
+        # only vertex the first branch set {3} touches
         g = Graph(4, [(1, 3)], vertex_weight=weights)
         live = np.array([True, True, False, False])
         state = PartitionState(
             h=5, ell=1, delta=3, in_vr=np.zeros(4, dtype=bool),
             in_b=np.zeros(4, dtype=bool), branch_slots=[None, np.array([3])],
             live=live.copy(), live_n=2, live_w=weights[0] + weights[1])
-        gw = _park_light_components(g, state, HostSubgraph(g, live))
+        gw = _park_light_components(g, state, HostSubgraph(g, live), 1)
         assert gw == weights[kept[0]] and np.flatnonzero(state.live).tolist() == kept
         assert state.live_n == 1
+
+
+def _reference_attachments(g, slots, live):
+    """A_i one branch set at a time: the sorted live neighbors of each held
+    slot, and the first held slot with none."""
+    sets, empty = [], None
+    for si, bs in enumerate(slots):
+        if bs is None:
+            continue
+        nbrs = np.concatenate([g.neighbors(int(v)) for v in bs])
+        a = np.unique(nbrs[live[nbrs]]).astype(np.int64)
+        if len(a) == 0 and empty is None:
+            empty = si
+        sets.append(a)
+    return sets, empty
+
+
+def _reference_representatives(bfs, sets):
+    """The nearest vertex of each set, ties to the lowest id, one set at a time."""
+    reps = []
+    for ids in sets:
+        lv = bfs.levels(ids)
+        if not (lv >= 0).any():
+            raise ValueError("unreached")
+        reps.append(int(ids[lv >= 0][np.argmin(lv[lv >= 0])]))
+    return reps
+
+
+def _reference_pair_edge(g, rep, bs):
+    """The first neighbor of rep, in ascending order, that lies in bs."""
+    inside = set(bs.tolist())
+    return rep, next(int(w) for w in g.neighbors(rep) if int(w) in inside)
+
+
+class TestBatchedBranchSets:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_batched_steps_match_per_slot_reference(self, data):
+        """A_i sets, the empty slot, the reps and the pair edges of all held
+        branch sets at once equal the per-slot computation."""
+        n = data.draw(st.integers(3, 18))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            min_size=n, max_size=3 * n))
+        g = Graph(n, list(edges))
+        # at least n edge draws and a third of the vertices dead on average,
+        # so that an A_i often has two vertices nearest to the start
+        live = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))) > 0
+        # disjoint branch sets over the dead vertices, some slots retired
+        dead = np.flatnonzero(~live).tolist()
+        owner_of = data.draw(st.lists(st.integers(-1, 4), min_size=len(dead), max_size=len(dead)))
+        retired = data.draw(st.sets(st.integers(0, 4)))
+        slots = [None if si in retired or si not in owner_of
+                 else np.array([v for v, o in zip(dead, owner_of) if o == si], dtype=np.int64)
+                 for si in range(max(owner_of, default=-1) + 1)]
+        held = [si for si, bs in enumerate(slots) if bs is not None]
+
+        ref_sets, ref_empty = _reference_attachments(g, slots, live)
+        a_rank, a_ids = _attachments(g, [slots[si] for si in held], live)
+        assert [a_ids[a_rank == i].tolist() for i in range(len(held))] == \
+            [a.tolist() for a in ref_sets]
+        a_sizes = np.bincount(a_rank, minlength=len(held))
+        empty = held[int(np.argmin(a_sizes))] if held and not a_sizes.all() else None
+        assert empty == ref_empty
+        if not live.any():
+            return
+
+        # the reps and pair edges of the sets that have a vertex
+        kept = [i for i, a in enumerate(ref_sets) if len(a)]
+        a_starts = np.flatnonzero(np.diff(a_rank, prepend=-1))
+        start = data.draw(st.sampled_from(np.flatnonzero(live).tolist()))
+        bfs = HostSubgraph(g, live).bfs(start)
+        try:
+            want = _reference_representatives(bfs, [ref_sets[i] for i in kept])
+        except ValueError:
+            with pytest.raises(ValueError):
+                _representatives(bfs, a_ids, a_starts)
+        else:
+            assert _representatives(bfs, a_ids, a_starts) == want
+
+        # any vertex of each A_i may be its rep
+        reps = [int(data.draw(st.sampled_from(ref_sets[i].tolist()))) for i in kept]
+        slots_kept = [held[i] for i in kept]
+        owner = np.full(n, -1, dtype=np.int64)
+        for si in held:
+            owner[slots[si]] = si
+        assert _pair_edges(g, owner, reps, slots_kept) == \
+            [_reference_pair_edge(g, rep, slots[si]) for rep, si in zip(reps, slots_kept)]
 
 
 class TestShallowSeparator:
@@ -229,6 +329,36 @@ class TestShallowBalanced:
         out = shallow_separator_balanced(grid(64), 5, 0.5, seed=0, stats=stats)
         assert isinstance(out, Separator)
         assert builds == [64 * 64] and stats["iterations"] > 1
+
+    def test_neighbor_gathers_per_iteration_do_not_grow_with_p(self, monkeypatch):
+        # all held branch sets share one gather per step, so an iteration
+        # makes at most two (the A_i, then the pair edges or the cut
+        # boundary) while p climbs to 12
+        from sepkit import shallow
+
+        per_iter = []
+
+        class Marking(HostSubgraph):
+            __slots__ = ()
+
+            def restrict(self, mask):  # called once at the top of each iteration
+                per_iter.append(0)
+                super().restrict(mask)
+
+        def counting(gather):
+            def counted(indptr, indices, verts):
+                per_iter[-1] += 1
+                return gather(indptr, indices, verts)
+            return counted
+
+        monkeypatch.setattr(shallow, "HostSubgraph", Marking)
+        monkeypatch.setattr(shallow, "gather_neighbors", counting(gather_neighbors))
+        monkeypatch.setattr(shallow, "gather_rows", counting(gather_rows))
+        stats = {}
+        g = generate_graph("kh-blowup 12 40", 1)
+        out = shallow_separator_balanced(g, 12, 0.5, seed=1, stats=stats)
+        assert isinstance(out, MinorWitness) and len(out.branch_sets) == 12
+        assert len(per_iter) == stats["iterations"] and max(per_iter) <= 2
 
     def test_k10_minor_side(self):
         g = kcomplete(10)
