@@ -37,7 +37,7 @@ def _attempt(g: Graph, h: int, eps: float, seed: int, depth: int = 0) -> Optiona
     candidates run the balanced shallow separator and, on a separator, search
     each component of G - C that can hold h branch sets.  A graph with fewer
     than h(h-1)/2 edges, one per pair of branch sets, has no K_h minor and
-    is skipped.
+    is skipped; a component of G - C is counted before it is built.
     """
     if g.n < h or g.m < h * (h - 1) // 2 or depth > 64:
         return None
@@ -54,8 +54,13 @@ def _attempt(g: Graph, h: int, eps: float, seed: int, depth: int = 0) -> Optiona
     rest = np.ones(g.n, dtype=bool)
     rest[out.C] = False
     ids, ncomp, labels = masked_components(g, rest)
-    for verts in split_by_label(ids, labels, ncomp):
-        if not h <= len(verts) < g.n:
+    # each piece's edge count from the labels, so sparse pieces are never built
+    label_of = np.full(g.n, -1, dtype=np.int64)
+    label_of[ids] = labels
+    lu, lv = label_of[g.edge_u], label_of[g.edge_v]
+    piece_m = np.bincount(lu[(lu >= 0) & (lv >= 0)], minlength=ncomp).tolist()
+    for verts, m in zip(split_by_label(ids, labels, ncomp), piece_m):
+        if not h <= len(verts) < g.n or m < h * (h - 1) // 2:
             continue
         piece, _ = induced_subgraph(g, verts)
         got = _attempt(piece, h, eps, seed, depth + 1)

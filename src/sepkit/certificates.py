@@ -14,6 +14,7 @@ guarded: exceeding the size guard is a hard error, never a silent truncation.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -636,10 +637,31 @@ def _json_field(doc, key: str, where: str = ""):
     return doc[key]
 
 
+_EDGE_KEY = re.compile(r"(-?[0-9]+),(-?[0-9]+)")
+
+
+def _json_edges(value) -> dict[tuple[int, int], tuple[int, int]]:
+    """A witness's connecting edges: an object mapping "i,j" integer pairs to
+    [a, b] pairs of vertex ids."""
+    if not isinstance(value, dict):
+        raise ValueError("certificate field connecting_edges is not a JSON object")
+    edges = {}
+    for key, pair in value.items():
+        ij = _EDGE_KEY.fullmatch(key)
+        if ij is None:
+            raise ValueError(f"certificate field connecting_edges has key {key!r}, "
+                             "not an \"i,j\" integer pair")
+        where = f"connecting_edges[{key!r}]"
+        if len(_json_ids(pair, where)) != 2:
+            raise ValueError(f"certificate field {where} is not a pair of vertex ids")
+        edges[(int(ij[1]), int(ij[2]))] = tuple(pair)
+    return edges
+
+
 def certificate_from_json(text: str) -> SepOrMinor:
     """Parse a certificate; a document that is not an object, a missing
-    field, or a vertex id that is not a JSON integer raises ValueError
-    naming the field."""
+    field, a vertex id that is not a JSON integer, or connecting edges that
+    are not "i,j" keys on id pairs raise ValueError naming the field."""
     doc = json.loads(text)
     kind = _json_field(doc, "kind")
     if kind == "separator":
@@ -654,16 +676,11 @@ def certificate_from_json(text: str) -> SepOrMinor:
             params=doc.get("params", {}),
         )
     if kind == "minor_witness":
-        edges = {}
-        for key, pair in doc.get("connecting_edges", {}).items():
-            i, j = key.split(",")
-            a, b = _json_ids(pair, f"connecting_edges[{key!r}]")
-            edges[(int(i), int(j))] = (a, b)
         return MinorWitness(
             branch_sets=[_json_set(bs, f"branch_sets[{i}]")
                          for i, bs in enumerate(_json_field(doc, "branch_sets"))],
             depth_bound=doc.get("depth_bound"),
-            connecting_edges=edges,
+            connecting_edges=_json_edges(doc.get("connecting_edges", {})),
             params=doc.get("params", {}),
         )
     if kind == "minor_report":

@@ -16,13 +16,26 @@ whole tree (tests, CLI dumps).
 
 Every split applies one boundary rule (_piece_boundaries): a piece's
 boundary is its vertices shared with another piece or inherited from the
-split cluster's boundary.  Pieces are labelled by csgraph components on a
-cluster-local CSR from graph._build_csr; a cluster's edge ids stay ascending
-through every split, so its local edges arrive sorted as that builder needs.
-Pieces run from the whole graph down, so they stay on csgraph.  Searches
-inside one small cluster (_direct_split's layers, _ClusterDyn.recompute's
-X-clusters, the DDG build) run on graph.local_bfs over the sorted neighbor
-lists of _adjacency_lists, where a csgraph call would cost more.
+split cluster's boundary.  A cluster's edge ids stay ascending through every
+split, so its local edges arrive sorted by (u, v).  Pieces are built on one
+of two paths, and the size rule SMALL_SPLIT_CUTOFF is the only switch:
+- A cluster of at most SMALL_SPLIT_CUTOFF vertices takes _direct_split,
+  which builds its pieces from the sorted neighbor lists of
+  _adjacency_lists and the BFS layers it already holds: graph.local_bfs
+  labels C - cut, edges are grouped by anchor in first-edge order, and each
+  piece costs one index of its vertices and one of its edges.  These are
+  most splits of a bootstrapped run (1,035 of 1,226 in a bootstrap
+  perfbench pass at seed 1, median 8 vertices), where one csgraph call
+  (about 120 us with its CSR) costs more than the search.
+- A larger cluster is split by a separator run, and _split_pieces_from_cut
+  labels its pieces by csgraph components on a cluster-local CSR from
+  graph._build_csr.  These pieces run from the whole graph down, where lists
+  lose: on the 65,536 vertices of grid 256, building the lists and labelling
+  on them took 35 ms, csgraph's labelling 8 ms and the whole array build 23
+  ms, against 33 ms for the separator run itself (best of 5, one Xeon core,
+  Python 3.11, scipy 1.17).
+_ClusterDyn.recompute's X-clusters and the DDG build also run on
+graph.local_bfs over a record's neighbor lists.
 
 The dynamic layer (ActiveState) is the one expansion of C_X: it maintains,
 under passive<->active vertex flips, the antichain C_X in which every active
@@ -106,14 +119,14 @@ def _subgraph_from_edges(g: Graph, verts: np.ndarray, eids: np.ndarray,
                  vertex_weight=weights.tolist())
 
 
-def _adjacency_lists(nn: int, lu: np.ndarray, lv: np.ndarray) -> list[list[int]]:
+def _adjacency_lists(nn: int, lu: list[int], lv: list[int]) -> list[list[int]]:
     """Neighbor lists of nn local vertices joined by the edges (lu, lv).
 
     The edges must come sorted by (lu, lv) with lu < lv, as a cluster's
     ascending edge ids give them; every list then comes out ascending.
     """
     adj: list[list[int]] = [[] for _ in range(nn)]
-    for a, b in zip(lu.tolist(), lv.tolist()):
+    for a, b in zip(lu, lv):
         adj[a].append(b)
         adj[b].append(a)
     return adj
@@ -179,16 +192,46 @@ def _split_pieces_from_cut(g: Graph, verts: np.ndarray, eids: np.ndarray,
     return pieces
 
 
+def _list_labels(adj: list[list[int]], blocked: list[bool]) -> list[int]:
+    """Component label of each local vertex of adj minus `blocked`, numbered
+    in order of each component's smallest id; -1 on blocked vertices."""
+    label = [-1] * len(adj)
+    k = 0
+    for s, b in enumerate(blocked):
+        if not b and label[s] < 0:
+            for u in local_bfs(adj, s, blocked)[0]:
+                label[u] = k
+            k += 1
+    return label
+
+
+def _grouped(label: list[int], lu: list[int], pos: Iterable[int]) -> list[list[int]]:
+    """The edge positions `pos` grouped by the label of their first end, in
+    label order."""
+    by: dict[int, list[int]] = {}
+    for k in pos:
+        by.setdefault(label[lu[k]], []).append(k)
+    return [by[key] for key in sorted(by)]
+
+
+def _pieces_of_groups(verts: np.ndarray, eids: np.ndarray, lu: list[int], lv: list[int],
+                      groups: Iterable[list[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One piece per group of edge positions; its vertices are its edges' ends."""
+    return [(verts[sorted({lu[k] for k in pos}.union(lv[k] for k in pos))], eids[pos])
+            for pos in groups]
+
+
 def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
                   weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic splitter for small clusters; every piece loses a vertex.
 
     Prefers a BFS layer cut balanced under `weights`; on diameter <= 1
     (clique-like) falls back to excluding the lowest vertex and splitting its
-    star if it touches everything.
+    star if it touches everything.  Pieces are those of _split_pieces_from_cut,
+    built from the cluster's neighbor lists.
     """
     nn = len(verts)
-    lu, lv = _local_ends(g, verts, eids)
+    lu, lv = (ends.tolist() for ends in _local_ends(g, verts, eids))
     adj = _adjacency_lists(nn, lu, lv)
     d0 = local_bfs(adj, 0)[1]
     far = max(range(nn), key=lambda i: (d0[i], -i))
@@ -212,25 +255,32 @@ def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
             key = (max(wa, wb), cnt[t], t)
             if best is None or key < best[0]:
                 best = (key, t)
-        cut = np.asarray([i for i, d in enumerate(dist) if d == best[1]], dtype=np.int64)
-        return _split_pieces_from_cut(g, verts, eids, cut)
-    # diameter <= 1: exclude the lowest-id vertex; split its star if needed
-    star_mask = (lu == 0) | (lv == 0)
-    rest = eids[~star_mask]
-    pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    if len(rest):
-        pieces.extend(_connected_edge_groups(g, rest))
-    star_e = eids[star_mask]
-    deg = len(star_e)
-    if deg:
-        covers_all = len(_verts_of_edges(g, star_e)) == nn
-        if covers_all and deg >= 2:
-            half = (deg + 1) // 2
-            pieces.append((_verts_of_edges(g, star_e[:half]), star_e[:half]))
-            pieces.append((_verts_of_edges(g, star_e[half:]), star_e[half:]))
-        else:
-            pieces.append((_verts_of_edges(g, star_e), star_e))
-    return pieces
+        incut = [d == best[1] for d in dist]
+        # an edge's anchor is the component of C - cut of its first end outside the cut
+        root = _list_labels(adj, incut)
+        anchored: dict[int, list[int]] = {}
+        inner: list[int] = []
+        for k, (a, b) in enumerate(zip(lu, lv)):
+            key = root[a] if root[a] >= 0 else root[b]
+            if key >= 0:
+                anchored.setdefault(key, []).append(k)
+            else:
+                inner.append(k)
+        # in order of first edge; cut-internal edges split into the cut's components
+        groups = list(anchored.values())
+        if inner:
+            groups += _grouped(_list_labels(adj, [not c for c in incut]), lu, inner)
+        return _pieces_of_groups(verts, eids, lu, lv, groups)
+    # diameter <= 1: exclude the lowest-id vertex; split its star if needed.
+    # Sorted by (lu, lv), the star's edges come first.
+    deg = len(adj[0])
+    groups = _grouped(_list_labels(adj, [True] + [False] * (nn - 1)), lu, range(deg, len(lu)))
+    if deg == nn - 1 and deg >= 2:
+        half = (deg + 1) // 2
+        groups += [list(range(half)), list(range(half, deg))]
+    elif deg:
+        groups.append(list(range(deg)))
+    return _pieces_of_groups(verts, eids, lu, lv, groups)
 
 
 def _connected_edge_groups(g: Graph, eids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -522,40 +572,48 @@ class _ClusterDyn:
     once; `recompute` resets `sx_edges` and `ai_sets`, which depend on the
     partition, to None (stale)."""
 
-    __slots__ = ("cid", "verts", "adj", "is_bnd", "xcl_of", "xclusters",
+    __slots__ = ("cid", "verts", "wts", "adj", "is_bnd", "xcl_of", "xclusters",
                  "ddg", "sx_edges", "ai_sets")
 
     def __init__(self, g: Graph, c: Cluster):
         self.cid = c.id
         self.verts = c.vertices
+        self.wts = g.vertex_weight[c.vertices].tolist()
         # local id = position in the sorted c.vertices
-        self.adj = _adjacency_lists(c.n, *_local_ends(g, c.vertices, c.edges))
+        lu, lv = _local_ends(g, c.vertices, c.edges)
+        self.adj = _adjacency_lists(c.n, lu.tolist(), lv.tolist())
         self.is_bnd = np.zeros(c.n, dtype=bool)
         self.is_bnd[np.searchsorted(c.vertices, c.boundary)] = True
-        self.xcl_of: Optional[np.ndarray] = None
+        self.xcl_of: Optional[list[int]] = None
         self.xclusters: list[XCluster] = []
         self.ddg = None         # ddg.DenseDistanceGraph, built once by the DDG layer
         self.sx_edges = None    # the cluster's S_X edges (u, v, w); None while stale
         self.ai_sets = None     # slot -> passive boundary label set; None while stale
 
-    def recompute(self, g: Graph, active: np.ndarray) -> None:
+    def recompute(self, active: np.ndarray) -> None:
         """Partition into components of C minus its active vertices; O(|C| + |E(C)|).
 
         After C_X expansion active vertices are boundary vertices, except for
         degree-1 vertices stuck inside single-edge leaves; blocking every
-        active vertex covers both cases.
+        active vertex covers both cases.  Each X-cluster's members, weight
+        and passive boundary come from its search's visit list, with one
+        array index per X-cluster.
         """
         blocked = active[self.verts].tolist()
-        xcl = np.full(len(self.verts), -1, dtype=np.int64)
+        bnd = self.is_bnd.tolist()
+        xcl = [-1] * len(blocked)
         parts: list[XCluster] = []
-        for s in range(len(self.verts)):
-            if blocked[s] or xcl[s] >= 0:
+        for s, b in enumerate(blocked):
+            if b or xcl[s] >= 0:
                 continue
-            marr = np.sort(np.asarray(local_bfs(self.adj, s, blocked)[0], dtype=np.int64))
-            xcl[marr] = len(parts)
-            gverts = self.verts[marr]
-            parts.append(XCluster(vertices=gverts, weight=int(g.vertex_weight[gverts].sum()),
-                                  passive_boundary=self.verts[marr[self.is_bnd[marr]]]))
+            members = sorted(local_bfs(self.adj, s, blocked)[0])
+            for i in members:
+                xcl[i] = len(parts)
+            passive = [i for i in members if bnd[i]]
+            both = self.verts[members + passive]
+            parts.append(XCluster(vertices=both[:len(members)],
+                                  weight=sum(self.wts[i] for i in members),
+                                  passive_boundary=both[len(members):]))
         self.xcl_of = xcl
         self.xclusters = parts
         self.sx_edges = self.ai_sets = None
@@ -582,6 +640,7 @@ class ActiveState:
         self.nc = nc
         g = nc.g
         self.active = np.zeros(g.n, dtype=bool)
+        self.n_active = 0       # active.sum(), kept by _flip for the x_cap test
         self.up_used = np.zeros(g.n, dtype=bool)
         self.down_used = np.zeros(g.n, dtype=bool)
         self.x_cap = x_cap
@@ -603,7 +662,7 @@ class ActiveState:
             else:
                 self.interior_of[v] = cid
         dyn = _ClusterDyn(self.nc.g, c)
-        dyn.recompute(self.nc.g, self.active)
+        dyn.recompute(self.active)
         self.dyn[cid] = dyn
 
     def _leave(self, cid: int) -> None:
@@ -636,10 +695,11 @@ class ActiveState:
                 return set()
             if self.up_used[v]:
                 raise ValueError(f"vertex {v} already used its passive->active flip")
-            if self.x_cap is not None and int(self.active.sum()) + 1 > self.x_cap:
+            if self.x_cap is not None and self.n_active + 1 > self.x_cap:
                 raise ValueError("active-set cap exceeded")
             self.up_used[v] = True
             self.active[v] = True
+            self.n_active += 1
             # expand until v is a boundary vertex wherever it appears; a
             # degree-1 vertex stays interior to its single-edge leaf, which
             # is unexpandable (the partition blocks it regardless)
@@ -655,6 +715,7 @@ class ActiveState:
                 raise ValueError(f"vertex {v} already used its active->passive flip")
             self.down_used[v] = True
             self.active[v] = False
+            self.n_active -= 1
         else:
             raise ValueError(f"unknown state {to!r}")
         return set(self.boundary_clusters.get(v, ()))
@@ -672,7 +733,7 @@ class ActiveState:
             touched |= self._flip(int(v), to)
         touched &= set(self.dyn)  # expanded-away clusters no longer exist
         for cid in sorted(touched):
-            self.dyn[cid].recompute(self.nc.g, self.active)
+            self.dyn[cid].recompute(self.active)
         if debugcheck.enabled():
             _check_cx_postconditions(self.nc, self.cx, self.active)
 

@@ -19,8 +19,6 @@ import numpy as np
 
 from . import debugcheck
 from .certificates import (
-    MinorReport,
-    MinorWitness,
     SepOrMinor,
     Separator,
     density_result,
@@ -31,6 +29,7 @@ from .certificates import (
 from .clustering import (
     DEFAULT_C_R,
     ActiveState,
+    MinorFound,
     NestedClustering,
     decompose_active_complement,
     nested_r_clustering,
@@ -193,8 +192,24 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         raise ValueError("ell must be >= 1")
     if not (0 < eps <= 1):
         raise ValueError("eps must be in (0, 1]")
-    n = g.n
     params = {"h": h, "ell": ell, "eps": eps, "seed": seed, "algorithm": "minorfree"}
+    try:
+        return _minor_free_search(g, h, ell, eps, seed, stats, c_r, params)
+    except MinorFound as mf:
+        # a lazy split reached through the ActiveState flips found the minor side
+        return _with_run_params(mf.result, params)
+
+
+def _with_run_params(out: SepOrMinor, params: dict) -> SepOrMinor:
+    """A minor-side result from a clustering step, with the run's params."""
+    out.params = {**out.params, **params}
+    return out
+
+
+def _minor_free_search(g: Graph, h: int, ell: int, eps: float, seed: int,
+                       stats: Optional[dict], c_r: float, params: dict) -> SepOrMinor:
+    """minor_free_separator after its argument checks; adds "r" to `params`."""
+    n = g.n
     if n == 0:
         return Separator(claimed_bound=0, params=params)
     lnn = ln_ceil(n)
@@ -224,9 +239,7 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
 
     nc = nested_r_clustering(g, r, h, eps, c_r=c_r)
     if not isinstance(nc, NestedClustering):
-        if isinstance(nc, (MinorWitness, MinorReport)):
-            nc.params = {**getattr(nc, "params", {}), **params}
-        return nc
+        return _with_run_params(nc, params)
 
     # early cluster-weight exit
     for cid in nc.level1:

@@ -194,7 +194,17 @@ class TestRunCommands:
         ([], "certificate document is not a JSON object"),
         ({"kind": "minor_report", "certificate": {"n": 1}, "params": {}},
          "certificate field certificate.m is missing"),
-    ], ids=["separator-without-fields", "list", "report-without-m"])
+        ({"kind": "minor_witness", "h": 2, "branch_sets": [[0], [1]],
+          "connecting_edges": [[0, 1]]},
+         "certificate field connecting_edges is not a JSON object"),
+        ({"kind": "minor_witness", "h": 2, "branch_sets": [[0], [1]],
+          "connecting_edges": {"0,x": [0, 1]}},
+         "certificate field connecting_edges has key '0,x', not an \"i,j\" integer pair"),
+        ({"kind": "minor_witness", "h": 2, "branch_sets": [[0], [1]],
+          "connecting_edges": {"0,1": [0, 1, 2]}},
+         "certificate field connecting_edges['0,1'] is not a pair of vertex ids"),
+    ], ids=["separator-without-fields", "list", "report-without-m", "edges-as-list",
+            "edge-key-not-integer", "edge-not-a-pair"])
     def test_verify_rejects_malformed_document(self, tmp_path, capsys, doc, message):
         grid4 = tmp_path / "grid4.txt"
         main(["gen", "grid 4", "--out", str(grid4)])

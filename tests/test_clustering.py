@@ -1,11 +1,12 @@
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepkit import debugcheck
+from sepkit import clustering, debugcheck, graph
 from sepkit.certificates import MinorReport, MinorWitness, verify_output
 from sepkit.clustering import (
     ActiveState,
@@ -15,6 +16,7 @@ from sepkit.clustering import (
     NestedClustering,
     _ClusterDyn,
     _connected_edge_groups,
+    _direct_split,
     _split_pieces_from_cut,
     _verts_of_edges,
     decompose_active_complement,
@@ -25,6 +27,7 @@ from sepkit.clustering import (
 )
 from sepkit.generators import grid_graph, kh_blowup_graph, path_graph
 from sepkit.graph import Graph, connected_components, induced_subgraph
+from sepkit.minorfree import balanced_separator
 
 
 @pytest.fixture(autouse=True)
@@ -346,6 +349,62 @@ def _reference_split(g, verts, eids, cut_local):
     return pieces
 
 
+def _reference_direct_split(g, verts, eids, weights):
+    """_direct_split's rule with networkx layers and the union-find pieces."""
+    nn = len(verts)
+    lu, lv = np.searchsorted(verts, g.edge_u[eids]), np.searchsorted(verts, g.edge_v[eids])
+    local = nx.Graph()
+    local.add_nodes_from(range(nn))
+    local.add_edges_from(zip(lu.tolist(), lv.tolist()))
+    d0 = nx.single_source_shortest_path_length(local, 0)
+    far = max(range(nn), key=lambda i: (d0.get(i, -1), -i))
+    dist = nx.single_source_shortest_path_length(local, far)
+    maxd = max(dist.values())
+    if maxd >= 2:
+        def side_weight(keep):
+            return sum(int(weights[i]) for i, d in dist.items() if keep(d))
+        t = min(range(1, maxd), key=lambda t: (
+            max(side_weight(lambda d: d < t), side_weight(lambda d: d > t)),
+            sum(1 for d in dist.values() if d == t), t))
+        cut = np.asarray(sorted(i for i, d in dist.items() if d == t), dtype=np.int64)
+        return _reference_split(g, verts, eids, cut)
+    star = lu == 0
+    pieces = _reference_groups(g, eids[~star]) if (~star).any() else []
+    star_e = eids[star]
+    if len(_verts_of_edges(g, star_e)) == nn and len(star_e) >= 2:
+        half = (len(star_e) + 1) // 2
+        return pieces + [(_verts_of_edges(g, pe), pe) for pe in (star_e[:half], star_e[half:])]
+    return pieces + [(_verts_of_edges(g, star_e), star_e)]
+
+
+@st.composite
+def _host_cluster(draw, max_n=48):
+    """A connected cluster of a larger host graph: (host, verts, eids).
+
+    In "star" mode the cluster's two lowest vertices touch every other one,
+    so the BFS from the far vertex has depth 1 and the star rule applies.
+    """
+    n = draw(st.integers(2, max_n))
+    star = draw(st.booleans())
+    extra_hosts = draw(st.integers(0, 6))
+    host_ids = sorted(draw(st.permutations(range(n + extra_hosts)))[:n])
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}   # a spanning tree
+    if star:
+        edges |= {(a, b) for a in (0, 1) for b in range(a + 1, n)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    host_edges = [(host_ids[a], host_ids[b]) for a, b in edges]
+    outside = [v for v in range(n + extra_hosts) if v not in set(host_ids)]
+    # host edges off the cluster: an outside vertex joined to a cluster vertex
+    host_edges += [(v, host_ids[0]) for v in outside]
+    g = Graph(n + extra_hosts, host_edges)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[host_ids] = True
+    return g, np.asarray(host_ids, dtype=np.int64), np.flatnonzero(inside[g.edge_u] & inside[g.edge_v])
+
+
 def _as_lists(pieces):
     return [(pv.tolist(), pe.tolist()) for pv, pe in pieces]
 
@@ -381,6 +440,84 @@ class TestLocalComponents:
             assert dyn.adj[i] == ref.neighbors(i).tolist()
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(_host_cluster(), st.data())
+    def test_direct_split_matches_reference(self, cluster, data):
+        g, verts, eids = cluster
+        if len(eids) < 2:   # single edges are leaves and never split
+            return
+        weights = np.asarray(data.draw(st.lists(st.integers(0, 3), min_size=len(verts),
+                                                max_size=len(verts))), dtype=np.int64)
+        assert (_as_lists(_direct_split(g, verts, eids, weights))
+                == _as_lists(_reference_direct_split(g, verts, eids, weights)))
+
+    @pytest.mark.parametrize("g", [
+        path_graph(9),
+        Graph(9, [(i, j) for i in range(9) for j in range(i + 1, 9)]),
+        Graph(3, [(0, 1), (0, 2), (1, 2)]),
+    ], ids=["path-layer-cut", "clique-star", "triangle-star"])
+    def test_direct_split_covers_both_branches(self, g):
+        # a path splits at a BFS layer; cliques take the star rule
+        every = np.arange(g.n, dtype=np.int64)
+        unit = np.ones(g.n, dtype=np.int64)
+        eids = np.arange(g.m, dtype=np.int64)
+        got = _as_lists(_direct_split(g, every, eids, unit))
+        assert got == _as_lists(_reference_direct_split(g, every, eids, unit))
+        assert len(got) >= 2 and all(len(pv) < g.n for pv, _ in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_host_cluster(max_n=30), st.data())
+    def test_recompute_matches_networkx_components(self, cluster, data):
+        g, verts, eids = cluster
+        weight = data.draw(st.lists(st.integers(1, 10**6), min_size=g.n, max_size=g.n))
+        g = Graph(g.n, np.stack([g.edge_u, g.edge_v], axis=1), vertex_weight=weight)
+        bnd = np.asarray(sorted(data.draw(st.sets(st.sampled_from(verts.tolist())))),
+                         dtype=np.int64)
+        active = np.zeros(g.n, dtype=bool)
+        active[data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))] = True
+        dyn = _ClusterDyn(g, Cluster(id=0, level=1, vertices=verts, boundary=bnd, edges=eids))
+        dyn.recompute(active)
+        local = nx.Graph()
+        local.add_nodes_from(v for v in verts.tolist() if not active[v])
+        local.add_edges_from((u, v) for u, v in zip(g.edge_u[eids].tolist(), g.edge_v[eids].tolist())
+                             if not active[u] and not active[v])
+        expected = sorted((sorted(comp), sum(weight[v] for v in comp),
+                           sorted(set(comp) & set(bnd.tolist())))
+                          for comp in nx.connected_components(local))
+        got = [(xc.vertices.tolist(), xc.weight, xc.passive_boundary.tolist())
+               for xc in dyn.xclusters]
+        assert got == expected   # numbered in order of smallest member
+        for i, v in enumerate(verts.tolist()):
+            x = dyn.xcluster_of_vertex(v)
+            assert (x is None) if active[v] else (v in got[x][0])
+
+    def test_no_csgraph_labelling_inside_direct_split(self, monkeypatch):
+        calls = {"inside": 0, "outside": 0, "splits": 0}
+        depth = [0]
+        labelling = graph.csgraph.connected_components
+        splitter = clustering._direct_split
+
+        def spy_labelling(*args, **kwargs):
+            calls["inside" if depth[0] else "outside"] += 1
+            return labelling(*args, **kwargs)
+
+        def spy_split(*args, **kwargs):
+            calls["splits"] += 1
+            depth[0] += 1
+            try:
+                return splitter(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(graph.csgraph, "connected_components", spy_labelling)
+        monkeypatch.setattr(clustering, "_direct_split", spy_split)
+        g = grid_graph(20)
+        out = balanced_separator(g, 5, 0.5, seed=0, c_r=0.05)
+        assert out.params["algorithm"] == "minorfree-balanced"
+        assert calls["splits"] > 0 and calls["outside"] > 0
+        assert calls["inside"] == 0
+
+
 class TestActiveState:
     def test_flip_budget_and_recompute(self):
         g = grid_graph(10)
@@ -400,6 +537,26 @@ class TestActiveState:
         st.set_many([0, 1], "active")
         with pytest.raises(ValueError):
             st.set_vertex_state(2, "active")
+
+    def test_x_cap_counts_both_flip_directions(self):
+        # the cap reads a running count; it must fire on the flip where the
+        # active mask's own sum would first pass it, and not before
+        g = grid_graph(8)
+        nc = nested_r_clustering(g, 16, 4, 0.5, c_r=0.05)
+        cap = 4
+        st = ActiveState(nc, x_cap=cap)
+        flips = [(v, "active") for v in range(4)] + [(1, "passive"), (2, "passive")]
+        flips += [(v, "active") for v in range(4, 9)]
+        for step, (v, to) in enumerate(flips):
+            over = to == "active" and int(st.active.sum()) + 1 > cap
+            if over:
+                with pytest.raises(ValueError, match="cap exceeded"):
+                    st.set_vertex_state(v, to)
+                break
+            st.set_vertex_state(v, to)
+            assert st.n_active == int(st.active.sum())
+        assert step == 8 and flips[step] == (6, "active")
+        assert st.n_active == int(st.active.sum()) == cap and not st.active[6]
 
     def test_decompose_matches_bfs_under_flips(self):
         g = grid_graph(12)

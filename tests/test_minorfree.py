@@ -4,13 +4,14 @@ import weakref
 import numpy as np
 import pytest
 
-from sepkit import debugcheck, minorfree
+from sepkit import clustering, debugcheck, minorfree
 from sepkit.certificates import (
     MinorReport,
     MinorWitness,
     Separator,
     brute_force_min_separator,
     brute_force_minor_detect,
+    minor_witness,
     verify_output,
 )
 from sepkit.clustering import ActiveState, NestedClustering, nested_r_clustering
@@ -154,6 +155,25 @@ class TestMinorFreeSeparator:
         assert isinstance(out, Separator)
         assert out.params.get("early_exit") in ("cluster-weight", "heavy-vertex")
         assert verify_output(g2, out).ok
+
+    def test_minor_side_of_a_lazy_split_is_returned(self, monkeypatch):
+        # the ActiveState flips demand children; a child split that finds the
+        # minor side raises MinorFound, which the run turns into its result
+        g = grid_graph(20)
+        # K_4: the centre of the top-left 3 x 3 block and three arcs of its ring
+        found = minor_witness(g, [[21], [0, 1, 2], [22, 42], [20, 40, 41]],
+                              params={"split": "child"})
+
+        def split_to_minor(*args, **kwargs):
+            raise clustering.MinorFound(found)
+
+        monkeypatch.setattr(clustering, "split_cluster_two_weights", split_to_minor)
+        out = balanced_separator(g, 4, 0.5, seed=0, c_r=0.05)
+        assert out is found
+        assert out.params["split"] == "child"
+        assert out.params["algorithm"] == "minorfree" and out.params["h"] == 4
+        assert "r" in out.params
+        assert verify_output(g, out).ok
 
     def test_deterministic(self):
         g = grid_graph(24)
