@@ -568,12 +568,14 @@ class XCluster:
 
 class _ClusterDyn:
     """The one record of a C_X cluster: local neighbor lists and boundary
-    mask, X-cluster partition and the DDG layer's state.  `ddg` is built
-    once; `recompute` resets `sx_edges` and `ai_sets`, which depend on the
-    partition, to None (stale)."""
+    mask, X-cluster partition and the DDG layer's per-cluster state.  `ddg`
+    is built at most once, and never for a cluster without interior vertices
+    unless a tree path through it is expanded; the cluster's S_X rows live in
+    the DDG layer's table.  `recompute` resets `ai_sets`, which depends on
+    the partition, to None (stale)."""
 
     __slots__ = ("cid", "verts", "wts", "adj", "is_bnd", "xcl_of", "xclusters",
-                 "ddg", "sx_edges", "ai_sets")
+                 "ddg", "ai_sets")
 
     def __init__(self, g: Graph, c: Cluster):
         self.cid = c.id
@@ -586,8 +588,7 @@ class _ClusterDyn:
         self.is_bnd[np.searchsorted(c.vertices, c.boundary)] = True
         self.xcl_of: Optional[list[int]] = None
         self.xclusters: list[XCluster] = []
-        self.ddg = None         # ddg.DenseDistanceGraph, built once by the DDG layer
-        self.sx_edges = None    # the cluster's S_X edges (u, v, w); None while stale
+        self.ddg = None         # ddg.DenseDistanceGraph, built on first use by the DDG layer
         self.ai_sets = None     # slot -> passive boundary label set; None while stale
 
     def recompute(self, active: np.ndarray) -> None:
@@ -616,7 +617,7 @@ class _ClusterDyn:
                                   passive_boundary=both[len(members):]))
         self.xcl_of = xcl
         self.xclusters = parts
-        self.sx_edges = self.ai_sets = None
+        self.ai_sets = None
 
     def xcluster_of_vertex(self, v: int) -> Optional[int]:
         li = int(np.searchsorted(self.verts, v))

@@ -4,18 +4,23 @@ For a cluster C and boundary subset B, the dense distance graph D_B(C) is the
 complete graph on B whose edge (u,v) weighs the shortest u-v path in C that
 avoids every other boundary vertex; decomposing shortest paths at boundary
 vertices makes distances in the union of these graphs equal distances in the
-underlying graph minus the active set.  Each DDG is built once, by
+underlying graph minus the active set.  Each DDG is built at most once, by
 `graph.local_bfs` over the neighbor lists its cluster's `_ClusterDyn`
-already holds, and records its finite boundary pairs.  `DdgLayer` keeps its
-per-cluster state on that same record, the one record of a C_X cluster: the
-DDG, the cluster's S_X edges (its finite pairs between passive boundary
-vertices, thinned to a (2k-1)-spanner only above the spanner's size target)
-and its label sets.  A partition recompute
-marks the last two stale, and a record leaves with its cluster.  S_X, the
-union of those edges over the current antichain, is the search arena for the
-shallow-tree hunt: a Dijkstra tree in S_X either yields an empty-index
-certificate, a shallow tree (edges expanded back to stored underlying
-paths), or a pair of far-apart vertices for the bidirectional cut search.
+already holds, and records its finite boundary pairs.
+
+`DdgLayer` keeps S_X as one edge table: int64 columns (u, v, w, cluster) in
+global ids, to which a cluster's finite DDG pairs are appended once, when it
+first reaches C_X, and (cluster, boundary vertex) rows.  A cluster with no
+interior vertex adds its own edges at weight 1, which is its DDG (every
+search from a boundary vertex is blocked at once); its DDG object is built
+only if a tree path through it is expanded.  Clusters never re-enter C_X, so
+compaction drops the rows of clusters that left.  Each find masks the table
+to C_X clusters and passive ends, thinning only clusters above the spanner
+size target.  S_X is the search arena for the shallow-tree hunt: a Dijkstra
+tree in S_X either yields an empty-index certificate, a shallow tree (edges
+expanded back to stored underlying paths), or a pair of far-apart vertices
+for the bidirectional cut search.  Label sets stay on the records; a
+partition recompute marks them stale.
 """
 
 from __future__ import annotations
@@ -124,6 +129,11 @@ def ddg_path(ddg: DenseDistanceGraph, u: int, v: int) -> list[int]:
     return path
 
 
+def _over_target(pairs: int, nb: int, k: int) -> bool:
+    """Whether `pairs` edges on `nb` vertices exceed the spanner size target."""
+    return pairs > SIZE_COEFF * k * nb ** (1.0 + 1.0 / k)
+
+
 def build_cluster_spanner(ddg: DenseDistanceGraph, active: np.ndarray, k: int,
                           seed: int = 0) -> SXEdges:
     """(2k-1)-spanner of the DDG restricted to its passive boundary vertices.
@@ -136,7 +146,7 @@ def build_cluster_spanner(ddg: DenseDistanceGraph, active: np.ndarray, k: int,
     keep = passive[ddg.pair_i] & passive[ddg.pair_j]
     iu, iv, w = ddg.pair_i[keep], ddg.pair_j[keep], ddg.pair_w[keep]
     nb = int(passive.sum())
-    if len(iu) > SIZE_COEFF * k * nb ** (1.0 + 1.0 / k):
+    if _over_target(len(iu), nb, k):
         rank = np.cumsum(passive) - 1
         sub = Graph(nb, np.stack([rank[iu], rank[iv]], axis=1), edge_weight=w.tolist())
         sp = build_spanner(sub, k, seed=seed)
@@ -145,21 +155,52 @@ def build_cluster_spanner(ddg: DenseDistanceGraph, active: np.ndarray, k: int,
     return ddg.boundary[iu], ddg.boundary[iv], w
 
 
-def assemble_SX(st: ActiveState) -> UnionGraph:
-    """Union of the cluster spanners over the current antichain."""
-    cx = sorted(st.cx)
-    parts = [st.dyn[cid].sx_edges for cid in cx]
-    if parts:
-        eu, ev, ew = (np.concatenate(col) for col in zip(*parts))
-    else:
-        eu = ev = ew = np.empty(0, np.int64)
-    ec = np.repeat(np.asarray(cx, dtype=np.int64), [len(p[0]) for p in parts])
-    verts = []
-    for cid in cx:
-        b = st.nc.cluster(cid).boundary
-        verts.append(b[~st.active[b]])
-    vset = np.unique(np.concatenate(verts)) if verts else np.empty(0, np.int64)
-    return UnionGraph(vertices=vset, edge_u=eu, edge_v=ev, edge_w=ew, edge_cluster=ec)
+def cluster_ddg(dyn: _ClusterDyn) -> DenseDistanceGraph:
+    """The record's DDG, built on first use."""
+    if dyn.ddg is None:
+        dyn.ddg = build_ddg(dyn)
+    return dyn.ddg
+
+
+def _cx_mask(st: ActiveState) -> np.ndarray:
+    """Membership in the current antichain C_X, indexed by cluster id."""
+    mask = np.zeros(len(st.nc.clusters), dtype=bool)
+    mask[np.fromiter(st.cx, np.int64, len(st.cx))] = True
+    return mask
+
+
+def assemble_SX(st: ActiveState, pairs: np.ndarray, bnd: np.ndarray, k: int,
+                seed: int) -> UnionGraph:
+    """Union of the cluster spanners over the current antichain, from the
+    layer's table: `pairs` columns (u, v, w, cluster) and `bnd` columns
+    (cluster, boundary vertex).
+
+    One mask keeps the pairs of C_X clusters between passive vertices.  A
+    cluster whose kept pairs exceed the spanner size target on its passive
+    boundary vertices is replaced by `build_cluster_spanner` with seed
+    seed + cid; the rest keep all their pairs.
+    """
+    u, v, w, cid = pairs
+    bc, bv = bnd
+    in_cx = _cx_mask(st)
+    passive = ~st.active
+    keep = in_cx[cid] & passive[u] & passive[v]
+    bkeep = in_cx[bc] & passive[bv]
+    npairs = np.bincount(cid[keep], minlength=len(in_cx))
+    nb = np.bincount(bc[bkeep], minlength=len(in_cx))
+    # numpy's power may differ from Python's in the last bit, so it only
+    # preselects and _over_target decides
+    near = np.flatnonzero(npairs > 0.5 * SIZE_COEFF * k * nb ** (1.0 + 1.0 / k))
+    big = [c for c in near.tolist() if _over_target(int(npairs[c]), int(nb[c]), k)]
+    if big:
+        keep &= ~np.isin(cid, big)
+    parts = [(u[keep], v[keep], w[keep], cid[keep])]
+    for c in big:
+        su, sv, sw = build_cluster_spanner(cluster_ddg(st.dyn[c]), st.active, k, seed=seed + c)
+        parts.append((su, sv, sw, np.full(len(su), c, dtype=np.int64)))
+    eu, ev, ew, ec = (np.concatenate(col) for col in zip(*parts))
+    return UnionGraph(vertices=np.unique(bv[bkeep]), edge_u=eu, edge_v=ev, edge_w=ew,
+                      edge_cluster=ec)
 
 
 @dataclass
@@ -235,20 +276,19 @@ def compute_Ai_boundary_sets(dyn: _ClusterDyn, st: ActiveState,
     """Per-slot passive boundary vertices whose X-cluster touches the slot's
     active boundary vertices of this cluster (the marked-DFS of the search
     layer, realized through the cached X-cluster partition)."""
-    out: dict[int, set[int]] = {}
+    act = st.active[dyn.verts].tolist()
+    if True not in act:
+        return {}
     xcl = dyn.xcl_of
     marked: set[tuple[int, int]] = set()
-    for bl in range(len(dyn.verts)):
-        v = int(dyn.verts[bl])
-        if not st.active[v]:
-            continue
-        slot = int(slot_of_vertex[v])
-        if slot < 0:
+    for bl, slot in enumerate(slot_of_vertex[dyn.verts].tolist()):
+        if slot < 0 or not act[bl]:
             continue
         for w in dyn.adj[bl]:
-            k = int(xcl[w])
+            k = xcl[w]
             if k >= 0:
                 marked.add((slot, k))
+    out: dict[int, set[int]] = {}
     for slot, k in marked:
         pb = dyn.xclusters[k].passive_boundary
         if len(pb):
@@ -267,8 +307,8 @@ class FindResult:
 
 
 class DdgLayer:
-    """Fills in the DDG state of each C_X record of an ActiveState, and
-    searches the S_X they make up."""
+    """Keeps the S_X table and the label sets of the C_X records of an
+    ActiveState, and searches the S_X they make up."""
 
     def __init__(self, st: ActiveState, eps: float, seed: int = 0):
         self.st = st
@@ -276,6 +316,12 @@ class DdgLayer:
         self.k = max(1, math.ceil(1.0 / eps))
         self.seed = seed
         self.slot_of_vertex = np.full(self.g.n, -1, dtype=np.int64)
+        # the S_X table, one column per row in global ids: finite DDG pairs
+        # (u < v, w, cluster) and boundary rows (cluster, vertex)
+        self.pairs = np.empty((4, 0), np.int64)
+        self.bnd = np.empty((2, 0), np.int64)
+        self.tabled: set[int] = set()   # clusters with rows in the table
+        self.kept_rows = 0              # table rows left by the last compaction
 
     def set_branch_vertices(self, slot: int, vertices: np.ndarray) -> None:
         self.slot_of_vertex[vertices] = slot
@@ -284,20 +330,51 @@ class DdgLayer:
         self.slot_of_vertex[vertices] = -1
 
     def refresh_all(self) -> None:
-        """Rebuild the S_X edges and label sets of every stale C_X record."""
+        """Rebuild the label sets of every stale C_X record, and table the
+        clusters new to C_X."""
         st = self.st
+        new: list[int] = []
         for cid in sorted(st.cx):
             dyn = st.dyn[cid]
-            if dyn.sx_edges is None:
-                if dyn.ddg is None:
-                    dyn.ddg = build_ddg(dyn)
-                dyn.sx_edges = build_cluster_spanner(dyn.ddg, st.active, self.k,
-                                                     seed=self.seed + cid)
+            if dyn.ai_sets is None:
                 dyn.ai_sets = compute_Ai_boundary_sets(dyn, st, self.slot_of_vertex)
+                if cid not in self.tabled:
+                    new.append(cid)
+        if new:
+            self._append_rows(new)
+
+    def _append_rows(self, new: list[int]) -> None:
+        """Append the pair and boundary rows of the clusters `new`; drop the
+        rows of clusters that left C_X whenever the table has doubled."""
+        st, g = self.st, self.g
+        clusters = [st.nc.cluster(cid) for cid in new]
+        # no interior vertex: the finite DDG pairs are the cluster's edges
+        flat = [c for c in clusters if len(c.boundary) == len(c.vertices)]
+        eids = np.concatenate([c.edges for c in flat] or [np.empty(0, np.int64)])
+        fcid = np.repeat(np.asarray([c.id for c in flat], np.int64), [len(c.edges) for c in flat])
+        blocks = [self.pairs,
+                  np.stack([g.edge_u[eids], g.edge_v[eids], np.ones_like(eids), fcid])]
+        for c in clusters:
+            if len(c.boundary) < len(c.vertices):
+                d = cluster_ddg(st.dyn[c.id])
+                blocks.append(np.stack([d.boundary[d.pair_i], d.boundary[d.pair_j], d.pair_w,
+                                        np.full(len(d.pair_w), c.id, dtype=np.int64)]))
+        bcid = np.repeat(np.asarray(new, np.int64), [len(c.boundary) for c in clusters])
+        pairs = np.concatenate(blocks, axis=1)
+        bnd = np.concatenate([self.bnd,
+                              np.stack([bcid, np.concatenate([c.boundary for c in clusters])])],
+                             axis=1)
+        self.tabled.update(new)
+        if pairs.shape[1] + bnd.shape[1] > 2 * self.kept_rows:
+            live = _cx_mask(st)
+            pairs, bnd = pairs[:, live[pairs[3]]], bnd[:, live[bnd[0]]]
+            self.tabled &= st.cx
+            self.kept_rows = pairs.shape[1] + bnd.shape[1]
+        self.pairs, self.bnd = pairs, bnd
 
     def assemble(self) -> UnionGraph:
         self.refresh_all()
-        return assemble_SX(self.st)
+        return assemble_SX(self.st, self.pairs, self.bnd, self.k, self.seed)
 
     def find_tree_or_far_pair(self, s: int, slots: list[int], ell: int,
                               h: int) -> FindResult:
@@ -347,7 +424,7 @@ class DdgLayer:
             while cur not in chain_done:
                 walked.append(cur)
                 p, cid = tree.pred_of(cur)
-                verts.update(ddg_path(self.st.dyn[cid].ddg, p, cur))
+                verts.update(ddg_path(cluster_ddg(self.st.dyn[cid]), p, cur))
                 cur = p
             chain_done.update(walked)
         # extend into the X-cluster of the lowest-id cluster holding each rep

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.sparse import csgraph, csr_matrix
 
 from sepkit import ddg as ddg_mod
@@ -17,6 +19,7 @@ from sepkit.clustering import (
 )
 from sepkit.ddg import (
     DdgLayer,
+    UnionGraph,
     build_cluster_spanner,
     build_ddg,
     compute_Ai_boundary_sets,
@@ -311,38 +314,137 @@ class TestSparsifyBranch:
         assert (d_sp <= (2 * k - 1) * d).all()
 
 
+def _random_flips(g, st, rnd, steps):
+    """Seeded flips: two batches of one to six activations, then one batch
+    of passivations, repeated; yields after each batch."""
+    for step in range(steps):
+        if step % 3 == 2:
+            pool = [v for v in range(g.n) if st.active[v] and not st.down_used[v]]
+            to = "passive"
+        else:
+            pool = [v for v in range(g.n) if not st.up_used[v]]
+            to = "active"
+        st.set_many(rnd.sample(pool, min(len(pool), rnd.randint(1, 6))), to)
+        yield step
+
+
+def _grid_layer(k, seed):
+    g = grid_graph(k)
+    nc = nested_r_clustering(g, 2 * k, 4, 0.5, c_r=0.05)
+    assert isinstance(nc, NestedClustering)
+    st = ActiveState(nc)
+    return g, st, DdgLayer(st, 0.5, seed=seed)
+
+
+def reference_sx(st, k, seed):
+    """S_X built cluster by cluster: over C_X in id order, the
+    `build_cluster_spanner` output of each cluster's freshly built DDG,
+    tagged with the cluster, and the passive boundary vertices."""
+    cols, verts = [], []
+    for cid in sorted(st.cx):
+        d = build_ddg(st.dyn[cid])
+        u, v, w = build_cluster_spanner(d, st.active, k, seed=seed + cid)
+        cols.append((u, v, w, np.full(len(u), cid, dtype=np.int64)))
+        verts.append(d.boundary[~st.active[d.boundary]])
+    eu, ev, ew, ec = (np.concatenate(col) for col in zip(*cols))
+    return UnionGraph(vertices=np.unique(np.concatenate(verts)), edge_u=eu, edge_v=ev,
+                      edge_w=ew, edge_cluster=ec)
+
+
+def sx_rows(sx):
+    return sorted(zip(sx.edge_cluster.tolist(), sx.edge_u.tolist(), sx.edge_v.tolist(),
+                      sx.edge_w.tolist()))
+
+
+def assert_same_sx(got, want, source):
+    assert sx_rows(got) == sx_rows(want)
+    assert np.array_equal(got.vertices, want.vertices)
+    a, b = sssp_SX(got, source), sssp_SX(want, source)
+    for field in ("vertices", "dist_arr", "pred_arr", "tag_keys", "tag_vals"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 class TestLayerStore:
     @pytest.mark.parametrize("k,seed", [(8, 1), (10, 2), (12, 3)])
     def test_sx_is_union_of_passive_pairs(self, k, seed):
-        g = grid_graph(k)
-        nc = nested_r_clustering(g, 2 * k, 4, 0.5, c_r=0.05)
-        assert isinstance(nc, NestedClustering)
-        st = ActiveState(nc)
-        layer = DdgLayer(st, 0.5, seed=seed)
-        rnd = random.Random(seed)
-        for step in range(6):
-            if step % 3 == 2:
-                pool = [v for v in range(g.n) if st.active[v] and not st.down_used[v]]
-                to = "passive"
-            else:
-                pool = [v for v in range(g.n) if not st.up_used[v]]
-                to = "active"
-            st.set_many(rnd.sample(pool, min(len(pool), rnd.randint(1, 6))), to)
+        g, st, layer = _grid_layer(k, seed)
+        for _ in _random_flips(g, st, random.Random(seed), 6):
             sx = layer.assemble()
             # one record per C_X cluster, each refreshed by the assemble
             assert set(st.dyn) == st.cx
-            assert all(st.dyn[cid].sx_edges is not None for cid in st.cx)
+            assert all(st.dyn[cid].ai_sets is not None for cid in st.cx)
             expected = []
             for cid in sorted(st.cx):
-                ddg = st.dyn[cid].ddg
+                ddg = build_ddg(st.dyn[cid])
                 b = ddg.boundary
                 for i in range(len(b)):
                     for j in range(i + 1, len(b)):
                         if ddg.dist[i, j] >= 0 and not st.active[b[i]] and not st.active[b[j]]:
                             expected.append((cid, int(b[i]), int(b[j]), int(ddg.dist[i, j])))
-            got = list(zip(sx.edge_cluster.tolist(), sx.edge_u.tolist(), sx.edge_v.tolist(),
-                           sx.edge_w.tolist()))
-            assert sorted(got) == sorted(expected)
+            assert sx_rows(sx) == sorted(expected)
+
+
+class TestCompaction:
+    def test_rows_of_departed_clusters_are_dropped(self):
+        # grid 6 at seed 0 doubles its table once clusters have left C_X
+        g, st, layer = _grid_layer(6, 0)
+        rnd = random.Random(0)
+        dropped = 0
+        for _ in _random_flips(g, st, rnd, 7):
+            rows = layer.pairs.shape[1]
+            sx = layer.assemble()
+            assert_same_sx(sx, reference_sx(st, layer.k, layer.seed),
+                           int(rnd.choice(sx.vertices.tolist())))
+            pairs, bnd = layer.pairs, layer.bnd
+            if layer.kept_rows == pairs.shape[1] + bnd.shape[1]:
+                cx = list(st.cx)
+                assert np.isin(pairs[3], cx).all() and np.isin(bnd[0], cx).all()
+                assert layer.tabled == st.cx
+                dropped += pairs.shape[1] < rows
+        assert dropped
+
+
+class TestSpannerBranch:
+    def test_layer_matches_per_cluster_spanners(self, monkeypatch):
+        # a low size coefficient sends most clusters through Baswana-Sen
+        monkeypatch.setattr(ddg_mod, "SIZE_COEFF", 0.3)
+        calls = []
+        real_spanner = ddg_mod.build_cluster_spanner
+
+        def spanner_counted(ddg, *args, **kw):
+            out = real_spanner(ddg, *args, **kw)
+            calls.append((ddg.cid, len(out[0]), len(ddg.pair_w)))
+            return out
+
+        monkeypatch.setattr(ddg_mod, "build_cluster_spanner", spanner_counted)
+        g, st, layer = _grid_layer(12, 4)
+        rnd = random.Random(4)
+        for _ in _random_flips(g, st, rnd, 4):
+            calls.clear()
+            sx = layer.assemble()
+            # some clusters are thinned, the others keep all their pairs
+            assert any(kept < pairs for _, kept, pairs in calls)
+            assert len(calls) < len(st.cx)
+            assert_same_sx(sx, reference_sx(st, layer.k, layer.seed),
+                           int(rnd.choice(sx.vertices.tolist())))
+
+
+class TestTableProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(hst.data())
+    def test_table_sx_equals_per_cluster_reference(self, data):
+        k = data.draw(hst.integers(5, 12), label="grid")
+        coeff = data.draw(hst.sampled_from([ddg_mod.SIZE_COEFF, 0.3]), label="size_coeff")
+        rnd = data.draw(hst.randoms(use_true_random=False))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ddg_mod, "SIZE_COEFF", coeff)
+            g, st, layer = _grid_layer(k, rnd.randrange(4))
+            for _ in _random_flips(g, st, rnd, rnd.randint(1, 7)):
+                sx = layer.assemble()
+                if not len(sx.vertices):
+                    continue
+                assert_same_sx(sx, reference_sx(st, layer.k, layer.seed),
+                               int(rnd.choice(sx.vertices.tolist())))
 
 
 def _flip_and_find(g, st, layer, rnd):
@@ -396,20 +498,24 @@ class TestFindIsPinned:
 
 
 class TestRefreshPolicy:
-    def test_spanner_per_recompute_and_ddg_per_cluster(self, monkeypatch):
+    def test_ddg_once_and_spanner_over_target(self):
+        # no cluster is over the size target at the default coefficient;
+        # at 0.3 some are, and their spanners may need a flat cluster's DDG
+        for coeff, thin in ((ddg_mod.SIZE_COEFF, False), (0.3, True)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ddg_mod, "SIZE_COEFF", coeff)
+                self._check_policy(mp, thin)
+
+    def _check_policy(self, monkeypatch, thin):
         g = grid_graph(10)
         nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
         st = ActiveState(nc)
-        recomputed: set[int] = set(st.cx)
         ddg_cids: list[int] = []
         spanner_cids: list[int] = []
-        real_recompute = _ClusterDyn.recompute
+        expanded: set[int] = set()
         real_build_ddg = ddg_mod.build_ddg
         real_spanner = ddg_mod.build_cluster_spanner
-
-        def recompute(self, *args):
-            recomputed.add(self.cid)
-            return real_recompute(self, *args)
+        real_path = ddg_mod.ddg_path
 
         def build_ddg_counted(dyn):
             ddg_cids.append(dyn.cid)
@@ -419,24 +525,40 @@ class TestRefreshPolicy:
             spanner_cids.append(ddg.cid)
             return real_spanner(ddg, *args, **kw)
 
-        monkeypatch.setattr(_ClusterDyn, "recompute", recompute)
+        def path_counted(ddg, u, v):
+            expanded.add(ddg.cid)
+            return real_path(ddg, u, v)
+
         monkeypatch.setattr(ddg_mod, "build_ddg", build_ddg_counted)
         monkeypatch.setattr(ddg_mod, "build_cluster_spanner", spanner_counted)
+        monkeypatch.setattr(ddg_mod, "ddg_path", path_counted)
         layer = DdgLayer(st, 0.5, seed=1)
-        seen: set[int] = set()
         rnd = random.Random(1)
-        for step in range(8):
+        seen: set[int] = set()
+        thinned: set[int] = set()
+        kinds = set()
+        for slots, res in _flip_and_find(g, st, layer, rnd):
+            kinds.add(res.kind)
             spanner_cids.clear()
             layer.assemble()
-            assert sorted(spanner_cids) == sorted(recomputed & st.cx)
+            over = set()
+            for cid in st.cx:
+                d = real_build_ddg(st.dyn[cid])
+                passive = ~st.active[d.boundary]
+                pairs = int((passive[d.pair_i] & passive[d.pair_j]).sum())
+                if pairs > ddg_mod.SIZE_COEFF * layer.k * int(passive.sum()) ** (1 + 1 / layer.k):
+                    over.add(cid)
+            assert sorted(spanner_cids) == sorted(over)
+            thinned |= over
             seen |= st.cx
-            assert sorted(ddg_cids) == sorted(seen)
-            recomputed.clear()
-            if step % 3 == 2:
-                pool = [v for v in range(g.n) if st.active[v] and not st.down_used[v]]
-                to = "passive"
-            else:
-                pool = [v for v in range(g.n) if not st.up_used[v]]
-                to = "active"
-            st.set_many(rnd.sample(pool, min(len(pool), rnd.randint(1, 6))), to)
-        assert len(seen) > len(nc.level1)
+        # each DDG is built at most once, and for every cluster with
+        # interior vertices that reached C_X
+        assert len(ddg_cids) == len(set(ddg_cids))
+        flat = {cid for cid in seen if len(nc.cluster(cid).boundary) == nc.cluster(cid).n}
+        assert set(ddg_cids) >= seen - flat
+        # a cluster without interior vertices gets a DDG only for a tree
+        # path through it or for its spanner
+        assert set(ddg_cids) & flat <= expanded | thinned
+        assert "tree" in kinds and expanded & flat
+        assert len(seen) > len(nc.level1) and flat
+        assert bool(thinned) == thin
