@@ -14,26 +14,25 @@ deterministic, a function of the cluster alone, so the hierarchy is identical
 no matter in which order children are demanded.  materialize_all() forces the
 whole tree (tests, CLI dumps).
 
-Every split applies one boundary rule (_piece_boundaries): a piece's
-boundary is its vertices shared with another piece or inherited from the
-split cluster's boundary.  A cluster's edge ids stay ascending through every
-split, so its local edges arrive sorted by (u, v).  Pieces are built on one
-of two paths, and the size rule SMALL_SPLIT_CUTOFF is the only switch:
-- A cluster of at most SMALL_SPLIT_CUTOFF vertices takes _direct_split,
-  which builds its pieces from the sorted neighbor lists of
-  _adjacency_lists and the BFS layers it already holds: graph.local_bfs
-  labels C - cut, edges are grouped by anchor in first-edge order, and each
-  piece costs one index of its vertices and one of its edges.  These are
-  most splits of a bootstrapped run (1,035 of 1,226 in a bootstrap
+Every split applies one boundary rule (_piece_boundaries) and one piece
+rule (_pieces_around_cut).  A cluster's edge ids stay ascending through
+every split, so its local edges arrive sorted by (u, v) and _adjacency_lists
+gives sorted neighbor lists.  _pieces_around_cut takes those lists and a
+local cut: an edge goes to the component of C - cut that holds its first end
+outside the cut, cut-internal edges are grouped by the components of G[cut],
+and pieces come in first-edge order, the cut-internal ones last.  The empty
+cut gives the connected edge groups that the weak clustering starts from.
+SMALL_SPLIT_CUTOFF picks where the cut comes from, which changes the pieces:
+- a cluster of at most SMALL_SPLIT_CUTOFF vertices takes _direct_split, a
+  balanced BFS layer cut; on diameter <= 1 its star rule builds the pieces.
+  These are most splits of a bootstrapped run (1,035 of 1,226 in a bootstrap
   perfbench pass at seed 1, median 8 vertices), where one csgraph call
-  (about 120 us with its CSR) costs more than the search.
-- A larger cluster is split by a separator run, and _split_pieces_from_cut
-  labels its pieces by csgraph components on a cluster-local CSR from
-  graph._build_csr.  These pieces run from the whole graph down, where lists
-  lose: on the 65,536 vertices of grid 256, building the lists and labelling
-  on them took 35 ms, csgraph's labelling 8 ms and the whole array build 23
-  ms, against 33 ms for the separator run itself (best of 5, one Xeon core,
-  Python 3.11, scipy 1.17).
+  (about 120 us with its CSR) costs more than the search;
+- a larger cluster is cut by a separator run.
+The lists cost more than csgraph labelling on the largest pieces, which run
+from the whole graph down: on grid 256 (r = 164, h = 5, c_r = 0.05) the
+nested build takes 2.4 s, against 1.9 s when csgraph labelled the pieces
+above the cutoff (best of 3, one Xeon core, Python 3.11, scipy 1.17).
 _ClusterDyn.recompute's X-clusters and the DDG build also run on
 graph.local_bfs over a record's neighbor lists.
 
@@ -59,7 +58,7 @@ from scipy.sparse import csr_matrix
 
 from . import debugcheck
 from .certificates import SepOrMinor, Separator, density_result, lift_minor
-from .graph import Graph, _build_csr, local_bfs, symmetric_components
+from .graph import Graph, local_bfs, symmetric_components
 from .shallow import ln_ceil, separator_coeff, shallow_separator, shallow_separator_balanced
 
 DEFAULT_C_R = 4.0          # lower end of the admissible r range: C_r * h^2 * ln n
@@ -70,6 +69,15 @@ CHILD_BOUNDARY_FRACTION = (3, 4)   # re-split a child under w2 above this share 
 
 class ClusteringError(ValueError):
     pass
+
+
+def check_eps_c_r(eps: float, c_r: float) -> None:
+    """Reject an eps outside the solvers' range (0, 1], and a C_r that is not
+    a finite number >= 0 (NaN would admit every r)."""
+    if not (0 < eps <= 1):
+        raise ValueError("eps must be in (0, 1]")
+    if not (math.isfinite(c_r) and c_r >= 0):
+        raise ValueError(f"c_r must be finite and >= 0, got {c_r}")
 
 
 @dataclass
@@ -111,11 +119,9 @@ def _local_ends(g: Graph, verts: np.ndarray, eids: np.ndarray) -> tuple[np.ndarr
     return np.searchsorted(verts, g.edge_u[eids]), np.searchsorted(verts, g.edge_v[eids])
 
 
-def _subgraph_from_edges(g: Graph, verts: np.ndarray, eids: np.ndarray,
-                         weights: np.ndarray) -> Graph:
-    """Graph on `verts` (local ids) with exactly the edges `eids`."""
-    lu, lv = _local_ends(g, verts, eids)
-    return Graph(len(verts), np.stack([lu, lv], axis=1) if len(eids) else [],
+def _subgraph_from_edges(nn: int, lu: np.ndarray, lv: np.ndarray, weights: np.ndarray) -> Graph:
+    """Graph on nn local vertices with exactly the edges (lu, lv)."""
+    return Graph(nn, np.stack([lu, lv], axis=1) if len(lu) else [],
                  vertex_weight=weights.tolist())
 
 
@@ -148,60 +154,23 @@ def _piece_boundaries(n: int, pieces: list[tuple[np.ndarray, np.ndarray]],
     return [pv[mult[pv] > 1] for pv, _ in pieces]
 
 
-def _edge_components(nn: int, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
-    """Component label of each of nn local vertices joined by the edges
-    (lu, lv), numbered in order of each component's smallest id.
-
-    The edges must come sorted by (lu, lv) with lu < lv, as a cluster's
-    ascending edge ids give them.
-    """
-    indptr, indices = _build_csr(nn, lu, lv)
-    # int32 index arrays, csgraph's canonical form: the matrix is not converted
-    return symmetric_components(csr_matrix(
-        (np.ones(len(indices)), indices.astype(np.int32), indptr.astype(np.int32)),
-        shape=(nn, nn)))[1]
-
-
-def _split_pieces_from_cut(g: Graph, verts: np.ndarray, eids: np.ndarray,
-                           cut_local: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Partition the cluster's edges around a local vertex cut.
-
-    Every edge with an endpoint in some component of C - cut goes to that
-    component's piece; cut-internal edges form their own connected pieces.
-    Piece vertex sets are the endpoints of their edges, and pieces come in
-    the order of their first edge.
-    """
-    incut = np.zeros(len(verts), dtype=bool)
-    incut[cut_local] = True
-    lu, lv = _local_ends(g, verts, eids)
-    # components of C - cut, where each cut vertex is a component of its own
-    both_out = ~incut[lu] & ~incut[lv]
-    root = _edge_components(len(verts), lu[both_out], lv[both_out])
-    # an edge's anchor is the component of its first endpoint outside the cut
-    anchor = np.where(~incut[lu], root[lu], np.where(~incut[lv], root[lv], -1))
-    roots, first = np.unique(anchor, return_index=True)
-    pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for key in roots[np.argsort(first)]:
-        if key >= 0:
-            pe = eids[anchor == key]
-            pieces.append((_verts_of_edges(g, pe), pe))
-    # cut-internal edges: connected groups become their own pieces
-    leftover = eids[anchor == -1]
-    if len(leftover):
-        pieces.extend(_connected_edge_groups(g, leftover))
-    return pieces
-
-
 def _list_labels(adj: list[list[int]], blocked: list[bool]) -> list[int]:
     """Component label of each local vertex of adj minus `blocked`, numbered
     in order of each component's smallest id; -1 on blocked vertices."""
     label = [-1] * len(adj)
     k = 0
     for s, b in enumerate(blocked):
-        if not b and label[s] < 0:
-            for u in local_bfs(adj, s, blocked)[0]:
-                label[u] = k
-            k += 1
+        if b or label[s] >= 0:
+            continue
+        # the label marks visits, so a search costs its component, not len(adj)
+        label[s] = k
+        todo = [s]
+        for u in todo:
+            for w in adj[u]:
+                if label[w] < 0 and not blocked[w]:
+                    label[w] = k
+                    todo.append(w)
+        k += 1
     return label
 
 
@@ -221,14 +190,41 @@ def _pieces_of_groups(verts: np.ndarray, eids: np.ndarray, lu: list[int], lv: li
             for pos in groups]
 
 
+def _pieces_around_cut(verts: np.ndarray, eids: np.ndarray, lu: list[int], lv: list[int],
+                       adj: list[list[int]],
+                       incut: list[bool]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Partition a cluster's edges around a local vertex cut: the one piece rule.
+
+    `adj` holds the sorted neighbor lists of the local edges (lu, lv).  An
+    edge goes to the piece of the component of C - cut that holds its first
+    end outside the cut; these pieces come in the order of their first edge.
+    Cut-internal edges follow, grouped by the components of G[cut].  With an
+    empty cut the pieces are the connected edge groups, in order of smallest
+    vertex.
+    """
+    root = _list_labels(adj, incut)
+    anchored: dict[int, list[int]] = {}
+    inner: list[int] = []
+    for k, (a, b) in enumerate(zip(lu, lv)):
+        key = root[a] if root[a] >= 0 else root[b]
+        if key >= 0:
+            anchored.setdefault(key, []).append(k)
+        else:
+            inner.append(k)
+    groups = list(anchored.values())
+    if inner:
+        groups += _grouped(_list_labels(adj, [not c for c in incut]), lu, inner)
+    return _pieces_of_groups(verts, eids, lu, lv, groups)
+
+
 def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
                   weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic splitter for small clusters; every piece loses a vertex.
 
-    Prefers a BFS layer cut balanced under `weights`; on diameter <= 1
-    (clique-like) falls back to excluding the lowest vertex and splitting its
-    star if it touches everything.  Pieces are those of _split_pieces_from_cut,
-    built from the cluster's neighbor lists.
+    Prefers a BFS layer cut balanced under `weights`, split by
+    _pieces_around_cut; on diameter <= 1 (clique-like) falls back to
+    excluding the lowest vertex and splitting its star if it touches
+    everything.
     """
     nn = len(verts)
     lu, lv = (ends.tolist() for ends in _local_ends(g, verts, eids))
@@ -255,22 +251,7 @@ def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
             key = (max(wa, wb), cnt[t], t)
             if best is None or key < best[0]:
                 best = (key, t)
-        incut = [d == best[1] for d in dist]
-        # an edge's anchor is the component of C - cut of its first end outside the cut
-        root = _list_labels(adj, incut)
-        anchored: dict[int, list[int]] = {}
-        inner: list[int] = []
-        for k, (a, b) in enumerate(zip(lu, lv)):
-            key = root[a] if root[a] >= 0 else root[b]
-            if key >= 0:
-                anchored.setdefault(key, []).append(k)
-            else:
-                inner.append(k)
-        # in order of first edge; cut-internal edges split into the cut's components
-        groups = list(anchored.values())
-        if inner:
-            groups += _grouped(_list_labels(adj, [not c for c in incut]), lu, inner)
-        return _pieces_of_groups(verts, eids, lu, lv, groups)
+        return _pieces_around_cut(verts, eids, lu, lv, adj, [d == best[1] for d in dist])
     # diameter <= 1: exclude the lowest-id vertex; split its star if needed.
     # Sorted by (lu, lv), the star's edges come first.
     deg = len(adj[0])
@@ -283,14 +264,13 @@ def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
     return _pieces_of_groups(verts, eids, lu, lv, groups)
 
 
-def _connected_edge_groups(g: Graph, eids: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a nonempty edge set into connected groups, ordered by smallest vertex."""
+def _connected_edge_groups(g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected groups of g's edges, ordered by smallest vertex."""
+    eids = np.arange(g.m, dtype=np.int64)
     verts = _verts_of_edges(g, eids)
-    lu, lv = _local_ends(g, verts, eids)
-    root = _edge_components(len(verts), lu, lv)[lu]
-    order = np.argsort(root, kind="stable")
-    groups = np.split(eids[order], np.flatnonzero(np.diff(root[order])) + 1)
-    return [(_verts_of_edges(g, pe), pe) for pe in groups]
+    lu, lv = (ends.tolist() for ends in _local_ends(g, verts, eids))
+    return _pieces_around_cut(verts, eids, lu, lv, _adjacency_lists(len(verts), lu, lv),
+                              [False] * len(verts))
 
 
 class MinorFound(Exception):
@@ -308,19 +288,25 @@ def _separator_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
     Falls back to the direct splitter when the separator makes no progress.
     Raises MinorFound if the run returns the minor side.
     """
+    nn = len(verts)
     if len(eids) <= 1:
         return [(verts, eids)]
-    if len(verts) <= SMALL_SPLIT_CUTOFF:
+    if nn <= SMALL_SPLIT_CUTOFF:
         return _direct_split(g, verts, eids, weights)
-    sub = _subgraph_from_edges(g, verts, eids, weights)
+    lu, lv = _local_ends(g, verts, eids)
+    sub = _subgraph_from_edges(nn, lu, lv, weights)
     if ell is None:
         out = shallow_separator_balanced(sub, h, eps, complete_witness=False)
     else:
         out = shallow_separator(sub, h, ell, eps, complete_witness=False)
     if not isinstance(out, Separator):
         raise MinorFound(lift_minor(out, verts))
-    pieces = _split_pieces_from_cut(g, verts, eids, out.C)
-    if any(len(pv) >= len(verts) for pv, _ in pieces) or len(pieces) <= 1:
+    incut = np.zeros(nn, dtype=bool)
+    incut[out.C] = True
+    lu, lv = lu.tolist(), lv.tolist()
+    pieces = _pieces_around_cut(verts, eids, lu, lv, _adjacency_lists(nn, lu, lv),
+                                incut.tolist())
+    if any(len(pv) >= nn for pv, _ in pieces) or len(pieces) <= 1:
         return _direct_split(g, verts, eids, weights)
     return pieces
 
@@ -349,6 +335,7 @@ def weak_r_clustering(g: Graph, r: int, h: int, eps: float,
     Splits recursively with the shallow separator at a large per-level ell;
     a minor-side outcome of any split is forwarded.
     """
+    check_eps_c_r(eps, c_r)
     n = g.n
     if r <= c_r * h * h * ln_ceil(n):
         raise ClusteringError(f"r={r} not above C_r h^2 ln n = {c_r * h * h * ln_ceil(n):.1f}")
@@ -356,10 +343,7 @@ def weak_r_clustering(g: Graph, r: int, h: int, eps: float,
     if dense is not None:
         return dense
     eps3 = eps / 3.0
-    all_eids = np.arange(g.m, dtype=np.int64)
-    stack: list[tuple[np.ndarray, np.ndarray]] = []
-    for vs, es in _connected_edge_groups(g, all_eids) if g.m else []:
-        stack.append((vs, es))
+    stack = _connected_edge_groups(g)
     done: list[tuple[np.ndarray, np.ndarray]] = []
     while stack:
         verts, eids = stack.pop()
@@ -518,11 +502,11 @@ def split_cluster_two_weights(g: Graph, c: Cluster, h: int,
 def nested_r_clustering(g: Graph, r: int, h: int, eps: float,
                         c_r: float = DEFAULT_C_R) -> Union[NestedClustering, SepOrMinor]:
     """Refined r-clustering plus recursive two-weight splitting to edge leaves."""
+    check_eps_c_r(eps, c_r)
     if g.m == 0:
         return NestedClustering(g, [], r, h, eps)
     if r >= g.n:
-        groups = _connected_edge_groups(g, np.arange(g.m, dtype=np.int64))
-        return NestedClustering(g, _flat_clusters(g, groups), r, h, eps)
+        return NestedClustering(g, _flat_clusters(g, _connected_edge_groups(g)), r, h, eps)
     weak = weak_r_clustering(g, r, h, eps, c_r=c_r)
     if not isinstance(weak, Clustering):
         return weak

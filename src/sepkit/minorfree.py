@@ -31,6 +31,7 @@ from .clustering import (
     ActiveState,
     MinorFound,
     NestedClustering,
+    check_eps_c_r,
     decompose_active_complement,
     nested_r_clustering,
 )
@@ -190,8 +191,7 @@ def minor_free_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         raise ValueError("h must be >= 2")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if not (0 < eps <= 1):
-        raise ValueError("eps must be in (0, 1]")
+    check_eps_c_r(eps, c_r)
     params = {"h": h, "ell": ell, "eps": eps, "seed": seed, "algorithm": "minorfree"}
     try:
         return _minor_free_search(g, h, ell, eps, seed, stats, c_r, params)

@@ -111,6 +111,29 @@ class TestRunCommands:
         doc = json.loads(out.read_text())
         assert doc["clusters"] and doc["level1"]
 
+    @pytest.mark.parametrize("side", [6, 30])
+    @pytest.mark.parametrize("flags,message", [
+        (["--eps", "0", "--debug-assert"], "eps must be in (0, 1]"),
+        (["--eps", "-0.5", "--debug-assert"], "eps must be in (0, 1]"),
+        (["--eps", "0"], "eps must be in (0, 1]"),
+        (["--eps", "7"], "eps must be in (0, 1]"),
+        (["--cr", "nan"], "c_r must be finite"),
+        (["--cr", "-3"], "c_r must be finite"),
+    ])
+    def test_cluster_rejects_eps_and_c_r(self, tmp_path, capsys, side, flags, message):
+        # before the check, eps 0 died in the decay check's 4 / eps and a
+        # negative eps failed that check; on grid 6 eps 0 and 7 exited 0
+        p = tmp_path / "grid.txt"
+        main(["gen", f"grid {side}", "--out", str(p)])
+        capsys.readouterr()
+        code = main(["cluster", str(p), "--h", "5", "--r", "10", "--cr", "0.05"] + flags)
+        assert code == cli.EXIT_USAGE == 2
+        assert message in capsys.readouterr().err
+
+    def test_minorfree_rejects_nan_c_r(self, grid_file, capsys):
+        assert main(["minorfree", str(grid_file), "--h", "5", "--cr", "nan"]) == 2
+        assert "c_r must be finite" in capsys.readouterr().err
+
     def test_cluster_dump_ignores_seed(self, grid_file, tmp_path):
         # the nested clustering is deterministic: --seed is accepted but unread
         dumps = []

@@ -1,3 +1,4 @@
+import math
 import random
 
 import networkx as nx
@@ -9,15 +10,17 @@ from hypothesis import strategies as st
 from sepkit import clustering, debugcheck, graph
 from sepkit.certificates import MinorReport, MinorWitness, verify_output
 from sepkit.clustering import (
+    SMALL_SPLIT_CUTOFF,
     ActiveState,
     Cluster,
     Clustering,
     ClusteringError,
     NestedClustering,
+    _adjacency_lists,
     _ClusterDyn,
-    _connected_edge_groups,
     _direct_split,
-    _split_pieces_from_cut,
+    _local_ends,
+    _pieces_around_cut,
     _verts_of_edges,
     decompose_active_complement,
     nested_r_clustering,
@@ -25,9 +28,10 @@ from sepkit.clustering import (
     split_cluster_two_weights,
     weak_r_clustering,
 )
-from sepkit.generators import grid_graph, kh_blowup_graph, path_graph
+from sepkit.generators import generate_graph, grid_graph, kh_blowup_graph, path_graph
 from sepkit.graph import Graph, connected_components, induced_subgraph
 from sepkit.minorfree import balanced_separator
+from sepkit.shallow import ln_ceil
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +99,20 @@ class TestWeakClustering:
         with pytest.raises(ClusteringError):
             weak_r_clustering(g, 2, 5, 0.5)
 
+    @pytest.mark.parametrize("eps,c_r,message", [
+        (0.0, 0.05, "eps must be in"), (-0.5, 0.05, "eps must be in"),
+        (7.0, 0.05, "eps must be in"), (0.5, float("nan"), "c_r must be finite"),
+        (0.5, -3.0, "c_r must be finite"),
+    ])
+    @pytest.mark.parametrize("build", [weak_r_clustering, nested_r_clustering])
+    def test_eps_and_c_r_checked(self, build, eps, c_r, message):
+        with pytest.raises(ValueError, match=message):
+            build(grid_graph(6), 10, 5, eps, c_r=c_r)
+
+    def test_c_r_zero_is_legal(self):
+        g = grid_graph(6)
+        check_clustering_shape(g, weak_r_clustering(g, 2, 5, 0.5, c_r=0.0).clusters, r=2)
+
     def test_minor_side_forwarded(self):
         g = kh_blowup_graph(6, 40, seed=3)
         out = nested_r_clustering(g, 60, 4, 0.5, c_r=0.05)
@@ -135,6 +153,32 @@ class TestRefine:
             inherited = int(bmask[c.vertices].sum())
             shared = int((mult[c.vertices] > 1).sum())
             assert inherited + shared <= 10 + 4  # old boundary plus split vertices
+
+
+    @pytest.mark.parametrize("spec,moved,total", [
+        ("grid 40", 132, 438), ("grid 56", 224, 779), ("grid 64", 264, 999),
+        ("binary-tree 10", 236, 237), ("path 2000", 0, 137),
+    ])
+    def test_identity_at_balanced_r(self, spec, moved, total):
+        # at the r balanced_separator picks with c_r = 0.05, refinement keeps
+        # every weak cluster; it pops its work stack, so clusters that share
+        # a smallest vertex come out in reverse weak order
+        h, eps = 5, 0.5
+        g = generate_graph(spec, 0)
+        lnn = ln_ceil(g.n)
+        ell = max(1, math.ceil(math.sqrt(g.n) / (h * math.sqrt(lnn))))
+        r = max(2, math.ceil(g.n / (h * h * ell)))
+        weak = weak_r_clustering(g, r, h, eps, c_r=0.05)
+        refined = refine_to_r_clustering(weak, h, eps)
+
+        def key(c):
+            return c.vertices.tolist(), c.edges.tolist(), c.boundary.tolist()
+
+        assert sorted(map(key, refined.clusters)) == sorted(map(key, weak.clusters))
+        reversed_ties = sorted(reversed(weak.clusters), key=lambda c: int(c.vertices[0]))
+        assert list(map(key, refined.clusters)) == list(map(key, reversed_ties))
+        assert len(weak.clusters) == total
+        assert sum(key(a) != key(b) for a, b in zip(weak.clusters, refined.clusters)) == moved
 
 
 class TestSplitTwoWeights:
@@ -377,14 +421,23 @@ def _reference_direct_split(g, verts, eids, weights):
     return pieces + [(_verts_of_edges(g, star_e), star_e)]
 
 
+def _pieces(g, verts, eids, cut_local):
+    """The one piece builder on the cluster's neighbor lists and a local cut."""
+    lu, lv = (ends.tolist() for ends in _local_ends(g, verts, eids))
+    incut = [False] * len(verts)
+    for i in cut_local:
+        incut[i] = True
+    return _pieces_around_cut(verts, eids, lu, lv, _adjacency_lists(len(verts), lu, lv), incut)
+
+
 @st.composite
-def _host_cluster(draw, max_n=48):
+def _host_cluster(draw, max_n=200):
     """A connected cluster of a larger host graph: (host, verts, eids).
 
     In "star" mode the cluster's two lowest vertices touch every other one,
     so the BFS from the far vertex has depth 1 and the star rule applies.
     """
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(2, min(max_n, SMALL_SPLIT_CUTOFF)) | st.integers(2, max_n))
     star = draw(st.booleans())
     extra_hosts = draw(st.integers(0, 6))
     host_ids = sorted(draw(st.permutations(range(n + extra_hosts)))[:n])
@@ -410,25 +463,27 @@ def _as_lists(pieces):
 
 
 class TestLocalComponents:
-    """The cluster-local component labelling and CSR against reference builds."""
+    """The cluster-local component labelling and CSR against reference builds,
+    on clusters on both sides of SMALL_SPLIT_CUTOFF."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_groups_split_and_csr_match_reference(self, data):
-        n = data.draw(st.integers(2, 24))
+        n = data.draw(st.integers(2, 24) | st.integers(25, 200))
         edges = data.draw(st.sets(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
-            min_size=1, max_size=3 * n))
+            min_size=max(1, n // 2), max_size=3 * n))
         g = Graph(n, list(edges))
         keep = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
         eids = np.flatnonzero(keep)
         if len(eids) == 0:
             eids = np.arange(1)
-        assert _as_lists(_connected_edge_groups(g, eids)) == _as_lists(_reference_groups(g, eids))
         verts = _verts_of_edges(g, eids)
+        # the empty cut gives the connected edge groups
+        assert _as_lists(_pieces(g, verts, eids, [])) == _as_lists(_reference_groups(g, eids))
         cut = np.asarray(sorted(data.draw(st.sets(st.integers(0, len(verts) - 1)))),
                          dtype=np.int64)
-        assert (_as_lists(_split_pieces_from_cut(g, verts, eids, cut))
+        assert (_as_lists(_pieces(g, verts, eids, cut))
                 == _as_lists(_reference_split(g, verts, eids, cut)))
         # the X-cluster layer's neighbor lists are the Graph CSR rows of the
         # cluster's local edges
@@ -491,30 +546,37 @@ class TestLocalComponents:
             x = dyn.xcluster_of_vertex(v)
             assert (x is None) if active[v] else (v in got[x][0])
 
-    def test_no_csgraph_labelling_inside_direct_split(self, monkeypatch):
-        calls = {"inside": 0, "outside": 0, "splits": 0}
-        depth = [0]
+    def test_no_csgraph_labelling_inside_splits(self, monkeypatch):
+        # every split labels its pieces on lists; only the separator runs
+        # inside _separator_split may call csgraph
+        calls = {"inside": 0, "outside": 0, "large_splits": 0}
+        depth = {"split": 0, "run": 0}
         labelling = graph.csgraph.connected_components
-        splitter = clustering._direct_split
+        splitter = clustering._separator_split
 
         def spy_labelling(*args, **kwargs):
-            calls["inside" if depth[0] else "outside"] += 1
+            calls["inside" if depth["split"] and not depth["run"] else "outside"] += 1
             return labelling(*args, **kwargs)
 
-        def spy_split(*args, **kwargs):
-            calls["splits"] += 1
-            depth[0] += 1
-            try:
-                return splitter(*args, **kwargs)
-            finally:
-                depth[0] -= 1
+        def spy(fn, key):
+            def wrapped(*args, **kwargs):
+                if fn is splitter and len(args[1]) > SMALL_SPLIT_CUTOFF:
+                    calls["large_splits"] += 1
+                depth[key] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[key] -= 1
+            return wrapped
 
         monkeypatch.setattr(graph.csgraph, "connected_components", spy_labelling)
-        monkeypatch.setattr(clustering, "_direct_split", spy_split)
+        for name, key in [("_separator_split", "split"), ("_direct_split", "split"),
+                          ("shallow_separator", "run"), ("shallow_separator_balanced", "run")]:
+            monkeypatch.setattr(clustering, name, spy(getattr(clustering, name), key))
         g = grid_graph(20)
         out = balanced_separator(g, 5, 0.5, seed=0, c_r=0.05)
         assert out.params["algorithm"] == "minorfree-balanced"
-        assert calls["splits"] > 0 and calls["outside"] > 0
+        assert calls["large_splits"] > 0 and calls["outside"] > 0
         assert calls["inside"] == 0
 
 

@@ -282,6 +282,13 @@ class TestSparsifyBranch:
     layer was folded into one per-cluster store.
     """
 
+    @pytest.mark.parametrize("k,first_nb", [(1, None), (2, 258), (3, 120)])
+    def test_first_complete_pair_set_over_target(self, k, first_nb):
+        # the branch needs a cluster whose nb passive boundary vertices keep
+        # all nb(nb-1)/2 pairs; at k = 1 the target 4 nb^2 is never exceeded
+        fires = [nb for nb in range(2, 5000) if ddg_mod._over_target(nb * (nb - 1) // 2, nb, k)]
+        assert fires == (list(range(first_nb, 5000)) if first_nb else [])
+
     @pytest.mark.parametrize("leaves,k,seed,every,pairs,kept,digest", [
         (300, 2, 0, 0, 44850, 4095,
          "0d4a57b6bb1ce8fc40dfceb9a6584fb00d851ba9037519a0800e971daa962095"),

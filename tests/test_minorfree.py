@@ -110,6 +110,18 @@ class TestLemmaTsStep:
 
 
 class TestMinorFreeSeparator:
+    @pytest.mark.parametrize("c_r", [float("nan"), float("inf"), -3.0])
+    def test_c_r_must_be_finite_and_nonnegative(self, c_r):
+        # NaN would make r <= c_r h^2 ln n false for every r, so every run bootstraps
+        with pytest.raises(ValueError, match="c_r must be finite"):
+            balanced_separator(grid_graph(8), 5, 0.5, seed=0, c_r=c_r)
+
+    def test_c_r_zero_is_legal(self):
+        g = grid_graph(8)
+        out = balanced_separator(g, 5, 0.5, seed=0, c_r=0.0)
+        assert out.params["algorithm"] == "minorfree-balanced"
+        assert verify_output(g, out).ok
+
     def test_fallback_on_small(self):
         g = grid_graph(8)
         out = balanced_separator(g, 5, 0.5, seed=0)
