@@ -38,6 +38,11 @@ from .graph import (
 BALANCE_C = Fraction(2, 3)
 
 
+def exceeds_balance(w: int, total: int) -> bool:
+    """Whether weight w is more than BALANCE_C of total, in exact integers."""
+    return w * BALANCE_C.denominator > BALANCE_C.numerator * total
+
+
 def _no_ids() -> np.ndarray:
     return np.empty(0, dtype=np.int64)
 
@@ -132,11 +137,10 @@ def verify_separator(g: Graph, s: Separator) -> VerifyReport:
     if s.balance_c != BALANCE_C:
         v.append(("sep.balance-c", f"balance_c={s.balance_c}, expected {BALANCE_C}"))
     wv = int(g.total_vertex_weight)
-    num, den = BALANCE_C.numerator, BALANCE_C.denominator
     # a side is weighed as a set: a repeated id is a partition fault only
     for name, mask in (("A", amask), ("B", bmask)):
         wpart = int(g.vertex_weight[mask].sum())
-        if wpart * den > num * wv:
+        if exceeds_balance(wpart, wv):
             v.append(("sep.balance", f"w({name})={wpart} exceeds {BALANCE_C} of w(V)={wv}"))
     if s.claimed_bound is not None and len(s.C) > s.claimed_bound:
         v.append(("sep.bound", f"|C|={len(s.C)} exceeds claimed bound {s.claimed_bound}"))
@@ -203,7 +207,12 @@ def verify_minor_report(g: Graph, rep: MinorReport) -> VerifyReport:
     """
     cert = rep.certificate
     v: list[tuple[str, str]] = []
-    if not cert.recheck():
+    # no graph on n vertices has a K_h minor for h > n, and neither policy
+    # fires there; such an h is refused without computing its threshold
+    # (2^(h-2) n / 2 for mader-proven, which costs time exponential in h)
+    if cert.h > cert.n:
+        v.append(("report.h", f"certificate h={cert.h} exceeds its n={cert.n}"))
+    elif not cert.recheck():
         v.append(("report.threshold", "certificate threshold does not recompute"))
     if cert.n > g.n:
         v.append(("report.n", f"certificate n={cert.n} but graph has n={g.n}"))
@@ -287,23 +296,6 @@ def minor_witness(g: Graph, sets: list, edges: Optional[dict[tuple[int, int], tu
                         params={} if params is None else params)
 
 
-def witness_from_slots(g: Graph, branch_slots: list[Optional[np.ndarray]],
-                       pair_edges: dict[tuple[int, int], tuple[int, int]],
-                       params: dict) -> MinorWitness:
-    """The clique-minor witness held by a separator loop's branch-set slots.
-
-    Retired slots (None) are skipped and the rest renumbered in slot order.
-    Each pair keeps its recorded edge (pair_edges is keyed by slot pair);
-    depth_bound is the largest branch-set diameter.
-    """
-    slots = [si for si, bs in enumerate(branch_slots) if bs is not None]
-    remap = {si: i for i, si in enumerate(slots)}
-    edges = {tuple(sorted((remap[a], remap[b]))): e
-             for (a, b), e in pair_edges.items() if a in remap and b in remap}
-    depth = max((masked_diameter(g, branch_slots[si]) or 0 for si in slots), default=0)
-    return minor_witness(g, [branch_slots[si] for si in slots], edges, depth, params)
-
-
 def lift_minor(result: SepOrMinor, verts: np.ndarray) -> SepOrMinor:
     """A result on G[verts] (local id i is host id verts[i]) in host ids.
 
@@ -340,7 +332,6 @@ def pack_components(g: Graph, cmask: np.ndarray) -> tuple[np.ndarray, np.ndarray
     np.add.at(comp_w, labels, wloc)
     order = np.argsort(-comp_w, kind="stable")
     wv = int(g.total_vertex_weight)
-    num, den = BALANCE_C.numerator, BALANCE_C.denominator
     side = np.zeros(ncomp, dtype=np.int8)
     wa = wb = 0
     for c in order.tolist():
@@ -350,7 +341,7 @@ def pack_components(g: Graph, cmask: np.ndarray) -> tuple[np.ndarray, np.ndarray
         else:
             side[c] = 1
             wb += int(comp_w[c])
-    if wa * den > num * wv or wb * den > num * wv:
+    if exceeds_balance(wa, wv) or exceeds_balance(wb, wv):
         raise ValueError("component packing failed: a residual component is too heavy")
     asel = side[labels] == 0
     amask[sub_ids[asel]] = True
@@ -367,7 +358,6 @@ def trim_separator_mask(g: Graph, cmask: np.ndarray, amask: np.ndarray, bmask: n
     refused once would be refused again.  The result is a valid separator
     with the same or smaller C.
     """
-    num, den = BALANCE_C.numerator, BALANCE_C.denominator
     wv = int(g.total_vertex_weight)
     wa = int(g.vertex_weight[amask].sum())
     wb = int(g.vertex_weight[bmask].sum())
@@ -391,11 +381,11 @@ def trim_separator_mask(g: Graph, cmask: np.ndarray, amask: np.ndarray, bmask: n
     ta, tb = touch_a.tolist(), touch_b.tolist()
     to_a, to_b = [], []
     for i, w in enumerate(g.vertex_weight[cids].tolist()):
-        if not tb[i] and (wa + w) * den <= num * wv:
+        if not tb[i] and not exceeds_balance(wa + w, wv):
             wa += w
             to_a.append(i)
             touched = ta
-        elif not ta[i] and (wb + w) * den <= num * wv:
+        elif not ta[i] and not exceeds_balance(wb + w, wv):
             wb += w
             to_b.append(i)
             touched = tb
@@ -431,7 +421,6 @@ def brute_force_min_separator(g: Graph) -> Optional[Separator]:
     if n == 0:
         return Separator(claimed_bound=0)
     wv = int(g.total_vertex_weight)
-    num, den = BALANCE_C.numerator, BALANCE_C.denominator
     verts = list(range(n))
     adj = [set(g.neighbors(v).tolist()) for v in verts]
     wt = g.vertex_weight.tolist()
@@ -455,7 +444,7 @@ def brute_force_min_separator(g: Graph) -> Optional[Separator]:
                         stack.append(x)
             comps.append(comp)
         weights = [sum(wt[v] for v in c) for c in comps]
-        if any(w * den > num * wv for w in weights):
+        if any(exceeds_balance(w, wv) for w in weights):
             return None
         # pack: try all 2^k splits (k <= n), smallest-first keeps it quick
         k = len(comps)
@@ -468,7 +457,7 @@ def brute_force_min_separator(g: Graph) -> Optional[Separator]:
             c = order[i]
             for s, w_side in ((0, wa), (1, wb)):
                 neww = w_side + weights[c]
-                if neww * den <= num * wv:
+                if not exceeds_balance(neww, wv):
                     assign[c] = s
                     if place(i + 1, neww if s == 0 else wa, neww if s == 1 else wb):
                         return True
@@ -621,6 +610,19 @@ def _json_ids(value, where: str) -> list[int]:
     return value
 
 
+def _json_int(value, where: str) -> int:
+    """A certificate's integer field: a JSON integer, not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"certificate field {where} holds {json.dumps(value)}, not an integer")
+    return value
+
+
+def _json_bound(doc: dict, key: str) -> Optional[int]:
+    """An optional bound: a JSON integer, or null or absent for none."""
+    value = doc.get(key)
+    return None if value is None else _json_int(value, key)
+
+
 def _json_set(value, where: str) -> np.ndarray:
     """A certificate's vertex set: its ids sorted, repeats kept for the verifier."""
     return np.sort(np.array(_json_ids(value, where), dtype=np.int64))
@@ -660,8 +662,9 @@ def _json_edges(value) -> dict[tuple[int, int], tuple[int, int]]:
 
 def certificate_from_json(text: str) -> SepOrMinor:
     """Parse a certificate; a document that is not an object, a missing
-    field, a vertex id that is not a JSON integer, or connecting edges that
-    are not "i,j" keys on id pairs raise ValueError naming the field."""
+    field, a vertex id, bound or report count that is not a JSON integer, or
+    connecting edges that are not "i,j" keys on id pairs raise ValueError
+    naming the field."""
     doc = json.loads(text)
     kind = _json_field(doc, "kind")
     if kind == "separator":
@@ -672,20 +675,21 @@ def certificate_from_json(text: str) -> SepOrMinor:
         return Separator(
             C=_json_set(_json_field(doc, "C"), "C"), A=_json_set(_json_field(doc, "A"), "A"),
             B=_json_set(_json_field(doc, "B"), "B"),
-            balance_c=Fraction(*bc), claimed_bound=doc.get("claimed_bound"),
+            balance_c=Fraction(*bc), claimed_bound=_json_bound(doc, "claimed_bound"),
             params=doc.get("params", {}),
         )
     if kind == "minor_witness":
         return MinorWitness(
             branch_sets=[_json_set(bs, f"branch_sets[{i}]")
                          for i, bs in enumerate(_json_field(doc, "branch_sets"))],
-            depth_bound=doc.get("depth_bound"),
+            depth_bound=_json_bound(doc, "depth_bound"),
             connecting_edges=_json_edges(doc.get("connecting_edges", {})),
             params=doc.get("params", {}),
         )
     if kind == "minor_report":
         c = _json_field(doc, "certificate")
+        counts = {f: _json_int(_json_field(c, f, "certificate"), f"certificate.{f}")
+                  for f in ("n", "m", "h", "threshold")}
         return MinorReport(certificate=DensityCertificate(
-            **{f: _json_field(c, f, "certificate") for f in ("n", "m", "h", "threshold", "policy")}),
-            params=doc.get("params", {}))
+            **counts, policy=_json_field(c, "policy", "certificate")), params=doc.get("params", {}))
     raise ValueError(f"unknown certificate kind {kind!r}")

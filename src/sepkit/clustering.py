@@ -33,8 +33,9 @@ The lists cost more than csgraph labelling on the largest pieces, which run
 from the whole graph down: on grid 256 (r = 164, h = 5, c_r = 0.05) the
 nested build takes 2.4 s, against 1.9 s when csgraph labelled the pieces
 above the cutoff (best of 3, one Xeon core, Python 3.11, scipy 1.17).
-_ClusterDyn.recompute's X-clusters and the DDG build also run on
-graph.local_bfs over a record's neighbor lists.
+_ClusterDyn.recompute's X-clusters come from one graph.local_labels pass,
+and the DDG build runs on graph.local_bfs, both over a record's neighbor
+lists.
 
 The dynamic layer (ActiveState) is the one expansion of C_X: it maintains,
 under passive<->active vertex flips, the antichain C_X in which every active
@@ -58,7 +59,7 @@ from scipy.sparse import csr_matrix
 
 from . import debugcheck
 from .certificates import SepOrMinor, Separator, density_result, lift_minor
-from .graph import Graph, local_bfs, symmetric_components
+from .graph import Graph, local_bfs, local_labels, symmetric_components
 from .shallow import ln_ceil, separator_coeff, shallow_separator, shallow_separator_balanced
 
 DEFAULT_C_R = 4.0          # lower end of the admissible r range: C_r * h^2 * ln n
@@ -154,26 +155,6 @@ def _piece_boundaries(n: int, pieces: list[tuple[np.ndarray, np.ndarray]],
     return [pv[mult[pv] > 1] for pv, _ in pieces]
 
 
-def _list_labels(adj: list[list[int]], blocked: list[bool]) -> list[int]:
-    """Component label of each local vertex of adj minus `blocked`, numbered
-    in order of each component's smallest id; -1 on blocked vertices."""
-    label = [-1] * len(adj)
-    k = 0
-    for s, b in enumerate(blocked):
-        if b or label[s] >= 0:
-            continue
-        # the label marks visits, so a search costs its component, not len(adj)
-        label[s] = k
-        todo = [s]
-        for u in todo:
-            for w in adj[u]:
-                if label[w] < 0 and not blocked[w]:
-                    label[w] = k
-                    todo.append(w)
-        k += 1
-    return label
-
-
 def _grouped(label: list[int], lu: list[int], pos: Iterable[int]) -> list[list[int]]:
     """The edge positions `pos` grouped by the label of their first end, in
     label order."""
@@ -202,7 +183,7 @@ def _pieces_around_cut(verts: np.ndarray, eids: np.ndarray, lu: list[int], lv: l
     empty cut the pieces are the connected edge groups, in order of smallest
     vertex.
     """
-    root = _list_labels(adj, incut)
+    root = local_labels(adj, incut)
     anchored: dict[int, list[int]] = {}
     inner: list[int] = []
     for k, (a, b) in enumerate(zip(lu, lv)):
@@ -213,7 +194,7 @@ def _pieces_around_cut(verts: np.ndarray, eids: np.ndarray, lu: list[int], lv: l
             inner.append(k)
     groups = list(anchored.values())
     if inner:
-        groups += _grouped(_list_labels(adj, [not c for c in incut]), lu, inner)
+        groups += _grouped(local_labels(adj, [not c for c in incut]), lu, inner)
     return _pieces_of_groups(verts, eids, lu, lv, groups)
 
 
@@ -255,7 +236,7 @@ def _direct_split(g: Graph, verts: np.ndarray, eids: np.ndarray,
     # diameter <= 1: exclude the lowest-id vertex; split its star if needed.
     # Sorted by (lu, lv), the star's edges come first.
     deg = len(adj[0])
-    groups = _grouped(_list_labels(adj, [True] + [False] * (nn - 1)), lu, range(deg, len(lu)))
+    groups = _grouped(local_labels(adj, [True] + [False] * (nn - 1)), lu, range(deg, len(lu)))
     if deg == nn - 1 and deg >= 2:
         half = (deg + 1) // 2
         groups += [list(range(half)), list(range(half, deg))]
@@ -580,27 +561,26 @@ class _ClusterDyn:
 
         After C_X expansion active vertices are boundary vertices, except for
         degree-1 vertices stuck inside single-edge leaves; blocking every
-        active vertex covers both cases.  Each X-cluster's members, weight
-        and passive boundary come from its search's visit list, with one
-        array index per X-cluster.
+        active vertex covers both cases.  One `local_labels` pass numbers the
+        X-clusters by smallest member; each one's members, weight and passive
+        boundary come from grouping the vertices by label, with one array
+        index per X-cluster.
         """
-        blocked = active[self.verts].tolist()
+        self.xcl_of = local_labels(self.adj, active[self.verts].tolist())
+        groups: list[list[int]] = []
+        for i, k in enumerate(self.xcl_of):
+            if k == len(groups):
+                groups.append([i])
+            elif k >= 0:
+                groups[k].append(i)
         bnd = self.is_bnd.tolist()
-        xcl = [-1] * len(blocked)
-        parts: list[XCluster] = []
-        for s, b in enumerate(blocked):
-            if b or xcl[s] >= 0:
-                continue
-            members = sorted(local_bfs(self.adj, s, blocked)[0])
-            for i in members:
-                xcl[i] = len(parts)
+        self.xclusters = []
+        for members in groups:
             passive = [i for i in members if bnd[i]]
             both = self.verts[members + passive]
-            parts.append(XCluster(vertices=both[:len(members)],
-                                  weight=sum(self.wts[i] for i in members),
-                                  passive_boundary=both[len(members):]))
-        self.xcl_of = xcl
-        self.xclusters = parts
+            self.xclusters.append(XCluster(vertices=both[:len(members)],
+                                           weight=sum(self.wts[i] for i in members),
+                                           passive_boundary=both[len(members):]))
         self.ai_sets = None
 
     def xcluster_of_vertex(self, v: int) -> Optional[int]:

@@ -20,7 +20,8 @@ size target.  S_X is the search arena for the shallow-tree hunt: a Dijkstra
 tree in S_X either yields an empty-index certificate, a shallow tree (edges
 expanded back to stored underlying paths), or a pair of far-apart vertices
 for the bidirectional cut search.  Label sets stay on the records; a
-partition recompute marks them stale.
+partition recompute marks them stale.  The branch sets are the loop's
+`shallow.BranchLedger`, whose owner array the layer reads.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import debugcheck
 from .clustering import ActiveState, _ClusterDyn
 from .graph import Graph, HostSubgraph, LevelBFS, MaskedSubgraph, local_bfs
-from .shallow import ln_ceil
+from .shallow import BranchLedger, ln_ceil
 from .spanner import SIZE_COEFF, build_spanner
 
 INF = -1  # distance encoding inside integer matrices
@@ -272,16 +273,17 @@ def sssp_SX(sx: UnionGraph, s: int) -> SXTree:
 
 
 def compute_Ai_boundary_sets(dyn: _ClusterDyn, st: ActiveState,
-                             slot_of_vertex: np.ndarray) -> dict[int, list[int]]:
+                             owner: np.ndarray) -> dict[int, list[int]]:
     """Per-slot passive boundary vertices whose X-cluster touches the slot's
     active boundary vertices of this cluster (the marked-DFS of the search
-    layer, realized through the cached X-cluster partition)."""
+    layer, realized through the cached X-cluster partition); owner is the
+    branch-set ledger's slot of each vertex."""
     act = st.active[dyn.verts].tolist()
     if True not in act:
         return {}
     xcl = dyn.xcl_of
     marked: set[tuple[int, int]] = set()
-    for bl, slot in enumerate(slot_of_vertex[dyn.verts].tolist()):
+    for bl, slot in enumerate(owner[dyn.verts].tolist()):
         if slot < 0 or not act[bl]:
             continue
         for w in dyn.adj[bl]:
@@ -310,24 +312,18 @@ class DdgLayer:
     """Keeps the S_X table and the label sets of the C_X records of an
     ActiveState, and searches the S_X they make up."""
 
-    def __init__(self, st: ActiveState, eps: float, seed: int = 0):
+    def __init__(self, st: ActiveState, ledger: BranchLedger, eps: float, seed: int = 0):
         self.st = st
         self.g = st.nc.g
+        self.ledger = ledger
         self.k = max(1, math.ceil(1.0 / eps))
         self.seed = seed
-        self.slot_of_vertex = np.full(self.g.n, -1, dtype=np.int64)
         # the S_X table, one column per row in global ids: finite DDG pairs
         # (u < v, w, cluster) and boundary rows (cluster, vertex)
         self.pairs = np.empty((4, 0), np.int64)
         self.bnd = np.empty((2, 0), np.int64)
         self.tabled: set[int] = set()   # clusters with rows in the table
         self.kept_rows = 0              # table rows left by the last compaction
-
-    def set_branch_vertices(self, slot: int, vertices: np.ndarray) -> None:
-        self.slot_of_vertex[vertices] = slot
-
-    def clear_branch(self, vertices: np.ndarray) -> None:
-        self.slot_of_vertex[vertices] = -1
 
     def refresh_all(self) -> None:
         """Rebuild the label sets of every stale C_X record, and table the
@@ -337,7 +333,7 @@ class DdgLayer:
         for cid in sorted(st.cx):
             dyn = st.dyn[cid]
             if dyn.ai_sets is None:
-                dyn.ai_sets = compute_Ai_boundary_sets(dyn, st, self.slot_of_vertex)
+                dyn.ai_sets = compute_Ai_boundary_sets(dyn, st, self.ledger.owner)
                 if cid not in self.tabled:
                     new.append(cid)
         if new:
@@ -455,7 +451,7 @@ class DdgLayer:
         while dq:
             u = dq.popleft()
             for wv in g.neighbors(u).tolist():
-                if self.slot_of_vertex[wv] == slot and st.active[wv]:
+                if self.ledger.owner[wv] == slot and st.active[wv]:
                     path = [u]
                     cur = u
                     while prev[cur] is not None:

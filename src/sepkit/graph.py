@@ -714,6 +714,26 @@ def local_bfs(adj: list[list[int]], src: int,
     return order, dist, parent
 
 
+def local_labels(adj: list[list[int]], blocked: Sequence[bool]) -> list[int]:
+    """Component label of each vertex of neighbor lists `adj` minus `blocked`,
+    numbered in order of each component's smallest id; -1 on blocked vertices."""
+    label = [-1] * len(adj)
+    k = 0
+    for s, b in enumerate(blocked):
+        if b or label[s] >= 0:
+            continue
+        # the label marks visits, so a search costs its component, not len(adj)
+        label[s] = k
+        todo = [s]
+        for u in todo:
+            for w in adj[u]:
+                if label[w] < 0 and not blocked[w]:
+                    label[w] = k
+                    todo.append(w)
+        k += 1
+    return label
+
+
 class HostSubgraph:
     """G[mask] as an n x n 0/1 CSR matrix over host ids, for searches of the
     large live part of a graph.

@@ -6,8 +6,11 @@ a separator.  The iterative loop mirrors the shallow-separator loop but finds
 its shallow trees in the sublinear arena S_X (per-cluster spanners of dense
 distance graphs) and its low-expansion cuts with a bidirectional ball search
 run directly in G minus the active set.  The four-way partition invariants
-are identical; the active set X is M u B, and component weights come from the
-X-cluster decomposition rather than graph scans.
+are identical, and M is kept in the same `shallow.BranchLedger`, whose owner
+array the DDG layer reads: each owner write comes before the flip that
+follows it, which recomputes label sets.  The active set X is M u B, and
+component weights come from the X-cluster decomposition rather than graph
+scans.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from .certificates import (
     SepOrMinor,
     Separator,
     density_result,
-    find_connecting_edge,
+    exceeds_balance,
     separator_from_cut_mask,
-    witness_from_slots,
 )
 from .clustering import (
     DEFAULT_C_R,
@@ -36,13 +38,14 @@ from .clustering import (
     nested_r_clustering,
 )
 from .ddg import DdgLayer
-from .graph import (
-    Graph,
-    gather_neighbors,
-    grow_within,
-    masked_diameter,
+from .graph import Graph, gather_neighbors, grow_within
+from .shallow import (
+    ITER_COEFF,
+    BranchLedger,
+    check_progress,
+    ln_ceil,
+    shallow_separator_balanced,
 )
-from .shallow import ITER_COEFF, ln_ceil, shallow_separator_balanced
 
 WORK_CHUNK = 256  # vertices per alternation step of the bidirectional search
 
@@ -118,10 +121,8 @@ class _BallSearch:
                 self.count_before_round = self.count
 
     def ball_vertices(self) -> np.ndarray:
-        parts = []
-        for p in self.visited:
-            parts.append(np.atleast_1d(np.asarray(p, dtype=np.int64)))
-        return np.unique(np.concatenate(parts))
+        return np.unique(np.concatenate([np.atleast_1d(np.asarray(p, dtype=np.int64))
+                                         for p in self.visited]))
 
 
 def bidirectional_cut(g: Graph, blocked: np.ndarray, s: int, t: int, ell: int,
@@ -222,7 +223,7 @@ def _minor_free_search(g: Graph, h: int, ell: int, eps: float, seed: int,
 
     # a single overweight vertex can never be balanced away: it must sit in C
     heavy_v = int(np.argmax(g.vertex_weight)) if n else 0
-    if 3 * int(g.vertex_weight[heavy_v]) > 2 * wtotal:
+    if exceeds_balance(int(g.vertex_weight[heavy_v]), wtotal):
         cmask = np.zeros(n, dtype=bool)
         cmask[heavy_v] = True
         params["early_exit"] = "heavy-vertex"
@@ -257,10 +258,9 @@ def _minor_free_search(g: Graph, h: int, ell: int, eps: float, seed: int,
     per_set_cap = (c_tree + 1) * max(1, math.ceil(h * ell * lnn)) + nc.r + 4
     x_cap = h * per_set_cap + math.ceil(n / ell) + 16
     st = ActiveState(nc, x_cap=x_cap)
-    layer = DdgLayer(st, eps, seed=seed)
+    ledger = BranchLedger(n)
+    layer = DdgLayer(st, ledger, eps, seed=seed)
 
-    branch_slots: list[Optional[np.ndarray]] = []
-    pair_edges: dict[tuple[int, int], tuple[int, int]] = {}
     # the processed set V_R is read only by the debug checks
     in_vr = np.zeros(n, dtype=bool) if debugcheck.enabled() else None
     in_b = np.zeros(n, dtype=bool)
@@ -268,58 +268,46 @@ def _minor_free_search(g: Graph, h: int, ell: int, eps: float, seed: int,
     iter_cap = ITER_COEFF * max(1, n // ell) + 8 * h + 8
     counts = {"tree": 0, "cut": 0, "empty": 0}
 
-    def p_now() -> int:
-        return sum(1 for s_ in branch_slots if s_ is not None)
-
     while True:
         iters += 1
         if iters > iter_cap:
             raise RuntimeError(f"minorfree loop exceeded {iter_cap} iterations; this is a bug")
 
-        if p_now() == h:
+        held = ledger.held
+        if len(held) == h:
             if stats is not None:
                 stats.update(iterations=iters, **counts)
-            return witness_from_slots(g, branch_slots, pair_edges, params)
+            return ledger.witness(g, params)
 
         comps = decompose_active_complement(st)
-        heavy = None
-        for members, w, cnt in comps:
-            if 3 * w > 2 * wtotal:
-                heavy = (members, w, cnt)
-                break
+        heavy = next((c for c in comps if exceeds_balance(c[1], wtotal)), None)
         terminal = heavy is None
         if terminal:
-            if p_now() == 0 or not comps:
+            if not held or not comps:
                 break
             heavy = max(comps, key=lambda t: (t[1], -t[0][0][0]))
         members, w_gp, cnt_gp = heavy
 
-        _assert_mf_invariants(g, branch_slots, in_vr, in_b, ell, h, wtotal)
+        if in_vr is not None:
+            ledger.check(g, "mf", h)
+            check_progress(g, "mf", ell, in_vr, in_b)
 
-        s_vertex = None
-        for cid, idx in members:
-            pb = st.dyn[cid].xclusters[idx].passive_boundary
-            if len(pb):
-                cand = int(pb[0])
-                if s_vertex is None or cand < s_vertex:
-                    s_vertex = cand
+        # the least passive boundary vertex of the heavy component
+        pbs = [st.dyn[cid].xclusters[idx].passive_boundary for cid, idx in members]
+        s_vertex = min((int(pb[0]) for pb in pbs if len(pb)), default=None)
         if s_vertex is None:
             break
 
-        slots = [i for i, s_ in enumerate(branch_slots) if s_ is not None]
         # one dispatch: tree-or-far search in S_X, then the bidirectional cut
-        found = layer.find_tree_or_far_pair(s_vertex, slots, ell, h)
+        found = layer.find_tree_or_far_pair(s_vertex, held, ell, h)
 
         if found.kind == "empty":
             counts["empty"] += 1
             if terminal:
                 break
-            slot = found.empty_slot
-            vs = branch_slots[slot]
+            vs = ledger.retire(found.empty_slot)
             if in_vr is not None:
                 in_vr[vs] = True
-            layer.clear_branch(vs)
-            branch_slots[slot] = None
             st.set_many(vs.tolist(), "passive")
             continue
 
@@ -336,7 +324,7 @@ def _minor_free_search(g: Graph, h: int, ell: int, eps: float, seed: int,
             # both boundary candidates are derived by scanning the S side only
             nbrs = gather_neighbors(g.indptr, g.indices, s_ids)
             nbrs = nbrs[~st.active[nbrs] & ~smask[nbrs]]
-            out_shell = np.unique(nbrs) if len(nbrs) else np.empty(0, np.int64)
+            out_shell = np.unique(nbrs)
             if (w_s, cnt_s) <= (w_rest, cnt_rest):
                 if in_vr is not None:
                     in_vr[s_ids] = True
@@ -344,12 +332,8 @@ def _minor_free_search(g: Graph, h: int, ell: int, eps: float, seed: int,
             else:
                 if in_vr is not None:
                     in_vr |= _component_minus(g, members, st, smask)
-                if len(out_shell):
-                    back = gather_neighbors(g.indptr, g.indices, out_shell)
-                    back = back[smask[back] & ~st.active[back]]
-                    bprime = np.unique(back) if len(back) else np.empty(0, np.int64)
-                else:
-                    bprime = np.empty(0, np.int64)
+                back = gather_neighbors(g.indptr, g.indices, out_shell)
+                bprime = np.unique(back[smask[back] & ~st.active[back]])
             debugcheck.check("mf.cut-boundary", ell * len(bprime) <= max(1, min(cnt_s, cnt_rest)),
                              f"|B'|={len(bprime)} vs min/ell")
             in_b[bprime] = True
@@ -358,28 +342,19 @@ def _minor_free_search(g: Graph, h: int, ell: int, eps: float, seed: int,
 
         counts["tree"] += 1
         tree_ids = found.tree_vertices
-        room = max(1, cnt_gp // (2 * (h - p_now())))
+        room = max(1, cnt_gp // (2 * (h - len(held))))
         target = min(ext_target, max(room, len(tree_ids)))
         new_set = grow_within(g, ~st.active, tree_ids, target,
                               max(1, math.ceil(c_tree * ell * lnn)))
-        slot = len(branch_slots)
-        for other_slot, (tv, bv) in (found.rep_edges or {}).items():
-            pair_edges[(other_slot, slot)] = (int(tv), int(bv))
-        branch_slots.append(new_set)
-        layer.set_branch_vertices(slot, new_set)
+        ledger.adopt(new_set, found.rep_edges.items())
         st.set_many(new_set.tolist(), "active")
 
-    _assert_mf_invariants(g, branch_slots, in_vr, in_b, ell, h, wtotal)
+    if in_vr is not None:
+        ledger.check(g, "mf", h)
+        check_progress(g, "mf", ell, in_vr, in_b)
     if stats is not None:
         stats.update(iterations=iters, **counts)
-        stats["diag_sum_C_dC"] = sum(c.n * len(c.boundary) for c in nc.clusters)
-        stats["diag_sum_dC_cubed"] = sum(len(c.boundary) ** 3 for c in nc.clusters)
-        stats["diag_cx_boundary"] = sum(len(nc.cluster(cid).boundary) for cid in st.cx)
-        stats["diag_cx_size"] = len(st.cx)
-    cmask = in_b.copy()
-    for s_ in branch_slots:
-        if s_ is not None:
-            cmask[s_] = True
+    cmask = (ledger.owner >= 0) | in_b
     c_s = _tree_size_coeff(k) + 3
     claimed = min(n, math.ceil(c_s * ell * h * h * lnn) + math.ceil(n / ell) + 2)
     return separator_from_cut_mask(g, cmask, claimed_bound=claimed, params=params)
@@ -394,23 +369,6 @@ def _component_minus(g: Graph, members, st: ActiveState, smask: np.ndarray) -> n
         if len(take):
             mask[take] = True
     return mask
-
-
-def _assert_mf_invariants(g, branch_slots, in_vr, in_b, ell, h, wtotal) -> None:
-    if in_vr is None:  # the run started outside debug mode
-        return
-    sets = [s for s in branch_slots if s is not None]
-    debugcheck.check("mf.branch-count", len(sets) <= h, "p exceeds h")
-    for i in range(len(sets)):
-        diam = masked_diameter(g, sets[i])
-        debugcheck.check("mf.branch-connected", diam is not None, f"branch set {i} disconnected")
-        for j in range(i + 1, len(sets)):
-            debugcheck.check("mf.branch-pair", find_connecting_edge(g, sets[i], sets[j]) is not None,
-                             f"no edge between branch sets {i},{j}")
-    debugcheck.check("mf.boundary-ratio", ell * int(in_b.sum()) <= int(in_vr.sum()),
-                     f"boundary {int(in_b.sum())} exceeds processed/ell = {int(in_vr.sum())}/{ell}")
-    wvr = int(g.vertex_weight[in_vr].sum())
-    debugcheck.check("mf.processed-weight", 3 * wvr <= 2 * wtotal, f"processed weight {wvr} exceeds 2/3 of total")
 
 
 def balanced_separator(g: Graph, h: int, eps: float, seed: int = 0,

@@ -31,10 +31,11 @@ cut S is a prefix of the BFS order.  A tree follows predecessors from each
 representative back to the start; the predecessor of v is its largest-id
 live neighbor one level closer, found only for the vertices on those paths.
 
+The branch sets, an n-entry `owner` array (the slot of each vertex of M, -1
+elsewhere; it makes M's mask for the separator) and the pair edges are one
+`BranchLedger`, the same one the bootstrapped loop and its DDG layer use.
 Each step that concerns the branch sets runs once over all p of them, with
-a fixed number of numpy calls whatever p is.  One n-entry `owner` array per
-call holds the slot of each vertex of M (-1 elsewhere); it makes M's mask
-for the separator.  The A_i (the live neighbors of each branch set) come
+a fixed number of numpy calls whatever p is.  The A_i (the live neighbors of each branch set) come
 from one gather of the rows of every held set, deduplicated as one sorted
 array of (set, vertex) keys, before parking: the least vertex of A_1 is
 where the search for G' starts, and the vertices parked are then dropped
@@ -50,7 +51,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 # perfbench's trace-uninstall test reads this module attribute
@@ -58,13 +60,15 @@ from scipy.sparse import csr_matrix  # noqa: F401
 
 from . import debugcheck
 from .certificates import (
+    MinorWitness,
     SepOrMinor,
     Separator,
     density_result,
+    exceeds_balance,
     find_connecting_edge,
     lift_minor,
+    minor_witness,
     separator_from_cut_mask,
-    witness_from_slots,
 )
 from .graph import (
     DENSITY_POLICIES,
@@ -241,47 +245,101 @@ def _pair_edges(g: Graph, owner: np.ndarray, reps: Sequence[int], slots: Sequenc
     return list(zip(reps, nbrs[first].tolist()))
 
 
+class BranchLedger:
+    """The branch sets of a separator loop, kept once for the loop and the
+    DDG layer: slots[i] is the i-th adopted set (sorted host ids), None once
+    retired, and slots are never reused; owner[v] is the slot holding v, -1
+    off every held set; pair_edges[(i, j)], i < j, is the edge between slots
+    i and j recorded when j was adopted.  Only `adopt` and `retire` write
+    owner."""
+
+    def __init__(self, n: int):
+        self.slots: list[Optional[np.ndarray]] = []
+        self.owner = np.full(n, -1, dtype=np.int64)
+        self.pair_edges: dict[tuple[int, int], tuple[int, int]] = {}
+
+    @property
+    def held(self) -> list[int]:
+        """The slots not retired, ascending."""
+        return [si for si, bs in enumerate(self.slots) if bs is not None]
+
+    @property
+    def p(self) -> int:
+        return len(self.held)
+
+    def adopt(self, new_set: np.ndarray, edges: Iterable[tuple[int, tuple[int, int]]]) -> int:
+        """Hold new_set in a new slot, returned, with its (slot, edge) pairs."""
+        slot = len(self.slots)
+        for si, (a, b) in edges:
+            self.pair_edges[(si, slot)] = (int(a), int(b))
+        self.owner[new_set] = slot
+        self.slots.append(new_set)
+        return slot
+
+    def retire(self, si: int) -> np.ndarray:
+        """Drop slot si; returns its vertices."""
+        bs = self.slots[si]
+        self.owner[bs] = -1
+        self.slots[si] = None
+        return bs
+
+    def witness(self, g: Graph, params: dict) -> MinorWitness:
+        """The held slots' clique-minor witness, renumbered in slot order with
+        their recorded pair edges; depth_bound is the largest diameter."""
+        held = self.held
+        remap = {si: i for i, si in enumerate(held)}
+        edges = {tuple(sorted((remap[a], remap[b]))): e
+                 for (a, b), e in self.pair_edges.items() if a in remap and b in remap}
+        depth = max((masked_diameter(g, self.slots[si]) or 0 for si in held), default=0)
+        return minor_witness(g, [self.slots[si] for si in held], edges, depth, params)
+
+    def check(self, g: Graph, rule: str, h: int) -> list[int]:
+        """Assert, as rules `rule`.*, that at most h sets are held, that owner
+        agrees with them, and that each is connected and each pair joined by
+        an edge; returns the sets' diameters ([] outside debug mode)."""
+        if not debugcheck.enabled():
+            return []
+        held = self.held
+        sets = [self.slots[si] for si in held]
+        debugcheck.check(f"{rule}.branch-count", len(sets) <= h, f"p={len(sets)} > h={h}")
+        debugcheck.check(f"{rule}.owner",
+                         int(np.count_nonzero(self.owner >= 0)) == sum(map(len, sets))
+                         and all((self.owner[s] == si).all() for si, s in zip(held, sets)),
+                         "owner disagrees with the branch sets")
+        diams = [masked_diameter(g, s) for s in sets]
+        for i, diam in enumerate(diams):
+            debugcheck.check(f"{rule}.branch-connected", diam is not None,
+                             f"branch set {i} disconnected")
+        for i, j in combinations(range(len(sets)), 2):
+            debugcheck.check(f"{rule}.branch-pair",
+                             find_connecting_edge(g, sets[i], sets[j]) is not None,
+                             f"no edge between branch sets {i} and {j}")
+        return diams
+
+
+def check_progress(g: Graph, rule: str, ell: int, in_vr: np.ndarray, in_b: np.ndarray) -> None:
+    """Assert, as rules `rule`.*, that |B| <= |V_R| / ell and that V_R weighs
+    at most BALANCE_C of the total."""
+    debugcheck.check(f"{rule}.boundary-ratio", ell * int(in_b.sum()) <= int(in_vr.sum()),
+                     f"boundary {int(in_b.sum())} exceeds processed/ell = {int(in_vr.sum())}/{ell}")
+    wvr = int(g.vertex_weight[in_vr].sum())
+    debugcheck.check(f"{rule}.processed-weight", not exceeds_balance(wvr, g.total_vertex_weight),
+                     f"processed weight {wvr} exceeds 2/3 of total")
+
+
 @dataclass
 class PartitionState:
-    """Four-way partition (V_r, M, B, V') with branch sets over M.
-
-    owner[v] is the slot of the branch set holding v, -1 off M; it is built
-    from branch_slots when not given, and `adopt` and `retire` keep it."""
+    """Four-way partition (V_r, M, B, V'), the branch sets over M in a ledger."""
 
     h: int
     ell: int
     delta: int
     in_vr: np.ndarray
     in_b: np.ndarray
-    branch_slots: list[Optional[np.ndarray]]
+    ledger: BranchLedger
     live: np.ndarray          # working component of G[V']
     live_n: int               # |live| and w(live), kept as running totals
     live_w: int
-    owner: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.owner is None:
-            self.owner = np.full(len(self.live), -1, dtype=np.int64)
-            for si, bs in enumerate(self.branch_slots):
-                if bs is not None:
-                    self.owner[bs] = si
-
-    @property
-    def p(self) -> int:
-        return sum(1 for s in self.branch_slots if s is not None)
-
-    def adopt(self, g: Graph, new_set: np.ndarray) -> None:
-        """Take the live vertices new_set out of live as a new branch set."""
-        self.owner[new_set] = len(self.branch_slots)
-        self.branch_slots.append(new_set)
-        self.drop_live(g, new_set)
-
-    def retire(self, si: int) -> None:
-        """Move branch set si to V_r."""
-        bs = self.branch_slots[si]
-        self.in_vr[bs] = True
-        self.owner[bs] = -1
-        self.branch_slots[si] = None
 
     def drop_live(self, g: Graph, ids: np.ndarray) -> None:
         """Take the distinct live vertices `ids` out of live."""
@@ -290,41 +348,22 @@ class PartitionState:
         self.live_w -= int(g.vertex_weight[ids].sum())
 
     def check_invariants(self, g: Graph) -> None:
-        """Assert the loop invariants: branch-set sizes, connectivity, diameters,
-        pairwise edges, the boundary/processed ratio, and the weight cap."""
+        """Assert the loop invariants: the ledger's, branch-set sizes and
+        diameters, the boundary/processed ratio, the weight cap, and the
+        partition and live totals."""
         if not debugcheck.enabled():
             return
-        ell, h = self.ell, self.h
         lnn = ln_ceil(len(self.live))
-        size_cap = branch_size_cap(self.delta, ell, h, lnn)
-        diam_cap = branch_diam_cap(self.delta, ell, lnn)
-        sets = [s for s in self.branch_slots if s is not None]
-        debugcheck.check("shallow.branch-count", len(sets) <= h, f"p={len(sets)} > h={h}")
-        debugcheck.check("shallow.owner",
-                         int(np.count_nonzero(self.owner >= 0)) == sum(map(len, sets))
-                         and all((self.owner[s] == si).all()
-                                 for si, s in enumerate(self.branch_slots) if s is not None),
-                         "owner disagrees with the branch sets")
-        for i, s in enumerate(sets):
-            debugcheck.check("shallow.branch-size", len(s) <= size_cap,
-                             f"branch set {i}: {len(s)} > {size_cap}")
-            diam = masked_diameter(g, s)
-            debugcheck.check("shallow.branch-connected", diam is not None,
-                             f"branch set {i} disconnected")
-            if diam is not None:
-                debugcheck.check("shallow.branch-diameter", diam <= diam_cap,
-                                 f"branch set {i}: diameter {diam} > {diam_cap}")
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                debugcheck.check(
-                    "shallow.branch-pair",
-                    find_connecting_edge(g, sets[i], sets[j]) is not None,
-                    f"no edge between branch sets {i} and {j}")
-        debugcheck.check("shallow.boundary-ratio", ell * int(self.in_b.sum()) <= int(self.in_vr.sum()),
-                         f"boundary {int(self.in_b.sum())} exceeds processed/ell = {int(self.in_vr.sum())}/{ell}")
-        wvr = int(g.vertex_weight[self.in_vr].sum())
-        debugcheck.check("shallow.processed-weight", 3 * wvr <= 2 * g.total_vertex_weight,
-                         f"processed weight {wvr} exceeds 2/3 of total")
+        size_cap = branch_size_cap(self.delta, self.ell, self.h, lnn)
+        diam_cap = branch_diam_cap(self.delta, self.ell, lnn)
+        diams = self.ledger.check(g, "shallow", self.h)
+        for i, si in enumerate(self.ledger.held):
+            size = len(self.ledger.slots[si])
+            debugcheck.check("shallow.branch-size", size <= size_cap,
+                             f"branch set {i}: {size} > {size_cap}")
+            debugcheck.check("shallow.branch-diameter", diams[i] <= diam_cap,
+                             f"branch set {i}: diameter {diams[i]} > {diam_cap}")
+        check_progress(g, "shallow", self.ell, self.in_vr, self.in_b)
         overlap = (self.in_vr & self.in_b) | (self.in_vr & self.live) | (self.in_b & self.live)
         debugcheck.check("shallow.partition", not overlap.any(), "partition classes overlap")
         debugcheck.check("shallow.live-totals",
@@ -364,9 +403,8 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     st = PartitionState(
         h=h, ell=ell, delta=delta,
         in_vr=np.zeros(n, dtype=bool), in_b=np.zeros(n, dtype=bool),
-        branch_slots=[], live=np.ones(n, dtype=bool), live_n=n, live_w=int(wtotal),
+        ledger=BranchLedger(n), live=np.ones(n, dtype=bool), live_n=n, live_w=int(wtotal),
     )
-    pair_edges: dict[tuple[int, int], tuple[int, int]] = {}
     ext_target = max(1, math.ceil(h * ell * lnn))
     ext_radius = max(1, math.ceil(4 * delta * ell * lnn))
     iters = 0
@@ -389,10 +427,10 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
             sub, _ = induced_subgraph(g, live_ids)
             return lift_minor(density_result(sub, h, params), live_ids)
 
-        if st.p == h:
+        if st.ledger.p == h:
             if stats is not None:
                 stats["iterations"] = iters
-            wtn = witness_from_slots(g, st.branch_slots, pair_edges, params)
+            wtn = st.ledger.witness(g, params)
             debugcheck.check("shallow.witness-depth",
                              wtn.depth_bound <= branch_diam_cap(delta, ell, lnn),
                              f"witness depth {wtn.depth_bound} exceeds bound")
@@ -401,8 +439,8 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         # A_i for every held slot at once; G' (the heaviest live component)
         # is searched for from the least vertex of A_1, else the first live
         # vertex, and the other components are parked
-        held = [si for si, bs in enumerate(st.branch_slots) if bs is not None]
-        a_rank, a_ids = _attachments(g, [st.branch_slots[si] for si in held], st.live)
+        held = st.ledger.held
+        a_rank, a_ids = _attachments(g, [st.ledger.slots[si] for si in held], st.live)
         s0 = int(a_ids[0]) if len(a_ids) and a_rank[0] == 0 else int(np.argmax(st.live))
         gprime_w = _park_light_components(g, st, live_g, s0)
         if st.live_n < live_n:
@@ -416,8 +454,8 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         # (which only enlarge the separator side) continue in terminal mode;
         # cut moves and branch-set retirements need the heavy-component weight
         # argument and stop here.
-        terminal = 3 * gprime_w <= 2 * wtotal
-        if terminal and (st.p == 0 or gprime_w == 0 or not complete_witness):
+        terminal = not exceeds_balance(gprime_w, wtotal)
+        if terminal and (not held or gprime_w == 0 or not complete_witness):
             break
 
         st.check_invariants(g)
@@ -427,7 +465,7 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         if held and not a_sizes.all():
             if terminal:
                 break
-            st.retire(held[int(np.argmin(a_sizes))])
+            st.in_vr[st.ledger.retire(held[int(np.argmin(a_sizes))])] = True
             continue
         if held:
             start = int(a_ids[0])  # the least vertex of A_1
@@ -445,14 +483,12 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
 
         if result.kind == "tree":
             tree_ids = result.tree_vertices
-            room = max(1, live_n // (2 * (h - st.p)))
+            room = max(1, live_n // (2 * (h - len(held))))
             target = min(ext_target, max(room, len(tree_ids)))
             new_set = grow_within(g, st.live, tree_ids, target, ext_radius)
-            slot = len(st.branch_slots)
             # each rep neighbors its branch set: its least neighbor there
-            for si, edge in zip(held, _pair_edges(g, st.owner, result.reps, held)):
-                pair_edges[(si, slot)] = edge
-            st.adopt(g, new_set)
+            st.ledger.adopt(new_set, zip(held, _pair_edges(g, st.ledger.owner, result.reps, held)))
+            st.drop_live(g, new_set)
         else:
             s_ids = result.cut_S
             w_s = int(g.vertex_weight[s_ids].sum())
@@ -483,10 +519,9 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     st.check_invariants(g)
     if stats is not None:
         stats["iterations"] = iters
-    cmask = (st.owner >= 0) | st.in_b
+    cmask = (st.ledger.owner >= 0) | st.in_b
     claimed = min(n, math.ceil(n / ell + separator_coeff(delta) * ell * h * h * lnn) + 1)
-    sep = separator_from_cut_mask(g, cmask, claimed_bound=claimed, params=params)
-    return sep
+    return separator_from_cut_mask(g, cmask, claimed_bound=claimed, params=params)
 
 
 def _park_light_components(g: Graph, st: PartitionState, live_g: HostSubgraph,

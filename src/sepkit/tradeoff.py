@@ -27,6 +27,7 @@ from .certificates import (
     SepOrMinor,
     Separator,
     density_result,
+    exceeds_balance,
     minor_witness,
     separator_from_cut_mask,
     trim_separator_mask,
@@ -239,7 +240,7 @@ def tradeoff_separator(g: Graph, h: int, delta: Fraction | float, eps: float,
     comp_w = np.zeros(max(ncomp, 1), dtype=np.int64)
     np.add.at(comp_w, rest_labels, g.vertex_weight[rest_ids])
     heavy = int(np.argmax(comp_w)) if ncomp else -1
-    if ncomp == 0 or 3 * int(comp_w[heavy]) <= 2 * wtotal:
+    if ncomp == 0 or not exceeds_balance(int(comp_w[heavy]), wtotal):
         claimed = _tradeoff_claimed(n, dval, lnn, len(s_ids))
         params["path"] = "high-degree-only"
         return separator_from_cut_mask(g, smask, claimed_bound=claimed, params=params)

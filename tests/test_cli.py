@@ -235,6 +235,41 @@ class TestRunCommands:
         assert main(["verify", str(grid4), str(tmp_path / "c.json")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # bounds and report counts are JSON integers (bounds may be null); a
+    # string there ended in a TypeError traceback and exit 1
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "separator", "C": [1, 5, 9, 13], "A": [0, 4, 8, 12],
+          "B": [2, 3, 6, 7, 10, 11, 14, 15], "balance_c": [2, 3], "claimed_bound": "x",
+          "params": {}}, "claimed_bound holds \"x\""),
+        ({"kind": "minor_witness", "h": 2, "branch_sets": [[0], [1]], "depth_bound": "x",
+          "connecting_edges": {}, "params": {}}, "depth_bound holds \"x\""),
+        ({"kind": "minor_report", "certificate": {"n": 16, "m": 24, "h": "5", "threshold": 1,
+                                                  "policy": "mader-proven"}, "params": {}},
+         "certificate.h holds \"5\""),
+    ], ids=["string-claimed-bound", "string-depth-bound", "string-report-h"])
+    def test_verify_rejects_non_integer_numbers(self, tmp_path, capsys, doc, field):
+        grid4 = tmp_path / "grid4.txt"
+        main(["gen", "grid 4", "--out", str(grid4)])
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["verify", str(grid4), str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err == f"error: certificate field {field}, not an integer\n"
+
+    def test_verify_refuses_report_h_above_n_at_once(self, tmp_path, capsys):
+        # no graph on 16 vertices has a K_h minor for h > 16; the mader-proven
+        # threshold 2^(h-2) n / 2 is not computed for such an h
+        import time
+
+        grid4 = tmp_path / "grid4.txt"
+        main(["gen", "grid 4", "--out", str(grid4)])
+        doc = {"kind": "minor_report", "certificate": {"n": 16, "m": 24, "h": 2_000_000_000,
+                                                       "threshold": 1, "policy": "mader-proven"},
+               "params": {}}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["verify", str(grid4), str(tmp_path / "c.json")]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert "report.h" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert main(["shallow", "/nonexistent/file", "--h", "4"]) == 2
 

@@ -28,6 +28,7 @@ from sepkit.ddg import (
 )
 from sepkit.generators import grid_graph, path_graph
 from sepkit.graph import Graph, induced_subgraph
+from sepkit.shallow import BranchLedger
 
 
 @pytest.fixture(autouse=True)
@@ -151,14 +152,14 @@ class TestUnionGraphSearch:
         nc = nested_r_clustering(g, r, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
-        layer = DdgLayer(st, 0.5, seed=seed)
+        layer = DdgLayer(st, BranchLedger(g.n), 0.5, seed=seed)
         return g, nc, st, layer
 
     def test_one_cluster_sx_is_its_spanner(self):
         g = path_graph(8)
         nc = nested_r_clustering(g, g.n, 3, 0.5)
         st = ActiveState(nc)
-        layer = DdgLayer(st, 0.5, seed=0)
+        layer = DdgLayer(st, BranchLedger(g.n), 0.5, seed=0)
         sx = layer.assemble()
         assert len(sx.vertices) == 0  # single cluster: no shared boundary
 
@@ -189,7 +190,7 @@ class TestUnionGraphSearch:
     def test_sx_stretch_window_against_bfs(self):
         g, nc, st, layer = self._layer()
         branch = np.asarray([66, 67, 78], dtype=np.int64)
-        layer.set_branch_vertices(0, branch)
+        layer.ledger.adopt(branch, ())
         st.set_many(branch.tolist(), "active")
         sx = layer.assemble()
         s = int(sx.vertices[0])
@@ -215,8 +216,8 @@ class TestUnionGraphSearch:
         g, nc, st, layer = self._layer()
         b1 = np.asarray([66, 67], dtype=np.int64)
         b2 = np.asarray([100, 101], dtype=np.int64)
-        layer.set_branch_vertices(0, b1)
-        layer.set_branch_vertices(1, b2)
+        layer.ledger.adopt(b1, ())
+        layer.ledger.adopt(b2, ())
         st.set_many(np.concatenate([b1, b2]).tolist(), "active")
         from sepkit.clustering import decompose_active_complement
 
@@ -237,9 +238,9 @@ class TestUnionGraphSearch:
         nc = nested_r_clustering(g, 50, 3, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
-        layer = DdgLayer(st, 0.5, seed=1)
+        layer = DdgLayer(st, BranchLedger(g.n), 0.5, seed=1)
         branch = np.asarray([0], dtype=np.int64)
-        layer.set_branch_vertices(0, branch)
+        layer.ledger.adopt(branch, ())
         st.set_many([0], "active")
         # s at the far end; with small ell the threshold is tiny
         sx = layer.assemble()
@@ -252,11 +253,11 @@ class TestUnionGraphSearch:
     def test_empty_slot_detected(self):
         g, nc, st, layer = self._layer()
         b1 = np.asarray([0], dtype=np.int64)
-        layer.set_branch_vertices(0, b1)
+        layer.ledger.adopt(b1, ())
         st.set_many([0], "active")
         # fully enclose vertex 0's region: activate its neighbors too
         ring = [1, 12]
-        layer.set_branch_vertices(1, np.asarray([66], dtype=np.int64))
+        layer.ledger.adopt(np.asarray([66], dtype=np.int64), ())
         st.set_many([66], "active")
         st.set_many(ring, "active")
         sx = layer.assemble()
@@ -340,7 +341,7 @@ def _grid_layer(k, seed):
     nc = nested_r_clustering(g, 2 * k, 4, 0.5, c_r=0.05)
     assert isinstance(nc, NestedClustering)
     st = ActiveState(nc)
-    return g, st, DdgLayer(st, 0.5, seed=seed)
+    return g, st, DdgLayer(st, BranchLedger(g.n), 0.5, seed=seed)
 
 
 def reference_sx(st, k, seed):
@@ -465,11 +466,10 @@ def _flip_and_find(g, st, layer, rnd):
         nb = [w for w in g.neighbors(v).tolist() if not st.up_used[w]]
         bs = np.asarray(sorted({v} | set(nb[:1])), dtype=np.int64)
         slots.append(step)
-        layer.set_branch_vertices(step, bs)
+        layer.ledger.adopt(bs, ())
         st.set_many(bs.tolist(), "active")
         if step % 4 == 3:
-            vs = np.flatnonzero(layer.slot_of_vertex == slots.pop(0))
-            layer.clear_branch(vs)
+            vs = layer.ledger.retire(slots.pop(0))
             st.set_many(vs.tolist(), "passive")
         sx = layer.assemble()
         s = int(sx.vertices[rnd.randrange(len(sx.vertices))])
@@ -483,7 +483,7 @@ class TestFindIsPinned:
         g = grid_graph(10)
         nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
         st = ActiveState(nc)
-        layer = DdgLayer(st, 0.5, seed=2)
+        layer = DdgLayer(st, BranchLedger(g.n), 0.5, seed=2)
         digest = hashlib.sha256()
         shared = 0
         for slots, res in _flip_and_find(g, st, layer, random.Random(2)):
@@ -494,7 +494,7 @@ class TestFindIsPinned:
             # extension must pick the lowest-id host among them
             hosts: dict[tuple[int, int], int] = {}
             for cid in sorted(st.cx):
-                ai = compute_Ai_boundary_sets(st.dyn[cid], st, layer.slot_of_vertex)
+                ai = compute_Ai_boundary_sets(st.dyn[cid], st, layer.ledger.owner)
                 for slot in slots:
                     for x in ai.get(slot, ()):
                         hosts[slot, x] = hosts.get((slot, x), 0) + 1
@@ -539,7 +539,7 @@ class TestRefreshPolicy:
         monkeypatch.setattr(ddg_mod, "build_ddg", build_ddg_counted)
         monkeypatch.setattr(ddg_mod, "build_cluster_spanner", spanner_counted)
         monkeypatch.setattr(ddg_mod, "ddg_path", path_counted)
-        layer = DdgLayer(st, 0.5, seed=1)
+        layer = DdgLayer(st, BranchLedger(g.n), 0.5, seed=1)
         rnd = random.Random(1)
         seen: set[int] = set()
         thinned: set[int] = set()

@@ -23,6 +23,7 @@ from sepkit.clustering import (
 from sepkit.ddg import DdgLayer
 from sepkit.generators import grid_graph, path_graph
 from sepkit.graph import Graph
+from sepkit.shallow import BranchLedger
 
 
 @pytest.fixture(autouse=True)
@@ -99,7 +100,7 @@ class TestDegenerateTreeSearch:
         nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
-        layer = DdgLayer(st, 0.5, seed=2)
+        layer = DdgLayer(st, BranchLedger(g.n), 0.5, seed=2)
         sx = layer.assemble()
         s = int(sx.vertices[0])
         res = layer.find_tree_or_far_pair(s, [], ell=2, h=4)

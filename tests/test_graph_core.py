@@ -23,6 +23,7 @@ from sepkit.graph import (
     induced_subgraph,
     load_graph,
     local_bfs,
+    local_labels,
     masked_components,
     masked_diameter,
     neighborhood,
@@ -699,6 +700,30 @@ class TestLocalBFS:
                 assert parent[v] == -1
         assert all(dist[a] <= dist[b] for a, b in zip(order, order[1:]))
         assert local_bfs(adj, src)[1] == local_bfs(adj, src, [False] * n)[1]
+
+
+class TestLocalLabels:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_csgraph_components(self, data):
+        """The labels are the csgraph components of G minus the blocked set,
+        renumbered in order of each component's smallest id, and -1 on
+        blocked vertices."""
+        n = data.draw(st.integers(1, 24))
+        edges = data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
+            max_size=3 * n))
+        g = Graph(n, list(edges))
+        adj = [g.neighbors(v).tolist() for v in range(n)]
+        blocked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        ids = np.flatnonzero(~np.array(blocked))
+        _, comp = csgraph.connected_components(MaskedSubgraph(g, ids).mat, directed=False)
+        # csgraph's component numbers, renumbered by first appearance in id order
+        first = {}
+        want = [-1] * n
+        for v, c in zip(ids.tolist(), comp.tolist()):
+            want[v] = first.setdefault(c, len(first))
+        assert local_labels(adj, blocked) == want
 
 
 class TestHostSubgraphRestrict:

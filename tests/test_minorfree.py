@@ -23,6 +23,7 @@ from sepkit.minorfree import (
     bidirectional_cut,
     minor_free_separator,
 )
+from sepkit.shallow import BranchLedger
 
 
 @pytest.fixture(autouse=True)
@@ -87,9 +88,9 @@ class TestLemmaTsStep:
         nc = nested_r_clustering(g, 24, 4, 0.5, c_r=0.05)
         assert isinstance(nc, NestedClustering)
         st = ActiveState(nc)
-        layer = DdgLayer(st, 0.5, seed=3)
+        layer = DdgLayer(st, BranchLedger(g.n), 0.5, seed=3)
         branch = np.asarray([66, 67], dtype=np.int64)
-        layer.set_branch_vertices(0, branch)
+        layer.ledger.adopt(branch, ())
         st.set_many(branch.tolist(), "active")
         from sepkit.clustering import decompose_active_complement
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepkit import debugcheck
+from sepkit import debugcheck, minorfree, shallow
 from sepkit.certificates import (
     MinorReport,
     MinorWitness,
@@ -16,6 +16,7 @@ from sepkit.certificates import (
     verify_output,
 )
 from sepkit.generators import generate_graph
+from sepkit.minorfree import minor_free_separator
 from sepkit.graph import (
     Graph,
     HostSubgraph,
@@ -25,6 +26,7 @@ from sepkit.graph import (
     induced_subgraph,
 )
 from sepkit.shallow import (
+    BranchLedger,
     PartitionState,
     _attachments,
     _pair_edges,
@@ -93,6 +95,70 @@ class TestTreeOrCut:
         assert res.kind == "tree" and 2 in res.tree_vertices
 
 
+def _ledger(n, slots):
+    """A ledger whose slots hold `slots` in order, None as a retired slot."""
+    ledger = BranchLedger(n)
+    for s in slots:
+        si = ledger.adopt(np.asarray([] if s is None else s, dtype=np.int64), ())
+        if s is None:
+            ledger.retire(si)
+    return ledger
+
+
+class TestBranchLedger:
+    def test_adopt_and_retire_keep_owner_p_and_held(self):
+        ledger = BranchLedger(8)
+        sets = [np.array([0, 1]), np.array([2]), np.array([5, 6, 7])]
+        for i, bs in enumerate(sets):
+            assert ledger.adopt(bs, ()) == i
+        ledger.retire(1)
+        assert ledger.held == [0, 2] and ledger.p == 2 and ledger.slots[1] is None
+        assert ledger.owner.tolist() == [0, 0, -1, -1, -1, 2, 2, 2]
+        # slots are never reused: the next set takes slot 3
+        assert ledger.adopt(np.array([3]), [(0, (3, 1)), (2, (3, 5))]) == 3
+        assert ledger.held == [0, 2, 3] and ledger.p == 3
+        assert ledger.owner.tolist() == [0, 0, -1, 3, -1, 2, 2, 2]
+        assert ledger.pair_edges == {(0, 3): (3, 1), (2, 3): (3, 5)}
+        assert ledger.retire(0).tolist() == [0, 1]
+        assert ledger.held == [2, 3] and ledger.owner.tolist() == [-1, -1, -1, 3, -1, 2, 2, 2]
+
+    def test_witness_renumbers_around_a_retired_slot(self):
+        # path 0-1-2-3-4-5: sets {0,1}, {2}, {3,4}; the middle one retires
+        # and {2} returns as a new slot joined to both
+        g = path(6)
+        ledger = BranchLedger(6)
+        ledger.adopt(np.array([0, 1]), ())
+        ledger.adopt(np.array([3, 4]), ())
+        ledger.retire(1)
+        ledger.adopt(np.array([2]), [(0, (2, 1))])
+        ledger.adopt(np.array([5]), [(2, (5, 2))])
+        wtn = ledger.witness(g, {"algorithm": "test"})
+        assert [bs.tolist() for bs in wtn.branch_sets] == [[0, 1], [2], [5]]
+        # (0, 2) and (2, 3) in slots are (0, 1) and (1, 2) in the witness;
+        # the pair (0, 2) has no recorded edge and no connecting edge
+        assert wtn.connecting_edges == {(0, 1): (2, 1), (1, 2): (5, 2)}
+        assert wtn.depth_bound == 1 and wtn.params == {"algorithm": "test"}
+
+    def test_forged_ledger_fires_each_loops_pair_rule(self, monkeypatch):
+        # two branch sets with no edge between them, held from the start
+        class Forged(BranchLedger):
+            def __init__(self, n):
+                super().__init__(n)
+                self.adopt(np.array([0]), ())
+                self.adopt(np.array([n - 1]), ())
+
+        g = grid(16)
+        for mod, run, rule in (
+                (shallow, lambda: shallow_separator(g, 5, 2, 0.5), "shallow.branch-pair"),
+                (minorfree, lambda: minor_free_separator(g, 5, 1, 0.5, c_r=0.05),
+                 "mf.branch-pair")):
+            with monkeypatch.context() as mp:
+                mp.setattr(mod, "BranchLedger", Forged)
+                with pytest.raises(debugcheck.InvariantViolation) as err:
+                    run()
+            assert err.value.rule == rule
+
+
 class TestParkLightComponents:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -113,7 +179,7 @@ class TestParkLightComponents:
         state = PartitionState(
             h=5, ell=1, delta=3, in_vr=np.zeros(n, dtype=bool),
             in_b=np.zeros(n, dtype=bool),
-            branch_slots=[None if s is None else np.asarray(s) for s in slots],
+            ledger=_ledger(n, slots),
             live=live.copy(), live_n=int(live.sum()), live_w=int(g.vertex_weight[live].sum()))
         # reference: every component of G[live], the heaviest first, then the
         # one with the smallest vertex id
@@ -137,7 +203,7 @@ class TestParkLightComponents:
         live = np.array([True, True, False, False])
         state = PartitionState(
             h=5, ell=1, delta=3, in_vr=np.zeros(4, dtype=bool),
-            in_b=np.zeros(4, dtype=bool), branch_slots=[None, np.array([3])],
+            in_b=np.zeros(4, dtype=bool), ledger=_ledger(4, [None, [3]]),
             live=live.copy(), live_n=2, live_w=weights[0] + weights[1])
         gw = _park_light_components(g, state, HostSubgraph(g, live), 1)
         assert gw == weights[kept[0]] and np.flatnonzero(state.live).tolist() == kept
