@@ -207,15 +207,15 @@ def verify_minor_report(g: Graph, rep: MinorReport) -> VerifyReport:
     """
     cert = rep.certificate
     v: list[tuple[str, str]] = []
-    # no graph on n vertices has a K_h minor for h > n, and neither policy
-    # fires there; such an h is refused without computing its threshold
-    # (2^(h-2) n / 2 for mader-proven, which costs time exponential in h)
-    if cert.h > cert.n:
+    # the threshold (2^(h-2) n / 2 for mader-proven) costs time exponential
+    # in h, so it is recomputed only for h <= n <= g.n: no graph on n
+    # vertices has a K_h minor for h > n, and neither policy fires there
+    if cert.n > g.n:
+        v.append(("report.n", f"certificate n={cert.n} but graph has n={g.n}"))
+    elif cert.h > cert.n:
         v.append(("report.h", f"certificate h={cert.h} exceeds its n={cert.n}"))
     elif not cert.recheck():
         v.append(("report.threshold", "certificate threshold does not recompute"))
-    if cert.n > g.n:
-        v.append(("report.n", f"certificate n={cert.n} but graph has n={g.n}"))
     if cert.m > g.m or (cert.n == g.n and cert.m != g.m):
         v.append(("report.m", f"certificate m={cert.m} but graph has m={g.m}"))
     elif cert.m > cert.n * (cert.n - 1) // 2:

@@ -39,10 +39,11 @@ lists.
 
 The dynamic layer (ActiveState) is the one expansion of C_X: it maintains,
 under passive<->active vertex flips, the antichain C_X in which every active
-vertex is a boundary vertex, the per-cluster partitions into X-clusters
-(components of C minus its active boundary, retaining a passive boundary
-vertex) and their exact weights; in debug mode each batch of flips re-checks
-the antichain postconditions.
+vertex is a boundary vertex, an edge index naming the C_X cluster of each
+edge, the per-cluster partitions into X-clusters (components of C minus its
+active vertices, retaining a passive boundary vertex) and their exact
+weights; in debug mode each batch of flips re-checks the antichain
+postconditions.
 decompose_active_complement reads the decomposition of G minus X into unions
 of X-clusters from one component search on the bipartite graph of X-clusters
 and their passive boundary vertices.
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, KeysView, Optional, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -500,18 +501,25 @@ def nested_r_clustering(g: Graph, r: int, h: int, eps: float,
 # -- dynamic layer ------------------------------------------------------------
 
 
-def _check_cx_postconditions(nc: NestedClustering, roster: set[int], xmask: np.ndarray) -> None:
-    """The antichain rules: clusters of `roster` share only boundary vertices,
-    and every X vertex is a boundary vertex, or interior to a leaf."""
+def _check_cx_postconditions(st: ActiveState) -> None:
+    """The antichain rules: C_X clusters share only boundary vertices, every
+    X vertex is a boundary vertex, or interior to a leaf, and the edge index
+    maps each C_X cluster's edges, and only those, to it."""
+    nc, xmask = st.nc, st.active
     mult = np.zeros(nc.g.n, dtype=np.int64)
     bmult = np.zeros(nc.g.n, dtype=np.int64)
     leafint = np.zeros(nc.g.n, dtype=bool)
-    for cid in roster:
+    indexed = True
+    for cid in st.cx:
         c = nc.cluster(cid)
         mult[c.vertices] += 1
         bmult[c.boundary] += 1
         if c.is_leaf:
             leafint[c.vertices] = True
+        indexed = indexed and bool((st.edge_cx[c.edges] == cid).all())
+    debugcheck.check("cx.edge-index",
+                     indexed and bool(np.isin(st.edge_cx, list(st.cx)).all()),
+                     "the edge index disagrees with C_X")
     shared = mult > 1
     debugcheck.check("cx.boundary-sharing", bool(np.all(bmult[shared] == mult[shared])),
                      "clusters of C_X share a non-boundary vertex")
@@ -533,14 +541,13 @@ class XCluster:
 
 class _ClusterDyn:
     """The one record of a C_X cluster: local neighbor lists and boundary
-    mask, X-cluster partition and the DDG layer's per-cluster state.  `ddg`
-    is built at most once, and never for a cluster without interior vertices
-    unless a tree path through it is expanded; the cluster's S_X rows live in
-    the DDG layer's table.  `recompute` resets `ai_sets`, which depends on
-    the partition, to None (stale)."""
+    mask, X-cluster partition and the cluster's DDG.  `ddg` is built at most
+    once, and never for a cluster without interior vertices unless a tree
+    path through it is expanded; the cluster's S_X rows live in the DDG
+    layer's table, and the label sets are derived from the partition on
+    each find."""
 
-    __slots__ = ("cid", "verts", "wts", "adj", "is_bnd", "xcl_of", "xclusters",
-                 "ddg", "ai_sets")
+    __slots__ = ("cid", "verts", "wts", "adj", "is_bnd", "xcl_of", "xclusters", "ddg")
 
     def __init__(self, g: Graph, c: Cluster):
         self.cid = c.id
@@ -554,14 +561,13 @@ class _ClusterDyn:
         self.xcl_of: Optional[list[int]] = None
         self.xclusters: list[XCluster] = []
         self.ddg = None         # ddg.DenseDistanceGraph, built on first use by the DDG layer
-        self.ai_sets = None     # slot -> passive boundary label set; None while stale
 
     def recompute(self, active: np.ndarray) -> None:
         """Partition into components of C minus its active vertices; O(|C| + |E(C)|).
 
         After C_X expansion active vertices are boundary vertices, except for
-        degree-1 vertices stuck inside single-edge leaves; blocking every
-        active vertex covers both cases.  One `local_labels` pass numbers the
+        degree-1 vertices inside single-edge leaves; blocking every active
+        vertex covers both cases.  One `local_labels` pass numbers the
         X-clusters by smallest member; each one's members, weight and passive
         boundary come from grouping the vertices by label, with one array
         index per X-cluster.
@@ -581,7 +587,6 @@ class _ClusterDyn:
             self.xclusters.append(XCluster(vertices=both[:len(members)],
                                            weight=sum(self.wts[i] for i in members),
                                            passive_boundary=both[len(members):]))
-        self.ai_sets = None
 
     def xcluster_of_vertex(self, v: int) -> Optional[int]:
         li = int(np.searchsorted(self.verts, v))
@@ -597,8 +602,13 @@ class ActiveState:
     Each vertex flips passive->active and active->passive at most once; the
     active-set size never exceeds x_cap when one is given.  Cluster-local
     recomputation and C_X expansion run on every flip.  `dyn` holds one
-    `_ClusterDyn` record per cluster of C_X; a record leaves with its
-    cluster, and clusters never re-enter C_X.
+    `_ClusterDyn` record per C_X cluster, and its keys are C_X (`cx`);
+    `edge_cx[e]` is the C_X cluster holding edge e, which an expanded
+    cluster's children overwrite.  Clusters never re-enter C_X.
+
+    By the piece rule, v is a boundary vertex of a C_X cluster exactly when
+    v has an edge in another one, so the clusters holding v, and whether v
+    is interior, are read off the edges at v.
     """
 
     def __init__(self, nc: NestedClustering, x_cap: Optional[int] = None):
@@ -609,52 +619,38 @@ class ActiveState:
         self.up_used = np.zeros(g.n, dtype=bool)
         self.down_used = np.zeros(g.n, dtype=bool)
         self.x_cap = x_cap
-        self.cx: set[int] = set(nc.level1)
         self.dyn: dict[int, _ClusterDyn] = {}
-        self.interior_of = np.full(g.n, -1, dtype=np.int64)
-        self.boundary_clusters: dict[int, set[int]] = {}
+        self.edge_cx = np.full(g.m, -1, dtype=np.int64)
         for cid in nc.level1:
             self._enter(cid)
 
-    # -- cluster roster maintenance ------------------------------------------
+    @property
+    def cx(self) -> KeysView[int]:
+        """The cluster ids of C_X."""
+        return self.dyn.keys()
+
+    def clusters_at(self, v: int) -> set[int]:
+        """The C_X clusters holding an edge at v."""
+        g = self.nc.g
+        return set(self.edge_cx[g.slot_edges()[g.indptr[v]:g.indptr[v + 1]]].tolist())
 
     def _enter(self, cid: int) -> None:
         c = self.nc.cluster(cid)
-        bset = set(c.boundary.tolist())
-        for v in c.vertices.tolist():
-            if v in bset:
-                self.boundary_clusters.setdefault(v, set()).add(cid)
-            else:
-                self.interior_of[v] = cid
+        self.edge_cx[c.edges] = cid
         dyn = _ClusterDyn(self.nc.g, c)
         dyn.recompute(self.active)
         self.dyn[cid] = dyn
 
-    def _leave(self, cid: int) -> None:
-        c = self.nc.cluster(cid)
-        bset = set(c.boundary.tolist())
-        for v in c.vertices.tolist():
-            if v in bset:
-                s = self.boundary_clusters.get(v)
-                if s is not None:
-                    s.discard(cid)
-            elif self.interior_of[v] == cid:
-                self.interior_of[v] = -1
-        self.dyn.pop(cid, None)
-
-    def _expand(self, cid: int) -> list[int]:
+    def _expand(self, cid: int) -> None:
         kids = self.nc.children_of(cid)
-        self.cx.discard(cid)
-        self._leave(cid)
-        self.cx.update(kids)
+        del self.dyn[cid]
         for k in kids:
             self._enter(k)
-        return kids
 
     # -- flips -----------------------------------------------------------------
 
     def _flip(self, v: int, to: str) -> set[int]:
-        """Apply one flip; returns the cluster ids whose partitions changed."""
+        """Apply one flip; returns the ids of the C_X clusters holding v."""
         if to == "active":
             if self.active[v]:
                 return set()
@@ -665,14 +661,13 @@ class ActiveState:
             self.up_used[v] = True
             self.active[v] = True
             self.n_active += 1
-            # expand until v is a boundary vertex wherever it appears; a
-            # degree-1 vertex stays interior to its single-edge leaf, which
-            # is unexpandable (the partition blocks it regardless)
-            while self.interior_of[v] >= 0:
-                cid = int(self.interior_of[v])
-                if self.nc.cluster(cid).is_leaf:
-                    break
-                self._expand(cid)
+            # expand while v's edges lie in one non-leaf cluster, which holds
+            # v as an interior vertex; a degree-1 vertex stays interior to its
+            # single-edge leaf, whose partition the caller recomputes
+            cids = self.clusters_at(v)
+            while len(cids) == 1 and not self.nc.cluster(min(cids)).is_leaf:
+                self._expand(min(cids))
+                cids = self.clusters_at(v)
         elif to == "passive":
             if not self.active[v]:
                 return set()
@@ -681,9 +676,10 @@ class ActiveState:
             self.down_used[v] = True
             self.active[v] = False
             self.n_active -= 1
+            cids = self.clusters_at(v)
         else:
             raise ValueError(f"unknown state {to!r}")
-        return set(self.boundary_clusters.get(v, ()))
+        return cids
 
     def set_vertex_state(self, v: int, to: str) -> None:
         self.set_many([v], to)
@@ -696,11 +692,11 @@ class ActiveState:
         touched: set[int] = set()
         for v in vs:
             touched |= self._flip(int(v), to)
-        touched &= set(self.dyn)  # expanded-away clusters no longer exist
+        touched &= self.cx  # expanded-away clusters no longer exist
         for cid in sorted(touched):
             self.dyn[cid].recompute(self.active)
         if debugcheck.enabled():
-            _check_cx_postconditions(self.nc, self.cx, self.active)
+            _check_cx_postconditions(self)
 
 
 def decompose_active_complement(st: ActiveState) -> list[tuple[list[tuple[int, int]], int, int]]:

@@ -19,9 +19,11 @@ to C_X clusters and passive ends, thinning only clusters above the spanner
 size target.  S_X is the search arena for the shallow-tree hunt: a Dijkstra
 tree in S_X either yields an empty-index certificate, a shallow tree (edges
 expanded back to stored underlying paths), or a pair of far-apart vertices
-for the bidirectional cut search.  Label sets stay on the records; a
-partition recompute marks them stale.  The branch sets are the loop's
-`shallow.BranchLedger`, whose owner array the layer reads.
+for the bidirectional cut search.  The branch sets are the loop's
+`shallow.BranchLedger`, whose owner array the layer reads; each find derives
+the slots' label sets from the held vertices' edges, ActiveState's edge
+index and the records' X-cluster partitions, so nothing is cached between
+finds and owner writes need no order against flips.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import numpy as np
 
 from . import debugcheck
 from .clustering import ActiveState, _ClusterDyn
-from .graph import Graph, HostSubgraph, LevelBFS, MaskedSubgraph, local_bfs
+from .graph import (Graph, HostSubgraph, LevelBFS, MaskedSubgraph, gather_neighbors, gather_rows,
+                    local_bfs)
 from .shallow import BranchLedger, ln_ceil
 from .spanner import SIZE_COEFF, build_spanner
 
@@ -272,32 +275,6 @@ def sssp_SX(sx: UnionGraph, s: int) -> SXTree:
                   tag_keys=tag_keys, tag_vals=tag_vals)
 
 
-def compute_Ai_boundary_sets(dyn: _ClusterDyn, st: ActiveState,
-                             owner: np.ndarray) -> dict[int, list[int]]:
-    """Per-slot passive boundary vertices whose X-cluster touches the slot's
-    active boundary vertices of this cluster (the marked-DFS of the search
-    layer, realized through the cached X-cluster partition); owner is the
-    branch-set ledger's slot of each vertex."""
-    act = st.active[dyn.verts].tolist()
-    if True not in act:
-        return {}
-    xcl = dyn.xcl_of
-    marked: set[tuple[int, int]] = set()
-    for bl, slot in enumerate(owner[dyn.verts].tolist()):
-        if slot < 0 or not act[bl]:
-            continue
-        for w in dyn.adj[bl]:
-            k = xcl[w]
-            if k >= 0:
-                marked.add((slot, k))
-    out: dict[int, set[int]] = {}
-    for slot, k in marked:
-        pb = dyn.xclusters[k].passive_boundary
-        if len(pb):
-            out.setdefault(slot, set()).update(pb.tolist())
-    return {slot: sorted(vals) for slot, vals in out.items()}
-
-
 @dataclass
 class FindResult:
     kind: str                               # "empty" | "tree" | "far"
@@ -309,8 +286,7 @@ class FindResult:
 
 
 class DdgLayer:
-    """Keeps the S_X table and the label sets of the C_X records of an
-    ActiveState, and searches the S_X they make up."""
+    """Keeps the S_X table of an ActiveState's C_X, and searches it."""
 
     def __init__(self, st: ActiveState, ledger: BranchLedger, eps: float, seed: int = 0):
         self.st = st
@@ -326,16 +302,8 @@ class DdgLayer:
         self.kept_rows = 0              # table rows left by the last compaction
 
     def refresh_all(self) -> None:
-        """Rebuild the label sets of every stale C_X record, and table the
-        clusters new to C_X."""
-        st = self.st
-        new: list[int] = []
-        for cid in sorted(st.cx):
-            dyn = st.dyn[cid]
-            if dyn.ai_sets is None:
-                dyn.ai_sets = compute_Ai_boundary_sets(dyn, st, self.ledger.owner)
-                if cid not in self.tabled:
-                    new.append(cid)
+        """Table the clusters new to C_X."""
+        new = sorted(self.st.cx - self.tabled)
         if new:
             self._append_rows(new)
 
@@ -372,19 +340,46 @@ class DdgLayer:
         self.refresh_all()
         return assemble_SX(self.st, self.pairs, self.bnd, self.k, self.seed)
 
+    def label_hosts(self, slots: list[int]) -> dict[int, dict[int, int]]:
+        """Per slot of `slots`: each label vertex -> the lowest-id C_X cluster
+        whose label set holds it.
+
+        A slot's label set in a C_X cluster is the passive boundary of every
+        X-cluster there that the slot's active vertices touch by an edge of
+        the cluster.  The rows of the held active vertices are gathered once,
+        `edge_cx` gives each edge's cluster, and one search over the touched
+        records' vertex lists, keyed by (cluster rank, vertex), places each
+        edge's other end in its record's partition.
+        """
+        st, g, owner = self.st, self.g, self.ledger.owner
+        held = np.flatnonzero((owner >= 0) & st.active)
+        nbr, deg = gather_rows(g.indptr, g.indices, held)
+        cids, rank = np.unique(st.edge_cx[gather_neighbors(g.indptr, g.slot_edges(), held)],
+                               return_inverse=True)
+        dyns = [st.dyn[c] for c in cids.tolist()]
+        sizes = [len(d.verts) for d in dyns]
+        keys = np.repeat(np.arange(len(dyns), dtype=np.int64) * g.n, sizes) + \
+            np.concatenate([d.verts for d in dyns] or [np.empty(0, np.int64)])
+        local = np.searchsorted(keys, rank * g.n + nbr) - np.cumsum([0] + sizes)[rank]
+        marked: set[tuple[int, int, int]] = set()
+        for si, r, li in zip(np.repeat(owner[held], deg).tolist(), rank.tolist(), local.tolist()):
+            k = dyns[r].xcl_of[li]
+            if k >= 0:
+                marked.add((si, dyns[r].cid, k))
+        hosts: dict[int, dict[int, int]] = {si: {} for si in slots}
+        for si, c, k in sorted(marked):
+            if si in hosts:
+                for b in st.dyn[c].xclusters[k].passive_boundary.tolist():
+                    hosts[si].setdefault(b, c)
+        return hosts
+
     def find_tree_or_far_pair(self, s: int, slots: list[int], ell: int,
                               h: int) -> FindResult:
         """Empty index, shallow tree through all label sets, or a far pair."""
         sx = self.assemble()
         tree = sssp_SX(sx, s)
         threshold = math.ceil(8 * ell * ln_ceil(self.g.n)) * (2 * self.k - 1)
-        # per slot: label vertex -> lowest-id C_X cluster holding it
-        hosts: dict[int, dict[int, int]] = {slot: {} for slot in slots}
-        for cid in sorted(self.st.cx):
-            ai = self.st.dyn[cid].ai_sets
-            for slot, idx in hosts.items():
-                for b in ai.get(slot, ()):
-                    idx.setdefault(b, cid)
+        hosts = self.label_hosts(slots)
         nearest: dict[int, tuple[int, int]] = {}
         nv = len(tree.vertices)
         for slot in slots:

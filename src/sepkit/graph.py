@@ -125,15 +125,19 @@ class Graph:
             return np.ones(self.m, dtype=np.int64)
         return self.edge_w
 
+    def slot_edges(self) -> np.ndarray:
+        """The canonical edge id of each CSR slot, built on first use."""
+        if self._csr_edge_id is None:
+            # slot k holds the edge at position order[k] of [ev, eu]
+            self._csr_edge_id = _slot_order(self.edge_u, self.edge_v) % max(self.m, 1)
+        return self._csr_edge_id
+
     def csr(self, weights: Optional[np.ndarray] = None) -> csr_matrix:
         """Adjacency as a scipy CSR matrix (symmetric, given data or ones)."""
         if weights is None:
             data = np.ones(len(self.indices), dtype=np.int64)
         else:
-            if self._csr_edge_id is None:
-                # slot k holds the edge at position order[k] of [ev, eu]
-                self._csr_edge_id = _slot_order(self.edge_u, self.edge_v) % max(self.m, 1)
-            data = weights[self._csr_edge_id]
+            data = weights[self.slot_edges()]
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def __repr__(self) -> str:

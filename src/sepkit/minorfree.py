@@ -7,10 +7,9 @@ its shallow trees in the sublinear arena S_X (per-cluster spanners of dense
 distance graphs) and its low-expansion cuts with a bidirectional ball search
 run directly in G minus the active set.  The four-way partition invariants
 are identical, and M is kept in the same `shallow.BranchLedger`, whose owner
-array the DDG layer reads: each owner write comes before the flip that
-follows it, which recomputes label sets.  The active set X is M u B, and
-component weights come from the X-cluster decomposition rather than graph
-scans.
+array the DDG layer reads when each find derives its label sets.  The
+active set X is M u B, and component weights come from the X-cluster
+decomposition rather than graph scans.
 """
 
 from __future__ import annotations

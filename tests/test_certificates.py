@@ -23,7 +23,7 @@ from sepkit.certificates import (
     verify_output,
     verify_separator,
 )
-from sepkit.generators import path_graph
+from sepkit.generators import grid_graph, path_graph
 from sepkit.graph import DensityCertificate, Graph, sparsity_guard
 from sepkit.shallow import shallow_separator, shallow_separator_balanced
 from sepkit.tradeoff import tradeoff_separator
@@ -283,6 +283,16 @@ class TestForgedReport:
     def test_more_edges_than_g(self):
         cert = DensityCertificate(n=30, m=61, h=4, threshold=60, policy="mader-proven")
         assert self.rules(path_graph(50), MinorReport(certificate=cert)) == ["report.m"]
+
+    def test_oversized_report_refused_before_its_threshold(self):
+        # 2^(h-2) n / 2 at n = h = 10^8 takes most of a second to compute;
+        # a report larger than g is refused by report.n without it
+        import time
+
+        cert = DensityCertificate(n=10**8, m=24, h=10**8, threshold=1, policy="mader-proven")
+        t0 = time.perf_counter()
+        assert self.rules(grid_graph(4), MinorReport(certificate=cert)) == ["report.n"]
+        assert time.perf_counter() - t0 < 0.1
 
     def test_bare_certificate_threshold(self):
         cert = DensityCertificate(n=5, m=10, h=3, threshold=4, policy="mader-proven")

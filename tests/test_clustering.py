@@ -653,6 +653,30 @@ class TestActiveState:
                 st.set_vertex_state(seq[i - 2], "passive")
             self._compare(g, nc, st)
 
+    @pytest.mark.parametrize("spec,r,h", [("binary-tree 6", 12, 4), ("path 200", 16, 3),
+                                          ("kh-blowup 5 40", 30, 5)])
+    def test_flip_recomputes_every_cluster_holding_the_vertex(self, spec, r, h):
+        # a degree-1 vertex stays interior to its single-edge leaf; that
+        # leaf's partition must follow the vertex's flips like any other
+        g = generate_graph(spec, 1)
+        nc = nested_r_clustering(g, r, h, 0.5, c_r=0.05)
+        assert isinstance(nc, NestedClustering)
+        st = ActiveState(nc)
+        rnd = random.Random(3)
+        for step in range(60):
+            if step % 3 == 2:
+                pool = [v for v in range(g.n) if st.active[v] and not st.down_used[v]]
+                to = "passive"
+            else:
+                pool = [v for v in range(g.n) if not st.up_used[v]]
+                to = "active"
+            st.set_vertex_state(rnd.choice(pool), to)
+            for cid, dyn in st.dyn.items():
+                fresh = _ClusterDyn(g, nc.cluster(cid))
+                fresh.recompute(st.active)
+                assert dyn.xcl_of == fresh.xcl_of, (step, cid)
+            self._compare(g, nc, st)
+
     @staticmethod
     def _compare(g, nc, st):
         comps = decompose_active_complement(st)

@@ -62,7 +62,7 @@ DECOMPOSE = {
     "random-regular 300 3":
         "f44131a3c7bc823d78be92cb9de74c7e25b5857c33db10081d9690976744b8e2",
     "kh-blowup 5 40":
-        "bc528a2378b6094bc6398836990a5646d99af557b89db560b7d53b4c5f28b6a8",
+        "bfc32c074fc00cb3bf37050638a0a30ff8c52e32cace9dc056549bb642342b5b",
     "kh-blowup 8 1":
         "32ed90a140b650b22535ca74c0c9cc7e2d7d067bc142569f31a183368bc05500",
 }

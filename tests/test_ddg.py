@@ -22,11 +22,10 @@ from sepkit.ddg import (
     UnionGraph,
     build_cluster_spanner,
     build_ddg,
-    compute_Ai_boundary_sets,
     ddg_path,
     sssp_SX,
 )
-from sepkit.generators import grid_graph, path_graph
+from sepkit.generators import generate_graph, grid_graph, path_graph
 from sepkit.graph import Graph, induced_subgraph
 from sepkit.shallow import BranchLedger
 
@@ -380,7 +379,7 @@ class TestLayerStore:
             sx = layer.assemble()
             # one record per C_X cluster, each refreshed by the assemble
             assert set(st.dyn) == st.cx
-            assert all(st.dyn[cid].ai_sets is not None for cid in st.cx)
+            assert layer.tabled >= st.cx
             expected = []
             for cid in sorted(st.cx):
                 ddg = build_ddg(st.dyn[cid])
@@ -477,6 +476,60 @@ def _flip_and_find(g, st, layer, rnd):
         yield slots, layer.find_tree_or_far_pair(s, list(slots), ell=ell, h=len(slots) + 2)
 
 
+def oracle_label_sets(dyn, st, owner):
+    """One C_X record's label sets: per slot, the passive boundary vertices
+    of every X-cluster of the record that touches the slot's active vertices
+    there (the marked search of the layer, over the record's partition)."""
+    act = st.active[dyn.verts].tolist()
+    if True not in act:
+        return {}
+    xcl = dyn.xcl_of
+    marked: set[tuple[int, int]] = set()
+    for bl, slot in enumerate(owner[dyn.verts].tolist()):
+        if slot < 0 or not act[bl]:
+            continue
+        for w in dyn.adj[bl]:
+            k = xcl[w]
+            if k >= 0:
+                marked.add((slot, k))
+    out: dict[int, set[int]] = {}
+    for slot, k in marked:
+        pb = dyn.xclusters[k].passive_boundary
+        if len(pb):
+            out.setdefault(slot, set()).update(pb.tolist())
+    return {slot: sorted(vals) for slot, vals in out.items()}
+
+
+def oracle_label_hosts(st, owner, slots):
+    """Per slot: label vertex -> lowest-id C_X cluster whose label set holds
+    it, from every record's label sets in cluster order."""
+    hosts: dict[int, dict[int, int]] = {slot: {} for slot in slots}
+    for cid in sorted(st.cx):
+        ai = oracle_label_sets(st.dyn[cid], st, owner)
+        for slot, idx in hosts.items():
+            for b in ai.get(slot, ()):
+                idx.setdefault(b, cid)
+    return hosts
+
+
+class TestLabelHosts:
+    @pytest.mark.parametrize("spec,r,seed", [("grid 10", 20, 2), ("grid 12", 24, 5),
+                                             ("binary-tree 6", 12, 1), ("kh-blowup 5 40", 30, 3)])
+    def test_hosts_match_per_record_label_sets(self, spec, r, seed):
+        g = generate_graph(spec, seed)
+        nc = nested_r_clustering(g, r, 4, 0.5, c_r=0.05)
+        assert isinstance(nc, NestedClustering)
+        st = ActiveState(nc)
+        layer = DdgLayer(st, BranchLedger(g.n), 0.5, seed=seed)
+        labelled = 0
+        for slots, _ in _flip_and_find(g, st, layer, random.Random(seed)):
+            # a find flips no vertex and writes no owner: these are its hosts
+            want = oracle_label_hosts(st, layer.ledger.owner, slots)
+            assert layer.label_hosts(slots) == want
+            labelled += sum(map(len, want.values()))
+        assert labelled
+
+
 class TestFindIsPinned:
     def test_find_results_are_pinned(self):
         # pinned before C_X's per-cluster DDG state moved onto _ClusterDyn
@@ -494,7 +547,7 @@ class TestFindIsPinned:
             # extension must pick the lowest-id host among them
             hosts: dict[tuple[int, int], int] = {}
             for cid in sorted(st.cx):
-                ai = compute_Ai_boundary_sets(st.dyn[cid], st, layer.ledger.owner)
+                ai = oracle_label_sets(st.dyn[cid], st, layer.ledger.owner)
                 for slot in slots:
                     for x in ai.get(slot, ()):
                         hosts[slot, x] = hosts.get((slot, x), 0) + 1
