@@ -504,7 +504,8 @@ def nested_r_clustering(g: Graph, r: int, h: int, eps: float,
 def _check_cx_postconditions(st: ActiveState) -> None:
     """The antichain rules: C_X clusters share only boundary vertices, every
     X vertex is a boundary vertex, or interior to a leaf, and the edge index
-    maps each C_X cluster's edges, and only those, to it."""
+    maps each C_X cluster's edges, and only those, to it; and each C_X
+    record's X-cluster partition is that of a fresh record, O(sum of |C|)."""
     nc, xmask = st.nc, st.active
     mult = np.zeros(nc.g.n, dtype=np.int64)
     bmult = np.zeros(nc.g.n, dtype=np.int64)
@@ -512,6 +513,10 @@ def _check_cx_postconditions(st: ActiveState) -> None:
     indexed = True
     for cid in st.cx:
         c = nc.cluster(cid)
+        fresh = _ClusterDyn(nc.g, c)
+        fresh.recompute(xmask)
+        debugcheck.check("cx.partition", st.dyn[cid].xcl_of == fresh.xcl_of,
+                         f"C_X cluster {cid}'s X-cluster partition is stale")
         mult[c.vertices] += 1
         bmult[c.boundary] += 1
         if c.is_leaf:

@@ -635,37 +635,58 @@ class LevelBFS:
     `csgraph.breadth_first_order`, so level j (the vertices at distance j) is
     order[starts[j]:starts[j + 1]].  In FIFO order the positions of the
     search-tree parents never decrease, so level j + 1 starts at
-    1 + #(parent positions < starts[j]): one binary search per level.  The
-    level starts are found on demand, only as far as `ball` asks; `levels`
-    and `parent` find them all.  This is the host-scale kernel: the shallow
-    loop, the trade-off's spanning tree and the debug checks search through
-    it; searches inside one cluster of a few vertices run on `local_bfs`.
+    1 + #(parent positions < starts[j]): one read per level of a prefix sum
+    of the child count at each position.  The level starts are found on
+    demand, only as far as `ball` asks; `levels` and `parent` find them all.
+    This is the host-scale kernel: the shallow loop, the trade-off's
+    spanning tree and the debug checks search through it; searches inside
+    one cluster of a few vertices run on `local_bfs`.
+
+    A search costs its `breadth_first_order` call.  The positions in order
+    (`pos`, n entries) and the child-count prefix are built on the first
+    level, ball or parent query, so a caller that reads only `order` pays
+    for nothing more.
 
     The predecessor of a vertex is its largest-id neighbor one level closer
     to start, the one `csgraph.dijkstra(unweighted=True)` returns.  The
     matrix must be symmetric with int32 indices (csgraph's canonical form).
     """
 
-    __slots__ = ("mat", "start", "order", "pos", "_ppos", "_starts")
+    __slots__ = ("mat", "start", "order", "_pred", "_pos", "_kids", "_starts")
 
     def __init__(self, mat: csr_matrix, start: int):
-        order, tree_pred = csgraph.breadth_first_order(mat, start, directed=True,
-                                                       return_predecessors=True)
-        pos = np.full(mat.shape[0], -1, dtype=np.int32)
-        pos[order] = np.arange(len(order), dtype=np.int32)
+        self.order, self._pred = csgraph.breadth_first_order(mat, start, directed=True,
+                                                             return_predecessors=True)
         self.mat = mat
         self.start = start
-        self.order = order
-        self.pos = pos                       # position in order; -1 when unreached
-        self._ppos = pos[tree_pred[order[1:]]]
+        self._pos: Optional[np.ndarray] = None
+        self._kids: Optional[np.ndarray] = None
         self._starts = [0, 1]
+
+    def _index(self) -> None:
+        order = self.order
+        pos = np.full(self.mat.shape[0], -1, dtype=np.int32)
+        pos[order] = np.arange(len(order), dtype=np.int32)
+        # kids[i]: the vertices whose search-tree parent sits at a position <= i
+        self._kids = np.bincount(pos[self._pred[order[1:]]], minlength=len(order)).cumsum()
+        self._pos, self._pred = pos, None
+
+    @property
+    def pos(self) -> np.ndarray:
+        """The position of each vertex in order; -1 when unreached."""
+        if self._pos is None:
+            self._index()
+        return self._pos
 
     def _grow(self, d: int) -> list[int]:
         """The level starts, found through level d or the last level."""
-        starts, ppos, k = self._starts, self._ppos, len(self.order)
-        while len(starts) <= d + 1 and starts[-1] < k:
-            # an int32 key: an int64 one would cast all of ppos on every call
-            starts.append(1 + int(ppos.searchsorted(np.int32(starts[-1]))))
+        starts, k = self._starts, len(self.order)
+        if len(starts) <= d + 1 and starts[-1] < k:
+            if self._kids is None:
+                self._index()
+            kids = self._kids
+            while len(starts) <= d + 1 and starts[-1] < k:
+                starts.append(1 + kids.item(starts[-1] - 1))
         return starts
 
     def ball(self, d: int) -> int:
@@ -684,11 +705,16 @@ class LevelBFS:
 
     def parent(self, v: int) -> int:
         """The largest-id neighbor of v one level closer to start (v reached, not start)."""
+        pos = self.pos
         starts = self._grow(len(self.order))
-        j = bisect.bisect_right(starts, int(self.pos[v])) - 1
-        nbrs = self.mat.indices[self.mat.indptr[v]:self.mat.indptr[v + 1]]
-        q = self.pos[nbrs]
-        return int(nbrs[(q >= starts[j - 1]) & (q < starts[j])].max())
+        j = bisect.bisect_right(starts, pos.item(v)) - 1
+        lo, hi = starts[j - 1], starts[j]
+        indptr = self.mat.indptr
+        best = -1
+        for w in self.mat.indices[indptr.item(v):indptr.item(v + 1)].tolist():
+            if w > best and lo <= pos.item(w) < hi:
+                best = w
+        return best
 
 
 def local_bfs(adj: list[list[int]], src: int,
@@ -749,11 +775,13 @@ class HostSubgraph:
     O(|ids| + vol(ids)) for small sets).  The BFS from the last start asked
     for is kept until the next `restrict`.
 
-    `restrict` shrinks the mask in place at O(n + vol(newly dead)): each
-    slot joining a newly dead vertex d to u is rewritten as a self-loop (the
-    entry for d in u's row becomes u, the entry for u in d's row becomes d),
-    so the matrix stays symmetric and no slot moves.  A self-loop never lies
-    one level closer to start, so BFS order, balls, levels, `parent` and the
+    `restrict` takes the ids that leave the mask and costs O(their degree),
+    after one argsort of the slots on the first call; the caller, which
+    knows those ids, saves an n-entry mask diff per call.  Each slot joining
+    a dead vertex d to u is rewritten as a self-loop (the entry for d in u's
+    row becomes u, the entry for u in d's row becomes d), so the matrix
+    stays symmetric and no slot moves.  A self-loop never lies one level
+    closer to start, so BFS order, balls, levels, `parent` and the
     components are those of a fresh build; but the matrix is canonical
     (sorted, loop-free rows) only as built, and `m` counts the live edges.
     """
@@ -773,9 +801,8 @@ class HostSubgraph:
         self._rev: Optional[np.ndarray] = None  # slot of each slot's reverse entry
         self._bfs: Optional[LevelBFS] = None
 
-    def restrict(self, mask: np.ndarray) -> None:
-        """Shrink the subgraph to G[mask]; mask must be a subset of the current one."""
-        dead = np.flatnonzero(self.mask & ~mask)
+    def restrict(self, dead: np.ndarray) -> None:
+        """Shrink the subgraph to G[mask - dead]; dead lists distinct ids of the mask."""
         if len(dead) == 0:
             return
         mat = self.mat
@@ -790,13 +817,13 @@ class HostSubgraph:
         cols = mat.indices[slots]
         edge = cols != rows  # the other slots are loops of earlier restricts
         slots, rows, cols = slots[edge], rows[edge], cols[edge]
+        self.mask[dead] = False
         # every edge left joins two vertices of the old mask; one with both
         # ends dead shows up once from each end
-        self.m -= len(slots) - int(np.count_nonzero(~mask[cols])) // 2
+        self.m -= len(slots) - int(np.count_nonzero(~self.mask[cols])) // 2
         mat.indices[self._rev[slots]] = cols
         mat.indices[slots] = rows
         mat.has_sorted_indices = False
-        self.mask[dead] = False
         self._bfs = None
 
     def bfs(self, start: int) -> LevelBFS:

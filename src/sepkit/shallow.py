@@ -16,20 +16,26 @@ so the loop skips the spanner (Baswana-Sen, JACM 2007, for that regime).
 
 Each iteration searches G[live] once.  G[live] is built once per call over
 host ids, and at the top of each iteration `HostSubgraph.restrict` edits out
-the vertices that left live since the last one, at O(n) for the mask diff
-plus the degree of the removed vertices.  One breadth-first search
-(`LevelBFS`) runs from the least live neighbor of the first branch set, or
-else the first live vertex.  When it reaches more than half the live
-weight, its component is G' and that vertex is where tree-or-cut starts, so
-the same search grows the balls.  Only otherwise are the components
-labelled, and a second search runs if that vertex was parked.  In BFS order
-the vertices come level by level, so ball(d), the number of vertices within
-distance d, is the start of level d + 1, found on demand by one binary
-search per level.  For exact-BFS balls N^delta(ball(x)) = ball(x + delta),
-so the growth and stall conditions are comparisons of level starts and the
-cut S is a prefix of the BFS order.  A tree follows predecessors from each
-representative back to the start; the predecessor of v is its largest-id
-live neighbor one level closer, found only for the vertices on those paths.
+the vertices that left live since the last one, at the degree of those
+vertices: every step that takes ids out of live (an adopted set, S' and
+B', the parked components) records them in `PartitionState.dropped`.  One
+breadth-first search (`LevelBFS`) runs from the least live neighbor of the
+first branch set, or else the first live vertex.  When it reaches every
+live vertex, or more than half the live weight, its component is G' and
+that vertex is where tree-or-cut starts, so the same search grows the
+balls.  Only otherwise are the components labelled, and a second search
+runs if that vertex was parked.  In BFS order the vertices come level by
+level, so ball(d), the number of vertices within distance d, is the start
+of level d + 1, found on demand by one array read per level.  For exact-BFS
+balls N^delta(ball(x)) = ball(x + delta), so the growth and stall conditions
+are comparisons of level starts and the cut S is a prefix of the BFS order.
+A tree follows predecessors from each representative back to the start; the
+predecessor of v is its largest-id live neighbor one level closer, found
+only for the vertices on those paths.  So an iteration pays for its one
+`breadth_first_order` call and for the queries it makes: the search's
+position index is built only when a level is asked for, and the parking
+step reads the live weight off its running total when the search reached
+every live vertex.
 
 The branch sets, an n-entry `owner` array (the slot of each vertex of M, -1
 elsewhere; it makes M's mask for the separator) and the pair edges are one
@@ -50,7 +56,7 @@ representatives' rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -207,7 +213,7 @@ def _representatives(bfs: LevelBFS, a_ids: np.ndarray, a_starts: np.ndarray) -> 
     """
     if len(a_starts) == 0:
         return []
-    big = len(bfs.pos)
+    big = bfs.mat.shape[0]
     lv = bfs.levels(a_ids)
     key = np.where(lv >= 0, lv * big + a_ids, _UNREACHED)
     best = np.minimum.reduceat(key, a_starts)
@@ -340,12 +346,25 @@ class PartitionState:
     live: np.ndarray          # working component of G[V']
     live_n: int               # |live| and w(live), kept as running totals
     live_w: int
+    # the ids taken out of live since G[live] was last restricted to it
+    dropped: list[np.ndarray] = field(default_factory=list)
 
     def drop_live(self, g: Graph, ids: np.ndarray) -> None:
         """Take the distinct live vertices `ids` out of live."""
         self.live[ids] = False
         self.live_n -= len(ids)
         self.live_w -= int(g.vertex_weight[ids].sum())
+        self.dropped.append(ids)
+
+    def restrict_live_graph(self, g: Graph, live_g: HostSubgraph) -> None:
+        """Edit live_g, G[live] as of the last call, down to G[live]."""
+        live_g.restrict(np.concatenate([np.empty(0, dtype=np.int64), *self.dropped]))
+        self.dropped.clear()
+        if debugcheck.enabled():
+            live_m = int(np.count_nonzero(self.live[g.edge_u] & self.live[g.edge_v]))
+            debugcheck.check("shallow.live-mask",
+                             np.array_equal(live_g.mask, self.live) and live_g.m == live_m,
+                             "G[live] was not restricted to the live set")
 
     def check_invariants(self, g: Graph) -> None:
         """Assert the loop invariants: the ledger's, branch-set sizes and
@@ -418,7 +437,7 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
 
         # G[live], edited down to the current live set: the density recheck
         # counts its edges and every search of the iteration runs on it
-        live_g.restrict(st.live)
+        st.restrict_live_graph(g, live_g)
         live_n = st.live_n
         if live_n and any(live_g.m > density_threshold(p, h, live_n) for p in DENSITY_POLICIES):
             if stats is not None:
@@ -531,20 +550,25 @@ def _park_light_components(g: Graph, st: PartitionState, live_g: HostSubgraph,
 
     G' is found by one BFS when possible: from s0, the live vertex that
     tree-or-cut will start from if it lies in G' (the least live neighbor
-    of the first branch set, else the first live vertex).  A component
-    holding more than half the live weight is the heaviest.  Otherwise (a
-    light component there, zero live weight, or a tie) the components are
-    labelled and the heaviest wins, ties to the one with the smallest vertex
-    id.  With the live weight kept as a running total, the search costs
-    O(|G'|); only labelling the components or parking some scans all n
-    vertices.
+    of the first branch set, else the first live vertex).  A search that
+    reaches every live vertex finds G' with the running live weight and
+    reads only the search's order; a component holding more than half the
+    live weight is the heaviest.  Otherwise (a light component there, zero
+    live weight, or a tie) the components are labelled and the heaviest
+    wins, ties to the one with the smallest vertex id.  The parked vertices
+    leave live through `drop_live`, so the next restrict of G[live] sees
+    them; only parking or labelling scans all n vertices.
     """
     if st.live_n == 0:
         return 0
     order = live_g.bfs(s0).order
+    if len(order) == st.live_n:
+        return st.live_w
     reach_w = int(g.vertex_weight[order].sum())
     if 2 * reach_w > st.live_w:
-        keep, gprime_w = order, reach_w
+        reached = np.zeros(g.n, dtype=bool)
+        reached[order] = True
+        parked = np.flatnonzero(st.live & ~reached)
     else:
         live_ids = np.flatnonzero(st.live)
         _, labels = live_g.components()
@@ -552,12 +576,9 @@ def _park_light_components(g: Graph, st: PartitionState, live_g: HostSubgraph,
         compw = np.zeros(int(labels.max()) + 1, dtype=np.int64)
         np.add.at(compw, labels, g.vertex_weight[live_ids])
         best = int(np.argmax(compw))  # ties: lowest label = lowest min-id
-        keep, gprime_w = live_ids[labels == best], int(compw[best])
-    if len(keep) < st.live_n:
-        st.live[:] = False
-        st.live[keep] = True
-        st.live_n, st.live_w = len(keep), gprime_w
-    return gprime_w
+        parked = live_ids[labels != best]
+    st.drop_live(g, parked)
+    return st.live_w
 
 
 def _lowest_outside(live: np.ndarray, s_ids: np.ndarray) -> int:

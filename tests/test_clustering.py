@@ -620,6 +620,20 @@ class TestActiveState:
         assert step == 8 and flips[step] == (6, "active")
         assert st.n_active == int(st.active.sum()) == cap and not st.active[6]
 
+    def test_stale_record_trips_the_partition_rule(self):
+        # a record whose partition predates a flip at one of its vertices
+        g = grid_graph(10)
+        nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)
+        st = ActiveState(nc)
+        st.set_many([33, 55], "active")
+        cid = min(st.clusters_at(55))
+        st.dyn[cid].recompute(np.zeros(g.n, dtype=bool))
+        with pytest.raises(debugcheck.InvariantViolation) as err:
+            clustering._check_cx_postconditions(st)
+        assert err.value.rule == "cx.partition"
+        st.dyn[cid].recompute(st.active)
+        clustering._check_cx_postconditions(st)
+
     def test_decompose_matches_bfs_under_flips(self):
         g = grid_graph(12)
         nc = nested_r_clustering(g, 20, 4, 0.5, c_r=0.05)

@@ -726,31 +726,70 @@ class TestLocalLabels:
         assert local_labels(adj, blocked) == want
 
 
+def _fifo_bfs(g, mask, start):
+    """Reference search of G[mask]: FIFO order over ascending neighbor lists,
+    the distance of each reached vertex, and its largest-id neighbor one
+    level closer."""
+    dist = {start: 0}
+    order = [start]
+    for u in order:
+        for w in g.neighbors(u).tolist():
+            if mask[w] and w not in dist:
+                dist[w] = dist[u] + 1
+                order.append(w)
+    parent = {v: max(u for u in g.neighbors(v).tolist() if mask[u] and dist.get(u) == d - 1)
+              for v, d in dist.items() if d}
+    return order, dist, parent
+
+
+@st.composite
+def _layered_graphs(draw):
+    """Random graphs of up to about 60 vertices: a random core, a long path
+    hung off it or left apart, and isolated vertices, under a random
+    relabelling, so searches run over many levels and several components."""
+    core = draw(st.integers(0, 24))
+    path = draw(st.integers(0, 30))
+    n = core + path + draw(st.integers(0, 5))
+    if n == 0:
+        n = 1
+    edges = set(draw(st.sets(
+        st.tuples(st.integers(0, core - 1), st.integers(0, core - 1)).filter(
+            lambda t: t[0] != t[1]), max_size=3 * core)) if core > 1 else [])
+    edges |= {(core + i, core + i + 1) for i in range(path - 1)}
+    if core and path and draw(st.booleans()):
+        edges.add((draw(st.integers(0, core - 1)), core))
+    perm = draw(st.permutations(list(range(n))))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 class TestHostSubgraphRestrict:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_restrict_matches_fresh_build(self, data):
-        """Along a chain of shrinking masks (random subsets, whole
-        components, dead-dead edges), the edited subgraph answers every
-        query as a fresh build of G[mask] does."""
-        n = data.draw(st.integers(1, 40))
-        edges = data.draw(st.sets(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1]),
-            max_size=3 * n))
-        g = Graph(n, list(edges))
-        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        """Along a chain of restricts by ids (random subsets, whole
+        components, dead-dead edges, ids in any order), the edited subgraph
+        answers every query as a fresh build of G[mask] does, and as a plain
+        FIFO search with the largest-id parent rule, whichever query comes
+        first after the search."""
+        g = data.draw(_layered_graphs())
+        n = g.n
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))) \
+            if data.draw(st.booleans()) else np.ones(n, dtype=bool)
         sub = HostSubgraph(g, mask)
         for _ in range(data.draw(st.integers(1, 6))):
             mask = mask.copy()
             live = np.flatnonzero(mask)
             if len(live) and data.draw(st.booleans()):
                 _, labels = symmetric_components(HostSubgraph(g, mask).mat)
-                mask[labels == labels[data.draw(st.sampled_from(live.tolist()))]] = False
+                dead = np.flatnonzero(labels == labels[data.draw(st.sampled_from(live.tolist()))])
             else:
-                kill = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-                mask &= ~np.array(kill)
-            sub.restrict(mask)
+                kill = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                dead = np.flatnonzero(mask & kill)
+            dead = np.array(data.draw(st.permutations(dead.tolist())), dtype=np.int64)
+            mask[dead] = False
+            sub.restrict(dead)
             fresh = HostSubgraph(g, mask)
+            assert sub.mask.tolist() == mask.tolist()
             assert sub.m == fresh.m == int((mask[g.edge_u] & mask[g.edge_v]).sum())
             assert (sub.mat != sub.mat.T).nnz == 0
             live = np.flatnonzero(mask)
@@ -760,13 +799,21 @@ class TestHostSubgraphRestrict:
                     == np.unique(want[live], return_inverse=True)[1].tolist())
             for start in data.draw(st.lists(st.sampled_from(live.tolist()), max_size=3)
                                    if len(live) else st.just([])):
+                order, dist, parent = _fifo_bfs(g, mask, start)
+                levels = [dist.get(v, -1) for v in range(n)]
+                top = max(dist.values())
                 a, b = sub.bfs(start), fresh.bfs(start)
-                assert a.order.tolist() == b.order.tolist()
-                for d in range(-1, len(b.order) + 1):
-                    assert a.ball(d) == b.ball(d)
-                assert a.levels(np.arange(n)).tolist() == b.levels(np.arange(n)).tolist()
-                for v in b.order[1:].tolist():
-                    assert a.parent(v) == b.parent(v)
+                for query in data.draw(st.permutations(["ball", "levels", "parent"])):
+                    if query == "ball":
+                        for d in data.draw(st.permutations(list(range(-1, top + 3)))):
+                            assert a.ball(d) == b.ball(d) == sum(0 <= x <= d for x in levels)
+                    elif query == "levels":
+                        assert a.levels(np.arange(n)).tolist() == levels
+                        assert b.levels(np.arange(n)).tolist() == levels
+                    else:
+                        for v in order[1:]:
+                            assert a.parent(v) == b.parent(v) == parent[v]
+                assert a.order.tolist() == b.order.tolist() == order
 
 
 class TestMaskedDiameter:

@@ -407,9 +407,9 @@ class TestShallowBalanced:
         class Marking(HostSubgraph):
             __slots__ = ()
 
-            def restrict(self, mask):  # called once at the top of each iteration
+            def restrict(self, dead):  # called once at the top of each iteration
                 per_iter.append(0)
-                super().restrict(mask)
+                super().restrict(dead)
 
         def counting(gather):
             def counted(indptr, indices, verts):
@@ -425,6 +425,29 @@ class TestShallowBalanced:
         out = shallow_separator_balanced(g, 12, 0.5, seed=1, stats=stats)
         assert isinstance(out, MinorWitness) and len(out.branch_sets) == 12
         assert len(per_iter) == stats["iterations"] and max(per_iter) <= 2
+
+    def test_parked_ids_left_out_of_restrict_trip_the_live_mask_rule(self, monkeypatch):
+        # grids 10 and 6 side by side: the first search parks the small one;
+        # a park step that keeps those ids from G[live]'s restrict fails with
+        # a rule id instead of searching vertices that left live
+        from sepkit import shallow
+
+        big, small = grid(10), grid(6)
+        g = Graph(136, np.concatenate([np.stack([big.edge_u, big.edge_v], axis=1),
+                                       100 + np.stack([small.edge_u, small.edge_v], axis=1)]))
+        assert isinstance(shallow_separator_balanced(g, 5, 0.5), Separator)
+        park = shallow._park_light_components
+
+        def forgetful(g, st, live_g, s0):
+            before = len(st.dropped)
+            gprime_w = park(g, st, live_g, s0)
+            del st.dropped[before:]
+            return gprime_w
+
+        monkeypatch.setattr(shallow, "_park_light_components", forgetful)
+        with pytest.raises(debugcheck.InvariantViolation) as err:
+            shallow_separator_balanced(g, 5, 0.5)
+        assert err.value.rule == "shallow.live-mask"
 
     def test_k10_minor_side(self):
         g = kcomplete(10)
