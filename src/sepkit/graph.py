@@ -552,11 +552,20 @@ def dump_graph(g: Graph, fmt: str = "edge-list") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _host_ids(g: Graph, xs) -> np.ndarray:
+    """xs as an int64 id array; ValueError naming the first id outside 0..n-1."""
+    ids = np.asarray(xs, dtype=np.int64)
+    bad = np.flatnonzero((ids < 0) | (ids >= g.n))
+    if len(bad):
+        raise ValueError(f"X contains id {int(ids[bad[0]])} outside the host graph")
+    return ids
+
+
 def neighborhood(g: Graph, xs: np.ndarray, delta: int = 1) -> np.ndarray:
     """N^delta(X): the sorted ids within distance delta of X (X included)."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    return grow_within(g, np.ones(g.n, dtype=bool), np.asarray(xs, dtype=np.int64), g.n, delta)
+    return grow_within(g, np.ones(g.n, dtype=bool), _host_ids(g, xs), g.n, delta)
 
 
 def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -613,9 +622,12 @@ def grow_within(g: Graph, allowed: np.ndarray, seed_vertices: np.ndarray, target
 # Most distance entries one shortest_path call in `MaskedSubgraph.diameter`
 # may hold: 2^20 float64 entries, 8 MiB.
 DIAMETER_BLOCK_ENTRIES = 1 << 20
-# A source batch of `MaskedSubgraph.diameter` holds ceil(this / |S|) sources,
-# so a set of at most 64 vertices is searched in one all-pairs call.
+# A source batch of `MaskedSubgraph.diameter` holds ceil(this / |S|) sources.
 DIAMETER_BATCH_ENTRIES = 4096
+# Single-source BFS rounds `MaskedSubgraph.diameter` runs before it moves to
+# source batches: most branch sets are decided within a few, and a set that
+# needs a source per vertex (a cycle) pays these few on top of its batches.
+DIAMETER_SINGLE_ROUNDS = 4
 
 
 def symmetric_components(mat: csr_matrix) -> tuple[int, np.ndarray]:
@@ -872,44 +884,67 @@ class MaskedSubgraph:
         each component's smallest vertex id."""
         return symmetric_components(self.mat)
 
-    def diameter(self) -> Optional[int]:
-        """Hop diameter; None when disconnected, 0 for at most one vertex.
+    def diameter(self, cap: Optional[int] = None) -> Optional[int]:
+        """Hop diameter, or with `cap` a bound deciding diameter <= cap;
+        None when disconnected, 0 for at most one vertex.
 
-        Exact, from eccentricity bounds (BoundingDiameters, Takes & Kosters
-        2011): a BFS from v reaching w at distance d gives
+        With cap, the result is the exact diameter when it exceeds cap, and
+        otherwise an upper bound on it of at most cap; so a caller comparing
+        with cap, or keeping a running maximum passed as cap, reads the same
+        answer as from the exact diameter.  A cap of |S| or more decides
+        connectivity alone, on one BFS.
+
+        From eccentricity bounds (BoundingDiameters, Takes & Kosters 2011):
+        a BFS from v reaching w at distance d gives
         max(d, ecc(v) - d) <= ecc(w) <= ecc(v) + d.  The candidates are the
-        vertices whose upper bound still exceeds the largest eccentricity
-        found; each batch of ceil(DIAMETER_BATCH_ENTRIES / |S|) sources, one
-        csgraph call holding at most DIAMETER_BLOCK_ENTRIES distances, takes
-        them alternately by largest upper and by smallest lower bound (lowest
-        id on ties, so the first batch is the lowest ids).  The search stops
-        when no candidate is left: the largest lower and upper bounds meet.
-        A disconnected G[ids] leaves an unreachable vertex in every row, so
-        the first batch decides.
+        vertices whose upper bound still exceeds both cap and the largest
+        eccentricity found, and the search stops when none is left: every
+        upper bound is at most cap, or the largest lower and upper bounds
+        meet.  The first DIAMETER_SINGLE_ROUNDS sources are searched one at
+        a time on the levels of a csgraph BFS: the lowest id, then the
+        candidate with the largest upper bound and the one with the smallest
+        lower bound in turn (lowest id on ties).  The first BFS decides
+        connectivity.  Past those rounds each batch of
+        ceil(DIAMETER_BATCH_ENTRIES / |S|) candidates, one shortest_path
+        call holding at most DIAMETER_BLOCK_ENTRIES distances, takes them
+        alternately by the two rules.
         """
         nn = len(self.ids)
         if nn <= 1:
             return 0
+        # no eccentricity reaches nn, so a larger cap decides nothing more
+        cap = -1 if cap is None else min(int(cap), nn)
         rows = max(1, min(-(-DIAMETER_BATCH_ENTRIES // nn), DIAMETER_BLOCK_ENTRIES // nn))
+        every = np.arange(nn)
         lo = np.zeros(nn, dtype=np.int64)
         hi = np.full(nn, nn, dtype=np.int64)  # above every eccentricity
-        src = np.arange(min(rows, nn))
+        src = every[:1]
+        rounds = 0
         while True:
-            dist = csgraph.shortest_path(self.mat, method="D", directed=True, unweighted=True,
-                                         indices=src)
-            top = dist.max()
-            if np.isinf(top):
-                return None
-            if len(src) == nn:  # all pairs in one call
-                return int(top)
-            d = dist.astype(np.int64)
-            ecc = d.max(axis=1)[:, None]
-            np.maximum(lo, np.maximum(d, ecc - d).max(axis=0), out=lo)
-            np.minimum(hi, (ecc + d).min(axis=0), out=hi)
-            best = int(lo.max())  # a lower bound never exceeds its source's eccentricity
-            cand = np.flatnonzero(hi > best)
+            if rounds < DIAMETER_SINGLE_ROUNDS:
+                bfs = LevelBFS(self.mat, int(src[0]))
+                if len(bfs.order) < nn:  # only the first BFS can miss a vertex
+                    return None
+                d = bfs.levels(every)
+                ecc = int(d[bfs.order[-1]])  # the last vertex reached is a farthest one
+                np.maximum(lo, d, out=lo)
+                np.maximum(lo, ecc - d, out=lo)
+                np.minimum(hi, ecc + d, out=hi)
+            else:
+                d = csgraph.shortest_path(self.mat, method="D", directed=True, unweighted=True,
+                                          indices=src).astype(np.int64)
+                ecc = d.max(axis=1)[:, None]
+                np.maximum(lo, np.maximum(d, ecc - d).max(axis=0), out=lo)
+                np.minimum(hi, (ecc + d).min(axis=0), out=hi)
+            rounds += 1
+            # a lower bound never exceeds its source's eccentricity
+            cand = np.flatnonzero(hi > max(cap, int(lo.max())))
             if len(cand) == 0:
-                return best
+                return int(hi.max())
+            if rounds < DIAMETER_SINGLE_ROUNDS:
+                key = -hi[cand] if rounds % 2 else lo[cand]
+                src = cand[np.argmin(key)][None]
+                continue
             both = np.stack([cand[np.argsort(-hi[cand], kind="stable")],
                              cand[np.argsort(lo[cand], kind="stable")]], axis=1).ravel()
             _, first = np.unique(both, return_index=True)
@@ -923,13 +958,15 @@ def masked_components(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, int, np.n
     return sub.ids, ncomp, labels
 
 
-def masked_diameter(g: Graph, ids: np.ndarray) -> Optional[int]:
-    """Hop diameter of G[ids]; None when G[ids] is disconnected.
+def masked_diameter(g: Graph, ids: np.ndarray, cap: Optional[int] = None) -> Optional[int]:
+    """Hop diameter of G[ids]; None when G[ids] is disconnected.  With cap,
+    the exact diameter only when it exceeds cap, else a bound of at most cap
+    (`MaskedSubgraph.diameter`).
 
     `ids` must lie in 0..n-1: callers that take ids from outside check the
     range first, since a negative id would index from the end.
     """
-    return MaskedSubgraph(g, np.unique(ids)).diameter()
+    return MaskedSubgraph(g, np.unique(ids)).diameter(cap)
 
 
 def induced_subgraph(g: Graph, xs: np.ndarray) -> tuple[Graph, dict[int, int]]:
@@ -937,9 +974,7 @@ def induced_subgraph(g: Graph, xs: np.ndarray) -> tuple[Graph, dict[int, int]]:
 
     X holds sorted, distinct ids; new id i is X[i].
     """
-    old_ids = np.asarray(xs, dtype=np.int64)
-    if np.any(old_ids >= g.n) or np.any(old_ids < 0):
-        raise ValueError("X contains ids outside the host graph")
+    old_ids = _host_ids(g, xs)
     mask = np.zeros(g.n, dtype=bool)
     mask[old_ids] = True
     new_of_old = np.full(g.n, -1, dtype=np.int64)
@@ -973,10 +1008,7 @@ def connected_components(g: Graph) -> list[np.ndarray]:
 
 def total_weight(g: Graph, xs: np.ndarray) -> int:
     """Exact integer sum of vertex weights over X."""
-    ids = np.asarray(xs, dtype=np.int64)
-    if np.any(ids >= g.n):
-        raise ValueError("X contains ids outside the host graph")
-    return int(g.vertex_weight[ids].sum())
+    return int(g.vertex_weight[_host_ids(g, xs)].sum())
 
 
 DENSITY_POLICIES = ("mader-proven", "thomason-soft")   # guard order: the sound proof first

@@ -81,12 +81,12 @@ from .graph import (
     Graph,
     HostSubgraph,
     LevelBFS,
+    MaskedSubgraph,
     density_threshold,
     gather_neighbors,
     gather_rows,
     grow_within,
     induced_subgraph,
-    masked_diameter,
 )
 
 # Invariant constants, all functions of delta = 2*ceil(2/eps) - 1.  A raw
@@ -291,18 +291,27 @@ class BranchLedger:
 
     def witness(self, g: Graph, params: dict) -> MinorWitness:
         """The held slots' clique-minor witness, renumbered in slot order with
-        their recorded pair edges; depth_bound is the largest diameter."""
+        their recorded pair edges; depth_bound is the largest diameter.
+
+        Each set's search is capped at the largest diameter found before
+        it, so a set no deeper than that stops on a bound while a deeper
+        one returns its exact diameter, the new maximum."""
         held = self.held
         remap = {si: i for i, si in enumerate(held)}
         edges = {tuple(sorted((remap[a], remap[b]))): e
                  for (a, b), e in self.pair_edges.items() if a in remap and b in remap}
-        depth = max((masked_diameter(g, self.slots[si]) or 0 for si in held), default=0)
+        depth = 0
+        for si in held:
+            depth = max(depth, MaskedSubgraph(g, self.slots[si]).diameter(depth) or 0)
         return minor_witness(g, [self.slots[si] for si in held], edges, depth, params)
 
-    def check(self, g: Graph, rule: str, h: int) -> list[int]:
+    def check(self, g: Graph, rule: str, h: int, cap: Optional[int] = None) -> list[int]:
         """Assert, as rules `rule`.*, that at most h sets are held, that owner
         agrees with them, and that each is connected and each pair joined by
-        an edge; returns the sets' diameters ([] outside debug mode)."""
+        an edge; returns each set's diameter searched with `cap`, the bound
+        the caller's rule compares it with: exact above cap, else a bound of
+        at most cap ([] outside debug mode).  Without cap a rule reads only
+        connectivity, and each set S is searched with cap |S|: one BFS."""
         if not debugcheck.enabled():
             return []
         held = self.held
@@ -312,7 +321,7 @@ class BranchLedger:
                          int(np.count_nonzero(self.owner >= 0)) == sum(map(len, sets))
                          and all((self.owner[s] == si).all() for si, s in zip(held, sets)),
                          "owner disagrees with the branch sets")
-        diams = [masked_diameter(g, s) for s in sets]
+        diams = [MaskedSubgraph(g, s).diameter(len(s) if cap is None else cap) for s in sets]
         for i, diam in enumerate(diams):
             debugcheck.check(f"{rule}.branch-connected", diam is not None,
                              f"branch set {i} disconnected")
@@ -375,7 +384,7 @@ class PartitionState:
         lnn = ln_ceil(len(self.live))
         size_cap = branch_size_cap(self.delta, self.ell, self.h, lnn)
         diam_cap = branch_diam_cap(self.delta, self.ell, lnn)
-        diams = self.ledger.check(g, "shallow", self.h)
+        diams = self.ledger.check(g, "shallow", self.h, diam_cap)
         for i, si in enumerate(self.ledger.held):
             size = len(self.ledger.slots[si])
             debugcheck.check("shallow.branch-size", size <= size_cap,

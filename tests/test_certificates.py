@@ -1,5 +1,7 @@
+import dataclasses
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from sepkit.certificates import (
     verify_output,
     verify_separator,
 )
-from sepkit.generators import grid_graph, path_graph
+from sepkit.generators import generate_graph, grid_graph, path_graph
 from sepkit.graph import DensityCertificate, Graph, sparsity_guard
 from sepkit.shallow import shallow_separator, shallow_separator_balanced
 from sepkit.tradeoff import tradeoff_separator
@@ -184,6 +186,30 @@ class TestForgedWitness:
         w = MinorWitness(branch_sets=[np.array([0]), np.array([1])],
                          connecting_edges={(0, 1): (4, 0)})
         assert self.rules(c4(), w) == ["minor.pair-edge"]
+
+
+class TestForgedDepth:
+    """A depth_bound one below the truth, on branch sets of up to 69
+    vertices, is rejected with each deep set's exact diameter."""
+
+    @pytest.mark.parametrize("spec, h", [("torus 30", 5), ("kh-blowup 8 60", 8)])
+    def test_lowered_bound_names_the_exact_diameter(self, spec, h):
+        g = generate_graph(spec, seed=1)
+        w = shallow_separator_balanced(g, h, 0.5, seed=1)
+        assert isinstance(w, MinorWitness) and w.h == h
+        host = nx.Graph()
+        host.add_nodes_from(range(g.n))
+        host.add_edges_from(g.edge_list())
+        diams = [nx.diameter(host.subgraph(bs.tolist())) for bs in w.branch_sets]
+        assert w.depth_bound == max(diams)
+        assert verify_output(g, w).ok
+        bound = w.depth_bound - 1
+        rep = verify_output(g, dataclasses.replace(w, depth_bound=bound))
+        assert [r for r, _ in rep.violations] == ["minor.depth"]
+        assert [msg for _, msg in rep.violations] == [
+            f"branch set {i} has diameter {d} > bound {bound}"
+            for i, d in enumerate(diams) if d > bound]
+        assert verify_output(g, dataclasses.replace(w, depth_bound=None)).ok
 
 
 class TestRepeatedIds:

@@ -467,6 +467,12 @@ class TestNeighborhood:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert len(neighborhood(g, [], 3)) == 0
 
+    @pytest.mark.parametrize("xs, bad", [([-2], -2), ([4], 4), ([1, 5, -1], 5)])
+    def test_out_of_range_id_raises(self, xs, bad):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=f"id {bad} outside"):
+            neighborhood(g, xs)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_composition(self, data):
@@ -831,6 +837,8 @@ class TestMaskedDiameter:
         sub.add_edges_from((u, v) for u, v in g.edge_list() if u in ids and v in ids)
         want = nx.diameter(sub) if nx.is_connected(sub) else None
         assert masked_diameter(g, np.asarray(ids)) == want
+        cap = data.draw(st.integers(-1, (want or 0) + 2))
+        _assert_capped(masked_diameter(g, np.asarray(ids), cap), want, cap)
 
     def test_singleton(self):
         g = grid_graph(3)
@@ -839,16 +847,22 @@ class TestMaskedDiameter:
     def test_path_calls_stay_within_block_entries(self, monkeypatch):
         n = 1500
         g = Graph(n, [(i, i + 1) for i in range(n - 1)])
-        calls = []
-        real = csgraph.shortest_path
+        # distances each search holds: a source batch, or one BFS's levels
+        entries = []
+        real_sp, real_bfs = csgraph.shortest_path, csgraph.breadth_first_order
 
-        def counting(*args, **kwargs):
-            calls.append(len(kwargs["indices"]))
-            return real(*args, **kwargs)
+        def counting_sp(mat, *args, **kwargs):
+            entries.append(len(kwargs["indices"]) * mat.shape[0])
+            return real_sp(mat, *args, **kwargs)
 
-        monkeypatch.setattr(csgraph, "shortest_path", counting)
+        def counting_bfs(mat, *args, **kwargs):
+            entries.append(mat.shape[0])
+            return real_bfs(mat, *args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "shortest_path", counting_sp)
+        monkeypatch.setattr(csgraph, "breadth_first_order", counting_bfs)
         assert masked_diameter(g, np.arange(n)) == n - 1
-        assert max(calls) * n <= DIAMETER_BLOCK_ENTRIES
+        assert entries and max(entries) <= DIAMETER_BLOCK_ENTRIES
         # a sub-path, and two runs with a gap between them
         assert masked_diameter(g, np.arange(500, 1000)) == 499
         assert masked_diameter(g, np.r_[0:10, 20:30]) is None
@@ -875,7 +889,21 @@ class TestMaskedDiameter:
             host.append((int(rng.choice(outside)), int(perm[rng.integers(0, k + extra)])))
         g = Graph(k + extra, [(u, v) for u, v in host if u != v])
         ids = np.sort(perm[:k])
-        assert masked_diameter(g, ids) == all_pairs_diameter(g, ids)
+        want = all_pairs_diameter(g, ids)
+        assert masked_diameter(g, ids) == want
+        cap = data.draw(st.integers(-1, (want or 0) + 2))
+        _assert_capped(masked_diameter(g, ids, cap), want, cap)
+
+
+def _assert_capped(got, want, cap):
+    """The capped search's contract: None exactly when disconnected, the
+    exact diameter above cap, else an upper bound of at most cap."""
+    if want is None:
+        assert got is None
+    elif want > cap:
+        assert got == want
+    else:
+        assert got is not None and want <= got <= cap
 
 
 # K_h blow-up blobs, sparse random graphs and the rest, as local edge lists
@@ -937,6 +965,11 @@ class TestTotalWeight:
         g = Graph(3, [(0, 1)], vertex_weight=[1, 2, 4])
         assert total_weight(g, [0, 1, 2]) == 7
 
+    @pytest.mark.parametrize("xs, bad", [([-1], -1), ([4], 4), ([0, -3, 9], -3)])
+    def test_out_of_range_id_raises(self, xs, bad):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], vertex_weight=[1, 2, 3, 4])
+        with pytest.raises(ValueError, match=f"id {bad} outside"):
+            total_weight(g, xs)
 
     @pytest.mark.parametrize("weights, total", [
         ([2**62, 2**62 - 1], 2**63 - 1),
