@@ -75,6 +75,9 @@ def result_kind(out) -> str:
 
 def run_bench(suite: dict, verify: bool = True) -> dict:
     """Execute the suite matrix; returns {rows, slopes, summary}."""
+    if not isinstance(suite, dict):
+        raise ValueError(f"a bench suite is a JSON object with 'instances' and 'algorithms', "
+                         f"not {type(suite).__name__}")
     rows: list[dict] = []
     for inst in suite.get("instances", []):
         g = generate_graph(inst["gen"], inst.get("seed", 0))

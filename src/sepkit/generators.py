@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .certificates import MinorWitness, minor_witness
@@ -142,23 +144,56 @@ def kh_blowup_graph(h: int, blow: int, seed: int = 0, inter: int = 0) -> Graph:
     return Graph(n, edges)
 
 
+# spec name -> (each field's name and range, the vertex count of the fields
+# (None where the range bounds it), the generator called with the fields
+# and the seed)
+GENERATORS = {
+    "grid": ((("k", 0, ID_LIMIT),), lambda k: k * k, lambda k, seed: grid_graph(k)),
+    "torus": ((("k", 2, ID_LIMIT),), lambda k: k * k, lambda k, seed: torus_graph(k)),
+    "path": ((("n", 0, ID_LIMIT),), None, lambda n, seed: path_graph(n)),
+    # binary_tree_graph checks the depth itself, before any arithmetic
+    "binary-tree": ((("depth", -ID_LIMIT, ID_LIMIT),), None,
+                    lambda depth, seed: binary_tree_graph(depth)),
+    "random-regular": ((("n", 1, ID_LIMIT), ("d", 0, ID_LIMIT)), None, random_regular_graph),
+    "planted-minor": ((("n", 0, ID_LIMIT), ("h", 2, ID_LIMIT)), None,
+                      lambda n, h, seed: planted_minor_graph(n, h, seed)[0]),
+    "kh-blowup": ((("h", 0, ID_LIMIT), ("blow", 1, ID_LIMIT)), lambda h, blow: h * blow,
+                  kh_blowup_graph),
+}
+
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
 def generate_graph(spec: str, seed: int = 0) -> Graph:
-    """Parse a generator spec like 'grid 8', 'random-regular 100 4', 'path 50'."""
+    """Parse a generator spec like 'grid 8', 'random-regular 100 4', 'path 50'.
+
+    The spec is checked before anything is built: a known name, one ASCII
+    integer per field, each field in its range and at most ID_LIMIT
+    vertices.  A spec that fails the check, or that its generator rejects,
+    raises ValueError naming the spec.
+    """
     parts = spec.split()
-    kind = parts[0]
-    args = [int(x) for x in parts[1:]]
-    if kind == "grid":
-        return grid_graph(args[0])
-    if kind == "torus":
-        return torus_graph(args[0])
-    if kind == "path":
-        return path_graph(args[0])
-    if kind == "binary-tree":
-        return binary_tree_graph(args[0])
-    if kind == "random-regular":
-        return random_regular_graph(args[0], args[1], seed)
-    if kind == "planted-minor":
-        return planted_minor_graph(args[0], args[1], seed)[0]
-    if kind == "kh-blowup":
-        return kh_blowup_graph(args[0], args[1], seed)
-    raise ValueError(f"unknown generator {kind!r}")
+    kind = parts[0] if parts else ""
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator {kind!r} in spec {spec!r}; "
+                         f"known: {', '.join(GENERATORS)}")
+    fields, size, build = GENERATORS[kind]
+    where = f"generator spec {spec!r}"
+    if len(parts) - 1 != len(fields):
+        usage = " ".join([kind, *(name for name, _, _ in fields)])
+        raise ValueError(f"{where}: expected {usage!r}")
+    args = []
+    for (name, lo, hi), tok in zip(fields, parts[1:]):
+        if not _INT.fullmatch(tok):
+            raise ValueError(f"{where}: {name} = {tok!r} is not an integer")
+        # more than 10 digits is outside every range (and int() of a huge
+        # token is itself costly)
+        if len(tok.lstrip("+-").lstrip("0")) > 10 or not lo <= int(tok) <= hi:
+            raise ValueError(f"{where}: {name} = {tok} is outside {lo}..{hi}")
+        args.append(int(tok))
+    if size is not None and size(*args) > ID_LIMIT:
+        raise ValueError(f"{where}: {size(*args)} vertices, more than {ID_LIMIT}")
+    try:
+        return build(*args, seed)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from e

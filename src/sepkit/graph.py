@@ -701,6 +701,13 @@ class LevelBFS:
                 starts.append(1 + kids.item(starts[-1] - 1))
         return starts
 
+    def reached_any(self, vs: np.ndarray) -> bool:
+        """Whether the search reached some vertex of vs, in O(|vs|)."""
+        if self._pos is None:
+            # csgraph gives the start and the unreached vertices a negative predecessor
+            return bool((self._pred[vs] >= 0).any() or (vs == self.start).any())
+        return bool((self._pos[vs] >= 0).any())
+
     def ball(self, d: int) -> int:
         """The number of vertices within distance d of start."""
         if d < 0:
@@ -785,7 +792,9 @@ class HostSubgraph:
     nothing is relabelled, so BFS results need no scatter back to host ids.
     The build costs O(n + m) whatever the mask (`MaskedSubgraph` costs
     O(|ids| + vol(ids)) for small sets).  The BFS from the last start asked
-    for is kept until the next `restrict`.
+    for is kept until a `restrict` removes a vertex it reached: removing
+    only vertices of other components leaves its order and levels as they
+    are.
 
     `restrict` takes the ids that leave the mask and costs O(their degree),
     after one argsort of the slots on the first call; the caller, which
@@ -836,7 +845,8 @@ class HostSubgraph:
         mat.indices[self._rev[slots]] = cols
         mat.indices[slots] = rows
         mat.has_sorted_indices = False
-        self._bfs = None
+        if self._bfs is not None and self._bfs.reached_any(dead):
+            self._bfs = None
 
     def bfs(self, start: int) -> LevelBFS:
         if self._bfs is None or self._bfs.start != start:

@@ -374,6 +374,8 @@ def balanced_separator(g: Graph, h: int, eps: float, seed: int = 0,
                        stats: Optional[dict] = None,
                        c_r: float = DEFAULT_C_R) -> SepOrMinor:
     """Balanced instantiation: ell = ceil(sqrt(n) / (h sqrt(ln n)))."""
+    if h < 2:
+        raise ValueError("h must be >= 2")
     n = g.n
     if n == 0:
         return minor_free_separator(g, h, 1, eps, seed, stats=stats, c_r=c_r)

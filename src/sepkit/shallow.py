@@ -51,6 +51,11 @@ to the lowest id, comes from one `levels` call on the concatenated sets.
 When a tree is adopted, each representative's pair edge is its least
 neighbor that `owner` puts in its branch set, from one gather of the
 representatives' rows.
+
+`shallow_loop` is the loop: on the minor side it ends in the ledger holding
+h sets, and `shallow_separator` emits their witness through
+`BranchLedger.witness`, which measures the sets' depth.  approx-minor runs
+the loop itself and emits only the witness it returns.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 # perfbench's trace-uninstall test reads this module attribute
@@ -251,6 +256,27 @@ def _pair_edges(g: Graph, owner: np.ndarray, reps: Sequence[int], slots: Sequenc
     return list(zip(reps, nbrs[first].tolist()))
 
 
+def witness_depth(g: Graph, sets: Sequence[np.ndarray]) -> int:
+    """The largest hop diameter of G[S] over the connected sets S.
+
+    Each set's search is capped at the largest diameter found before it,
+    so a set no deeper than that stops on a bound while a deeper one
+    returns its exact diameter, the new maximum."""
+    depth = 0
+    for s in sets:
+        depth = max(depth, MaskedSubgraph(g, s).diameter(depth) or 0)
+    return depth
+
+
+def clique_witness(g: Graph, sets: list[np.ndarray], edges: dict[tuple[int, int], tuple[int, int]],
+                   params: dict) -> MinorWitness:
+    """The witness of a clique minor a separator loop completed: branch sets
+    (sorted host ids) with their pair edges, depth_bound the largest
+    diameter (`witness_depth`).  The one place the loops' witnesses, and
+    approx-minor's, get their depth."""
+    return minor_witness(g, sets, edges, witness_depth(g, sets), params)
+
+
 class BranchLedger:
     """The branch sets of a separator loop, kept once for the loop and the
     DDG layer: slots[i] is the i-th adopted set (sorted host ids), None once
@@ -289,21 +315,19 @@ class BranchLedger:
         self.slots[si] = None
         return bs
 
-    def witness(self, g: Graph, params: dict) -> MinorWitness:
-        """The held slots' clique-minor witness, renumbered in slot order with
-        their recorded pair edges; depth_bound is the largest diameter.
-
-        Each set's search is capped at the largest diameter found before
-        it, so a set no deeper than that stops on a bound while a deeper
-        one returns its exact diameter, the new maximum."""
+    def held_sets(self) -> tuple[list[np.ndarray], dict[tuple[int, int], tuple[int, int]]]:
+        """The held slots' sets in slot order and their recorded pair edges,
+        renumbered: pair (i, j) joins the i-th and the j-th set."""
         held = self.held
         remap = {si: i for i, si in enumerate(held)}
         edges = {tuple(sorted((remap[a], remap[b]))): e
                  for (a, b), e in self.pair_edges.items() if a in remap and b in remap}
-        depth = 0
-        for si in held:
-            depth = max(depth, MaskedSubgraph(g, self.slots[si]).diameter(depth) or 0)
-        return minor_witness(g, [self.slots[si] for si in held], edges, depth, params)
+        return [self.slots[si] for si in held], edges
+
+    def witness(self, g: Graph, params: dict) -> MinorWitness:
+        """The held slots' clique-minor witness: `clique_witness` of
+        `held_sets`."""
+        return clique_witness(g, *self.held_sets(), params)
 
     def check(self, g: Graph, rule: str, h: int, cap: Optional[int] = None) -> list[int]:
         """Assert, as rules `rule`.*, that at most h sets are held, that owner
@@ -400,6 +424,19 @@ class PartitionState:
                          "running live count or weight drifted")
 
 
+def shallow_params(h: int, ell: int, eps: float, seed: int) -> dict:
+    """The params a shallow run records, after checking h, ell and eps."""
+    if h < 2:
+        raise ValueError("h must be >= 2")
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if not (0 < eps <= 1):
+        raise ValueError("eps must be in (0, 1]")
+    k = math.ceil(2 / eps)
+    return {"h": h, "ell": ell, "eps": eps, "k": k, "delta": 2 * k - 1, "seed": seed,
+            "algorithm": "shallow"}
+
+
 def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
                       stats: Optional[dict] = None, complete_witness: bool = True) -> SepOrMinor:
     """Depth-bounded K_h-minor witness or a separator of size O(n/ell + ell h^2 ln n).
@@ -408,21 +445,24 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
     separator has become valid, chasing a full K_h witness; clustering-internal
     calls disable this to keep separators lean.
     """
-    if h < 2:
-        raise ValueError("h must be >= 2")
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if not (0 < eps <= 1):
-        raise ValueError("eps must be in (0, 1]")
-    n = g.n
-    if n == 0:
+    params = shallow_params(h, ell, eps, seed)
+    if g.n == 0:
         return Separator(claimed_bound=0, params={"h": h, "ell": ell, "eps": eps, "algorithm": "shallow"})
-    k = math.ceil(2 / eps)
-    delta = 2 * k - 1
+    out = shallow_loop(g, params, stats=stats, complete_witness=complete_witness)
+    return out.witness(g, params) if isinstance(out, BranchLedger) else out
+
+
+def shallow_loop(g: Graph, params: dict, stats: Optional[dict] = None,
+                 complete_witness: bool = True) -> Union[SepOrMinor, BranchLedger]:
+    """`shallow_separator` on a nonempty g with `shallow_params` params, up
+    to its witness: a loop that completes h branch sets returns their ledger
+    (`ledger.witness(g, params)` is the witness), else the separator or
+    density result.  With debug asserts on, the completed sets' depth is
+    checked here, as rule shallow.witness-depth."""
+    h, ell, delta = params["h"], params["ell"], params["delta"]
+    n = g.n
     lnn = ln_ceil(n)
     wtotal = g.total_vertex_weight
-    params = {"h": h, "ell": ell, "eps": eps, "k": k, "delta": delta, "seed": seed,
-              "algorithm": "shallow"}
 
     dense = density_result(g, h, params)
     if dense is not None:
@@ -458,11 +498,11 @@ def shallow_separator(g: Graph, h: int, ell: int, eps: float, seed: int = 0,
         if st.ledger.p == h:
             if stats is not None:
                 stats["iterations"] = iters
-            wtn = st.ledger.witness(g, params)
-            debugcheck.check("shallow.witness-depth",
-                             wtn.depth_bound <= branch_diam_cap(delta, ell, lnn),
-                             f"witness depth {wtn.depth_bound} exceeds bound")
-            return wtn
+            if debugcheck.enabled():
+                depth = witness_depth(g, st.ledger.held_sets()[0])
+                debugcheck.check("shallow.witness-depth", depth <= branch_diam_cap(delta, ell, lnn),
+                                 f"witness depth {depth} exceeds bound")
+            return st.ledger
 
         # A_i for every held slot at once; G' (the heaviest live component)
         # is searched for from the least vertex of A_1, else the first live
@@ -597,20 +637,26 @@ def _lowest_outside(live: np.ndarray, s_ids: np.ndarray) -> int:
     return int(out[0]) if len(out) else -1
 
 
+def balanced_ell(n: int, h: int) -> int:
+    """The ell at which n/ell and ell h^2 ln n match: round(sqrt(n / ln n) / h),
+    at least 1.  h is checked first, so h < 2 raises ValueError."""
+    if h < 2:
+        raise ValueError("h must be >= 2")
+    return max(1, round(math.sqrt(n / ln_ceil(n)) / h))
+
+
 def shallow_separator_balanced(g: Graph, h: int, eps: float, seed: int = 0,
                                stats: Optional[dict] = None,
                                complete_witness: bool = True) -> SepOrMinor:
-    """Balanced instantiation: ell chosen so n/ell and ell h^2 ln n match."""
+    """Balanced instantiation: ell = `balanced_ell(n, h)`."""
     n = g.n
     if n == 0:
         return shallow_separator(g, h, 1, eps, seed, stats=stats)
-    lnn = ln_ceil(n)
-    ell = max(1, round(math.sqrt(n / lnn) / h))
-    out = shallow_separator(g, h, ell, eps, seed, stats=stats,
+    out = shallow_separator(g, h, balanced_ell(n, h), eps, seed, stats=stats,
                             complete_witness=complete_witness)
     if isinstance(out, Separator):
         c_s = separator_coeff(2 * math.ceil(2 / eps) - 1)
         out.claimed_bound = min(out.claimed_bound if out.claimed_bound is not None else n, n,
-                                math.ceil(4 * c_s * h * math.sqrt(n * lnn)) + 1)
+                                math.ceil(4 * c_s * h * math.sqrt(n * ln_ceil(n))) + 1)
         out.params["algorithm"] = "shallow-balanced"
     return out

@@ -1,14 +1,32 @@
 import copy
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepkit import approx_minor, graph
 from sepkit.approx_minor import approx_largest_clique_minor
-from sepkit.certificates import brute_force_minor_detect, verify_minor_witness
-from sepkit.generators import binary_tree_graph, grid_graph, kh_blowup_graph, path_graph
-from sepkit.graph import Graph
+from sepkit.certificates import (
+    MinorWitness,
+    Separator,
+    brute_force_minor_detect,
+    certificate_to_json,
+    lift_minor,
+    minor_witness,
+    verify_minor_witness,
+)
+from sepkit.generators import (
+    binary_tree_graph,
+    generate_graph,
+    grid_graph,
+    kh_blowup_graph,
+    path_graph,
+)
+from sepkit.graph import Graph, induced_subgraph, masked_components, split_by_label
+from sepkit.shallow import shallow_separator_balanced
 from sepkit.small_minors import _edit_keeps_core, _SPGraph, find_k3_witness, find_k4_witness
 
 
@@ -178,3 +196,114 @@ class TestApproxLargestMinor:
     def test_ratio_claim_recorded(self):
         res = approx_largest_clique_minor(path_graph(50), 0.5, seed=0)
         assert "value" in res.ratio_claim and res.ratio_claim["value"] > 0
+
+
+def _reference_attempt(g, h, eps, seed, depth=0):
+    """The search as it was before probes passed up branch sets: every
+    successful shallow probe emits its witness, depth included."""
+    if g.n < h or g.m < h * (h - 1) // 2 or depth > 64:
+        return None
+    if h == 3:
+        return find_k3_witness(g)
+    if h == 4:
+        return find_k4_witness(g)
+    out = shallow_separator_balanced(g, h, eps, seed)
+    if isinstance(out, MinorWitness):
+        return out
+    if not isinstance(out, Separator) or len(out.C) >= g.n:
+        return None
+    rest = np.ones(g.n, dtype=bool)
+    rest[out.C] = False
+    ids, ncomp, labels = masked_components(g, rest)
+    label_of = np.full(g.n, -1, dtype=np.int64)
+    label_of[ids] = labels
+    lu, lv = label_of[g.edge_u], label_of[g.edge_v]
+    piece_m = np.bincount(lu[(lu >= 0) & (lv >= 0)], minlength=ncomp).tolist()
+    for verts, m in zip(split_by_label(ids, labels, ncomp), piece_m):
+        if not h <= len(verts) < g.n or m < h * (h - 1) // 2:
+            continue
+        piece, _ = induced_subgraph(g, verts)
+        got = _reference_attempt(piece, h, eps, seed, depth + 1)
+        if got is not None:
+            return replace(lift_minor(got, verts), params={})
+    return None
+
+
+def _reference_search(g, eps, seed):
+    """(witness, h_found) by doubling from K4, then binary search."""
+    if g.m == 0:
+        return minor_witness(g, [[0]], depth_bound=0), 1
+    best = minor_witness(g, [[int(g.edge_u[0])], [int(g.edge_v[0])]], depth_bound=0)
+    best_h = 2
+    unit = Graph(g.n, np.stack([g.edge_u, g.edge_v], axis=1))
+    h = 4
+    last_fail = None
+    while h <= g.n:
+        got = _reference_attempt(unit, h, eps, seed)
+        if got is None:
+            last_fail = h
+            break
+        best, best_h = got, h
+        h *= 2
+    if last_fail is None:
+        last_fail = h
+    lo, hi = best_h, last_fail
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        got = _reference_attempt(unit, mid, eps, seed)
+        if got is None:
+            hi = mid
+        else:
+            best, best_h, lo = got, mid, mid
+    return best, best_h
+
+
+@st.composite
+def _simple_graphs(draw):
+    """Simple graphs of 1 to 40 vertices with at most or more than 2n - 3
+    edges, the bound above which a K4 minor is certain."""
+    n = draw(st.integers(1, 40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sparse_top = max(0, min(2 * n - 3, len(pairs)))
+    if draw(st.booleans()) and len(pairs) > sparse_top:
+        m = draw(st.integers(sparse_top + 1, len(pairs)))
+    else:
+        m = draw(st.integers(0, sparse_top))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph(n, rnd.sample(pairs, m))
+
+
+class TestSearchOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(_simple_graphs(), st.integers(0, 3))
+    def test_matches_reference_search(self, g, seed):
+        # probing K8 before K4, and emitting only the winner, changes no byte
+        want, want_h = _reference_search(g, 0.5, seed)
+        got = approx_largest_clique_minor(g, 0.5, seed)
+        assert got.h_found == want_h
+        assert certificate_to_json(got.witness) == certificate_to_json(want)
+
+    def test_blowup_skips_k4_and_measures_only_the_winner(self, monkeypatch):
+        # kh-blowup 6 120 has m > 2n - 3 and K8 succeeds, so the exact K4
+        # search never runs, and depth is measured only on the returned
+        # witness's branch sets, each once
+        k4_calls = []
+        measured = []
+        diameter = graph.MaskedSubgraph.diameter
+
+        def k4(g):
+            k4_calls.append(g.n)
+            return find_k4_witness(g)
+
+        def recorded(self, cap=None):
+            measured.append(self.ids.tolist())
+            return diameter(self, cap)
+
+        monkeypatch.setattr(approx_minor, "find_k4_witness", k4)
+        monkeypatch.setattr(graph.MaskedSubgraph, "diameter", recorded)
+        g = generate_graph("kh-blowup 6 120", 1)
+        assert g.m > 2 * g.n - 3
+        res = approx_largest_clique_minor(g, 0.5, 1)
+        assert k4_calls == []
+        assert res.h_found > 8
+        assert measured == [bs.tolist() for bs in res.witness.branch_sets]

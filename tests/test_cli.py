@@ -384,3 +384,51 @@ class TestBench:
         }
         rep = run_bench(suite)
         assert "shallow-balanced" in rep["slopes"]
+
+
+class TestUsageErrorsExitTwo:
+    """Inputs that once ended in a traceback (exit 1) or in numpy's or
+    Python's own text: each exits 2 with a sepkit message."""
+
+    @pytest.fixture()
+    def path3(self, tmp_path):
+        p = tmp_path / "p3.txt"
+        p.write_text("0 1\n1 2\n")
+        return p
+
+    def _usage_error(self, argv, capsys, match):
+        assert main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+
+    # balanced ell was computed from h before h was checked: ZeroDivisionError
+    def test_shallow_h0(self, path3, capsys):
+        self._usage_error(["shallow", str(path3), "--h", "0"], capsys, "h must be >= 2")
+
+    def test_minorfree_h0(self, path3, capsys):
+        self._usage_error(["minorfree", str(path3), "--h", "0"], capsys, "h must be >= 2")
+
+    @pytest.mark.parametrize("algo", ["shallow-balanced", "minorfree-balanced"])
+    def test_bench_suite_h0(self, tmp_path, capsys, algo):
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps({"instances": [{"gen": "path 5"}],
+                                     "algorithms": [{"name": algo, "h": 0}]}))
+        self._usage_error(["bench", str(suite)], capsys, "h must be >= 2")
+
+    # a suite that is not an object was read with .get: AttributeError
+    def test_bench_suite_list(self, tmp_path, capsys):
+        suite = tmp_path / "s.json"
+        suite.write_text("[1, 2]")
+        self._usage_error(["bench", str(suite)], capsys, "a bench suite is a JSON object")
+
+    # "grid" raised IndexError; the others exited 2 with numpy's or int()'s text
+    @pytest.mark.parametrize("spec, match", [
+        ("grid", "expected 'grid k'"),
+        ("grid -1", "k = -1 is outside 0.."),
+        ("path -5", "n = -5 is outside 0.."),
+        ("kh-blowup 3 0", "blow = 0 is outside 1.."),
+        ("grid 1e3", "k = '1e3' is not an integer"),
+    ], ids=["grid-no-field", "grid-negative", "path-negative", "kh-blowup-zero-blow",
+            "grid-float-literal"])
+    def test_gen_spec(self, capsys, spec, match):
+        self._usage_error(["gen", spec], capsys, f"generator spec {spec!r}: {match}")

@@ -135,3 +135,20 @@ class TestIterationBudgetProperty:
             stats = {}
             shallow_separator(g, 4, ell, 0.5, seed=2, stats=stats)
             assert stats["iterations"] <= 16 * g.n // ell + 40
+
+
+class TestGeneratorSpecCheck:
+    @pytest.mark.parametrize("spec", ["grid 3 4", "torus 1", "random-regular 0 0", "grid ١٢",
+                                      "grid 0x10", "grid 50000", "path 99999999999999999999"])
+    def test_rejected_naming_the_spec(self, spec):
+        with pytest.raises(ValueError, match=f"generator spec {spec!r}: "):
+            generate_graph(spec)
+
+    def test_generator_errors_name_the_spec(self):
+        with pytest.raises(ValueError, match="generator spec 'random-regular 5 3': n\\*d must be even"):
+            generate_graph("random-regular 5 3")
+
+    @pytest.mark.parametrize("spec, n", [("grid 0", 0), ("grid +3", 9), ("torus 2", 4),
+                                         ("kh-blowup 2 1", 2), ("binary-tree 0", 1)])
+    def test_edge_of_range_accepted(self, spec, n):
+        assert generate_graph(spec).n == n

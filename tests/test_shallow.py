@@ -13,6 +13,7 @@ from sepkit.certificates import (
     Separator,
     brute_force_min_separator,
     brute_force_minor_detect,
+    certificate_to_json,
     verify_output,
 )
 from sepkit.generators import generate_graph
@@ -395,6 +396,30 @@ class TestShallowBalanced:
         out = shallow_separator_balanced(grid(64), 5, 0.5, seed=0, stats=stats)
         assert isinstance(out, Separator)
         assert builds == [64 * 64] and stats["iterations"] > 1
+
+    def test_restrict_keeps_a_search_it_does_not_touch(self, monkeypatch):
+        # after parking the components a search did not reach, the next
+        # iteration searches from the same start: that search is kept, not
+        # repeated, and the certificate does not change
+        from sepkit import graph
+
+        searches = []
+        init = graph.LevelBFS.__init__
+
+        def counted(self, mat, start):
+            searches.append(start)
+            init(self, mat, start)
+
+        monkeypatch.setattr(graph.LevelBFS, "__init__", counted)
+        debugcheck.enable(False)  # the debug rules run searches of their own
+        g = grid(128)
+        kept = certificate_to_json(shallow_separator_balanced(g, 5, 0.5, seed=1))
+        kept_n = len(searches)
+        searches.clear()
+        monkeypatch.setattr(graph.LevelBFS, "reached_any", lambda self, vs: True)
+        dropped = certificate_to_json(shallow_separator_balanced(g, 5, 0.5, seed=1))
+        assert kept == dropped
+        assert (kept_n, len(searches)) == (18, 22)
 
     def test_neighbor_gathers_per_iteration_do_not_grow_with_p(self, monkeypatch):
         # all held branch sets share one gather per step, so an iteration
